@@ -203,9 +203,12 @@ def _cmd_speed(cfg) -> int:
     rows = []
     if method in ("bisection", "both"):
         kw = {}
-        if cfg.get("max-iter"):
+        if cfg.get("max-iter") is not None:
             kw["max_iter"] = int(cfg["max-iter"])
-        res = estimate_cstar(xi, dk, p, tol=tol, **kw)
+        try:
+            res = estimate_cstar(xi, dk, p, tol=tol, **kw)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         rows.append({"angle": angle, "c_star": res.c_star,
                      "bracket_lo": res.bracket[0],
                      "bracket_hi": res.bracket[1],

@@ -10,6 +10,7 @@ line marginal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,9 @@ class Field2D:
             raise ValueError("values must be a 2D grid")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
-        if self.values.size and (self.values.min() < -1e-12
-                                 or self.values.max() > 1.0 + 1e-12):
+        # written so that NaN, which fails every comparison, is rejected
+        if self.values.size and not (self.values.min() >= -1e-12
+                                     and self.values.max() <= 1.0 + 1e-12):
             raise ValueError("field values must lie in [0, 1]")
 
     @property
@@ -186,8 +188,11 @@ class Profile1D:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not (math.isfinite(self.left_limit)
+                and math.isfinite(self.right_limit)):
+            raise ValueError("profile limits must be finite")
 
     @property
     def grid(self) -> np.ndarray:
@@ -216,11 +221,29 @@ def apply_Q_1d(f: Profile1D, k1: Kernel1D, p: Params) -> Profile1D:
     if abs(f.delta - k1.delta) > 1e-12 * max(f.delta, k1.delta):
         raise ValueError(
             f"profile spacing {f.delta} != kernel spacing {k1.delta}")
-    hw = k1.halfwidth
-    padded = np.concatenate([
-        np.full(hw, f.left_limit), f.values, np.full(hw, f.right_limit)])
-    conv = np.convolve(padded * padded, k1.masses, mode="valid")
-    vals = (1.0 - p.eta) * (f.values + p.beta * (1.0 - f.values) * conv)
-    return Profile1D(f.s0, f.delta, vals,
-                     left_limit=mf_step(p, f.left_limit),
-                     right_limit=mf_step(p, f.right_limit))
+    padded = np.empty(len(f.values) + 2 * k1.halfwidth)
+    vals, left, right = _q1d_arrays(f.values, f.left_limit, f.right_limit,
+                                    k1.masses, p, padded)
+    return Profile1D(f.s0, f.delta, vals, left_limit=left, right_limit=right)
+
+
+def _q1d_arrays(values, left, right, masses, p: Params, padded):
+    """apply_Q_1d on bare arrays: the image values and the image limits.
+
+    ``padded`` is scratch space of ``len(values) + len(masses) - 1``
+    floats, overwritten on each call, so a caller iterating the
+    operator allocates it once.  The elementwise steps are those of
+    (1 - eta) (f + beta (1 - f) k * f^2) in that order, so the result
+    is the same bit for bit however the scratch is reused.
+    """
+    hw = (len(padded) - len(values)) // 2
+    padded[:hw] = left
+    padded[hw:hw + len(values)] = values
+    padded[hw + len(values):] = right
+    np.multiply(padded, padded, out=padded)
+    vals = np.subtract(1.0, values)
+    vals *= p.beta
+    vals *= np.convolve(padded, masses, mode="valid")
+    vals += values
+    vals *= 1.0 - p.eta
+    return vals, mf_step(p, left), mf_step(p, right)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ide import Profile1D, apply_Q_1d
+from .ide import Profile1D, _q1d_arrays, apply_Q_1d
 from .kernel import DiscreteKernel, Kernel1D, marginal_1d, unit_direction
 from .mean_field import Params, equilibria
 
@@ -86,7 +86,8 @@ def weinberger_step(f: Profile1D, c: float, k1: Kernel1D, p: Params,
                     psi: Profile1D) -> Profile1D:
     """One recursion step: max of psi with the Q image read at s + c
     (linear interpolation for off-grid shifts, which preserves
-    monotonicity)."""
+    monotonicity).  The reference for the probe loop, which runs the
+    same step on bare arrays."""
     if (abs(f.s0 - psi.s0) > 1e-9 or len(f.values) != len(psi.values)
             or abs(f.delta - psi.delta) > 1e-12):
         raise ValueError("profile and psi must share one grid")
@@ -112,6 +113,15 @@ def _default_max_iter(dk: DiscreteKernel, tol: float) -> int:
     return max(20000, int(8.0 * s_span / max(tol, 1e-6)))
 
 
+def _check_budget(tol, max_iter) -> None:
+    # tol <= 0 or NaN would never meet the stall criterion, and the
+    # bisection would never narrow to it
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def classify_speed(c: float, xi, dk: DiscreteKernel, p: Params,
                    psi: PsiSpec | None = None, max_iter: int | None = None,
                    tol: float = 1e-3, delta: float | None = None) -> str:
@@ -122,8 +132,11 @@ def classify_speed(c: float, xi, dk: DiscreteKernel, p: Params,
     probe interval, 'at_or_above' once the sup change per step drops
     under tol/10 without that growth.
     """
+    _check_budget(tol, max_iter)
     state = _classifier_state(xi, dk, p, psi, tol, delta)
-    return _classify_with_state(c, state, max_iter or _default_max_iter(dk, tol))[0]
+    if max_iter is None:
+        max_iter = _default_max_iter(dk, tol)
+    return _classify_with_state(c, state, max_iter)[0]
 
 
 def _classifier_state(xi, dk, p, psi, tol, delta):
@@ -144,18 +157,41 @@ def _classifier_state(xi, dk, p, psi, tol, delta):
             "rho_s": eq.rho_s, "tol": tol}
 
 
+def _front_iterates(c, state):
+    """The iterates f_1, f_2, ... of weinberger_step from psi at trial
+    speed c, as (values, left_limit, right_limit).
+
+    The same arithmetic on the same inputs as repeated weinberger_step,
+    so bit-identical to it, without a Profile1D per step: the grid, its
+    shift by c and the padding buffer are made once per probe.
+    """
+    psi, k1, p = state["psi"], state["k1"], state["p"]
+    grid = psi.grid
+    shifted = grid + c
+    padded = np.empty(len(grid) + 2 * k1.halfwidth)
+    values, left, right = psi.values, psi.left_limit, psi.right_limit
+    while True:
+        g, g_left, g_right = _q1d_arrays(values, left, right, k1.masses, p,
+                                         padded)
+        values = np.interp(shifted, grid, g, left=g_left, right=g_right)
+        np.maximum(psi.values, values, out=values)
+        left = max(psi.left_limit, g_left)
+        right = max(psi.right_limit, g_right)
+        yield values, left, right
+
+
 def _classify_with_state(c, state, max_iter):
-    psi = state["psi"]
-    k1, p = state["k1"], state["p"]
     rho_s, tol, probe = state["rho_s"], state["tol"], state["probe"]
-    f = psi
-    for it in range(1, max_iter + 1):
-        nxt = weinberger_step(f, c, k1, p, psi)
-        if nxt.values[probe] > rho_s - tol:
+    top, still = rho_s - tol, tol / 10.0
+    prev = state["psi"].values
+    steps = zip(range(1, max_iter + 1), _front_iterates(c, state))
+    for it, (values, _, _) in steps:
+        if values[probe] > top:
             return BELOW, it
-        if np.max(np.abs(nxt.values - f.values)) < tol / 10.0:
+        change = values - prev
+        if np.abs(change, out=change).max() < still:
             return AT_OR_ABOVE, it
-        f = nxt
+        prev = values
     raise SpeedIndeterminate(
         f"no classification for c={c} after {max_iter} iterations")
 
@@ -171,12 +207,27 @@ class SpeedResult:
 
 def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
                    psi: PsiSpec | None = None, max_iter: int | None = None,
-                   delta: float | None = None) -> SpeedResult:
+                   delta: float | None = None, *,
+                   memo: dict | None = None) -> SpeedResult:
     """Bisect classify_speed over [-d(k)-1, d(k)+1] down to a bracket of
     width tol; c_star is reported as the bracket's upper end, so
-    c_lo < c* <= c_star."""
+    c_lo < c* <= c_star.
+
+    The bisection sees xi only through its line marginal.  ``memo`` is
+    a dict owned by the caller, shared only between calls that differ
+    in xi alone: it maps the marginal's mass bytes to the bisection
+    outcome, and a direction whose marginal is already in it gets that
+    trace and bracket back with ``iterations`` 0, the recursion steps
+    actually run.
+    """
+    _check_budget(tol, max_iter)
     state = _classifier_state(xi, dk, p, psi, min(tol, 1e-2), delta)
-    cap = max_iter or _default_max_iter(dk, tol)
+    key = state["k1"].masses.tobytes()
+    if memo is not None and key in memo:
+        trace, (lo, hi) = memo[key]
+        return SpeedResult(xi=unit_direction(xi), c_star=hi, bracket=(lo, hi),
+                           iterations=0, trace=list(trace))
+    cap = max_iter if max_iter is not None else _default_max_iter(dk, tol)
     d = dk.support_diameter
     lo, hi = -d - 1.0, d + 1.0
     trace = []
@@ -211,6 +262,8 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
             lo = mid
         else:
             hi = mid
+    if memo is not None:
+        memo[key] = (tuple(trace), (lo, hi))
     return SpeedResult(xi=unit_direction(xi), c_star=hi, bracket=(lo, hi),
                        iterations=total, trace=trace)
 
@@ -318,8 +371,12 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
     threshold equality is measure zero on a grid.
     """
     dirs = validate_direction_triple([xi1, xi2, xi3])
+    # directions with identical line marginals (reflections of one
+    # another for the symmetric kernels) share one bisection
+    memo = {}
     speeds = tuple(estimate_cstar(x, dk, p, tol=speed_tol, psi=psi,
-                                  delta=delta).c_star for x in dirs)
+                                  delta=delta, memo=memo).c_star
+                   for x in dirs)
     if min(speeds) <= 0.0:
         raise ValueError(f"all three directions need positive speed, "
                          f"got {speeds}")

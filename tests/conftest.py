@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcp import KernelSpec, Params, build_kernel, discretize
+from qcp import KernelSpec, Params, build_kernel, discretize, wavespeed
 from qcp.wavespeed import build_phi, default_directions
 
 
@@ -31,11 +31,28 @@ def point_mass_spec():
 
 
 @pytest.fixture(scope="session")
-def phi_main(dk8, p_main):
-    """Recovery profile at the reference parameters; built once."""
+def phi_main_speeds(dk8, p_main):
+    """Recovery profile at the reference parameters, built once, and the
+    SpeedResult of each of its three estimate_cstar calls."""
+    results = []
+    original = wavespeed.estimate_cstar
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
     dirs = default_directions()
-    return build_phi(dirs[0], dirs[1], dirs[2], dk8, p_main, n=4,
-                     speed_tol=0.02)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavespeed, "estimate_cstar", spy)
+        phi = build_phi(dirs[0], dirs[1], dirs[2], dk8, p_main, n=4,
+                        speed_tol=0.02)
+    return phi, results
+
+
+@pytest.fixture(scope="session")
+def phi_main(phi_main_speeds):
+    """Recovery profile at the reference parameters; built once."""
+    return phi_main_speeds[0]
 
 
 def seeded(seed):

@@ -52,6 +52,20 @@ class TestSpeedCommand:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+        ["--max-iter", "0"], ["--max-iter", "-5"]])
+    def test_bad_budget_is_config_error(self, flags, capsys, monkeypatch):
+        from qcp import wavespeed
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("probe ran before the settings were checked")
+
+        monkeypatch.setattr(wavespeed, "_classify_with_state", no_probe)
+        code = run(["speed", "--angle", "0", "--kernel-L", "4"] + flags)
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+
 
 class TestErrors:
     def test_missing_config_file(self, capsys):

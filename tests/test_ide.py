@@ -170,6 +170,24 @@ class TestProfileAndField:
         with pytest.raises(ValueError):
             Field2D(0, 0, 0.1, np.zeros((4, 4)), boundary="mirror")
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+    def test_field_rejects_values_outside_unit_interval(self, bad):
+        vals = np.full((4, 4), 0.5)
+        vals[2, 1] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Field2D(0, 0, 0.1, vals)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
+    def test_profile_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            Profile1D(0.0, delta, np.zeros(3), 0.0, 0.0)
+
+    @pytest.mark.parametrize("left, right", [
+        (np.nan, 0.0), (0.5, np.nan), (np.inf, 0.0), (0.5, -np.inf)])
+    def test_profile_rejects_nonfinite_limits(self, left, right):
+        with pytest.raises(ValueError, match="limit"):
+            Profile1D(0.0, 0.1, np.zeros(3), left, right)
+
     def test_field_csv_round_trip(self, tmp_path):
         u = Field2D(-1.0, 2.0, 0.25, seeded(10).random((6, 6)),
                     boundary="clamped", clamp_value=0.2)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from qcp import wavespeed
 from qcp.ide import Profile1D, apply_Q_1d
 from qcp.kernel import Kernel1D, marginal_1d
 from qcp.mean_field import Params, equilibria, iterate_mean_field
@@ -20,6 +23,38 @@ GOLDEN_CSTAR_E1 = 0.18693491820049757
 GOLDEN_PHI = {"alpha": 0.8846424974798833, "m": -12.374368670764582,
               "M": 1.0606601717798227, "l": 13.435028842544405,
               "c": 0.08972876073623884}
+
+# Bisection trajectories recorded with the Profile1D-per-step recursion
+# (weinberger_step in the probe loop); every probe must reproduce them
+# exactly.  (trial speed, class) per probe, then the bracket and the
+# recursion steps run.
+GOLDEN_E1_TRACE = [
+    (-3.8284271247461903, BELOW), (3.8284271247461903, AT_OR_ABOVE),
+    (0.0, BELOW), (1.9142135623730951, AT_OR_ABOVE),
+    (0.9571067811865476, AT_OR_ABOVE), (0.4785533905932738, AT_OR_ABOVE),
+    (0.2392766952966369, AT_OR_ABOVE), (0.11963834764831845, BELOW),
+    (0.17945752147247768, BELOW), (0.2093671083845573, AT_OR_ABOVE),
+    (0.1944123149285175, AT_OR_ABOVE), (0.18693491820049757, AT_OR_ABOVE)]
+GOLDEN_E1_BRACKET = (0.17945752147247768, 0.18693491820049757)
+GOLDEN_E1_ITERATIONS = 20504
+# phi_main: the 45 degree normal, then the 165 and 285 degree normals,
+# whose line marginals are identical
+_PHI_COMMON = [
+    (-3.8284271247461903, BELOW), (3.8284271247461903, AT_OR_ABOVE),
+    (0.0, BELOW), (1.9142135623730951, AT_OR_ABOVE),
+    (0.9571067811865476, AT_OR_ABOVE), (0.4785533905932738, AT_OR_ABOVE),
+    (0.2392766952966369, AT_OR_ABOVE), (0.11963834764831845, BELOW)]
+GOLDEN_PHI_TRACES = [
+    _PHI_COMMON + [(0.17945752147247768, AT_OR_ABOVE),
+                   (0.14954793456039805, BELOW),
+                   (0.16450272801643787, BELOW)],
+    _PHI_COMMON + [(0.17945752147247768, BELOW),
+                   (0.2093671083845573, AT_OR_ABOVE),
+                   (0.1944123149285175, AT_OR_ABOVE)]]
+GOLDEN_PHI_BRACKETS = [(0.16450272801643787, 0.17945752147247768),
+                       (0.17945752147247768, 0.1944123149285175)]
+# steps per direction; the third bisection is shared with the second
+GOLDEN_PHI_ITERATIONS = [7575, 24688, 0]
 
 
 class TestPsi:
@@ -117,9 +152,14 @@ class TestClassify:
             classify_speed(0.0, (1.0, 0.0), dk8, Params(0.3, 0.2))
 
 
+@pytest.fixture(scope="module")
+def e1_speed(dk8, p_main):
+    return estimate_cstar((1.0, 0.0), dk8, p_main, tol=0.01)
+
+
 class TestEstimate:
-    def test_golden_value_and_bracket(self, dk8, p_main):
-        res = estimate_cstar((1.0, 0.0), dk8, p_main, tol=0.01)
+    def test_golden_value_and_bracket(self, e1_speed):
+        res = e1_speed
         assert res.c_star == pytest.approx(GOLDEN_CSTAR_E1, abs=1e-9)
         lo, hi = res.bracket
         assert lo < res.c_star <= hi
@@ -138,6 +178,81 @@ class TestEstimate:
         a = estimate_cstar((s, s), dk8, p_main, tol=tol).c_star
         b = estimate_cstar((s, -s), dk8, p_main, tol=tol).c_star
         assert abs(a - b) <= 2 * tol
+
+
+class TestSettings:
+    @pytest.fixture(autouse=True)
+    def no_probe(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("probe ran before the settings were checked")
+
+        monkeypatch.setattr(wavespeed, "_classify_with_state", refuse)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_rejected(self, dk8, p_main, tol):
+        with pytest.raises(ValueError, match="tol"):
+            estimate_cstar((1.0, 0.0), dk8, p_main, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            classify_speed(0.1, (1.0, 0.0), dk8, p_main, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_bad_max_iter_rejected(self, dk8, p_main, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            estimate_cstar((1.0, 0.0), dk8, p_main, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter"):
+            classify_speed(0.1, (1.0, 0.0), dk8, p_main, max_iter=max_iter)
+
+
+class TestBitIdentical:
+    def test_e1_trajectory(self, e1_speed):
+        assert e1_speed.trace == GOLDEN_E1_TRACE
+        assert e1_speed.bracket == GOLDEN_E1_BRACKET
+        assert e1_speed.iterations == GOLDEN_E1_ITERATIONS
+
+    def test_phi_main_speed_results(self, phi_main_speeds):
+        phi, results = phi_main_speeds
+        assert [r.trace for r in results] == [GOLDEN_PHI_TRACES[0]] + \
+            [GOLDEN_PHI_TRACES[1]] * 2
+        assert [r.bracket for r in results] == [GOLDEN_PHI_BRACKETS[0]] + \
+            [GOLDEN_PHI_BRACKETS[1]] * 2
+        assert [r.iterations for r in results] == GOLDEN_PHI_ITERATIONS
+        assert phi.speeds == tuple(r.c_star for r in results)
+        for r, xi in zip(results, default_directions()):
+            assert np.array_equal(r.xi, xi)
+
+    # probe 3 of GOLDEN_E1_TRACE is below c*, probe 7 at or above it
+    @pytest.mark.parametrize("c, cls, steps", [
+        (0.0, BELOW, 331), (0.2392766952966369, AT_OR_ABOVE, 87)])
+    def test_iterates_match_weinberger_step(self, dk8, p_main, c, cls,
+                                            steps):
+        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, None,
+                                            0.01, None)
+        assert wavespeed._classify_with_state(c, state, 10 * steps) == \
+            (cls, steps)
+        psi, k1 = state["psi"], state["k1"]
+        f = psi
+        iterates = wavespeed._front_iterates(c, state)
+        for _ in range(steps):
+            f = weinberger_step(f, c, k1, p_main, psi)
+            values, left, right = next(iterates)
+            assert np.array_equal(values, f.values)
+            assert (left, right) == (f.left_limit, f.right_limit)
+
+    def test_memo_keeps_directions_apart(self, dk8, p_main):
+        dirs = default_directions()
+        memo = {}
+        estimate_cstar(dirs[0], dk8, p_main, tol=0.05, memo=memo)
+        shared = estimate_cstar(dirs[1], dk8, p_main, tol=0.05, memo=memo)
+        fresh = estimate_cstar(dirs[1], dk8, p_main, tol=0.05)
+        assert len(memo) == 2
+        assert shared.trace == fresh.trace
+        assert shared.bracket == fresh.bracket
+        assert shared.c_star == fresh.c_star
+        assert shared.iterations == fresh.iterations > 0
+        hit = estimate_cstar(dirs[2], dk8, p_main, tol=0.05, memo=memo)
+        assert hit.iterations == 0
+        assert hit.trace == fresh.trace and hit.bracket == fresh.bracket
+        assert np.array_equal(hit.xi, dirs[2])
 
 
 class TestTracking:
