@@ -82,6 +82,22 @@ def _params(cfg) -> Params:
         raise ConfigError(str(exc)) from exc
 
 
+def _count(cfg, key: str, default: int) -> int:
+    n = int(cfg.get(key, default))
+    if n < 0:
+        raise ConfigError(f"{key} must be nonnegative, got {n}")
+    return n
+
+
+def _window(cfg, default_L: int) -> tuple[int, int]:
+    """L and the side in sites of the W x W window, at least one each."""
+    L = int(cfg.get("L", default_L))
+    side = int(round(float(cfg.get("W", 4.0)) * L))
+    if L < 1 or side < 1:
+        raise ConfigError(f"L={L} and W={cfg.get('W', 4.0)} leave no site")
+    return L, side
+
+
 def _experiment_config(cfg) -> experiments.ExperimentConfig:
     fields = {
         "beta": float(cfg.get("beta", 1.0)),
@@ -126,13 +142,13 @@ def _manifest_config(cfg) -> dict:
 
 def _cmd_mean_field(cfg) -> int:
     p = _params(cfg)
+    steps = _count(cfg, "trace-steps", 100)
     eq = equilibria(p)
     print(",".join(repr(r.value) for r in eq.roots))
     out = cfg.get("out")
     if out:
         path = _out_dir(cfg) / out
-        trace = mean_field_trace(p, float(cfg.get("v0", 0.5)),
-                                 int(cfg.get("trace-steps", 100)))
+        trace = mean_field_trace(p, float(cfg.get("v0", 0.5)), steps)
         manifest.write_csv(path, [{"n": i, "v": float(v)}
                                   for i, v in enumerate(trace)])
         manifest.write_manifest(path.with_suffix(".manifest.json"),
@@ -167,15 +183,13 @@ def _build_u0(cfg, L, side):
 def _cmd_ide_run(cfg) -> int:
     p = _params(cfg)
     spec = _kernel_spec(cfg)
-    L = int(cfg.get("L", 8))
-    W = float(cfg.get("W", 4.0))
-    side = int(round(W * L))
+    L, side = _window(cfg, 8)
+    n = _count(cfg, "steps", 10)
     dk = discretize(spec, L)
     boundary = cfg.get("boundary", "periodic")
     field = Field2D(0.0, 0.0, 1.0 / L, _build_u0(cfg, L, side),
                     boundary=boundary,
                     clamp_value=float(cfg.get("clamp", 0.0)))
-    n = int(cfg.get("steps", 10))
     taps = cfg.get("taps", [n])
     fields = evolve(field, dk, p, n, taps=taps)
     outputs = []
@@ -237,19 +251,18 @@ def _cmd_speed(cfg) -> int:
 def _cmd_lattice_run(cfg) -> int:
     p = _params(cfg)
     spec = _kernel_spec(cfg)
-    L = int(cfg.get("L", 20))
-    W = float(cfg.get("W", 4.0))
+    L, side = _window(cfg, 20)
     seed = int(cfg.get("seed", 0))
-    steps = int(cfg.get("steps", 100))
+    steps = _count(cfg, "steps", 100)
     snap_every = int(cfg.get("snapshot-every", 0))
     dk = discretize(spec, L)
     rng = LatticeRng(seed)
     init_mode = cfg.get("init", "all_ones")
     if init_mode.startswith("product:"):
-        state = lattice.init("product", L, W=W, rng=rng,
+        state = lattice.init("product", L, side=side, rng=rng,
                              p=float(init_mode.split(":", 1)[1]))
     elif init_mode == "all_ones":
-        state = lattice.init("all_ones", L, W=W)
+        state = lattice.init("all_ones", L, side=side)
     else:
         raise ConfigError(f"unknown init {init_mode!r}")
     outdir = _out_dir(cfg)

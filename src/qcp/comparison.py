@@ -21,6 +21,7 @@ union of regions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import rng as _rng
 from .ide import Profile1D, apply_Q_1d
-from .lattice import BoxStats
+from .lattice import BoxStats, box_side_sites
 from .mean_field import equilibria, mf_step
 from .wavespeed import PhiData
 
@@ -90,7 +91,6 @@ def make_comparison_config(phi: PhiData, dk, L: int, gamma: float,
                            ceil_r: bool = True,
                            delta1: float | None = None) -> ComparisonConfig:
     """Derive all constants from the recovery profile."""
-    from .lattice import box_side_sites
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must lie in (0, 1/2)")
     p = phi.params
@@ -203,12 +203,15 @@ class VacantRegion:
 
 
 def _vertices(normals: np.ndarray, g: np.ndarray) -> np.ndarray:
-    verts = []
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        A = np.array([normals[i], normals[j]])
-        verts.append(np.linalg.solve(A, np.array([g[i], g[j]])))
-    return np.array(verts)
+    """Vertex k meets the two support lines other than line k."""
+    return np.array([np.linalg.solve(normals[[i, j]], g[[i, j]])
+                     for i, j in ((1, 2), (2, 0), (0, 1))])
+
+
+def _circumradius(R: VacantRegion, t: float, normals: np.ndarray) -> float:
+    """Largest distance from R's center to a vertex of R at time t."""
+    verts = _vertices(normals, R.supports_at(t, normals))
+    return float(np.max(np.hypot(*(verts - R.center).T)))
 
 
 def spawn_region(e: ErrorPoint, cfg: ComparisonConfig,
@@ -218,9 +221,7 @@ def spawn_region(e: ErrorPoint, cfg: ComparisonConfig,
     reg = VacantRegion(rid, "spawned", e.t, e.step, e.location,
                        h0=[cfg.r] * 3, rates=[-cfg.c] * 3,
                        modes=["in"] * 3)
-    g = reg.supports_at(e.t, normals)
-    verts = _vertices(normals, g)
-    reg.circumradius = float(np.max(np.hypot(*(verts - reg.center).T)))
+    reg.circumradius = _circumradius(reg, e.t, normals)
     return reg
 
 
@@ -244,13 +245,16 @@ class RegionSet:
     def inradius(self, R: VacantRegion, t: float) -> float:
         return float(self.lam @ R.offsets_at(t))
 
+    def holders(self, points, t: float):
+        """Regions alive at t and the (P, K) mask of those whose closed
+        triangle holds each point."""
+        regs = self.alive(t)
+        offsets = np.array([R.offsets_at(t) for R in regs]).reshape(-1, 3)
+        return regs, np.all(_edge_coords(points, regs, self.normals)
+                            <= offsets + 1e-9, axis=-1)
+
     def membership(self, x, t: float) -> bool:
-        x = np.asarray(x, dtype=float)
-        for R in self.alive(t):
-            if np.all(self.normals @ (x - R.center)
-                      <= R.offsets_at(t) + 1e-9):
-                return True
-        return False
+        return bool(self.holders(x, t)[1].any())
 
     # -- evolution -------------------------------------------------------
 
@@ -261,10 +265,13 @@ class RegionSet:
         return reg
 
     def evolve_to(self, t1: float, spawns=()) -> None:
+        """Process every event up to t1 and move the clock there."""
+        if t1 < self.horizon:
+            raise ValueError(f"region set is at t={self.horizon}; "
+                             f"cannot evolve back to {t1}")
         spawn_queue = sorted(spawns, key=lambda e: (e.t, e.type, e.box))
-        for e in spawn_queue:
-            if e.t > t1 + _EPS:
-                raise ValueError("spawn scheduled beyond the target time")
+        if spawn_queue and spawn_queue[-1].t > t1 + _EPS:
+            raise ValueError("spawn scheduled beyond the target time")
         for _ in range(_EVENT_GUARD):
             now = self.horizon
             self._rearm_contacts(now)
@@ -287,16 +294,12 @@ class RegionSet:
         self.horizon = t1
 
     def _rearm_contacts(self, now: float) -> None:
-        stale = []
-        for pair in self.contacts:
-            a, b = tuple(pair)
-            ra, rb = self.regions[a], self.regions[b]
-            if not (ra.alive_at(now) and rb.alive_at(now)):
-                stale.append(pair)
-            elif self._pair_inradius(ra, rb, now) < -1e-9:
-                stale.append(pair)
-        for pair in stale:
-            self.contacts.discard(pair)
+        def stale(pair) -> bool:
+            ra, rb = (self.regions[i] for i in pair)
+            return (not (ra.alive_at(now) and rb.alive_at(now))
+                    or self._pair_inradius(ra, rb, now) < -1e-9)
+
+        self.contacts -= {pair for pair in self.contacts if stale(pair)}
 
     def _pair_inradius(self, A, B, t: float) -> float:
         ga = A.supports_at(t, self.normals)
@@ -311,13 +314,11 @@ class RegionSet:
             if t is None or t > t1 + _EPS:
                 return
             t = max(t, now)
-            key = (t, prio)
-            if best is None or key < (best[0], best[1]):
+            if best is None or (t, prio) < best[:2]:
                 best = (t, prio, payload)
 
         if spawn_queue:
-            e = spawn_queue[0]
-            consider(max(e.t, now), _PRIO_SPAWN, e)
+            consider(spawn_queue[0].t, _PRIO_SPAWN, spawn_queue[0])
 
         # event sources: regions created and not yet vanished (a region
         # stays a member of the vacant set at its vanish instant, but
@@ -334,32 +335,29 @@ class RegionSet:
             for j, edge in enumerate(R.edges):
                 if edge.mode != "out":
                     continue
-                t_c = self._catchup_time(R, j, now)
-                if t_c is not None:
-                    consider(t_c, _PRIO_CATCHUP, (R.id, j))
+                consider(self._catchup_time(R, j, now), _PRIO_CATCHUP,
+                         (R.id, j))
 
-        for a in range(len(alive)):
-            for b in range(a + 1, len(alive)):
-                A, B = alive[a], alive[b]
-                if frozenset((A.id, B.id)) in self.contacts:
-                    continue
-                t_c = self._contact_time(A, B, now, t1)
-                if t_c is not None:
-                    consider(t_c, _PRIO_CONTACT, (A.id, B.id))
+        for A, B in itertools.combinations(alive, 2):
+            if frozenset((A.id, B.id)) in self.contacts:
+                continue
+            consider(self._contact_time(A, B, now, t1), _PRIO_CONTACT,
+                     (A.id, B.id))
         return best
+
+    def _support(self, R: VacantRegion, j: int, t: float) -> float:
+        return float(self.normals[j] @ R.center + R.edges[j].offset_at(t))
+
+    def _live_targets(self, edge: _Edge, t: float) -> list:
+        return [self.regions[pid] for pid in edge.targets
+                if self.regions[pid].alive_at(t)]
 
     def _catchup_time(self, R: VacantRegion, j: int, now: float):
         edge = R.edges[j]
-        g_self = float(self.normals[j] @ R.center + edge.offset_at(now))
-        live = [pid for pid in edge.targets
-                if self.regions[pid].alive_at(now)]
-        if not live:
-            return now
+        g_self = self._support(R, j, now)
         t_best = now
-        for pid in live:
-            P = self.regions[pid]
-            g_p = float(self.normals[j] @ P.center
-                        + P.edges[j].offset_at(now))
+        for P in self._live_targets(edge, now):
+            g_p = self._support(P, j, now)
             rate_p = P.edges[j].rate
             if g_self >= g_p - _EPS:
                 continue
@@ -422,16 +420,11 @@ class RegionSet:
         reg = VacantRegion(self.next_id, kind, t, step, center,
                            h0=[rho] * 3, rates=[self.cfg.b] * 3,
                            modes=["out"] * 3, parents=ids, targets=ids)
-        g = reg.supports_at(t, self.normals)
-        verts = _vertices(self.normals, g)
-        reg.circumradius = float(np.max(np.hypot(*(verts - center).T)))
+        reg.circumradius = _circumradius(reg, t, self.normals)
         self.next_id += 1
         self.regions[reg.id] = reg
-        for i in ids:
-            self.contacts.add(frozenset((reg.id, i)))
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                self.contacts.add(frozenset((ids[a], ids[b])))
+        self.contacts.update(frozenset(pair) for pair in
+                             itertools.combinations(ids + [reg.id], 2))
 
     def _do_catchup(self, payload, t: float):
         rid, j = payload
@@ -439,14 +432,10 @@ class RegionSet:
         edge = R.edges[j]
         if edge.mode != "out":
             return
-        live = [pid for pid in edge.targets
-                if self.regions[pid].alive_at(t)]
+        live = self._live_targets(edge, t)
         if live:
             # land exactly on the outermost parent edge
-            g_target = max(
-                float(self.normals[j] @ self.regions[pid].center
-                      + self.regions[pid].edges[j].offset_at(t))
-                for pid in live)
+            g_target = max(self._support(P, j, t) for P in live)
             h_new = g_target - float(self.normals[j] @ R.center)
         else:
             h_new = edge.offset_at(t)
@@ -461,20 +450,6 @@ class RegionSet:
             for edge in other.edges:
                 if edge.mode == "out" and rid in edge.targets:
                     edge.targets.remove(rid)
-
-
-def evolve_regions(rs: RegionSet, t0: float, t1: float,
-                   spawns=()) -> RegionSet:
-    """Advance the set from t0 to t1 (t0 must match the current horizon)."""
-    if abs(rs.horizon - t0) > 1e-9:
-        raise ValueError(f"region set is at t={rs.horizon}, not {t0}")
-    rs.evolve_to(t1, spawns=spawns)
-    return rs
-
-
-def vacant_membership(rs: RegionSet, x, t: float) -> bool:
-    """True iff x lies in some (closed) region at time t."""
-    return rs.membership(x, t)
 
 
 # -- recovery profile field ----------------------------------------------
@@ -517,77 +492,100 @@ def h_field(rs: RegionSet, phi: PhiData, n: int,
     over regions containing x, of the age-iterated profile at the
     signed edge coordinate.  Points outside every region get 0."""
     cache = cache or ProfileCache(phi)
-    regs = [R for R in rs.regions.values() if R.alive_at(n)]
-    normals = rs.normals
 
     def evaluate(x) -> float:
-        x = np.asarray(x, dtype=float)
-        holders = [R for R in regs
-                   if np.all(normals @ (x - R.center)
-                             <= R.offsets_at(n) + 1e-9)]
-        if not holders:
-            return 0.0
-        best = -np.inf
-        for j in range(3):
-            inf_j = min(
-                float(cache.profile(j, n - R.created_step).evaluate(
-                    float(normals[j] @ (x - R.center))))
-                for R in holders)
-            best = max(best, inf_j)
-        return best
+        regs, mask = rs.holders(x, n)
+        return float(_recovery_demand(x, regs, mask, rs.normals, cache, n)[0])
 
     return evaluate
 
 
+def _project(v, normals: np.ndarray) -> np.ndarray:
+    """(..., 3) projections xi_j . v of (..., 2) vectors, as one (P, 2) @
+    (2, 3) product: it rounds like normals[j] @ v, unlike v0 n0 + v1 n1."""
+    v = np.asarray(v, dtype=float)
+    return (v.reshape(-1, 2) @ normals.T).reshape(v.shape[:-1] + (3,))
+
+
+def _edge_coords(points, regions, normals: np.ndarray) -> np.ndarray:
+    """(P, K, 3) signed edge coordinates xi_j . (x_p - center_k)."""
+    points = np.asarray(points, dtype=float).reshape(-1, 1, 2)
+    centers = np.array([R.center for R in regions]).reshape(1, -1, 2)
+    return _project(points - centers, normals)
+
+
+def _recovery_demand(points, regions, mask, normals: np.ndarray,
+                     cache: ProfileCache, n: int) -> np.ndarray:
+    """h_n at each point: max over directions j of the minimum, over the
+    regions R with mask[p, R], of the profile of direction j and age
+    n - R.created_step at the edge coordinate; 0 if mask[p] is empty."""
+    s = _edge_coords(points, regions, normals)
+    vals = np.full(s.shape, np.inf)
+    for k, R in enumerate(regions):
+        rows = mask[:, k]
+        if rows.any():
+            for j in range(3):
+                prof = cache.profile(j, n - R.created_step)
+                vals[rows, k, j] = prof.evaluate(s[rows, k, j])
+    h = vals.min(axis=1, initial=np.inf).max(axis=1)
+    return np.where(mask.any(axis=1), h, 0.0)
+
+
 # -- geometric predicates for boxes ---------------------------------------
 
-def _rect_corners(rect):
-    x0, y0, x1, y1 = rect
-    return np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
+def _box_rects(stats: BoxStats) -> np.ndarray:
+    """(nb, nb, 4) array whose entry (bi, bj) is stats.box_rect(bi, bj)."""
+    return np.array([[stats.box_rect(bi, bj) for bj in range(stats.nb)]
+                     for bi in range(stats.nb)])
 
 
-def _rect_in_region(rect, normals, g) -> bool:
-    corners = _rect_corners(rect)
-    return bool(np.all(corners @ normals.T <= g + 1e-9))
+def _corner_coords(rects, normals: np.ndarray) -> np.ndarray:
+    """(..., 4, 3) projections xi_j . corner of the four corners of
+    (..., 4) rectangles (x0, y0, x1, y1)."""
+    r = np.asarray(rects, dtype=float)
+    return _project(np.stack([r[..., [0, 2, 0, 2]], r[..., [1, 1, 3, 3]]],
+                             axis=-1), normals)
 
 
-def _rect_intersects_region(rect, normals, g, verts) -> bool:
-    corners = _rect_corners(rect)
-    proj = corners @ normals.T
-    if np.any(proj.min(axis=0) > g + 1e-9):
-        return False
-    x0, y0, x1, y1 = rect
-    if (verts[:, 0].max() < x0 - 1e-9 or verts[:, 0].min() > x1 + 1e-9
-            or verts[:, 1].max() < y0 - 1e-9 or verts[:, 1].min() > y1 + 1e-9):
-        return False
-    return True
+def _rects_inside(rects, g: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """(..., K): the rectangle lies in the closed region with supports
+    g[k] (rows of a (K, 3) array)."""
+    proj = _corner_coords(rects, normals)[..., None, :, :]
+    return np.all(proj <= g[:, None, :] + 1e-9, axis=(-2, -1))
 
 
-def _rect_distance(a, b) -> float:
-    dx = max(0.0, max(a[0] - b[2], b[0] - a[2]))
-    dy = max(0.0, max(a[1] - b[3], b[1] - a[3]))
-    return math.hypot(dx, dy)
+def _rects_meet(rects, g: np.ndarray, verts: np.ndarray,
+                normals: np.ndarray) -> np.ndarray:
+    """(..., K): the rectangle meets region k (supports g[k], vertices
+    verts[k]); separating axes are the edge normals and the x, y axes."""
+    lo = _corner_coords(rects, normals).min(axis=-2)[..., None, :]
+    apart = np.any(lo > g + 1e-9, axis=-1)
+    r = np.asarray(rects, dtype=float)[..., None, :]
+    apart |= np.any((verts.max(axis=1) < r[..., :2] - 1e-9)
+                    | (verts.min(axis=1) > r[..., 2:] + 1e-9), axis=-1)
+    return ~apart
 
 
 def _region_snapshot(rs: RegionSet, t: float):
-    return [(R, g, _vertices(rs.normals, g))
-            for R in rs.alive(t)
-            for g in [R.supports_at(t, rs.normals)]]
+    """Regions alive at t, their supports (K, 3) and vertices (K, 3, 2)."""
+    regs = rs.alive(t)
+    g = np.array([R.supports_at(t, rs.normals) for R in regs]).reshape(-1, 3)
+    verts = np.array([_vertices(rs.normals, gk) for gk in g])
+    return regs, g, verts.reshape(-1, 3, 2)
 
 
-def _rect_in_union(rect, snap, normals, depth: int = 6) -> bool:
-    for _, g, _ in snap:
-        if _rect_in_region(rect, normals, g):
-            return True
-    touching = [(R, g, v) for R, g, v in snap
-                if _rect_intersects_region(rect, normals, g, v)]
-    if not touching or depth == 0:
+def _rect_in_union(rect, g, verts, normals, depth: int = 6) -> bool:
+    if _rects_inside(rect, g, normals).any():
+        return True
+    touching = _rects_meet(rect, g, verts, normals)
+    if not touching.any() or depth == 0:
         return False
     x0, y0, x1, y1 = rect
     xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     quads = [(x0, y0, xm, ym), (xm, y0, x1, ym),
              (x0, ym, xm, y1), (xm, ym, x1, y1)]
-    return all(_rect_in_union(q, touching, normals, depth - 1) for q in quads)
+    return all(_rect_in_union(q, g[touching], verts[touching], normals,
+                              depth - 1) for q in quads)
 
 
 # -- error detection and containment --------------------------------------
@@ -610,60 +608,30 @@ def detect_errors(prev: BoxStats, cur: BoxStats, rs: RegionSet,
     dens_cur = cur.density()
     # all geometry is queried at n-1: the audit-time shrink is what the
     # +c term in the spawn inradius pays for
-    snap_prev = _region_snapshot(rs, n - 1)
-    normals = rs.normals
-    errors = []
+    regs, g, verts = _region_snapshot(rs, n - 1)
+    rects = _box_rects(cur)
+    meets = _rects_meet(rects, g, verts, rs.normals)     # (nb, nb, K)
+    touched = meets.any(axis=-1)
 
-    # Type I
-    bad_now = np.nonzero((dens_cur <= cfg.alpha) & (dens_prev > cfg.alpha))
-    reach = int(math.ceil(cfg.d_k / (cur.b / cur.L))) + 1
-    for bi, bj in zip(*bad_now):
-        rect = cur.box_rect(bi, bj)
-        clear = True
-        for oi in range(max(0, bi - reach), min(cur.nb, bi + reach + 1)):
-            for oj in range(max(0, bj - reach), min(cur.nb, bj + reach + 1)):
-                other = cur.box_rect(oi, oj)
-                if _rect_distance(rect, other) > cfg.d_k + 1e-9:
-                    continue
-                for _, g, v in snap_prev:
-                    if _rect_intersects_region(other, normals, g, v):
-                        clear = False
-                        break
-                if not clear:
-                    break
-            if not clear:
-                break
-        if clear:
-            errors.append(("I", int(bi), int(bj)))
+    # Type I: no box within d(k) of the dropped box meets a region
+    bad = np.argwhere((dens_cur <= cfg.alpha) & (dens_prev > cfg.alpha))
+    a = rects[bad[:, 0], bad[:, 1], None, None, :]     # (B, 1, 1, 4)
+    dx = np.maximum(0.0, np.maximum(a[..., 0] - rects[..., 2],
+                                    rects[..., 0] - a[..., 2]))
+    dy = np.maximum(0.0, np.maximum(a[..., 1] - rects[..., 3],
+                                    rects[..., 1] - a[..., 3]))
+    near = np.hypot(dx, dy) <= cfg.d_k + 1e-9          # (B, nb, nb)
+    clear = ~np.any(near & touched, axis=(1, 2))
+    errors = [("I", int(bi), int(bj)) for bi, bj in bad[clear]]
 
-    # Type II
-    if snap_prev:
-        cache = cache or ProfileCache(phi)
-        w = cur.b / cur.L
-        candidates = set()
-        for R, g, v in snap_prev:
-            lo_x = int(math.floor(v[:, 0].min() / w)) - 1
-            hi_x = int(math.ceil(v[:, 0].max() / w)) + 1
-            lo_y = int(math.floor(v[:, 1].min() / w)) - 1
-            hi_y = int(math.ceil(v[:, 1].max() / w)) + 1
-            for bi in range(max(0, lo_x), min(cur.nb, hi_x + 1)):
-                for bj in range(max(0, lo_y), min(cur.nb, hi_y + 1)):
-                    candidates.add((bi, bj))
-        for bi, bj in sorted(candidates):
-            rect = cur.box_rect(bi, bj)
-            meets = [(R, g) for R, g, v in snap_prev
-                     if _rect_intersects_region(rect, normals, g, v)]
-            if not meets:
-                continue
-            center = np.array([0.5 * (rect[0] + rect[2]),
-                               0.5 * (rect[1] + rect[3])])
-            h = max(
-                min(float(cache.profile(j, n - R.created_step).evaluate(
-                    float(normals[j] @ (center - R.center))))
-                    for R, _ in meets)
-                for j in range(3))
-            if dens_cur[bi, bj] < h:
-                errors.append(("II", int(bi), int(bj)))
+    # Type II: a box meeting a region fell below h_n at its center
+    bi, bj = np.nonzero(touched)
+    if len(bi):
+        centers = 0.5 * (rects[bi, bj, :2] + rects[bi, bj, 2:])
+        h = _recovery_demand(centers, regs, meets[bi, bj], rs.normals,
+                             cache or ProfileCache(phi), n)
+        low = dens_cur[bi, bj] < h
+        errors += [("II", int(i), int(j)) for i, j in zip(bi[low], bj[low])]
 
     # uniform placements, drawn in canonical error order
     errors.sort()
@@ -696,16 +664,13 @@ def check_containment(stats: BoxStats, rs: RegionSet, phi: PhiData,
                       cfg: ComparisonConfig, t: float) -> ContainmentReport:
     """Verify every bad box (density <= alpha) sits inside the union of
     regions at time t.  Violations are data, not exceptions."""
-    dens = stats.density()
-    bad = sorted(zip(*np.nonzero(dens <= cfg.alpha)))
-    snap = _region_snapshot(rs, t)
-    violations = []
-    for bi, bj in bad:
-        rect = stats.box_rect(bi, bj)
-        if not _rect_in_union(rect, snap, rs.normals):
-            violations.append((int(bi), int(bj)))
-    return ContainmentReport(time=t, n_bad=len(bad),
-                             bad_boxes=[(int(a), int(b)) for a, b in bad],
+    bad = [(int(bi), int(bj))
+           for bi, bj in np.argwhere(stats.density() <= cfg.alpha)]
+    _, g, verts = _region_snapshot(rs, t)
+    rects = _box_rects(stats)
+    violations = [b for b in bad
+                  if not _rect_in_union(rects[b], g, verts, rs.normals)]
+    return ContainmentReport(time=t, n_bad=len(bad), bad_boxes=bad,
                              violations=violations)
 
 

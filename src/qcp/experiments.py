@@ -58,6 +58,12 @@ class ExperimentConfig:
             raise ValueError("gamma must lie in (0, 1/2)")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if self.steps < 0 or self.horizon < 0:
+            raise ValueError("steps and horizon must be nonnegative")
+        windows = [(self.W, L) for L in self.L_list]
+        if any(L < 1 or round(W * L) < 1
+               for W, L in windows + [(self.phase_W, self.phase_L)]):
+            raise ValueError("every (W, L) window must hold a site")
 
     @property
     def params(self) -> Params:
@@ -308,7 +314,7 @@ def run_coupled(p: Params, dk, gamma: float, side: int, steps: int,
         errs = comparison.detect_errors(prev, stats, rs, phi, cfg, rng,
                                         cache=cache)
         points.extend(errs)
-        comparison.evolve_regions(rs, n - 1, n, spawns=errs)
+        rs.evolve_to(n, spawns=errs)
         if n % audit_every == 0:
             reports.append(
                 comparison.check_containment(stats, rs, phi, cfg, n))

@@ -132,18 +132,26 @@ def convolve_sq(u: Field2D, dk: DiscreteKernel, method: str = "auto") -> np.ndar
     if method != "fft":
         raise ValueError(f"unknown convolution method {method!r}")
     if u.boundary == "periodic":
-        nx, ny = usq.shape
-        if 2 * radius + 1 > min(nx, ny):
-            raise ValueError("kernel support exceeds periodic window")
-        kern = np.zeros_like(usq)
-        np.add.at(kern, (shifts[:, 0] % nx, shifts[:, 1] % ny), dk.masses)
-        out = np.fft.irfft2(np.fft.rfft2(usq) * np.fft.rfft2(kern), s=usq.shape)
-        return out
+        return periodic_correlate(usq, shifts, dk.masses)
     fill = u.clamp_value * u.clamp_value
     padded = np.pad(usq, radius, mode="constant", constant_values=fill)
     dense = np.zeros((2 * radius + 1, 2 * radius + 1))
     dense[shifts[:, 0] + radius, shifts[:, 1] + radius] = dk.masses
     return fftconvolve(padded, dense, mode="valid")
+
+
+def periodic_correlate(a: np.ndarray, shifts: np.ndarray,
+                       masses: np.ndarray) -> np.ndarray:
+    """sum_w masses(w) a(x + w) over the integer shifts w, on the torus
+    of a's shape, by FFT (the kernel is even, so this is also the
+    convolution)."""
+    nx, ny = a.shape
+    radius = int(np.max(np.abs(shifts))) if len(shifts) else 0
+    if 2 * radius + 1 > min(nx, ny):
+        raise ValueError("kernel support exceeds periodic window")
+    kern = np.zeros_like(a)
+    np.add.at(kern, (shifts[:, 0] % nx, shifts[:, 1] % ny), masses)
+    return np.fft.irfft2(np.fft.rfft2(a) * np.fft.rfft2(kern), s=a.shape)
 
 
 def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params,

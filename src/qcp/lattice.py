@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .ide import Field2D
+from .ide import Field2D, periodic_correlate
 from .kernel import DiscreteKernel
 from .mean_field import Params
 
@@ -128,22 +128,6 @@ class StepReport:
     k_box: np.ndarray | None = None
 
 
-def _periodic_pair_density(occ: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
-    """K(x) = sum_w mass(w) q(x + w) with q(y) = occ(y) * (1/4) sum of
-    occupied nearest neighbors of y; evaluated on the full torus by FFT
-    (kernel even, so convolution equals the correlation wanted here)."""
-    side = occ.shape[0]
-    if 2 * int(np.max(np.abs(dk.offsets))) + 1 > side:
-        raise ValueError("kernel support exceeds torus window")
-    occf = occ.astype(float)
-    q = occf * 0.25 * (np.roll(occf, -1, 0) + np.roll(occf, 1, 0)
-                       + np.roll(occf, -1, 1) + np.roll(occf, 1, 1))
-    kern = np.zeros_like(occf)
-    np.add.at(kern, (dk.offsets[:, 0] % side, dk.offsets[:, 1] % side),
-              dk.masses)
-    return np.fft.irfft2(np.fft.rfft2(q) * np.fft.rfft2(kern), s=occ.shape)
-
-
 def step(s: LatticeState, dk: DiscreteKernel, p: Params,
          rng: _rng.LatticeRng, anchor: str = "site",
          gamma: float | None = None,
@@ -207,7 +191,12 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
         trim = nb * b
         s0 = s.occ[:trim, :trim].reshape(nb, b, nb, b).sum(axis=(1, 3))
         dens0 = s0 / float(b * b)
-        kfull = _periodic_pair_density(s.occ, dk)
+        # K(x) = sum_w mass(w) q(x + w), with q(y) = occ(y) times the
+        # fraction of occupied nearest neighbours of y
+        occf = s.occ.astype(float)
+        q = occf * 0.25 * (np.roll(occf, -1, 0) + np.roll(occf, 1, 0)
+                           + np.roll(occf, -1, 1) + np.roll(occf, 1, 1))
+        kfull = periodic_correlate(q, dk.offsets, dk.masses)
         kcorners = kfull[0:trim:b, 0:trim:b]
         report.k_box = kcorners
         if anchor == "box_corner":
@@ -216,7 +205,6 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
             report.exp_hat = (1.0 - p.eta) * (
                 dens0 + p.beta * (1.0 - dens0) * kcorners)
         else:
-            occf = s.occ.astype(float)
             p_site = (1.0 - p.eta) * (
                 occf + p.beta * (1.0 - occf) * kfull)
             report.exp_hat = p_site[:trim, :trim].reshape(

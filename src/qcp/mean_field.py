@@ -94,21 +94,12 @@ def equilibria(p: Params) -> Equilibria:
                       rho_u=rho_u, rho_s=rho_s)
 
 
-def iterate_mean_field(p: Params, v0: float, n: int) -> float:
-    if not 0.0 <= v0 <= 1.0:
-        raise ValueError("v0 must be a density in [0, 1]")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    v = float(v0)
-    for _ in range(n):
-        v = mf_step(p, v)
-    return v
-
-
 def mean_field_trace(p: Params, v0: float, n: int) -> np.ndarray:
     """Values v_0 .. v_n."""
     if not 0.0 <= v0 <= 1.0:
         raise ValueError("v0 must be a density in [0, 1]")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     out = np.empty(n + 1)
     out[0] = v0
     for k in range(n):

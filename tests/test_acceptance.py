@@ -268,8 +268,7 @@ class TestAcceptance:
             spawns = [
                 comparison.ErrorPoint((0.0, 0.0), t_spawn, "I", (0, 0), 1),
                 comparison.ErrorPoint((gap, 0.0), t_spawn, "I", (1, 0), 1)]
-            comparison.evolve_regions(rs, 0.0, t_spawn + r / c + 1.0,
-                                      spawns=spawns)
+            rs.evolve_to(t_spawn + r / c + 1.0, spawns=spawns)
             reg = rs.regions[0]
             t_v = oracle.vanish_time([r] * 3, t_spawn,
                                      t_spawn + r / c + 1.0)

@@ -94,10 +94,22 @@ class TestErrors:
         code = run(["lattice-run", "--init", "bogus",
                     "--out-dir", str(tmp_path)])
         assert code == 1  # unknown init is a config error
-        code = run(["ide-run", "--config", str(path), "--steps", "-4",
+        # the finite square does not fit the window: raises inside the run
+        code = run(["phase-scan", "--config", str(path), "--phase-W", "1.5",
                     "--out-dir", str(tmp_path)])
-        assert code == 2  # negative step count surfaces as runtime failure
-        capsys.readouterr()
+        assert code == 2
+        assert "runtime failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["lattice-run", "--L", "0"], ["lattice-run", "--W", "0.001"],
+        ["lattice-run", "--steps", "-1"], ["ide-run", "--L", "0"],
+        ["ide-run", "--steps", "-1"], ["hydro", "--steps", "-1"],
+        ["mean-field", "--trace-steps", "-1", "--out", "t.csv"]])
+    def test_invalid_value_is_config_error(self, argv, tmp_path, capsys):
+        code = run(argv + ["--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())  # rejected before any output
 
 
 class TestLatticeRunCommand:

@@ -5,9 +5,8 @@ import pytest
 
 from qcp.comparison import (ComparisonConfig, ErrorPoint, ProfileCache,
                             RegionSet, check_containment, detect_errors,
-                            evolve_regions, h_field, lambda_coeffs,
-                            make_comparison_config, regions_to_json,
-                            spawn_region, vacant_membership, _vertices)
+                            h_field, lambda_coeffs, make_comparison_config,
+                            regions_to_json, spawn_region, _vertices)
 from qcp.ide import Profile1D
 from qcp.kernel import Kernel1D
 from qcp.lattice import BoxStats, box_side_sites
@@ -107,7 +106,7 @@ class TestGeometry:
             dirs = random_acute_normals(gen)
             cfg = small_cfg(r=2.5, c=0.25, directions=dirs)
             rs = RegionSet(cfg)
-            evolve_regions(rs, 0.0, 20.0, spawns=[point(1.0, -2.0, 0.75, 1)])
+            rs.evolve_to(20.0, spawns=[point(1.0, -2.0, 0.75, 1)])
             reg = rs.regions[0]
             assert reg.vanished_at == pytest.approx(0.75 + 2.5 / 0.25,
                                                     abs=1e-12)
@@ -115,18 +114,18 @@ class TestGeometry:
     def test_membership_boundary_closed(self):
         cfg = small_cfg(r=2.0)
         rs = RegionSet(cfg)
-        evolve_regions(rs, 0.0, 1.0, spawns=[point(0.0, 0.0, 0.0, 0)])
+        rs.evolve_to(1.0, spawns=[point(0.0, 0.0, 0.0, 0)])
         xi = cfg.directions[0]
         edge_point = xi * 2.0  # on edge 0 at creation
-        assert vacant_membership(rs, edge_point, 0.0)
-        assert vacant_membership(rs, (0.0, 0.0), 1.0)
-        assert not vacant_membership(rs, xi * 2.2, 0.0)
+        assert rs.membership(edge_point, 0.0)
+        assert rs.membership((0.0, 0.0), 1.0)
+        assert not rs.membership(xi * 2.2, 0.0)
 
     def test_membership_after_vanish(self):
         cfg = small_cfg(r=1.0, c=0.5)
         rs = RegionSet(cfg)
-        evolve_regions(rs, 0.0, 10.0, spawns=[point(0.0, 0.0, 0.0, 0)])
-        assert not vacant_membership(rs, (0.0, 0.0), 9.9)
+        rs.evolve_to(10.0, spawns=[point(0.0, 0.0, 0.0, 0)])
+        assert not rs.membership((0.0, 0.0), 9.9)
 
 
 class TestOverlap:
@@ -135,7 +134,7 @@ class TestOverlap:
         rs = RegionSet(cfg)
         spawns = [point(1.0, 1.0, 0.5, 1, "I", (0, 0)),
                   point(1.0, 1.0, 0.5, 1, "II", (0, 1))]
-        evolve_regions(rs, 0.0, 1.5, spawns=spawns)
+        rs.evolve_to(1.5, spawns=spawns)
         kinds = sorted(r.kind for r in rs.regions.values())
         assert kinds == ["overlap", "spawned", "spawned"]
         ov = next(r for r in rs.regions.values() if r.kind == "overlap")
@@ -147,7 +146,7 @@ class TestOverlap:
         rs = RegionSet(cfg)
         spawns = [point(0.0, 0.0, 1.0, 1, "I", (0, 0)),
                   point(0.8, 0.0, 1.0, 1, "I", (1, 0))]
-        evolve_regions(rs, 0.0, 6.0, spawns=spawns)
+        rs.evolve_to(6.0, spawns=spawns)
         ov = next(r for r in rs.regions.values() if r.kind == "overlap")
         normals = rs.normals
         for j, edge in enumerate(ov.edges):
@@ -178,7 +177,7 @@ class TestOverlap:
         spawns = [point(0.0, 0.0, 0.0, 0, "I", (0, 0)),
                   point(1.8, 0.0, 0.0, 0, "I", (1, 0)),
                   point(3.6, 0.0, 0.0, 0, "I", (2, 0))]
-        evolve_regions(rs, 0.0, 0.5, spawns=spawns)
+        rs.evolve_to(0.5, spawns=spawns)
         overlaps = [r for r in rs.regions.values() if r.kind == "overlap"]
         assert len(overlaps) == 2
         parents = sorted(tuple(sorted(o.parents)) for o in overlaps)
@@ -258,7 +257,7 @@ class TestIntegratorOracle:
             gap = float(gen.uniform(0.2, 0.8)) * r
             p1 = point(0.0, 0.0, t_spawn, 1, "I", (0, 0))
             p2 = point(gap, 0.0, t_spawn, 1, "I", (1, 0))
-            evolve_regions(rs, 0.0, t_spawn + r / c + 1.0, spawns=[p1, p2])
+            rs.evolve_to(t_spawn + r / c + 1.0, spawns=[p1, p2])
 
             reg = rs.regions[0]
             t_v = oracle.vanish_time([r] * 3, t_spawn, t_spawn + r / c + 1.0)
@@ -304,7 +303,7 @@ class TestProfileCacheAndHField:
         phi = synthetic_phi()
         cfg = small_cfg(r=40.0, alpha=phi.alpha)
         rs = RegionSet(cfg)
-        evolve_regions(rs, 0.0, 1.0, spawns=[point(0.0, 0.0, 1.0, 1)])
+        rs.evolve_to(1.0, spawns=[point(0.0, 0.0, 1.0, 1)])
         h = h_field(rs, phi, 1)
         assert h((0.0, 0.0)) == phi.alpha
 
@@ -313,12 +312,12 @@ class TestProfileCacheAndHField:
         cfg = small_cfg(r=5.0, alpha=phi.alpha)
         rs = RegionSet(cfg)
         y = np.array([2.0, 3.0])
-        evolve_regions(rs, 0.0, 1.0, spawns=[point(y[0], y[1], 1.0, 1)])
+        rs.evolve_to(1.0, spawns=[point(y[0], y[1], 1.0, 1)])
         h = h_field(rs, phi, 1)
         gen = seeded(60)
         for _ in range(10):
             x = y + gen.uniform(-1.5, 1.5, 2)
-            if not vacant_membership(rs, x, 1):
+            if not rs.membership(x, 1):
                 continue
             want = max(phi.phi.evaluate(float(d @ (x - y)))
                        for d in cfg.directions)
@@ -328,7 +327,7 @@ class TestProfileCacheAndHField:
         phi = synthetic_phi()
         cfg = small_cfg(r=2.0, alpha=phi.alpha)
         rs = RegionSet(cfg)
-        evolve_regions(rs, 0.0, 1.0, spawns=[point(0.0, 0.0, 1.0, 1)])
+        rs.evolve_to(1.0, spawns=[point(0.0, 0.0, 1.0, 1)])
         h = h_field(rs, phi, 1)
         assert h((50.0, 50.0)) == 0.0
 
@@ -382,8 +381,7 @@ class TestDetectErrors:
         # region sitting next to box (3, 4): inside d_k of it at time 0
         w = self.cfg.box_side / self.cfg.L
         center = ((3 + 0.5) * w + self.cfg.d_k * 0.5, (4 + 0.5) * w)
-        evolve_regions(rs, 0.0, 0.0,
-                       spawns=[point(center[0], center[1], 0.0, 0)])
+        rs.evolve_to(0.0, spawns=[point(center[0], center[1], 0.0, 0)])
         prev = mk_stats(self._uniform(0.95), time=0)
         dens = self._uniform(0.95)
         dens[3, 4] = 0.25
@@ -396,8 +394,7 @@ class TestDetectErrors:
         rs = RegionSet(self.cfg)
         w = self.cfg.box_side / self.cfg.L
         center = ((3 + 0.5) * w, (4 + 0.5) * w)
-        evolve_regions(rs, 0.0, 0.0,
-                       spawns=[point(center[0], center[1], 0.0, 0)])
+        rs.evolve_to(0.0, spawns=[point(center[0], center[1], 0.0, 0)])
         prev = mk_stats(self._uniform(0.95), time=0)
         dens = self._uniform(0.95)
         dens[3, 4] = self.phi.alpha - 0.2  # below h = alpha at the center
@@ -413,8 +410,7 @@ class TestDetectErrors:
         center = ((3 + 0.5) * w, (4 + 0.5) * w)
         # spawned during step 1, so its demand at the step-1 audit is the
         # age-0 profile (= alpha at the center)
-        evolve_regions(rs, 0.0, 0.0,
-                       spawns=[point(center[0], center[1], 0.0, 1)])
+        rs.evolve_to(0.0, spawns=[point(center[0], center[1], 0.0, 1)])
         prev = mk_stats(self._uniform(0.95), time=0)
         dens = self._uniform(0.95)
         dens[3, 4] = self.phi.alpha + 0.05
@@ -436,6 +432,114 @@ class TestDetectErrors:
         assert len(a) == 2
 
 
+class ScalarOracle:
+    """The recovery demand and the error rule evaluated one point, one
+    box and one region at a time, as plain formulas."""
+
+    def __init__(self, rs, cache):
+        self.rs, self.cache, self.normals = rs, cache, rs.normals
+
+    def h(self, x, n, regions):
+        if not regions:
+            return 0.0
+        return max(min(float(self.cache.profile(j, n - R.created_step)
+                             .evaluate(float(self.normals[j]
+                                             @ (x - R.center))))
+                       for R in regions)
+                   for j in range(3))
+
+    def holders(self, x, t):
+        return [R for R in self.rs.alive(t)
+                if np.all(self.normals @ (x - R.center)
+                          <= R.offsets_at(t) + 1e-9)]
+
+    def meets(self, rect, R, t):
+        x0, y0, x1, y1 = rect
+        g = R.supports_at(t, self.normals)
+        verts = _vertices(self.normals, g)
+        corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
+        proj = corners @ self.normals.T
+        return not (np.any(proj.min(axis=0) > g + 1e-9)
+                    or verts[:, 0].max() < x0 - 1e-9
+                    or verts[:, 0].min() > x1 + 1e-9
+                    or verts[:, 1].max() < y0 - 1e-9
+                    or verts[:, 1].min() > y1 + 1e-9)
+
+    def errors(self, prev, cur, cfg):
+        n, nb = cur.time, cur.nb
+        regs = self.rs.alive(n - 1)
+        dp, dc = prev.density(), cur.density()
+        boxes = [(i, j) for i in range(nb) for j in range(nb)]
+        out = []
+        for bi, bj in boxes:
+            rect = cur.box_rect(bi, bj)
+            if dc[bi, bj] <= cfg.alpha < dp[bi, bj]:
+                near = [cur.box_rect(*o) for o in boxes
+                        if rect_distance(rect, cur.box_rect(*o))
+                        <= cfg.d_k + 1e-9]
+                if not any(self.meets(o, R, n - 1)
+                           for o in near for R in regs):
+                    out.append(("I", bi, bj))
+            holders = [R for R in regs if self.meets(rect, R, n - 1)]
+            center = np.array([0.5 * (rect[0] + rect[2]),
+                               0.5 * (rect[1] + rect[3])])
+            if holders and dc[bi, bj] < self.h(center, n, holders):
+                out.append(("II", bi, bj))
+        return sorted(out)
+
+
+def rect_distance(a, b):
+    dx = max(0.0, a[0] - b[2], b[0] - a[2])
+    dy = max(0.0, a[1] - b[3], b[1] - a[3])
+    return math.hypot(dx, dy)
+
+
+class TestArrayPathAgainstScalarOracle:
+    """h_field and detect_errors against ScalarOracle on random region
+    sets: random normals, spawn times and radii, box densities."""
+
+    def test_random_configurations(self):
+        phi = synthetic_phi()
+        gen = seeded(70)
+        n, nb = 3, 8
+        seen = {"I": 0, "II": 0, "inside": 0}
+        for trial in range(24):
+            dirs = random_acute_normals(gen)
+            # b small: at b = 0.2 some of these sets form overlap after
+            # overlap without end (see CHANGES.md)
+            cfg = small_cfg(r=float(gen.uniform(0.2, 1.0)), c=0.1, b=0.05,
+                            directions=dirs, alpha=phi.alpha)
+            w = cfg.box_side / cfg.L
+            rs = RegionSet(cfg)
+            spawns = []
+            for k in range(int(gen.integers(1, 7))):
+                t = float(gen.uniform(0.0, n - 1))
+                x, y = gen.uniform(0.0, nb * w, 2)
+                spawns.append(point(x, y, t, math.floor(t) + 1, "I", (k, 0)))
+            rs.evolve_to(n - 1, spawns=spawns)
+            prev = mk_stats(gen.uniform(0.0, 1.0, (nb, nb)), time=n - 1)
+            cur = mk_stats(gen.uniform(0.0, 1.0, (nb, nb)), time=n)
+            cache = ProfileCache(phi)
+            oracle = ScalarOracle(rs, cache)
+
+            errs = detect_errors(prev, cur, rs, phi, cfg, LatticeRng(trial),
+                                 cache=cache)
+            want = oracle.errors(prev, cur, cfg)
+            assert [(e.type, *e.box) for e in errs] == want
+            for kind, _, _ in want:
+                seen[kind] += 1
+
+            rs.evolve_to(n)
+            h = h_field(rs, phi, n, cache=cache)
+            for x in gen.uniform(-0.5, nb * w + 0.5, (40, 2)):
+                holders = oracle.holders(x, n)
+                seen["inside"] += bool(holders)
+                assert h(x) == pytest.approx(oracle.h(x, n, holders),
+                                             abs=1e-12)
+        # every branch was exercised
+        assert min(seen.values()) >= 5, seen
+
+
 class TestContainment:
     def setup_method(self):
         self.phi = synthetic_phi()
@@ -452,8 +556,7 @@ class TestContainment:
         rs = RegionSet(self.cfg)
         w = self.cfg.box_side / self.cfg.L
         center = ((3 + 0.5) * w, (3 + 0.5) * w)
-        evolve_regions(rs, 0.0, 1.0,
-                       spawns=[point(center[0], center[1], 0.5, 1)])
+        rs.evolve_to(1.0, spawns=[point(center[0], center[1], 0.5, 1)])
         dens = np.full((self.nb, self.nb), 0.9)
         dens[3, 3] = 0.2
         rep = check_containment(mk_stats(dens, time=1), rs, self.phi,
@@ -475,7 +578,7 @@ class TestContainment:
         rs = RegionSet(cfg)
         w = cfg.box_side / cfg.L
         cx, cy = (3 + 0.5) * w, (3 + 0.5) * w
-        evolve_regions(rs, 0.0, 1.0, spawns=[
+        rs.evolve_to(1.0, spawns=[
             point(cx - 0.9, cy, 0.9, 1, "I", (0, 0)),
             point(cx + 0.9, cy, 0.9, 1, "I", (1, 0))])
         dens = np.full((8, 8), 0.9)
@@ -535,15 +638,20 @@ class TestConfigAndSerialization:
         with pytest.raises(ValueError):
             make_comparison_config(phi_main, dk8, 200, 0.6)
 
-    def test_horizon_mismatch(self):
-        rs = RegionSet(small_cfg())
-        with pytest.raises(ValueError, match="region set is at"):
-            evolve_regions(rs, 5.0, 6.0)
+    def test_evolve_back_in_time_rejected(self):
+        cfg = small_cfg(r=2.0)
+        rs = RegionSet(cfg)
+        rs.evolve_to(5.0, spawns=[point(0.0, 0.0, 0.5, 1)])
+        before = regions_to_json(rs)
+        with pytest.raises(ValueError, match="back to"):
+            rs.evolve_to(2.0)
+        assert rs.horizon == 5.0
+        assert regions_to_json(rs) == before
 
     def test_regions_to_json(self):
         cfg = small_cfg(r=2.0)
         rs = RegionSet(cfg)
-        evolve_regions(rs, 0.0, 1.0, spawns=[
+        rs.evolve_to(1.0, spawns=[
             point(0.0, 0.0, 0.5, 1), point(0.5, 0.0, 0.5, 1, "I", (1, 0))])
         doc = regions_to_json(rs)
         assert len(doc) == 3

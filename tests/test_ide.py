@@ -3,7 +3,7 @@ import pytest
 
 from qcp.ide import Field2D, Profile1D, apply_Q_1d, apply_Q_2d, evolve
 from qcp.kernel import Kernel1D, discretize, marginal_1d
-from qcp.mean_field import equilibria, iterate_mean_field, mf_step
+from qcp.mean_field import equilibria, mean_field_trace, mf_step
 
 from conftest import seeded
 
@@ -79,7 +79,7 @@ class TestEvolve:
         u = const_field(0.37, h=0.125)
         for n in (1, 3, 7):
             out = evolve(u, dk8, p_main, n)[-1]
-            want = iterate_mean_field(p_main, 0.37, n)
+            want = mean_field_trace(p_main, 0.37, n)[-1]
             assert np.max(np.abs(out.values - want)) < 1e-12
 
     def test_taps(self, dk8, p_main):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qcp.mean_field import (Params, equilibria, iterate_mean_field,
-                            mean_field_trace, mf_derivative, mf_step)
+from qcp.mean_field import (Params, equilibria, mean_field_trace,
+                            mf_derivative, mf_step)
 
 from conftest import seeded
 
@@ -78,23 +78,24 @@ class TestEquilibria:
 
 class TestIteration:
     def test_zero_absorbing(self):
-        assert iterate_mean_field(Params(1.0, 0.1), 0.0, 57) == 0.0
+        assert mean_field_trace(Params(1.0, 0.1), 0.0, 57)[-1] == 0.0
 
     def test_all_ones_one_step(self):
-        assert iterate_mean_field(Params(0.7, 0.13), 1.0, 1) == \
+        assert mean_field_trace(Params(0.7, 0.13), 1.0, 1)[-1] == \
             pytest.approx(1.0 - 0.13, abs=1e-15)
 
     def test_converges_to_stable_root(self):
         p = Params(1.0, 0.1)
         eq = equilibria(p)
-        v = iterate_mean_field(p, 0.5, 200)
+        v = mean_field_trace(p, 0.5, 200)[-1]
         assert abs(v - eq.rho_s) < 1e-10
 
     def test_basins(self):
         p = Params(1.0, 0.05)
         eq = equilibria(p)
-        assert iterate_mean_field(p, eq.rho_u * 0.9, 400) < 1e-8
-        assert abs(iterate_mean_field(p, eq.rho_u * 1.1, 400) - eq.rho_s) < 1e-8
+        assert mean_field_trace(p, eq.rho_u * 0.9, 400)[-1] < 1e-8
+        v = mean_field_trace(p, eq.rho_u * 1.1, 400)[-1]
+        assert abs(v - eq.rho_s) < 1e-8
 
     def test_map_monotone_on_grid(self):
         for beta, eta in [(1.0, 0.05), (0.6, 0.1), (1.0, 0.0)]:
@@ -107,7 +108,7 @@ class TestIteration:
         gen = seeded(3)
         for _ in range(50):
             p = Params(gen.uniform(0, 1), gen.uniform(0, 1))
-            v = iterate_mean_field(p, gen.uniform(0, 1), 20)
+            v = mean_field_trace(p, gen.uniform(0, 1), 20)[-1]
             assert 0.0 <= v <= 1.0
 
     def test_trace_shape(self):
@@ -117,6 +118,8 @@ class TestIteration:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            iterate_mean_field(Params(1.0, 0.1), 1.5, 3)
-        with pytest.raises(ValueError):
-            iterate_mean_field(Params(1.0, 0.1), 0.5, -1)
+            mean_field_trace(Params(1.0, 0.1), 1.5, 3)
+
+    def test_negative_step_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mean_field_trace(Params(1.0, 0.1), 0.5, -1)

@@ -6,7 +6,7 @@ import pytest
 from qcp import wavespeed
 from qcp.ide import Profile1D, apply_Q_1d
 from qcp.kernel import Kernel1D, marginal_1d
-from qcp.mean_field import Params, equilibria, iterate_mean_field
+from qcp.mean_field import Params, equilibria, mean_field_trace
 from qcp.wavespeed import (AT_OR_ABOVE, BELOW, PsiSpec, build_phi,
                            classify_speed, default_directions,
                            default_psi_spec, estimate_cstar,
@@ -309,7 +309,7 @@ class TestPhi:
         eq = equilibria(p_main)
         plateau = 0.5 * (eq.rho_u + eq.rho_s)
         assert phi_main.alpha == pytest.approx(
-            iterate_mean_field(p_main, plateau, phi_main.n_iter), abs=1e-12)
+            mean_field_trace(p_main, plateau, phi_main.n_iter)[-1], abs=1e-12)
         assert eq.rho_u < phi_main.alpha < eq.rho_s
         assert phi_main.c == pytest.approx(min(phi_main.speeds) / 2.0)
 
