@@ -180,21 +180,32 @@ def _build_u0(cfg, L, side):
     return np.clip(vals, 0.0, 1.0)
 
 
+def _taps(cfg, n: int) -> list[int]:
+    """Sorted distinct output steps, each an integer in [0, n]."""
+    try:
+        taps = sorted(set(int(t) for t in cfg.get("taps", [n])))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"taps must be integers: {exc}") from exc
+    if taps and (taps[0] < 0 or taps[-1] > n):
+        raise ConfigError(f"taps must lie in [0, {n}], got {taps}")
+    return taps
+
+
 def _cmd_ide_run(cfg) -> int:
     p = _params(cfg)
     spec = _kernel_spec(cfg)
     L, side = _window(cfg, 8)
     n = _count(cfg, "steps", 10)
+    taps = _taps(cfg, n)
     dk = discretize(spec, L)
     boundary = cfg.get("boundary", "periodic")
     field = Field2D(0.0, 0.0, 1.0 / L, _build_u0(cfg, L, side),
                     boundary=boundary,
                     clamp_value=float(cfg.get("clamp", 0.0)))
-    taps = cfg.get("taps", [n])
     fields = evolve(field, dk, p, n, taps=taps)
     outputs = []
     outdir = _out_dir(cfg)
-    for t, f in zip(sorted(set(int(x) for x in taps)), fields):
+    for t, f in zip(taps, fields):
         path = outdir / f"field_{t:05d}.csv"
         f.to_csv(path)
         outputs.append(path)

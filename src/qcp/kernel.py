@@ -5,7 +5,9 @@ is invariant under reflection in either axis.  ``discretize`` turns a
 spec into masses on the lattice with spacing 1/L by integrating the
 density over the half-open cell around each lattice point; the result
 is symmetrised exactly and renormalised, so the symmetry and total-mass
-invariants hold bit for bit, not just approximately.
+invariants hold bit for bit, not just approximately.  Its offsets are
+the full reflection orbits of the cells that received mass, even where
+binning broke a tie toward one side.
 """
 
 from __future__ import annotations
@@ -143,9 +145,18 @@ class DiscreteKernel:
         return self.offsets / float(self.L)
 
     def sample_indices(self, u: np.ndarray) -> np.ndarray:
-        """Map uniforms in [0,1) to rows of ``offsets`` by inverse CDF."""
-        idx = np.searchsorted(self._cdf, u, side="right")
-        return np.minimum(idx, len(self.masses) - 1)
+        """Map uniforms in [0,1) to rows of ``offsets`` by inverse CDF.
+
+        The search runs on the sorted uniforms, so a large CDF is read
+        in order rather than at random; each key's result is the same as
+        in one plain ``searchsorted``, and the output keeps u's shape.
+        """
+        u = np.asarray(u)
+        flat = u.ravel()
+        order = np.argsort(flat)
+        idx = np.empty(flat.shape, dtype=np.intp)
+        idx[order] = np.searchsorted(self._cdf, flat[order], side="right")
+        return np.minimum(idx.reshape(u.shape), len(self.masses) - 1)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -159,10 +170,43 @@ def _interval_overlap(lo1, hi1, lo2, hi2):
     return np.maximum(0.0, np.minimum(hi1, hi2) - np.maximum(lo1, lo2))
 
 
+def _symmetrise(grid: np.ndarray, imax: int):
+    """Offsets and masses, in lexicographic order, of the exact reflection
+    average of a dense grid over offsets [-imax, imax]^2.
+
+    Each offset gets fsum of its four reflections' masses over 4.  Where
+    the four agree bit for bit that is the mass itself, since
+    fsum(4x) / 4 == x, so only the other cells go through fsum.  The
+    support is the union of the reflection orbits of positive cells.
+    Both are reflection-invariant, so they are worked out on the quadrant
+    i, j >= 0 and mirrored.
+    """
+    halves = (slice(imax, None), slice(imax, None, -1))
+    views = [(rows, cols) for rows in halves for cols in halves]
+    refl = [grid[v] for v in views]
+    quad = refl[0].copy()
+    odd = (quad != refl[1]) | (quad != refl[2]) | (quad != refl[3])
+    rows = zip(*(r[odd].tolist() for r in refl))
+    quad[odd] = np.fromiter(map(math.fsum, rows), float,
+                            count=int(odd.sum())) / 4.0
+    live = np.maximum.reduce(refl) > 0
+    sym = np.empty_like(grid)
+    keep = np.empty(grid.shape, dtype=bool)
+    for v in views:
+        sym[v] = quad
+        keep[v] = live
+    # nonzero() walks the grid in row-major order, which is the
+    # lexicographic order of offsets
+    ii, jj = np.nonzero(keep)
+    offsets = np.stack([ii - imax, jj - imax], axis=1).astype(np.int64)
+    return offsets, sym[ii, jj]
+
+
 def discretize(spec: KernelSpec, L: int) -> DiscreteKernel:
     """Integrate the density over half-open cells [w - 1/2L, w + 1/2L)
     around each lattice point w (ties toward the cell whose lower edge
-    the point sits on), then symmetrise and renormalise exactly.
+    the point sits on), then symmetrise and renormalise exactly: each
+    offset gets ``math.fsum`` of its four reflections' masses over 4.
 
     Uniform squares use exact cell-overlap areas; the gaussian uses a
     4x4 midpoint rule per cell; tables bin their atoms to nearest cell.
@@ -173,15 +217,12 @@ def discretize(spec: KernelSpec, L: int) -> DiscreteKernel:
     L = int(L)
     h = 1.0 / L
 
+    # each family fills a dense grid over offsets [-imax, imax]^2
     if spec.family == "uniform-square":
         r = spec.params["radius"]
         imax = int(math.floor(r * L + 0.5))
-        idx = np.arange(-imax, imax + 1)
-        centers = idx * h
+        centers = np.arange(-imax, imax + 1) * h
         ov = _interval_overlap(centers - h / 2, centers + h / 2, -r, r) / (2 * r)
-        keep = ov > 0
-        idx, ov = idx[keep], ov[keep]
-        ii, jj = np.meshgrid(idx, idx, indexing="ij")
         grid = np.outer(ov, ov)
     elif spec.family == "truncated-gaussian":
         cut = spec.params["cutoff"]
@@ -195,32 +236,15 @@ def discretize(spec: KernelSpec, L: int) -> DiscreteKernel:
         vals = density(spec, px, py)
         n = len(idx)
         grid = vals.reshape(n, 4, n, 4).sum(axis=(1, 3)) * (h / 4.0) ** 2
-        ii, jj = np.meshgrid(idx, idx, indexing="ij")
     else:
-        atoms = {}
-        for dx, dy, m in spec.params["entries"]:
-            i = int(math.floor(dx * L + 0.5))
-            j = int(math.floor(dy * L + 0.5))
-            atoms[(i, j)] = atoms.get((i, j), 0.0) + m
-        keys = sorted(atoms)
-        ii = np.array([k[0] for k in keys], dtype=np.int64)
-        jj = np.array([k[1] for k in keys], dtype=np.int64)
-        grid = np.array([atoms[k] for k in keys])
+        dx, dy, m = np.array(spec.params["entries"], dtype=float).T
+        ii = np.floor(dx * L + 0.5).astype(np.int64)
+        jj = np.floor(dy * L + 0.5).astype(np.int64)
+        imax = int(max(np.abs(ii).max(), np.abs(jj).max()))
+        grid = np.zeros((2 * imax + 1, 2 * imax + 1))
+        np.add.at(grid, (ii + imax, jj + imax), m)
 
-    offsets = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(np.int64)
-    masses = grid.ravel().astype(float)
-    keep = masses > 0
-    offsets, masses = offsets[keep], masses[keep]
-
-    # exact symmetrisation: average the four reflections of every offset
-    table = {(int(i), int(j)): m for (i, j), m in zip(offsets, masses)}
-    sym = {}
-    for (i, j) in table:
-        refs = [(i, j), (-i, j), (i, -j), (-i, -j)]
-        sym[(i, j)] = math.fsum(table.get(rf, 0.0) for rf in refs) / 4.0
-    keys = sorted(sym)
-    offsets = np.array(keys, dtype=np.int64).reshape(-1, 2)
-    masses = np.array([sym[k] for k in keys])
+    offsets, masses = _symmetrise(grid, imax)
     masses = masses / masses.sum()
 
     norms = np.hypot(offsets[:, 0], offsets[:, 1]) * h

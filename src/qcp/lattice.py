@@ -312,10 +312,10 @@ def coupling_discrepancy(s0: LatticeState, dk: DiscreteKernel, p: Params,
         n = s0.time + 1
         u_att = rng.stream(n, _rng.PHASE_ATTEMPT).random((side, side))
         u_cpl = rng.stream(n, _rng.PHASE_OFFSET).random((side, side))
-        u_par = rng.stream(n, 6).random((side, side))
-        u_res = rng.stream(n, 7).random((side, side))
+        u_par = rng.stream(n, _rng.PHASE_COUPLED_PARENT).random((side, side))
+        u_res = rng.stream(n, _rng.PHASE_RESIDUAL_PARENT).random((side, side))
         u_z = rng.stream(n, _rng.PHASE_NEIGHBOR).random((side, side))
-        u_z2 = rng.stream(n, _rng.PHASE_INIT).random((side, side))
+        u_z2 = rng.stream(n, _rng.PHASE_SECOND_NEIGHBOR).random((side, side))
         u_die = rng.stream(n, _rng.PHASE_DEATH).random((side, side))
 
         attempts = (~occ0) & (u_att < p.beta)

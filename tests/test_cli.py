@@ -112,6 +112,18 @@ class TestErrors:
         assert not any(tmp_path.iterdir())  # rejected before any output
 
 
+    @pytest.mark.parametrize("taps", [[99], [-1], [0, 3], ["x"]])
+    def test_ide_run_taps_outside_steps(self, taps, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"taps": taps, "L": 4, "W": 2,
+                                    "steps": 2}))
+        out = tmp_path / "out"
+        code = run(["ide-run", "--config", str(path), "--out-dir", str(out)])
+        assert code == 1
+        assert "taps" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestLatticeRunCommand:
     def test_snapshots_and_trace(self, tmp_path, capsys):
         code = run(["lattice-run", "--L", "10", "--W", "2", "--seed", "5",

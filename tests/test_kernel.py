@@ -1,10 +1,12 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qcp.kernel import (KernelSpec, build_kernel, density, discretize,
-                        marginal_1d, sample_offset)
+from qcp.kernel import (KernelSpec, _symmetrise, build_kernel, density,
+                        discretize, marginal_1d, sample_offset)
 
 from conftest import seeded
 
@@ -119,6 +121,130 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(square_spec, 0)
 
+    def test_half_cell_ties_stay_symmetric(self):
+        # at L=3 the atoms at +-1/6 sit on half-cell ties and both bin
+        # toward +x (cells 1 and 0); their reflections must still carry
+        # mass, or the kernel drifts
+        spec = KernelSpec("table", {"entries": [
+            (0.0, 0.0, 0.5), (1 / 6, 0.0, 0.25), (-1 / 6, 0.0, 0.25)]})
+        dk = discretize(spec, 3)
+        assert dk.offsets.tolist() == [[-1, 0], [0, 0], [1, 0]]
+        assert dk.masses.tolist() == [0.125, 0.75, 0.125]
+        assert np.sum(dk.masses[:, None] * dk.offsets, axis=0).tolist() \
+            == [0.0, 0.0]
+
+    def test_symmetrise_matches_loop_reference(self):
+        # reference: the dict-and-fsum loop over the reflection orbits of
+        # the positive cells; grids mix bit-symmetric cells, cells one
+        # ulp off their mirror, and cells whose mirror is empty
+        def reference(grid, imax):
+            table = {(i - imax, j - imax): grid[i, j]
+                     for i, j in zip(*np.nonzero(grid > 0))}
+            keys = sorted({(a * i, b * j) for i, j in table
+                           for a in (1, -1) for b in (1, -1)})
+            masses = [math.fsum(table.get((a * i, b * j), 0.0)
+                                for a in (1, -1) for b in (1, -1)) / 4.0
+                      for i, j in keys]
+            return np.array(keys, dtype=np.int64), np.array(masses)
+
+        rng = seeded(11)
+        for imax in (0, 1, 4, 9):
+            n = 2 * imax + 1
+            quad = rng.random((imax + 1, imax + 1))
+            grid = np.zeros((n, n))
+            for rows in (slice(imax, None), slice(imax, None, -1)):
+                for cols in (slice(imax, None), slice(imax, None, -1)):
+                    grid[rows, cols] = quad
+            nudge = rng.random((n, n)) < 0.3
+            grid[nudge] = np.nextafter(grid[nudge], 2.0)
+            grid[rng.random((n, n)) < 0.2] = 0.0
+            offsets, masses = _symmetrise(grid, imax)
+            ref_offsets, ref_masses = reference(grid, imax)
+            assert np.array_equal(offsets, ref_offsets)
+            assert masses.tobytes() == ref_masses.tobytes()
+
+    def test_one_sided_atom_gets_its_mirror(self):
+        # build_kernel accepts an atom lighter than NORM_TOL without its
+        # mirror image; the discrete kernel must still be symmetric
+        spec = KernelSpec("table", {"entries": [
+            (0.0, 0.0, 1.0), (-0.5, 0.0, 5e-10)]})
+        dk = discretize(spec, 2)
+        assert dk.offsets.tolist() == [[-1, 0], [0, 0], [1, 0]]
+        assert dk.masses[0] == dk.masses[2] > 0
+
+
+GOLDEN_SPECS = {
+    "square-1": KernelSpec("uniform-square", {"radius": 1.0}),
+    "square-0.37": KernelSpec("uniform-square", {"radius": 0.37}),
+    "gauss": KernelSpec("truncated-gaussian", {"sigma": 0.5, "cutoff": 1.0}),
+    # no atom sits on a half-cell tie at any of the resolutions below
+    "table": KernelSpec("table", {"entries": [
+        (0.0, 0.0, 0.4), (0.3, 0.2, 0.1), (-0.3, 0.2, 0.1),
+        (0.3, -0.2, 0.1), (-0.3, -0.2, 0.1), (0.7, 0.0, 0.1),
+        (-0.7, 0.0, 0.1)]}),
+}
+
+
+class TestGoldenDiscretize:
+    """sha256 of offsets.tobytes() + masses.tobytes(), recorded from the
+    dict-and-fsum symmetrisation that the array code replaced."""
+
+    @pytest.mark.parametrize("name,L,digest", [
+        ("square-1", 1,
+         "b9e706865a7fe93322a773d3d1d0074cb529eabb673ed45dc12a839e080e79a6"),
+        ("square-1", 3,
+         "4a5b78336a74caec22d1473a69ebf77094a32905d52f718790b59bb0beb4867b"),
+        ("square-1", 8,
+         "4cd958f7ede6d1c21bee72f27ccb0ee7a651fbd827dc70778cb9c94bd92577e2"),
+        ("square-1", 10,
+         "fcca60aec7a7e7d3a1ddbf618401839ed514672e115e1f99ecc774a1f8ea9113"),
+        ("square-1", 50,
+         "c044dd2cde6ac3cb43992300240609218bde4356942d224bcb9c7454f78efcc3"),
+        ("square-1", 200,
+         "7f5d084ce1d3f6966fc95e9b1a0b1391bd3c3cdcc2e90b2635536533ad6b7516"),
+        ("square-0.37", 1,
+         "04ae04134c8318578c932394683055fea108f3f586ff5b055613752c5f03e6f5"),
+        ("square-0.37", 3,
+         "a94d6c117e14f2756775d8de61d99395331bd2fae7e99eff951d4748a8d8a09c"),
+        ("square-0.37", 8,
+         "08086fceb3599c2d5fa2b0d659a64080533452a4f206ffce5a3ffb2d4177634f"),
+        ("square-0.37", 10,
+         "69dc17b379937058a919e6812c1d5686346ebee34f3afc69bd43c2485886aef4"),
+        ("square-0.37", 50,
+         "e99bae939e088cee83bdfbe4f5caf7e5f4a0f5155225472833ac4928095242e5"),
+        ("square-0.37", 200,
+         "05261ddd35e4ffc7b4e9c3164fec8989d4fe9f859647255f5a529629bce72dfe"),
+        ("gauss", 1,
+         "d0c419ad7bec6fdca1dd05a51c4d05253e40900776dd731eab5fd8af5fa9fbf4"),
+        ("gauss", 3,
+         "c3098cd33d978fbb5affd31b90739814be85dbaf7c33704cba8272f14fffdf7d"),
+        ("gauss", 8,
+         "9c2520a07044f8f1d5c28258925c4e52808ede86eaa1d1cb74f24ae964367255"),
+        ("gauss", 10,
+         "4e3ef0940c08a64ac7bcb439d2bd0037ef99ab5690af8ccfb5b982ce4ba93b41"),
+        ("gauss", 50,
+         "2705d54931290fdd6f8ef3a7ee3f6f20611239f36ca8bee43c0360564197d2f0"),
+        ("gauss", 200,
+         "937b450dedcff1246045aebbbf2f4fa7bfaf5110063ab4743294748e5b19e481"),
+        ("table", 1,
+         "0d42e452c76b1df96c91fe90b2a61554861e83b2d511c442988998ba3d8b6a27"),
+        ("table", 3,
+         "b308d91879330e989033467c68561d9bfb25f82c2500cc59607949e11350f718"),
+        ("table", 8,
+         "df3dfc5c7cb888c3426b1418a414edbbc6ef67ca28545229b64abfea4be29bf7"),
+        ("table", 10,
+         "f1290f2f3eef020adebd097df9699f461ae26a7332ef7c52190833e53afc7116"),
+        ("table", 50,
+         "12bbccd9ee7823cc7cf1331eeaf1c4b452389a17388713758e97c241e7cb779c"),
+        ("table", 200,
+         "48c587e89e90d9acaab7f7c25ffb977714556869df72d1ccc606c0a9651909db"),
+    ])
+    def test_bytes_unchanged(self, name, L, digest):
+        dk = discretize(GOLDEN_SPECS[name], L)
+        got = hashlib.sha256(dk.offsets.tobytes()
+                             + dk.masses.tobytes()).hexdigest()
+        assert got == digest
+
 
 class TestMarginal:
     def test_axis_uniform(self, dk1):
@@ -186,6 +312,32 @@ class TestSampling:
             freq = np.mean((pts[:, 0] == i) & (pts[:, 1] == j))
             sigma = np.sqrt(m * (1 - m) / n)
             assert abs(freq - m) < 4 * sigma
+
+    def test_matches_plain_inverse_cdf_search(self, square_spec):
+        # the sorted-key search must return what one plain searchsorted
+        # plus the clamp returns, on ties, near-ties and the clamp
+        dk = discretize(square_spec, 5)
+        cdf, n = dk.cdf, len(dk.masses)
+
+        def plain(u):
+            return np.minimum(np.searchsorted(cdf, u, "right"), n - 1)
+
+        rng = seeded(5)
+        cases = [np.zeros(3), cdf.copy(), np.nextafter(cdf, 0.0),
+                 np.array([cdf[-1], np.nextafter(cdf[-1], 2.0), 1.0]),
+                 np.array([]), rng.permutation(np.concatenate(
+                     [cdf, np.nextafter(cdf, 0.0), rng.random(500)])),
+                 rng.random((3, 4))]
+        for u in cases:
+            got = dk.sample_indices(u)
+            assert got.shape == u.shape
+            assert np.array_equal(got, plain(u))
+        assert dk.sample_indices(np.array([])).dtype == plain(
+            np.array([])).dtype
+
+    def test_sample_offset_keeps_shape(self, dk8):
+        pts = sample_offset(dk8, seeded(3), size=(3, 4))
+        assert pts.shape == (3, 4, 2)
 
     def test_csv_dump(self, dk1, tmp_path):
         path = tmp_path / "kernel.csv"

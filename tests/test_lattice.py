@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qcp.ide import Field2D
-from qcp.kernel import discretize
+from qcp.kernel import KernelSpec, discretize
 from qcp.lattice import (BoxStats, LatticeState, box_side_sites, box_stats,
                          coupling_discrepancy, init, load_snapshot,
                          save_snapshot, step)
@@ -160,6 +162,31 @@ class TestStep:
         assert hits / seeds <= min(1.0, bound)
 
 
+class TestGoldenTrajectories:
+    """sha256 of occ.tobytes() after three steps from a product start
+    at density 1/2, recorded before the kernel layer was vectorised."""
+
+    @pytest.mark.parametrize("spec,L,W,seed,anchor,digest", [
+        (("uniform-square", {"radius": 1.0}), 10, 2, 3, "site",
+         "6ec6cb9077558c7ee6d84089f6e0c8eda7e399c1b1e70829dae73e7c63ac6b61"),
+        (("uniform-square", {"radius": 1.0}), 50, 2, 5, "site",
+         "17ac6b95f9b5c11963680170b3f297115fb693e92912855b4ad53a1cd00e8428"),
+        (("truncated-gaussian", {"sigma": 0.5, "cutoff": 1.0}), 50, 1, 8,
+         "box_corner",
+         "d5bb41d5623d74cb75a046d7cf00be7cbac77c0c5f9cf12373ca92113aaca253"),
+        (("uniform-square", {"radius": 1.0}), 200, 1, 9, "site",
+         "5bdc80b6da15973a519f229da3a7f234e0138966546a5d6b395891e0897ee80d"),
+    ])
+    def test_occupancy_unchanged(self, spec, L, W, seed, anchor, digest,
+                                 p_main):
+        dk = discretize(KernelSpec(*spec), L)
+        rng = LatticeRng(seed)
+        s = init("product", L, W=W, rng=rng, p=0.5)
+        for _ in range(3):
+            s, _ = step(s, dk, p_main, rng, anchor=anchor, gamma=0.3)
+        assert hashlib.sha256(s.occ.tobytes()).hexdigest() == digest
+
+
 class TestBoxStats:
     def test_full_box_counts(self):
         # oracle: enumerate zeta over a fully occupied small box
@@ -217,6 +244,14 @@ class TestCouplingDiscrepancy:
         s0 = init("product", 10, side=40, rng=LatticeRng(3), p=0.5)
         assert coupling_discrepancy(s0, dk, Params(1.0, 1.0), [4],
                                     gamma=0.3) == 0.0
+
+    def test_fixed_seed_value(self, square_spec):
+        # pins every coin of the coupled step: the value was recorded
+        # before the coupling phases got names in rng
+        dk = discretize(square_spec, 10)
+        s0 = init("product", 10, W=2, rng=LatticeRng(2), p=0.4)
+        assert coupling_discrepancy(s0, dk, Params(0.8, 0.1), [21, 22],
+                                    gamma=0.3) == 0.0225
 
     def test_decreases_with_l(self, square_spec, p_main):
         vals = []
