@@ -11,23 +11,24 @@ violation (compare --assert).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import comparison, experiments, lattice, manifest
+from .experiments import ExperimentConfig
 from .ide import Field2D, evolve
-from .kernel import KernelSpec, build_kernel, discretize
+from .kernel import KernelSpec, discretize
 from .mean_field import Params, equilibria, mean_field_trace
 from .rng import LatticeRng
 from .wavespeed import (build_phi, default_directions, estimate_cstar,
                         front_speed_tracking)
-
-SUBCOMMANDS = ("mean-field", "ide-run", "speed", "lattice-run", "hydro",
-               "compare", "phase-scan", "error-rate")
 
 
 class ConfigError(ValueError):
@@ -39,126 +40,169 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_config(args) -> dict:
+@contextmanager
+def _invalid(*keys, errors=(TypeError, ValueError)):
+    """Re-raise errors from the block as a ConfigError naming its keys."""
+    try:
+        yield
+    except errors as exc:
+        prefix = f"{', '.join(keys)}: " if keys else ""
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+# -- the config schema -----------------------------------------------------
+# Each subcommand's table maps every key it reads to (type, default).  Range
+# checks belong to the library objects the handlers build from the values.
+
+# what each scalar type accepts from JSON or a flag; a bool is no number
+_SCALARS = {int: (int, str), float: (int, float, str), str: (str,),
+            bool: (bool,), dict: (dict,)}
+
+
+def _count(value) -> int:
+    """A nonnegative integer: a step count or interval."""
+    n = _convert(int, value)
+    if n < 0:
+        raise ValueError(f"must be nonnegative, got {n}")
+    return n
+
+
+def _convert(tp, value):
+    """value as the declared type tp: a scalar class, KernelSpec, X | None,
+    tuple[X, ...], a Literal or a converter function.  Raises TypeError or
+    ValueError for a value that is not one."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _convert(args[0], value)
+    if origin is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(_convert(args[0], v) for v in value)
+    if origin is typing.Literal:
+        if value not in args:
+            raise ValueError(f"expected one of {args}, got {value!r}")
+        return value
+    if tp is KernelSpec:  # {"family": ..., "params": {...}}, maybe as text
+        return KernelSpec.from_json(
+            value if isinstance(value, str) else json.dumps(value))
+    if tp not in _SCALARS:  # a converter function
+        return tp(value)
+    if tp is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (not isinstance(value, _SCALARS[tp])
+            or isinstance(value, bool) != (tp is bool)):
+        raise TypeError(f"expected {tp.__name__}, got {value!r}")
+    return tp(value)
+
+
+# one key per ExperimentConfig field, "_" -> "-", with its annotation and
+# default; no key for K, block_N, delta: no subcommand runs block_goodness
+_FIELDS = {f.name.replace("_", "-"): f
+           for f in dataclasses.fields(ExperimentConfig)
+           if f.name not in ("K", "block_N", "delta")}
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_EXPERIMENT = {key: (_HINTS[f.name], f.default_factory()
+                     if f.default is dataclasses.MISSING else f.default)
+               for key, f in _FIELDS.items()}
+
+
+def _shared(*keys) -> dict:
+    return {k: _EXPERIMENT[k] for k in keys}
+
+
+_COMMON = {"out-dir": (str, "."), **_shared("threads")}
+_OUT = {"out": (str | None, None)}
+_U0 = {"u0": (dict, {})}  # a preset for _u0_field
+
+SCHEMA = {
+    "mean-field": {**_COMMON, **_OUT, **_shared("beta", "eta"),
+                   "v0": (float, 0.5), "trace-steps": (int, 100)},
+    "ide-run": {**_COMMON, **_U0, **_shared("beta", "eta", "kernel", "W"),
+                "L": (int, 8), "steps": (_count, 10),
+                "taps": (tuple[int, ...] | None, None),
+                "boundary": (str, "periodic"), "clamp": (float, 0.0)},
+    "speed": {**_COMMON, **_OUT, **_shared("beta", "eta", "kernel"),
+              "kernel-L": (int, 8), "angle": (float, 0.0),
+              "tol": (float, 0.01), "max-iter": (int | None, None),
+              "method": (typing.Literal["bisection", "tracking", "both"],
+                         "bisection"),
+              "track-steps": (int, 80)},
+    "lattice-run": {**_COMMON, **_shared("beta", "eta", "kernel", "W"),
+                    "L": (int, 20), "seed": (int, 0), "steps": (_count, 100),
+                    "snapshot-every": (_count, 0), "init": (str, "all_ones")},
+    **dict.fromkeys(("hydro", "compare", "phase-scan", "error-rate"),
+                    {**_COMMON, **_U0, **_EXPERIMENT, "phi-L": (int, 8),
+                     "assert": (bool, False)}),
+}
+
+
+def _load_document(path) -> dict:
+    if not path:
+        return {}
+    try:
+        doc = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    return doc
+
+
+def _resolve(args) -> dict:
+    """Every key of the subcommand's table, from its flag, else the config
+    document, else its default, converted to its declared type."""
+    table = SCHEMA[args.command]
+    given = _load_document(args.config)
+    given.update((k, v) for k, v in vars(args).items()
+                 if v is not None and k not in ("command", "config"))
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key(s) for {args.command}: "
+                          f"{', '.join(unknown)}")
     cfg = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config {path}: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-    for key, value in vars(args).items():
-        if key in ("config", "func") or value is None:
-            continue
-        cfg[key.replace("_", "-")] = value
+    for key, (tp, default) in table.items():
+        with _invalid(key, errors=(TypeError, ValueError, LookupError)):
+            cfg[key] = _convert(tp, given[key]) if key in given else default
+    cfg["out-dir"] = os.environ.get("QCP_OUT_DIR") or cfg["out-dir"]
     return cfg
 
+
+def _experiment(cfg) -> ExperimentConfig:
+    with _invalid():
+        return ExperimentConfig(**{f.name: cfg[key]
+                                   for key, f in _FIELDS.items()})
+
+
 def _out_dir(cfg) -> Path:
-    out = os.environ.get("QCP_OUT_DIR") or cfg.get("out-dir") or "."
-    path = Path(out)
+    path = Path(cfg["out-dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _kernel_spec(cfg) -> KernelSpec:
-    kern = cfg.get("kernel", {"family": "uniform-square",
-                              "params": {"radius": 1.0}})
-    if isinstance(kern, str):
-        kern = json.loads(kern)
-    try:
-        return build_kernel(KernelSpec(kern["family"], dict(kern["params"])))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad kernel spec: {exc}") from exc
-
-
-def _params(cfg) -> Params:
-    try:
-        return Params(float(cfg.get("beta", 1.0)), float(cfg.get("eta", 0.05)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _count(cfg, key: str, default: int) -> int:
-    n = int(cfg.get(key, default))
-    if n < 0:
-        raise ConfigError(f"{key} must be nonnegative, got {n}")
-    return n
-
-
-def _window(cfg, default_L: int) -> tuple[int, int]:
-    """L and the side in sites of the W x W window, at least one each."""
-    L = int(cfg.get("L", default_L))
-    side = int(round(float(cfg.get("W", 4.0)) * L))
-    if L < 1 or side < 1:
-        raise ConfigError(f"L={L} and W={cfg.get('W', 4.0)} leave no site")
-    return L, side
-
-
-def _experiment_config(cfg) -> experiments.ExperimentConfig:
-    fields = {
-        "beta": float(cfg.get("beta", 1.0)),
-        "eta": float(cfg.get("eta", 0.05)),
-        "kernel": _kernel_spec(cfg),
-        "gamma": float(cfg.get("gamma", 0.3)),
-        "W": float(cfg.get("W", 4.0)),
-        "steps": int(cfg.get("steps", 5)),
-        "horizon": int(cfg.get("horizon", 500)),
-        "K": float(cfg.get("K", 1.0)),
-        "block_N": int(cfg.get("block-N", 30)),
-        "threads": int(cfg.get("threads", 1)),
-    }
-    if "L-list" in cfg:
-        fields["L_list"] = tuple(int(x) for x in cfg["L-list"])
-    if "seeds" in cfg:
-        fields["seeds"] = tuple(int(s) for s in cfg["seeds"])
-    elif "seed" in cfg:
-        fields["seeds"] = (int(cfg["seed"]),)
-    if "beta-grid" in cfg:
-        fields["beta_grid"] = tuple(float(x) for x in cfg["beta-grid"])
-    if "eta-grid" in cfg:
-        fields["eta_grid"] = tuple(float(x) for x in cfg["eta-grid"])
-    if "phase-L" in cfg:
-        fields["phase_L"] = int(cfg["phase-L"])
-    if "phase-W" in cfg:
-        fields["phase_W"] = float(cfg["phase-W"])
-    try:
-        return experiments.ExperimentConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _manifest_config(cfg) -> dict:
-    out = {}
-    for k, v in cfg.items():
-        out[k] = v.to_json() if isinstance(v, KernelSpec) else v
-    return out
-
-
 # -- subcommand handlers ---------------------------------------------------
+# Each handler builds its library objects before any work or output; a run
+# that checks its own arguments first is caught for ValueError only.
 
 def _cmd_mean_field(cfg) -> int:
-    p = _params(cfg)
-    steps = _count(cfg, "trace-steps", 100)
-    eq = equilibria(p)
-    print(",".join(repr(r.value) for r in eq.roots))
-    out = cfg.get("out")
-    if out:
-        path = _out_dir(cfg) / out
-        trace = mean_field_trace(p, float(cfg.get("v0", 0.5)), steps)
+    with _invalid():
+        p = Params(cfg["beta"], cfg["eta"])
+    if cfg["out"]:  # the trace is computed only to be written
+        with _invalid("v0", "trace-steps", errors=ValueError):
+            trace = mean_field_trace(p, cfg["v0"], cfg["trace-steps"])
+        path = _out_dir(cfg) / cfg["out"]
         manifest.write_csv(path, [{"n": i, "v": float(v)}
                                   for i, v in enumerate(trace)])
         manifest.write_manifest(path.with_suffix(".manifest.json"),
-                                "mean-field", _manifest_config(cfg), [path])
+                                "mean-field", cfg, [path])
+    print(",".join(repr(r.value) for r in equilibria(p).roots))
     return 0
 
 
-def _build_u0(cfg, L, side):
-    preset = cfg.get("u0", {"type": "constant", "value": 0.5})
-    xs = np.arange(side) / L
+def _u0_field(preset: dict, L: int, W: float, **kw) -> Field2D:
+    """The u0 preset on the W x W window at spacing 1/L."""
+    xs = np.arange(lattice.window_side(W, L)) / L
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     kind = preset.get("type", "constant")
     if kind == "constant":
@@ -176,113 +220,85 @@ def _build_u0(cfg, L, side):
         vals = mean + amp * np.cos(2 * np.pi * gx / period) \
             * np.cos(2 * np.pi * gy / period)
     else:
-        raise ConfigError(f"unknown u0 preset {kind!r}")
-    return np.clip(vals, 0.0, 1.0)
-
-
-def _taps(cfg, n: int) -> list[int]:
-    """Sorted distinct output steps, each an integer in [0, n]."""
-    try:
-        taps = sorted(set(int(t) for t in cfg.get("taps", [n])))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"taps must be integers: {exc}") from exc
-    if taps and (taps[0] < 0 or taps[-1] > n):
-        raise ConfigError(f"taps must lie in [0, {n}], got {taps}")
-    return taps
+        raise ValueError(f"unknown u0 preset {kind!r}")
+    return Field2D(0.0, 0.0, 1.0 / L, np.clip(vals, 0.0, 1.0), **kw)
 
 
 def _cmd_ide_run(cfg) -> int:
-    p = _params(cfg)
-    spec = _kernel_spec(cfg)
-    L, side = _window(cfg, 8)
-    n = _count(cfg, "steps", 10)
-    taps = _taps(cfg, n)
-    dk = discretize(spec, L)
-    boundary = cfg.get("boundary", "periodic")
-    field = Field2D(0.0, 0.0, 1.0 / L, _build_u0(cfg, L, side),
-                    boundary=boundary,
-                    clamp_value=float(cfg.get("clamp", 0.0)))
+    L, n = cfg["L"], cfg["steps"]
+    with _invalid():
+        p = Params(cfg["beta"], cfg["eta"])
+        dk = discretize(cfg["kernel"], L)
+    with _invalid("W", "u0", "boundary", "clamp"):
+        field = _u0_field(cfg["u0"], L, cfg["W"], boundary=cfg["boundary"],
+                          clamp_value=cfg["clamp"])
+    taps = sorted(set((n,) if cfg["taps"] is None else cfg["taps"]))
+    if taps and (taps[0] < 0 or taps[-1] > n):
+        raise ConfigError(f"taps must lie in [0, {n}], got {taps}")
     fields = evolve(field, dk, p, n, taps=taps)
-    outputs = []
     outdir = _out_dir(cfg)
-    for t, f in zip(taps, fields):
-        path = outdir / f"field_{t:05d}.csv"
+    outputs = [outdir / f"field_{t:05d}.csv" for t in taps]
+    for f, path in zip(fields, outputs):
         f.to_csv(path)
-        outputs.append(path)
     manifest.write_manifest(outdir / "ide-run.manifest.json", "ide-run",
-                            _manifest_config(cfg), outputs)
+                            cfg, outputs)
     return 0
 
 
 def _cmd_speed(cfg) -> int:
-    p = _params(cfg)
+    with _invalid():
+        p = Params(cfg["beta"], cfg["eta"])
     if not p.bistable:
         raise ConfigError("speed needs bistable parameters "
                           "(beta (1 - eta) > 4 eta)")
-    spec = _kernel_spec(cfg)
-    dk = discretize(spec, int(cfg.get("kernel-L", 8)))
-    angle = float(cfg.get("angle", 0.0))
-    tol = float(cfg.get("tol", 0.01))
+    with _invalid("kernel-L"):
+        dk = discretize(cfg["kernel"], cfg["kernel-L"])
+    angle, method = cfg["angle"], cfg["method"]
     xi = (np.cos(np.deg2rad(angle)), np.sin(np.deg2rad(angle)))
-    method = cfg.get("method", "bisection")
     rows = []
     if method in ("bisection", "both"):
-        kw = {}
-        if cfg.get("max-iter") is not None:
-            kw["max_iter"] = int(cfg["max-iter"])
-        try:
-            res = estimate_cstar(xi, dk, p, tol=tol, **kw)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        with _invalid(errors=ValueError):  # checks tol, max-iter first
+            res = estimate_cstar(xi, dk, p, tol=cfg["tol"],
+                                 max_iter=cfg["max-iter"])
         rows.append({"angle": angle, "c_star": res.c_star,
                      "bracket_lo": res.bracket[0],
                      "bracket_hi": res.bracket[1],
                      "method": "weinberger-bisection"})
     if method in ("tracking", "both"):
-        c = front_speed_tracking(xi, dk, p,
-                                 steps=int(cfg.get("track-steps", 80)))
+        c = front_speed_tracking(xi, dk, p, steps=cfg["track-steps"])
         rows.append({"angle": angle, "c_star": c, "bracket_lo": c,
                      "bracket_hi": c, "method": "front-tracking"})
-    if not rows:
-        raise ConfigError(f"unknown speed method {method!r}")
+    columns = ["angle", "c_star", "bracket_lo", "bracket_hi", "method"]
     for row in rows:
-        print(",".join(manifest.fmt_cell(row[c]) for c in
-                       ("angle", "c_star", "bracket_lo", "bracket_hi",
-                        "method")))
-    out = cfg.get("out")
-    if out:
-        path = _out_dir(cfg) / out
-        manifest.write_csv(path, rows, ["angle", "c_star", "bracket_lo",
-                                        "bracket_hi", "method"])
+        print(",".join(manifest.fmt_cell(row[c]) for c in columns))
+    if cfg["out"]:
+        path = _out_dir(cfg) / cfg["out"]
+        manifest.write_csv(path, rows, columns)
         manifest.write_manifest(path.with_suffix(".manifest.json"), "speed",
-                                _manifest_config(cfg), [path])
+                                cfg, [path])
     return 0
 
 
 def _cmd_lattice_run(cfg) -> int:
-    p = _params(cfg)
-    spec = _kernel_spec(cfg)
-    L, side = _window(cfg, 20)
-    seed = int(cfg.get("seed", 0))
-    steps = _count(cfg, "steps", 100)
-    snap_every = int(cfg.get("snapshot-every", 0))
-    dk = discretize(spec, L)
+    L, seed = cfg["L"], cfg["seed"]
     rng = LatticeRng(seed)
-    init_mode = cfg.get("init", "all_ones")
-    if init_mode.startswith("product:"):
-        state = lattice.init("product", L, side=side, rng=rng,
-                             p=float(init_mode.split(":", 1)[1]))
-    elif init_mode == "all_ones":
-        state = lattice.init("all_ones", L, side=side)
-    else:
-        raise ConfigError(f"unknown init {init_mode!r}")
+    with _invalid():
+        p = Params(cfg["beta"], cfg["eta"])
+        dk = discretize(cfg["kernel"], L)
+    with _invalid("W", "init"):
+        init, W = cfg["init"], cfg["W"]
+        if init.startswith("product:"):
+            state = lattice.init("product", L, W, rng=rng,
+                                 p=float(init[len("product:"):]))
+        else:
+            state = lattice.init(init, L, W)
     outdir = _out_dir(cfg)
     outputs = []
     trace = [{"n": 0, "density": state.density()}]
-    for n in range(1, steps + 1):
+    for n in range(1, cfg["steps"] + 1):
         state, _ = lattice.step(state, dk, p, rng, anchor="site")
         trace.append({"n": n, "density": state.density()})
-        if snap_every and n % snap_every == 0:
+        if cfg["snapshot-every"] and n % cfg["snapshot-every"] == 0:
             path = outdir / f"snapshot_{n:05d}.json"
             lattice.save_snapshot(state, path, seed=seed, params=p)
             outputs.append(path)
@@ -290,28 +306,25 @@ def _cmd_lattice_run(cfg) -> int:
     manifest.write_csv(trace_path, trace, ["n", "density"])
     outputs.append(trace_path)
     manifest.write_manifest(outdir / "lattice-run.manifest.json",
-                            "lattice-run", _manifest_config(cfg), outputs,
-                            seed=seed)
+                            "lattice-run", cfg, outputs, seed=seed)
     return 0
 
 
 def _cmd_hydro(cfg) -> int:
-    ecfg = _experiment_config(cfg)
-    L0 = min(ecfg.L_list)
-    side0 = int(round(ecfg.W * L0))
-    u0_vals = _build_u0(cfg, L0, side0)
-    u0 = Field2D(0.0, 0.0, 1.0 / L0, u0_vals)
+    ecfg = _experiment(cfg)
+    with _invalid("u0"):
+        u0 = _u0_field(cfg["u0"], min(ecfg.L_list), ecfg.W)
     rows = experiments.hydro_convergence(ecfg, u0)
     outdir = _out_dir(cfg)
     path = outdir / "hydro.csv"
     manifest.write_csv(path, rows)
-    manifest.write_manifest(outdir / "hydro.manifest.json", "hydro",
-                            _manifest_config(cfg), [path])
+    manifest.write_manifest(outdir / "hydro.manifest.json", "hydro", cfg,
+                            [path])
     return 0
 
 
 def _cmd_phase_scan(cfg) -> int:
-    ecfg = _experiment_config(cfg)
+    ecfg = _experiment(cfg)
     outdir = _out_dir(cfg)
     outputs = []
     freq_rows = []
@@ -328,55 +341,53 @@ def _cmd_phase_scan(cfg) -> int:
                                          "survival_freq"])
     outputs.append(path)
     manifest.write_manifest(outdir / "phase-scan.manifest.json", "phase-scan",
-                            _manifest_config(cfg), outputs)
+                            cfg, outputs)
     return 0
 
 
-def _default_phi(ecfg, speed_tol=0.05, phi_L=8):
-    dk = discretize(ecfg.kernel, phi_L)
-    dirs = default_directions()
-    return build_phi(dirs[0], dirs[1], dirs[2], dk, ecfg.params,
-                     speed_tol=speed_tol)
+def _default_phi(cfg, ecfg: ExperimentConfig):
+    with _invalid("phi-L"):
+        dk = discretize(ecfg.kernel, cfg["phi-L"])
+    return build_phi(*default_directions(), dk, ecfg.params, speed_tol=0.05)
 
 
 def _cmd_error_rate(cfg) -> int:
-    ecfg = _experiment_config(cfg)
-    phi = _default_phi(ecfg, phi_L=int(cfg.get("phi-L", 8)))
+    ecfg = _experiment(cfg)
+    phi = _default_phi(cfg, ecfg)
     rows = experiments.error_rate(ecfg, phi)
     outdir = _out_dir(cfg)
     path = outdir / "error_rate.csv"
     manifest.write_csv(path, rows)
     manifest.write_manifest(outdir / "error-rate.manifest.json", "error-rate",
-                            _manifest_config(cfg), [path])
+                            cfg, [path])
     return 0
 
 
 def _cmd_compare(cfg) -> int:
-    ecfg = _experiment_config(cfg)
-    phi = _default_phi(ecfg, phi_L=int(cfg.get("phi-L", 8)))
+    ecfg = _experiment(cfg)
+    phi = _default_phi(cfg, ecfg)
     L = ecfg.L_list[0]
     dk = discretize(ecfg.kernel, L)
     cmp_cfg = comparison.make_comparison_config(phi, dk, L, ecfg.gamma)
     side = experiments.aligned_side(L, ecfg.gamma, ecfg.W)
-    rows = []
-    total_violations = 0
-    for seed in ecfg.seeds:
-        res = experiments.run_coupled(ecfg.params, dk, ecfg.gamma, side,
-                                      ecfg.steps, seed, phi, cmp_cfg)
-        total_violations += res.violations
-        for rep in res.reports:
-            rows.append({"seed": seed, "n": rep.time, "bad_boxes": rep.n_bad,
-                         "violations": len(rep.violations)})
+
+    def one_seed(seed):
+        return experiments.run_coupled(ecfg.params, dk, ecfg.gamma, side,
+                                       ecfg.steps, seed, phi, cmp_cfg)
+
+    results = experiments.parallel_map(one_seed, ecfg.seeds, ecfg.threads)
+    rows = [{"seed": res.seed, "n": rep.time, "bad_boxes": rep.n_bad,
+             "violations": len(rep.violations)}
+            for res in results for rep in res.reports]
+    total_violations = sum(res.violations for res in results)
     outdir = _out_dir(cfg)
     path = outdir / "containment.csv"
     manifest.write_csv(path, rows, ["seed", "n", "bad_boxes", "violations"])
-    manifest.write_manifest(outdir / "compare.manifest.json", "compare",
-                            _manifest_config(cfg), [path],
-                            extra={"total_violations": total_violations,
-                                   "alpha": cmp_cfg.alpha,
-                                   "r": cmp_cfg.r, "b": cmp_cfg.b,
-                                   "c": cmp_cfg.c})
-    if cfg.get("assert") and total_violations > 0:
+    extra = {"total_violations": total_violations, "alpha": cmp_cfg.alpha,
+             "r": cmp_cfg.r, "b": cmp_cfg.b, "c": cmp_cfg.c}
+    manifest.write_manifest(outdir / "compare.manifest.json", "compare", cfg,
+                            [path], extra=extra)
+    if cfg["assert"] and total_violations > 0:
         print(f"containment violated {total_violations} times",
               file=sys.stderr)
         return 3
@@ -385,51 +396,38 @@ def _cmd_compare(cfg) -> int:
 
 # -- argument parsing ------------------------------------------------------
 
+# subcommand -> (handler, keys that also have a flag)
+_COMMANDS = {
+    "mean-field": (_cmd_mean_field, "beta eta v0 trace-steps out"),
+    "ide-run": (_cmd_ide_run, "beta eta L W steps boundary"),
+    "speed": (_cmd_speed, "beta eta angle tol max-iter kernel-L method "
+                          "track-steps out"),
+    "lattice-run": (_cmd_lattice_run, "beta eta L W seed steps "
+                                      "snapshot-every init"),
+    "hydro": (_cmd_hydro, "beta eta gamma W steps"),
+    "compare": (_cmd_compare, "beta eta gamma W steps phi-L assert"),
+    "phase-scan": (_cmd_phase_scan, "horizon phase-L phase-W"),
+    "error-rate": (_cmd_error_rate, "beta eta gamma W steps phi-L"),
+}
+_HELP = {"out-dir": "output directory (env QCP_OUT_DIR overrides)",
+         "threads": "worker count; results are independent of it"}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qcp", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, flags):
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config document")
-        sp.add_argument("--out-dir", dest="out_dir",
-                        help="output directory (env QCP_OUT_DIR overrides)")
-        sp.add_argument("--threads", type=int, help="worker count; results "
-                        "are independent of it")
-        for flag, kw in flags.items():
-            sp.add_argument(flag, **kw)
-        sp.set_defaults(func=func)
-
-    num = {"type": float}
-    add("mean-field", _cmd_mean_field,
-        {"--beta": num, "--eta": num, "--v0": num,
-         "--trace-steps": {"type": int}, "--out": {}})
-    add("ide-run", _cmd_ide_run,
-        {"--beta": num, "--eta": num, "--L": {"type": int},
-         "--W": num, "--steps": {"type": int}, "--boundary": {}})
-    add("speed", _cmd_speed,
-        {"--beta": num, "--eta": num, "--angle": num, "--tol": num,
-         "--max-iter": {"type": int}, "--kernel-L": {"type": int},
-         "--method": {"choices": ["bisection", "tracking", "both"]},
-         "--track-steps": {"type": int}, "--out": {}})
-    add("lattice-run", _cmd_lattice_run,
-        {"--beta": num, "--eta": num, "--L": {"type": int}, "--W": num,
-         "--seed": {"type": int}, "--steps": {"type": int},
-         "--snapshot-every": {"type": int}, "--init": {}})
-    add("hydro", _cmd_hydro,
-        {"--beta": num, "--eta": num, "--gamma": num, "--W": num,
-         "--steps": {"type": int}})
-    add("compare", _cmd_compare,
-        {"--beta": num, "--eta": num, "--gamma": num, "--W": num,
-         "--steps": {"type": int}, "--phi-L": {"type": int},
-         "--assert": {"action": "store_true", "default": None}})
-    add("phase-scan", _cmd_phase_scan,
-        {"--horizon": {"type": int}, "--phase-L": {"type": int},
-         "--phase-W": num})
-    add("error-rate", _cmd_error_rate,
-        {"--beta": num, "--eta": num, "--gamma": num, "--W": num,
-         "--steps": {"type": int}, "--phi-L": {"type": int}})
+        for key in ["out-dir", "threads"] + flags.split():
+            tp = SCHEMA[name][key][0]
+            kw = {}
+            if tp is bool:
+                kw = {"action": "store_true", "default": None}
+            elif typing.get_origin(tp) is typing.Literal:
+                kw = {"choices": typing.get_args(tp)}
+            sp.add_argument("--" + key, dest=key, help=_HELP.get(key), **kw)
     return parser
 
 
@@ -437,8 +435,7 @@ def run(argv) -> int:
     """Parse and execute; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _load_config(args)
-        return args.func(cfg)
+        return _COMMANDS[args.command][0](_resolve(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

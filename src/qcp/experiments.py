@@ -38,7 +38,7 @@ class ExperimentConfig:
     eta: float = 0.05
     kernel: KernelSpec = field(
         default_factory=lambda: KernelSpec("uniform-square", {"radius": 1.0}))
-    L_list: tuple = (50, 100, 200, 400)
+    L_list: tuple[int, ...] = (50, 100, 200, 400)
     gamma: float = 0.3
     W: float = 4.0
     steps: int = 5
@@ -46,14 +46,23 @@ class ExperimentConfig:
     K: float = 1.0
     block_N: int = 30
     delta: float | None = None
-    seeds: tuple = (1, 2, 3, 4, 5)
-    beta_grid: tuple = ()
-    eta_grid: tuple = ()
+    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
+    beta_grid: tuple[float, ...] = ()
+    eta_grid: tuple[float, ...] = ()
     phase_L: int = 10
     phase_W: float = 8.0
     threads: int = 1
 
     def __post_init__(self):
+        Params(self.beta, self.eta)
+        for name, cells in (
+                ("beta_grid", [(b, self.eta) for b in self.beta_grid]),
+                ("eta_grid", [(self.beta, e) for e in self.eta_grid])):
+            for beta, eta in cells:
+                try:
+                    Params(beta, eta)
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
         if not 0.0 < self.gamma < 0.5:
             raise ValueError("gamma must lie in (0, 1/2)")
         if len(set(self.seeds)) != len(self.seeds):
@@ -61,7 +70,7 @@ class ExperimentConfig:
         if self.steps < 0 or self.horizon < 0:
             raise ValueError("steps and horizon must be nonnegative")
         windows = [(self.W, L) for L in self.L_list]
-        if any(L < 1 or round(W * L) < 1
+        if any(L < 1 or lattice.window_side(W, L) < 1
                for W, L in windows + [(self.phase_W, self.phase_L)]):
             raise ValueError("every (W, L) window must hold a site")
 

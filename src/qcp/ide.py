@@ -42,13 +42,13 @@ class Field2D:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("values must be a 2D grid")
+        if self.values.ndim != 2 or not self.values.size:
+            raise ValueError("values must be a 2D grid with a node")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
         # written so that NaN, which fails every comparison, is rejected
-        if self.values.size and not (self.values.min() >= -1e-12
-                                     and self.values.max() <= 1.0 + 1e-12):
+        if not (self.values.min() >= -1e-12
+                and self.values.max() <= 1.0 + 1e-12):
             raise ValueError("field values must lie in [0, 1]")
 
     @property
@@ -58,17 +58,6 @@ class Field2D:
     @property
     def ny(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def window(self):
-        return (self.x0, self.y0, self.x0 + self.nx * self.h,
-                self.y0 + self.ny * self.h)
-
-    def node_x(self) -> np.ndarray:
-        return self.x0 + np.arange(self.nx) * self.h
-
-    def node_y(self) -> np.ndarray:
-        return self.y0 + np.arange(self.ny) * self.h
 
     def copy(self) -> "Field2D":
         return Field2D(self.x0, self.y0, self.h, self.values.copy(),

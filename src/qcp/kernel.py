@@ -39,15 +39,6 @@ class KernelSpec:
     family: str
     params: dict = field(default_factory=dict)
 
-    def support_radius(self) -> float:
-        """Largest |x| (sup-norm free: Euclidean) carrying density."""
-        if self.family == "uniform-square":
-            return self.params["radius"] * math.sqrt(2.0)
-        if self.family == "truncated-gaussian":
-            return self.params["cutoff"]
-        entries = self.params["entries"]
-        return max(math.hypot(dx, dy) for dx, dy, _ in entries)
-
     def to_json(self) -> str:
         return json.dumps({"family": self.family, "params": self.params},
                           sort_keys=True)

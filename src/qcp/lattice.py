@@ -57,6 +57,13 @@ class LatticeState:
         return LatticeState(self.L, self.side, self.occ.copy(), self.time)
 
 
+def window_side(W: float, L: int) -> int:
+    """Sites per side of the W x W window at spacing 1/L."""
+    if not math.isfinite(W * L):
+        raise ValueError(f"the window W = {W} at L = {L} is not finite")
+    return int(round(W * L))
+
+
 def init(mode: str, L: int, W: float | None = None, side: int | None = None,
          rng: _rng.LatticeRng | None = None, p: float | None = None,
          points=None, field: Field2D | None = None) -> LatticeState:
@@ -69,7 +76,7 @@ def init(mode: str, L: int, W: float | None = None, side: int | None = None,
     if side is None:
         if W is None:
             raise ValueError("give either W (unit squares) or side (sites)")
-        side = int(round(W * L))
+        side = window_side(W, L)
     if side < 1:
         raise ValueError("window too small")
 
@@ -78,6 +85,8 @@ def init(mode: str, L: int, W: float | None = None, side: int | None = None,
     elif mode == "product":
         if p is None or rng is None:
             raise ValueError("product mode needs p and rng")
+        if not 0.0 <= p <= 1.0:  # written so that NaN fails too
+            raise ValueError(f"p must lie in [0, 1], got {p}")
         u = rng.stream(0, _rng.PHASE_INIT).random((side, side))
         occ = (u < p).astype(np.uint8)
     elif mode == "finite_set":

@@ -6,13 +6,16 @@ manifest, so fixed-seed reruns produce byte-identical data outputs.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # dataclass values in a config, such as a KernelSpec, become objects
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=dataclasses.asdict)
 
 
 def config_hash(obj) -> str:
@@ -52,5 +55,6 @@ def write_manifest(path, subcommand: str, config: dict, outputs,
     if extra:
         doc["extra"] = extra
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True,
+                  default=dataclasses.asdict)
         fh.write("\n")

@@ -87,8 +87,7 @@ class TestErrors:
     def test_runtime_failure_exit_two(self, tmp_path, capsys):
         # window too small for the requested blocks: raises inside the run
         cfg = {"phase-L": 5, "phase-W": 2.0, "horizon": 5,
-               "beta-grid": [0.5], "eta-grid": [0.1], "seeds": [1],
-               "square-side": 8.0}
+               "beta-grid": [0.5], "eta-grid": [0.1], "seeds": [1]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code = run(["lattice-run", "--init", "bogus",
@@ -104,12 +103,37 @@ class TestErrors:
         ["lattice-run", "--L", "0"], ["lattice-run", "--W", "0.001"],
         ["lattice-run", "--steps", "-1"], ["ide-run", "--L", "0"],
         ["ide-run", "--steps", "-1"], ["hydro", "--steps", "-1"],
-        ["mean-field", "--trace-steps", "-1", "--out", "t.csv"]])
+        ["mean-field", "--trace-steps", "-1", "--out", "t.csv"],
+        ["hydro", {"beta": "x"}], ["hydro", {"L-list": 5}],
+        ["hydro", {"seeds": [1.7]}], ["hydro", {"kernel": "{bad"}],
+        ["lattice-run", {"L": "abc"}], ["lattice-run", {"snapshot-every": -1}],
+        ["lattice-run", {"init": "product:abc"}],
+        ["lattice-run", {"init": "product:1.5"}],
+        ["speed", {"angle": "x"}], ["speed", {"kernel-L": 0}],
+        ["ide-run", {"boundary": "bogus"}],
+        ["mean-field", "--out", "t.csv", {"v0": 2}],
+        ["compare", {"phi-L": 0}], ["phase-scan", {"beta-grid": [1.5]}],
+        ["phase-scan", {"beta_grid": [0.3, 0.9]}],
+        ["hydro", {"W": float("inf")}], ["lattice-run", "--W", "inf"],
+        ["ide-run", {"W": 1e308}], ["hydro", {"K": 2.0}],
+        ["compare", {"delta": 0.1}], ["error-rate", {"block-N": 5}]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys):
-        code = run(argv + ["--out-dir", str(tmp_path)])
+        # a trailing dict is a config document; the error names its one
+        # key, else the first flag (or the ExperimentConfig field behind it)
+        if isinstance(argv[-1], dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(argv[-1]))
+            args, (key,) = argv[:-1] + ["--config", str(path)], argv[-1]
+        else:
+            args, key = argv, argv[1][2:]
+        out = tmp_path / "out"
+        code = run(args + ["--out-dir", str(out)])
+        captured = capsys.readouterr()
         assert code == 1
-        assert "config error" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())  # rejected before any output
+        assert "config error" in captured.err
+        assert key in captured.err or key.replace("-", "_") in captured.err
+        assert captured.out == ""  # rejected before any output
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("taps", [[99], [-1], [0, 3], ["x"]])

@@ -28,6 +28,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(gamma=0.6)
 
+    @pytest.mark.parametrize("kw", [
+        {"beta": 1.5}, {"eta": float("nan")}, {"beta_grid": (0.3, 1.5)},
+        {"eta_grid": (-0.1,)}, {"beta_grid": (float("inf"),)}])
+    def test_rates_validated_through_params(self, kw):
+        with pytest.raises(ValueError, match="beta|eta"):
+            small_cfg(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"W": float("inf")}, {"W": float("nan")}, {"phase_W": 1e308},
+        {"phase_W": -float("inf")}])
+    def test_window_must_be_finite(self, kw):
+        with pytest.raises(ValueError, match="window"):
+            small_cfg(**kw)
+
+    def test_grid_entries_may_span_unit_interval(self):
+        cfg = small_cfg(beta_grid=(0.0, 1.0), eta_grid=(0.0, 1.0))
+        assert cfg.beta_grid == (0.0, 1.0)
+
     def test_parallel_map_order(self):
         items = list(range(20))
         assert parallel_map(lambda x: x * x, items, 1) == \

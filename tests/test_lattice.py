@@ -44,6 +44,16 @@ class TestInit:
         with pytest.raises(ValueError, match="outside"):
             init("finite_set", 10, W=2.0, points=[(2.5, 0.5)])
 
+    @pytest.mark.parametrize("W", [float("inf"), float("nan"), 1e308])
+    def test_window_must_be_finite(self, W):
+        with pytest.raises(ValueError, match="not finite"):
+            init("all_ones", 10, W=W)
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    def test_product_density_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="p must lie in"):
+            init("product", 10, W=2.0, rng=LatticeRng(1), p=p)
+
     def test_product_determinism(self):
         a = init("product", 20, W=2.0, rng=LatticeRng(9), p=0.4)
         b = init("product", 20, W=2.0, rng=LatticeRng(9), p=0.4)
