@@ -265,7 +265,8 @@ def _cmd_speed(cfg) -> int:
                      "bracket_hi": res.bracket[1],
                      "method": "weinberger-bisection"})
     if method in ("tracking", "both"):
-        c = front_speed_tracking(xi, dk, p, steps=cfg["track-steps"])
+        with _invalid("angle", "track-steps", errors=ValueError):
+            c = front_speed_tracking(xi, dk, p, steps=cfg["track-steps"])
         rows.append({"angle": angle, "c_star": c, "bracket_lo": c,
                      "bracket_hi": c, "method": "front-tracking"})
     columns = ["angle", "c_star", "bracket_lo", "bracket_hi", "method"]
@@ -325,6 +326,8 @@ def _cmd_hydro(cfg) -> int:
 
 def _cmd_phase_scan(cfg) -> int:
     ecfg = _experiment(cfg)
+    with _invalid("phase-W", "phase-L"):
+        experiments.square_bounds(ecfg)
     outdir = _out_dir(cfg)
     outputs = []
     freq_rows = []

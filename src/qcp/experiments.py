@@ -210,6 +210,16 @@ def survival_floor(p: Params, fallback: float = 0.05) -> float:
     return eq.rho_u / 2.0 if eq.rho_u is not None else fallback
 
 
+def square_bounds(cfg: ExperimentConfig, square_side: float = 2.0):
+    """Site range [i0, i1) on each axis of the finite square centred in
+    the phase window; ValueError when it does not fit."""
+    L, W, half = cfg.phase_L, cfg.phase_W, square_side / 2.0
+    i0, i1 = int((W / 2 - half) * L), int((W / 2 + half) * L)
+    if i0 < 0 or i1 > lattice.window_side(W, L):
+        raise ValueError("square does not fit the window")
+    return i0, i1
+
+
 def phase_scan(cfg: ExperimentConfig, init: str = "all_ones",
                square_side: float = 2.0) -> list:
     """Survival frequencies over the (beta, eta) grid.
@@ -217,47 +227,40 @@ def phase_scan(cfg: ExperimentConfig, init: str = "all_ones",
     init 'all_ones': survival means final density at least the floor
     (rho_u/2 when bistable, a fixed fallback otherwise).  init
     'finite_square': survival means any particle alive at the horizon.
-    Same-seed runs across the grid share coins, hence are monotonically
-    coupled in beta.
+    Same-seed runs across the grid share coins, so one label run per
+    (eta, seed) gives the final state at every beta (lattice.label_step).
     """
     betas = cfg.beta_grid or (cfg.beta,)
     etas = cfg.eta_grid or (cfg.eta,)
-    L, W = cfg.phase_L, cfg.phase_W
-    dk = discretize(build_kernel(cfg.kernel), L)
-    side = int(round(W * L))
+    side = lattice.window_side(cfg.phase_W, cfg.phase_L)
+    start = np.full((side, side), -np.inf if init == "all_ones" else np.inf)
+    if init == "finite_square":
+        i0, i1 = square_bounds(cfg, square_side)
+        start[i0:i1, i0:i1] = -np.inf
+    elif init != "all_ones":
+        raise ValueError(f"unknown init {init!r}")
+    dk = discretize(build_kernel(cfg.kernel), cfg.phase_L)
 
-    def one(cell):
-        beta, eta, seed = cell
-        p = Params(beta, eta)
-        rng = LatticeRng(seed)
-        if init == "all_ones":
-            state = lattice.init("all_ones", L, side=side)
-        elif init == "finite_square":
-            state = lattice.init("all_ones", L, side=side)
-            mask = np.zeros((side, side), dtype=np.uint8)
-            half = square_side / 2.0
-            i0 = int((W / 2 - half) * L)
-            i1 = int((W / 2 + half) * L)
-            if i0 < 0 or i1 > side:
-                raise ValueError("square does not fit the window")
-            mask[i0:i1, i0:i1] = 1
-            state.occ = state.occ * mask
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        for _ in range(cfg.horizon):
-            state, _ = lattice.step(state, dk, p, rng, anchor="site")
-            if not state.occ.any():
+    def final_labels(cell):
+        eta, seed = cell
+        rng, B = LatticeRng(seed), start
+        for n in range(cfg.horizon):
+            if B.min() >= max(betas):  # extinct at every beta: absorbing
                 break
-        dens = state.density()
-        if init == "all_ones":
-            survived = dens >= survival_floor(p)
-        else:
-            survived = dens > 0.0
+            B = lattice.label_step(B, n, dk, eta, rng)
+        return B
+
+    cells = [(e, s) for e in etas for s in cfg.seeds]
+    finals = dict(zip(cells, parallel_map(final_labels, cells, cfg.threads)))
+
+    def row(beta, eta, seed):
+        dens = float((finals[eta, seed] < beta).mean())
+        floor = survival_floor(Params(beta, eta))
+        survived = dens >= floor if init == "all_ones" else dens > 0.0
         return {"beta": beta, "eta": eta, "seed": seed, "init": init,
                 "final_density": dens, "survived": int(survived)}
 
-    cells = [(b, e, s) for e in etas for b in betas for s in cfg.seeds]
-    return parallel_map(one, cells, cfg.threads)
+    return [row(b, e, s) for e in etas for b in betas for s in cfg.seeds]
 
 
 def survival_table(rows):

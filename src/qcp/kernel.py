@@ -259,7 +259,7 @@ class Kernel1D:
 def unit_direction(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     n = float(np.hypot(xi[0], xi[1]))
-    if abs(n - 1.0) > 1e-9:
+    if not abs(n - 1.0) <= 1e-9:  # written so that NaN fails too
         raise ValueError(f"direction must be a unit vector, |xi| = {n}")
     return xi / n
 

@@ -137,6 +137,23 @@ class StepReport:
     k_box: np.ndarray | None = None
 
 
+def _coins(rng: _rng.LatticeRng, n: int, side: int):
+    """The attempt, offset, neighbour and death coins of step n."""
+    return tuple(rng.stream(n, phase).random((side, side))
+                 for phase in (_rng.PHASE_ATTEMPT, _rng.PHASE_OFFSET,
+                               _rng.PHASE_NEIGHBOR, _rng.PHASE_DEATH))
+
+
+def _parents(dk: DiscreteKernel, side: int, base_i, base_j, u_off, u_nbr):
+    """Parents y, through the kernel around the base sites, and z, a
+    uniform neighbour of y; element-wise, so any subset draws the same."""
+    idx = dk.sample_indices(u_off)
+    yi = (base_i + dk.offsets[idx, 0]) % side
+    yj = (base_j + dk.offsets[idx, 1]) % side
+    nsel = np.minimum((u_nbr * 4.0).astype(np.int64), 3)
+    return yi, yj, (yi + _NBR_DI[nsel]) % side, (yj + _NBR_DJ[nsel]) % side
+
+
 def step(s: LatticeState, dk: DiscreteKernel, p: Params,
          rng: _rng.LatticeRng, anchor: str = "site",
          gamma: float | None = None,
@@ -154,30 +171,19 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
         raise ValueError("box_corner anchoring needs gamma")
     side = s.side
     n = s.time + 1
-    u_att = rng.stream(n, _rng.PHASE_ATTEMPT).random((side, side))
-    u_off = rng.stream(n, _rng.PHASE_OFFSET).random((side, side))
-    u_nbr = rng.stream(n, _rng.PHASE_NEIGHBOR).random((side, side))
-    u_die = rng.stream(n, _rng.PHASE_DEATH).random((side, side))
+    u_att, u_off, u_nbr, u_die = _coins(rng, n, side)
 
     occ0 = s.occ.astype(bool)
     attempts = (~occ0) & (u_att < p.beta)
     ai, aj = np.nonzero(attempts)
 
-    idx = dk.sample_indices(u_off[ai, aj])
-    di = dk.offsets[idx, 0]
-    dj = dk.offsets[idx, 1]
     if anchor == "site":
         base_i, base_j = ai, aj
     else:
         b = box_side_sites(s.L, gamma)
-        base_i = (ai // b) * b
-        base_j = (aj // b) * b
-    yi = (base_i + di) % side
-    yj = (base_j + dj) % side
-
-    nsel = np.minimum((u_nbr[ai, aj] * 4.0).astype(np.int64), 3)
-    zi = (yi + _NBR_DI[nsel]) % side
-    zj = (yj + _NBR_DJ[nsel]) % side
+        base_i, base_j = (ai // b) * b, (aj // b) * b
+    yi, yj, zi, zj = _parents(dk, side, base_i, base_j, u_off[ai, aj],
+                              u_nbr[ai, aj])
 
     born = occ0[yi, yj] & occ0[zi, zj]
     after_births = occ0.copy()
@@ -222,6 +228,22 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     new = LatticeState(L=s.L, side=side, occ=final.astype(np.uint8),
                        time=n)
     return new, report
+
+
+def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
+               rng: _rng.LatticeRng) -> np.ndarray:
+    """Labels B_{time+1} from B_time: B_n(x) = inf{beta : x occupied at n}
+    over the site-anchored runs on rng's coins, so the run at beta has
+    occupancy ``B < beta``.  B_0 is -inf on occupied sites, +inf elsewhere.
+    """
+    side = B.shape[0]
+    u_att, u_off, u_nbr, u_die = _coins(rng, time + 1, side)
+    ii, jj = np.indices((side, side)).reshape(2, -1)  # one draw per site
+    yi, yj, zi, zj = _parents(dk, side, ii, jj, u_off.ravel(), u_nbr.ravel())
+    born = np.maximum(B[yi, yj], B[zi, zj]).reshape(side, side)
+    out = np.minimum(B, np.maximum(u_att, born))
+    out[u_die < eta] = np.inf
+    return out
 
 
 @dataclass

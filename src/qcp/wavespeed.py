@@ -273,6 +273,8 @@ def front_speed_tracking(xi, dk: DiscreteKernel, p: Params, steps: int = 80,
     """Independent speed oracle: iterate plain Q on a half-plane-type
     profile and fit the displacement per step of the rho_s/2 level
     crossing by least squares over the last half of the run."""
+    if steps < 3:  # the fit needs three positions, steps // 2 + 1 of them
+        raise ValueError(f"steps must be at least 3, got {steps}")
     if not p.bistable:
         raise ValueError("front tracking needs bistable parameters")
     eq = equilibria(p)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qcp import experiments
 from qcp.cli import run
 
 
@@ -84,8 +85,7 @@ class TestErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(["transmogrify"]) == 1
 
-    def test_runtime_failure_exit_two(self, tmp_path, capsys):
-        # window too small for the requested blocks: raises inside the run
+    def test_runtime_failure_exit_two(self, tmp_path, capsys, monkeypatch):
         cfg = {"phase-L": 5, "phase-W": 2.0, "horizon": 5,
                "beta-grid": [0.5], "eta-grid": [0.1], "seeds": [1]}
         path = tmp_path / "cfg.json"
@@ -93,11 +93,16 @@ class TestErrors:
         code = run(["lattice-run", "--init", "bogus",
                     "--out-dir", str(tmp_path)])
         assert code == 1  # unknown init is a config error
-        # the finite square does not fit the window: raises inside the run
-        code = run(["phase-scan", "--config", str(path), "--phase-W", "1.5",
+
+        # a ValueError raised once the run has started is no config error
+        def fail(*args, **kwargs):
+            raise ValueError("failed mid-run")
+
+        monkeypatch.setattr(experiments, "phase_scan", fail)
+        code = run(["phase-scan", "--config", str(path),
                     "--out-dir", str(tmp_path)])
         assert code == 2
-        assert "runtime failure" in capsys.readouterr().err
+        assert "runtime failure: failed mid-run" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["lattice-run", "--L", "0"], ["lattice-run", "--W", "0.001"],
@@ -116,7 +121,11 @@ class TestErrors:
         ["phase-scan", {"beta_grid": [0.3, 0.9]}],
         ["hydro", {"W": float("inf")}], ["lattice-run", "--W", "inf"],
         ["ide-run", {"W": 1e308}], ["hydro", {"K": 2.0}],
-        ["compare", {"delta": 0.1}], ["error-rate", {"block-N": 5}]])
+        ["compare", {"delta": 0.1}], ["error-rate", {"block-N": 5}],
+        ["phase-scan", "--phase-W", "1.5"],
+        *(["speed", "--track-steps", steps, "--method", "tracking"]
+          for steps in ("-1", "0", "1", "2")),
+        ["speed", "--angle", "nan", "--method", "tracking"]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys):
         # a trailing dict is a config document; the error names its one
         # key, else the first flag (or the ExperimentConfig field behind it)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcp import comparison
+from qcp import comparison, lattice
 from qcp.comparison import ErrorPoint
 from qcp.experiments import (ExperimentConfig, aligned_side, block_goodness,
                              error_rate, hydro_convergence, parallel_map,
                              phase_scan, property5_check, property6_check,
-                             run_coupled, survival_floor, survival_table,
-                             threshold_estimate)
-from qcp.kernel import discretize
+                             run_coupled, square_bounds, survival_floor,
+                             survival_table, threshold_estimate)
+from qcp.kernel import build_kernel, discretize
 from qcp.mean_field import Params, equilibria
+from qcp.rng import LatticeRng
 
 
 def small_cfg(**kw):
@@ -113,7 +116,82 @@ class TestBlockGoodness:
             block_goodness(cfg)
 
 
+def phase_scan_oracle(cfg, init="all_ones", square_side=2.0):
+    """Reference phase scan: one lattice.step trajectory per (beta, eta,
+    seed) cell, stopped once extinct."""
+    betas = cfg.beta_grid or (cfg.beta,)
+    etas = cfg.eta_grid or (cfg.eta,)
+    L, W = cfg.phase_L, cfg.phase_W
+    dk = discretize(build_kernel(cfg.kernel), L)
+    side = int(round(W * L))
+
+    def one(cell):
+        beta, eta, seed = cell
+        p = Params(beta, eta)
+        rng = LatticeRng(seed)
+        state = lattice.init("all_ones", L, side=side)
+        if init == "finite_square":
+            mask = np.zeros((side, side), dtype=np.uint8)
+            half = square_side / 2.0
+            i0 = int((W / 2 - half) * L)
+            i1 = int((W / 2 + half) * L)
+            mask[i0:i1, i0:i1] = 1
+            state.occ = state.occ * mask
+        for _ in range(cfg.horizon):
+            state, _ = lattice.step(state, dk, p, rng, anchor="site")
+            if not state.occ.any():
+                break
+        dens = state.density()
+        if init == "all_ones":
+            survived = dens >= survival_floor(p)
+        else:
+            survived = dens > 0.0
+        return {"beta": beta, "eta": eta, "seed": seed, "init": init,
+                "final_density": dens, "survived": int(survived)}
+
+    cells = [(b, e, s) for e in etas for b in betas for s in cfg.seeds]
+    return parallel_map(one, cells, cfg.threads)
+
+
 class TestPhaseScan:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("init", ["all_ones", "finite_square"])
+    def test_rows_equal_per_beta_runs(self, init, threads):
+        cfg = small_cfg(beta_grid=(0.9, 0.0, 0.45, 1.0, 0.3),
+                        eta_grid=(0.2, 0.05), horizon=60, phase_L=6,
+                        phase_W=5.0, seeds=(3, 11, 12), threads=threads)
+        rows = phase_scan(cfg, init=init)
+        assert rows == phase_scan_oracle(cfg, init=init)
+        assert len({r["survived"] for r in rows}) == 2  # both outcomes seen
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63 - 1))
+    def test_survival_flips_once_at_label_threshold(self, seed):
+        # beta = 0 dies out by the horizon and beta = 1 survives
+        cfg = small_cfg(beta_grid=tuple(np.linspace(0.0, 1.0, 41)),
+                        eta_grid=(0.1,), horizon=150, phase_L=5,
+                        phase_W=4.0, seeds=(seed,))
+        rows = phase_scan(cfg, init="finite_square")
+        dk = discretize(build_kernel(cfg.kernel), cfg.phase_L)
+        rng = LatticeRng(seed)
+        i0, i1 = square_bounds(cfg)
+        side = lattice.window_side(cfg.phase_W, cfg.phase_L)
+        B = np.full((side, side), np.inf)
+        B[i0:i1, i0:i1] = -np.inf
+        for n in range(cfg.horizon):
+            B = lattice.label_step(B, n, dk, 0.1, rng)
+        threshold = B.min()
+        survived = [r["survived"] for r in rows]
+        flips = np.count_nonzero(np.diff(survived))
+        assert flips == 1
+        assert survived == [int(b > threshold) for b in cfg.beta_grid]
+        # the per-beta runs die at the threshold and survive just above it
+        at = small_cfg(beta_grid=(threshold, np.nextafter(threshold, 1.0)),
+                       eta_grid=(0.1,), horizon=150, phase_L=5,
+                       phase_W=4.0, seeds=(seed,))
+        oracle = phase_scan_oracle(at, init="finite_square")
+        assert [r["survived"] for r in oracle] == [0, 1]
+
     def test_no_births_extinction(self):
         cfg = small_cfg(beta_grid=(0.0,), eta_grid=(0.1,), horizon=100,
                         phase_L=5, phase_W=4.0, seeds=(1, 2))

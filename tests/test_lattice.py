@@ -2,12 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcp.ide import Field2D
 from qcp.kernel import KernelSpec, discretize
 from qcp.lattice import (BoxStats, LatticeState, box_side_sites, box_stats,
-                         coupling_discrepancy, init, load_snapshot,
-                         save_snapshot, step)
+                         coupling_discrepancy, init, label_step,
+                         load_snapshot, save_snapshot, step)
 from qcp.mean_field import Params
 from qcp.rng import LatticeRng
 
@@ -195,6 +197,28 @@ class TestGoldenTrajectories:
         for _ in range(3):
             s, _ = step(s, dk, p_main, rng, anchor=anchor, gamma=0.3)
         assert hashlib.sha256(s.occ.tobytes()).hexdigest() == digest
+
+
+class TestLabelStep:
+    """Thresholding the label field at beta gives the beta run."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(side=st.integers(1, 12), L=st.integers(1, 6),
+           occ_seed=st.integers(0, 2 ** 32 - 1),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 63 - 1),
+           time=st.integers(0, 10 ** 6), beta=st.floats(0.0, 1.0),
+           eta=st.floats(0.0, 1.0), steps=st.integers(1, 4))
+    def test_threshold_equals_step(self, square_spec, side, L, occ_seed,
+                                   density, seed, time, beta, eta, steps):
+        dk = discretize(square_spec, L)
+        gen = np.random.default_rng(occ_seed)
+        s = LatticeState(L, side, gen.random((side, side)) < density, time)
+        B = np.where(s.occ.astype(bool), -np.inf, np.inf)
+        rng = LatticeRng(seed)
+        for n in range(time, time + steps):
+            s, _ = step(s, dk, Params(beta, eta), rng, anchor="site")
+            B = label_step(B, n, dk, eta, rng)
+            assert np.array_equal(B < beta, s.occ.astype(bool))
 
 
 class TestBoxStats:

@@ -256,6 +256,12 @@ class TestBitIdentical:
 
 
 class TestTracking:
+    @pytest.mark.parametrize("steps", [-1, 0, 1, 2])
+    def test_too_few_steps_for_a_fit(self, dk8, p_main, steps):
+        # the least-squares tail must hold at least three positions
+        with pytest.raises(ValueError, match="steps"):
+            front_speed_tracking((1.0, 0.0), dk8, p_main, steps=steps)
+
     def test_golden_value(self, dk8, p_main):
         c = front_speed_tracking((1.0, 0.0), dk8, p_main, steps=80)
         assert c == pytest.approx(GOLDEN_TRACKING_E1, abs=1e-9)
