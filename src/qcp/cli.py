@@ -27,8 +27,8 @@ from .ide import Field2D, evolve
 from .kernel import KernelSpec, discretize
 from .mean_field import Params, equilibria, mean_field_trace
 from .rng import LatticeRng
-from .wavespeed import (build_phi, default_directions, estimate_cstar,
-                        front_speed_tracking)
+from .wavespeed import (build_phi, check_tracking, default_directions,
+                        estimate_cstar, front_speed_tracking)
 
 
 class ConfigError(ValueError):
@@ -255,6 +255,10 @@ def _cmd_speed(cfg) -> int:
         dk = discretize(cfg["kernel"], cfg["kernel-L"])
     angle, method = cfg["angle"], cfg["method"]
     xi = (np.cos(np.deg2rad(angle)), np.sin(np.deg2rad(angle)))
+    tracking = method in ("tracking", "both")
+    if tracking:  # before any bisection work
+        with _invalid("angle", "track-steps", errors=ValueError):
+            check_tracking(xi, p, cfg["track-steps"])
     rows = []
     if method in ("bisection", "both"):
         with _invalid(errors=ValueError):  # checks tol, max-iter first
@@ -264,9 +268,8 @@ def _cmd_speed(cfg) -> int:
                      "bracket_lo": res.bracket[0],
                      "bracket_hi": res.bracket[1],
                      "method": "weinberger-bisection"})
-    if method in ("tracking", "both"):
-        with _invalid("angle", "track-steps", errors=ValueError):
-            c = front_speed_tracking(xi, dk, p, steps=cfg["track-steps"])
+    if tracking:
+        c = front_speed_tracking(xi, dk, p, steps=cfg["track-steps"])
         rows.append({"angle": angle, "c_star": c, "bracket_lo": c,
                      "bracket_hi": c, "method": "front-tracking"})
     columns = ["angle", "c_star", "bracket_lo", "bracket_hi", "method"]

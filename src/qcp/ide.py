@@ -218,29 +218,30 @@ def apply_Q_1d(f: Profile1D, k1: Kernel1D, p: Params) -> Profile1D:
     if abs(f.delta - k1.delta) > 1e-12 * max(f.delta, k1.delta):
         raise ValueError(
             f"profile spacing {f.delta} != kernel spacing {k1.delta}")
-    padded = np.empty(len(f.values) + 2 * k1.halfwidth)
-    vals, left, right = _q1d_arrays(f.values, f.left_limit, f.right_limit,
-                                    k1.masses, p, padded)
-    return Profile1D(f.s0, f.delta, vals, left_limit=left, right_limit=right)
+    hw, n = k1.halfwidth, len(f.values)
+    squares = np.empty(n + 2 * hw)
+    squares[:hw] = f.left_limit
+    squares[hw:hw + n] = f.values
+    squares[hw + n:] = f.right_limit
+    np.multiply(squares, squares, out=squares)
+    vals = _q1d_image(f.values, squares, k1.masses, p)
+    return Profile1D(f.s0, f.delta, vals, left_limit=mf_step(p, f.left_limit),
+                     right_limit=mf_step(p, f.right_limit))
 
 
-def _q1d_arrays(values, left, right, masses, p: Params, padded):
-    """apply_Q_1d on bare arrays: the image values and the image limits.
+def _q1d_image(values, squares, masses, p: Params):
+    """The operator's image (1 - eta) (f + beta (1 - f) k * f^2) at the
+    points ``values`` on bare arrays.
 
-    ``padded`` is scratch space of ``len(values) + len(masses) - 1``
-    floats, overwritten on each call, so a caller iterating the
-    operator allocates it once.  The elementwise steps are those of
-    (1 - eta) (f + beta (1 - f) k * f^2) in that order, so the result
-    is the same bit for bit however the scratch is reused.
+    ``squares`` holds f^2 over the span of ``values`` widened by the
+    kernel half-width on each side.  Each image point is a pure function
+    of its own inputs, computed by the same operations in the same
+    order, so a slice of ``values`` with the matching slice of
+    ``squares`` gives the same bits as the full arrays.
     """
-    hw = (len(padded) - len(values)) // 2
-    padded[:hw] = left
-    padded[hw:hw + len(values)] = values
-    padded[hw + len(values):] = right
-    np.multiply(padded, padded, out=padded)
     vals = np.subtract(1.0, values)
     vals *= p.beta
-    vals *= np.convolve(padded, masses, mode="valid")
+    vals *= np.convolve(squares, masses, mode="valid")
     vals += values
     vals *= 1.0 - p.eta
-    return vals, mf_step(p, left), mf_step(p, right)
+    return vals

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ide import Profile1D, _q1d_arrays, apply_Q_1d
+from .ide import Profile1D, _q1d_image, apply_Q_1d
 from .kernel import DiscreteKernel, Kernel1D, marginal_1d, unit_direction
-from .mean_field import Params, equilibria
+from .mean_field import Params, equilibria, mf_step
 
 BELOW = "below_cstar"
 AT_OR_ABOVE = "at_or_above"
@@ -133,6 +133,8 @@ def classify_speed(c: float, xi, dk: DiscreteKernel, p: Params,
     under tol/10 without that growth.
     """
     _check_budget(tol, max_iter)
+    if not math.isfinite(c):  # the shift must reach a finite distance
+        raise ValueError(f"trial speed c must be finite, got {c}")
     state = _classifier_state(xi, dk, p, psi, tol, delta)
     if max_iter is None:
         max_iter = _default_max_iter(dk, tol)
@@ -157,39 +159,80 @@ def _classifier_state(xi, dk, p, psi, tol, delta):
             "rho_s": eq.rho_s, "tol": tol}
 
 
-def _front_iterates(c, state):
+def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
     """The iterates f_1, f_2, ... of weinberger_step from psi at trial
-    speed c, as (values, left_limit, right_limit).
+    speed c, as (values, left_limit, right_limit, span): outside
+    values[span], f_n equals f_{n-1} bit for bit.
 
-    The same arithmetic on the same inputs as repeated weinberger_step,
-    so bit-identical to it, without a Profile1D per step: the grid, its
-    shift by c and the padding buffer are made once per probe.
+    Each step recomputes only the points whose inputs changed at the
+    last step: the image Q[f] within the kernel half-width of a change
+    of f, and f_{n+1} within the shift reach of a change of the image.
+    A limit that changed puts the whole edge on its side in the window.
+    Inside the window the arithmetic is that of weinberger_step on the
+    same inputs, and outside it the inputs did not change, so every
+    iterate is bit-identical to it.  A yielded array is never written
+    to again.
     """
-    psi, k1, p = state["psi"], state["k1"], state["p"]
     grid = psi.grid
+    n, hw = len(grid), k1.halfwidth
     shifted = grid + c
-    padded = np.empty(len(grid) + 2 * k1.halfwidth)
+    # f_{n+1}(i) reads the image at most this many points from i, or the
+    # image limit beyond the grid end; the image reads f within hw
+    reach = hw + math.ceil(abs(c) / psi.delta) + 2
+    squares = np.empty(n + 2 * hw)  # f^2, each limit hw times on its side
+    g = np.empty(n)                 # the image Q[f] on the grid
     values, left, right = psi.values, psi.left_limit, psi.right_limit
-    while True:
-        g, g_left, g_right = _q1d_arrays(values, left, right, k1.masses, p,
-                                         padded)
-        values = np.interp(shifted, grid, g, left=g_left, right=g_right)
-        np.maximum(psi.values, values, out=values)
-        left = max(psi.left_limit, g_left)
-        right = max(psi.right_limit, g_right)
-        yield values, left, right
+    # f changed at the last step only at indices in [lo, hi); -1 and n
+    # stand for its left and right limits
+    lo, hi = -1, n + 1
+    while lo < hi:
+        if lo < 0:
+            squares[:hw] = left
+        if hi > n:
+            squares[n + hw:] = right
+        a, b = max(lo, 0), min(hi, n)
+        squares[a + hw:b + hw] = values[a:b]
+        fresh = squares[0 if lo < 0 else lo + hw:
+                        n + 2 * hw if hi > n else hi + hw]
+        np.multiply(fresh, fresh, out=fresh)
+        a, b = max(lo - hw, 0), min(hi + hw, n)
+        if a < b:
+            g[a:b] = _q1d_image(values[a:b], squares[a:b + 2 * hw],
+                                k1.masses, p)
+        g_left, g_right = mf_step(p, left), mf_step(p, right)
+
+        a, b = max(lo - reach, 0), min(hi + reach, n)
+        nxt = values.copy()
+        np.maximum(psi.values[a:b],
+                   np.interp(shifted[a:b], grid, g, left=g_left,
+                             right=g_right), out=nxt[a:b])
+        changed = np.flatnonzero(nxt[a:b].view(np.int64)
+                                 != values[a:b].view(np.int64))
+        lo, hi = (a + changed[0], a + changed[-1] + 1) if len(changed) \
+            else (n, 0)
+        nxt_left = max(psi.left_limit, g_left)
+        nxt_right = max(psi.right_limit, g_right)
+        if nxt_left != left:
+            lo, hi = -1, max(hi, 0)
+        if nxt_right != right:
+            lo, hi = min(lo, n), n + 1
+        values, left, right = nxt, nxt_left, nxt_right
+        yield values, left, right, slice(max(lo, 0), min(hi, n))
+    while True:  # nothing changed: a fixed point
+        yield values, left, right, slice(0, 0)
 
 
 def _classify_with_state(c, state, max_iter):
     rho_s, tol, probe = state["rho_s"], state["tol"], state["probe"]
     top, still = rho_s - tol, tol / 10.0
     prev = state["psi"].values
-    steps = zip(range(1, max_iter + 1), _front_iterates(c, state))
-    for it, (values, _, _) in steps:
+    iterates = _front_iterates(c, state["psi"], state["k1"], state["p"])
+    for it, (values, _, _, span) in zip(range(1, max_iter + 1), iterates):
         if values[probe] > top:
             return BELOW, it
-        change = values - prev
-        if np.abs(change, out=change).max() < still:
+        # the sup change: values equals prev outside span
+        change = values[span] - prev[span]
+        if np.abs(change, out=change).max(initial=0.0) < still:
             return AT_OR_ABOVE, it
         prev = values
     raise SpeedIndeterminate(
@@ -235,20 +278,15 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
 
     def probe(c):
         # a bisection probe can land arbitrarily close to c*, where both
-        # criteria are slow; widen the budget before giving up
+        # criteria are slow, so its budget widens twice by 4x before it
+        # gives up.  The recursion resumes at each widening, which makes
+        # that one run at the widest budget, with the class and step of
+        # the first budget that suffices
         nonlocal total
-        budget = cap
-        for _ in range(3):
-            try:
-                cls, its = _classify_with_state(c, state, budget)
-                total += its
-                trace.append((c, cls))
-                return cls
-            except SpeedIndeterminate:
-                total += budget
-                budget *= 4
-        raise SpeedIndeterminate(
-            f"no classification for c={c} after {budget // 4} iterations")
+        cls, its = _classify_with_state(c, state, 16 * cap)
+        total += its
+        trace.append((c, cls))
+        return cls
 
     cls_lo = probe(lo)
     cls_hi = probe(hi)
@@ -268,15 +306,22 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
                        iterations=total, trace=trace)
 
 
+def check_tracking(xi, p: Params, steps: int) -> None:
+    """Raise ValueError unless front_speed_tracking can run on these
+    arguments; it calls this before any work."""
+    if steps < 3:  # the fit needs three positions, steps // 2 + 1 of them
+        raise ValueError(f"steps must be at least 3, got {steps}")
+    if not p.bistable:
+        raise ValueError("front tracking needs bistable parameters")
+    unit_direction(xi)
+
+
 def front_speed_tracking(xi, dk: DiscreteKernel, p: Params, steps: int = 80,
                          delta: float | None = None) -> float:
     """Independent speed oracle: iterate plain Q on a half-plane-type
     profile and fit the displacement per step of the rho_s/2 level
     crossing by least squares over the last half of the run."""
-    if steps < 3:  # the fit needs three positions, steps // 2 + 1 of them
-        raise ValueError(f"steps must be at least 3, got {steps}")
-    if not p.bistable:
-        raise ValueError("front tracking needs bistable parameters")
+    check_tracking(xi, p, steps)
     eq = equilibria(p)
     level = 0.5 * eq.rho_s
     d = dk.support_diameter
@@ -349,17 +394,6 @@ def validate_direction_triple(directions: np.ndarray) -> np.ndarray:
     return dirs
 
 
-def iterate_wave_profiles(k1s, c: float, p: Params, psi: Profile1D, n: int):
-    """n recursion steps per direction from the shared psi grid."""
-    profiles = []
-    for k1 in k1s:
-        f = psi
-        for _ in range(n):
-            f = weinberger_step(f, c, k1, p, psi)
-        profiles.append(f)
-    return profiles
-
-
 def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
               tol: float = 1e-6, speed_tol: float = 0.02,
               psi: PsiSpec | None = None, delta: float | None = None,
@@ -394,10 +428,16 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
         s_min = -(spec.width + 2.0 * d) - 2 * delta
         s_max = (n + 2) * 0.5 * d + 2.0 * d
         psi_prof = make_psi(spec, delta, s_min=s_min, s_max=s_max)
-        profs = iterate_wave_profiles(k1s, c, p, psi_prof, n)
+        fronts = []  # (values, left limit) of f_n per direction
+        for k1 in k1s:
+            iterates = _front_iterates(c, psi_prof, k1, p)
+            values, left = psi_prof.values, psi_prof.left_limit
+            for _ in range(n):
+                values, left, _, _ = next(iterates)
+            fronts.append((values, left))
         phi = Profile1D(psi_prof.s0, delta,
-                        np.min([f.values for f in profs], axis=0),
-                        left_limit=min(f.left_limit for f in profs),
+                        np.min([v for v, _ in fronts], axis=0),
+                        left_limit=min(left for _, left in fronts),
                         right_limit=0.0)
         # below the unstable root the map contracts toward 0, so the
         # translate inequality is unattainable there at finite n (and

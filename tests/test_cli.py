@@ -68,6 +68,27 @@ class TestSpeedCommand:
         assert "config error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags", [["--track-steps", "1"],
+                                       ["--angle", "nan"]])
+    def test_tracking_checked_before_bisection(self, flags, tmp_path, capsys,
+                                               monkeypatch):
+        from qcp import cli
+
+        def no_bisection(*args, **kwargs):
+            raise AssertionError("bisection ran before the tracking "
+                                 "settings were checked")
+
+        monkeypatch.setattr(cli, "estimate_cstar", no_bisection)
+        out = tmp_path / "out"
+        code = run(["speed", "--method", "both", "--kernel-L", "4",
+                    "--out", "speed.csv", "--out-dir", str(out)] + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "config error" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestErrors:
     def test_missing_config_file(self, capsys):
         assert run(["mean-field", "--config", "/nonexistent.json"]) == 1

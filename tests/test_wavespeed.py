@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcp import wavespeed
 from qcp.ide import Profile1D, apply_Q_1d
-from qcp.kernel import Kernel1D, marginal_1d
+from qcp.kernel import Kernel1D, discretize, marginal_1d
 from qcp.mean_field import Params, equilibria, mean_field_trace
 from qcp.wavespeed import (AT_OR_ABOVE, BELOW, PsiSpec, build_phi,
                            classify_speed, default_directions,
                            default_psi_spec, estimate_cstar,
-                           front_speed_tracking, iterate_wave_profiles,
-                           make_psi, validate_direction_triple,
-                           weinberger_step)
+                           front_speed_tracking, make_psi,
+                           validate_direction_triple, weinberger_step)
 
 from conftest import seeded
 
@@ -55,6 +56,38 @@ GOLDEN_PHI_BRACKETS = [(0.16450272801643787, 0.17945752147247768),
                        (0.17945752147247768, 0.1944123149285175)]
 # steps per direction; the third bisection is shared with the second
 GOLDEN_PHI_ITERATIONS = [7575, 24688, 0]
+
+
+def iterate_wave_profiles(k1s, c, p, psi, n):
+    """n steps of weinberger_step per direction from the shared psi grid:
+    the reference for the recursion build_phi runs."""
+    profiles = []
+    for k1 in k1s:
+        f = psi
+        for _ in range(n):
+            f = weinberger_step(f, c, k1, p, psi)
+        profiles.append(f)
+    return profiles
+
+
+def assert_iterates_match(c, psi, k1, p, steps):
+    """The windowed iterates equal repeated weinberger_step bit for bit,
+    and each one equals its predecessor outside the span it names.
+    Returns the spans and the limits from psi's on."""
+    iterates = wavespeed._front_iterates(c, psi, k1, p)
+    f, spans, limits = psi, [], [(psi.left_limit, psi.right_limit)]
+    for _ in range(steps):
+        prev = f.values
+        f = weinberger_step(f, c, k1, p, psi)
+        values, left, right, span = next(iterates)
+        assert values.tobytes() == f.values.tobytes()
+        assert (left, right) == (f.left_limit, f.right_limit)
+        outside = np.ones(len(values), dtype=bool)
+        outside[span] = False
+        assert values[outside].tobytes() == prev[outside].tobytes()
+        spans.append(span)
+        limits.append((left, right))
+    return spans, limits
 
 
 class TestPsi:
@@ -195,6 +228,11 @@ class TestSettings:
         with pytest.raises(ValueError, match="tol"):
             classify_speed(0.1, (1.0, 0.0), dk8, p_main, tol=tol)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_bad_trial_speed_rejected(self, dk8, p_main, c):
+        with pytest.raises(ValueError, match="trial speed"):
+            classify_speed(c, (1.0, 0.0), dk8, p_main)
+
     @pytest.mark.parametrize("max_iter", [0, -5])
     def test_bad_max_iter_rejected(self, dk8, p_main, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
@@ -229,14 +267,19 @@ class TestBitIdentical:
                                             0.01, None)
         assert wavespeed._classify_with_state(c, state, 10 * steps) == \
             (cls, steps)
-        psi, k1 = state["psi"], state["k1"]
-        f = psi
-        iterates = wavespeed._front_iterates(c, state)
-        for _ in range(steps):
-            f = weinberger_step(f, c, k1, p_main, psi)
-            values, left, right = next(iterates)
-            assert np.array_equal(values, f.values)
-            assert (left, right) == (f.left_limit, f.right_limit)
+        assert_iterates_match(c, state["psi"], state["k1"], p_main, steps)
+
+    def test_widened_budget_resumes(self, dk8, p_main):
+        # the longest e1 probe runs 18,352 steps, past two widenings of a
+        # 2,000-step budget; only the steps actually run are counted
+        res = estimate_cstar((1.0, 0.0), dk8, p_main, tol=0.01,
+                             max_iter=2000)
+        assert res.trace == GOLDEN_E1_TRACE
+        assert res.bracket == GOLDEN_E1_BRACKET
+        assert res.iterations == GOLDEN_E1_ITERATIONS
+        with pytest.raises(wavespeed.SpeedIndeterminate,
+                           match="after 16000 iterations"):
+            estimate_cstar((1.0, 0.0), dk8, p_main, tol=0.01, max_iter=1000)
 
     def test_memo_keeps_directions_apart(self, dk8, p_main):
         dirs = default_directions()
@@ -253,6 +296,63 @@ class TestBitIdentical:
         assert hit.iterations == 0
         assert hit.trace == fresh.trace and hit.bracket == fresh.bracket
         assert np.array_equal(hit.xi, dirs[2])
+
+
+class TestWindowedRecursion:
+    """Each probe step recomputes only where the last iterate changed;
+    repeated weinberger_step on the full grid is the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(2, 8), angle=st.floats(0.0, 2 * math.pi),
+           eta=st.floats(0.005, 0.18), excess=st.floats(0.05, 1.0),
+           shift=st.floats(-1.0, 1.0), beyond=st.booleans(),
+           steps=st.integers(1, 300))
+    def test_equals_weinberger_step(self, square_spec, L, angle, eta, excess,
+                                    shift, beyond, steps):
+        dk = discretize(square_spec, L)
+        onset = 4.0 * eta / (1.0 - eta)  # bistable for beta above it
+        p = Params(onset + excess * (1.0 - onset), eta)
+        state = wavespeed._classifier_state(
+            (math.cos(angle), math.sin(angle)), dk, p, None, 0.01, None)
+        psi = state["psi"]
+        span = psi.s_max - psi.s0
+        # c in [-d - 1, d + 1], or a shift past the grid end
+        c = (math.copysign(span, shift) + shift * span if beyond
+             else shift * (dk.support_diameter + 1.0))
+        assert_iterates_match(c, psi, state["k1"], p, steps)
+
+    def test_left_limit_still_moving(self, dk8):
+        # near the bistability onset the plateau converges slowly
+        p = Params(0.25, 0.05)
+        state = wavespeed._classifier_state((1.0, 0.0), dk8, p, None, 0.01,
+                                            None)
+        spans, limits = assert_iterates_match(0.05, state["psi"],
+                                              state["k1"], p, 300)
+        assert limits[-1][0] != limits[-2][0]
+        assert all(sp.start == 0 for sp in spans)
+
+    def test_right_limit_still_moving(self, dk8, p_main):
+        # a right limit just above rho_u climbs slowly towards rho_s
+        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, None,
+                                            0.01, None)
+        psi, k1 = state["psi"], state["k1"]
+        eq = equilibria(p_main)
+        right = eq.rho_u + 1e-3 * (eq.rho_s - eq.rho_u)
+        psi = Profile1D(psi.s0, psi.delta, np.maximum(psi.values, right),
+                        psi.left_limit, right)
+        spans, limits = assert_iterates_match(-0.2, psi, k1, p_main, 100)
+        assert limits[-1][1] != limits[-2][1]
+        assert all(sp.stop == len(psi.values) for sp in spans)
+
+    def test_off_grid_shift(self, dk8, p_main):
+        state = wavespeed._classifier_state((0.6, 0.8), dk8, p_main, None,
+                                            0.01, None)
+        psi = state["psi"]
+        c = 0.3
+        assert c / psi.delta != round(c / psi.delta)
+        spans, _ = assert_iterates_match(c, psi, state["k1"], p_main, 300)
+        # the window is narrower than the grid once the plateau settles
+        assert min(sp.stop - sp.start for sp in spans) < len(psi.values) // 2
 
 
 class TestTracking:
@@ -299,6 +399,16 @@ class TestPhi:
         assert np.array_equal(profs[0].values, profs[2].values)
         phi = np.min([f.values for f in profs], axis=0)
         assert np.array_equal(phi, profs[0].values)
+
+    def test_recursion_matches_reference(self, phi_main, dk8, p_main):
+        phi = phi_main.phi
+        psi = make_psi(default_psi_spec(p_main, dk8), phi.delta,
+                       s_min=phi.s0, s_max=phi.s_max)
+        profs = iterate_wave_profiles(phi_main.kernels1d, phi_main.c, p_main,
+                                      psi, phi_main.n_iter)
+        assert phi.values.tobytes() == \
+            np.min([f.values for f in profs], axis=0).tobytes()
+        assert phi.left_limit == min(f.left_limit for f in profs)
 
     def test_golden_constants(self, phi_main):
         assert phi_main.alpha == pytest.approx(GOLDEN_PHI["alpha"], abs=1e-9)
