@@ -96,10 +96,9 @@ def _convert(tp, value):
 
 
 # one key per ExperimentConfig field, "_" -> "-", with its annotation and
-# default; no key for K, block_N, delta: no subcommand runs block_goodness
+# default
 _FIELDS = {f.name.replace("_", "-"): f
-           for f in dataclasses.fields(ExperimentConfig)
-           if f.name not in ("K", "block_N", "delta")}
+           for f in dataclasses.fields(ExperimentConfig)}
 _HINTS = typing.get_type_hints(ExperimentConfig)
 _EXPERIMENT = {key: (_HINTS[f.name], f.default_factory()
                      if f.default is dataclasses.MISSING else f.default)

@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from . import comparison, lattice
 from .ide import Field2D, evolve
@@ -43,9 +42,6 @@ class ExperimentConfig:
     W: float = 4.0
     steps: int = 5
     horizon: int = 500
-    K: float = 1.0
-    block_N: int = 30
-    delta: float | None = None
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     beta_grid: tuple[float, ...] = ()
     eta_grid: tuple[float, ...] = ()
@@ -104,7 +100,7 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
     rows = []
     for L in cfg.L_list:
         dk = discretize(spec, L)
-        side = int(round(cfg.W * L))
+        side = lattice.window_side(cfg.W, L)
         xs = np.arange(side) / L
         vals = _field_values(u0, xs, xs)
         u_field = Field2D(0.0, 0.0, 1.0 / L, vals, boundary="periodic")
@@ -129,26 +125,34 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
     return rows
 
 
-def block_goodness(cfg: ExperimentConfig) -> dict:
+def block_goodness(cfg: ExperimentConfig, *, K: float = 1.0,
+                   block_N: int = 30, delta: float | None = None) -> dict:
     """Estimate the probability that goodness of the center block
     propagates to both horizontal neighbor blocks after block_N steps.
 
-    A block is good when every box fully inside it has density at least
-    rho_u + 2 delta.  The initial state is supercritical product
+    Blocks are squares of half-width K.  A block is good when every box
+    fully inside it has density at least rho_u + 2 delta (delta defaults
+    to (rho_s - rho_u)/8).  The initial state is supercritical product
     measure inside the center block and empty outside.
     """
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K}")
+    if block_N < 0:
+        raise ValueError(f"block_N must be nonnegative, got {block_N}")
+    if delta is not None and not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     p = cfg.params
     eq = equilibria(p)
     if eq.rho_u is None:
         raise ValueError("block construction needs bistable parameters")
-    delta = cfg.delta if cfg.delta is not None else (eq.rho_s - eq.rho_u) / 8.0
+    if delta is None:
+        delta = (eq.rho_s - eq.rho_u) / 8.0
     if not eq.rho_s - 2 * delta > eq.rho_u + 2 * delta:
         raise ValueError("delta too large: need rho_s - 2d > rho_u + 2d")
     L = cfg.L_list[0]
     dk = discretize(build_kernel(cfg.kernel), L)
-    side = int(round(cfg.W * L))
+    side = lattice.window_side(cfg.W, L)
     mid = 0.5 * cfg.W
-    K, N = cfg.K, cfg.block_N
     if mid - 3 * K < 0 or mid + 3 * K > cfg.W:
         raise ValueError("window too small for the three blocks")
     p0 = min(0.95, eq.rho_u + 2 * delta + 0.1)
@@ -180,7 +184,7 @@ def block_goodness(cfg: ExperimentConfig) -> dict:
         stats0 = lattice.box_stats(state, cfg.gamma)
         if not good(stats0, block_boxes(stats0, mid)):
             raise RuntimeError("initial block not good; raise p0")
-        for _ in range(N):
+        for _ in range(block_N):
             state, _ = lattice.step(state, dk, p, rng, anchor="site")
         stats = lattice.box_stats(state, cfg.gamma)
         return (good(stats, block_boxes(stats, mid + 2 * K))
@@ -190,7 +194,7 @@ def block_goodness(cfg: ExperimentConfig) -> dict:
     k = sum(outcomes)
     nn = len(outcomes)
     lo, hi = _wilson_interval(k, nn)
-    return {"L": L, "K": K, "N": N, "delta": delta, "p0": p0,
+    return {"L": L, "K": K, "N": block_N, "delta": delta, "p0": p0,
             "seeds": nn, "good_both": k, "estimate": k / nn,
             "eps_hat": 1.0 - k / nn, "ci_low": lo, "ci_high": hi}
 
@@ -404,6 +408,8 @@ def property5_check(points, space_side: float, horizon: float,
             inside = np.all((pts >= lo) & (pts < hi), axis=1)
             if int(inside.sum()) >= 2:
                 observed += 1
+    # imported here: it costs about 1.4 s and most runs never need it
+    from scipy.stats import binom
     # reject only if observed count is implausibly high under the bound
     critical = int(binom.ppf(1.0 - level, n_probes, bound))
     return {"passed": observed <= max(critical, 0), "observed": observed,
@@ -421,6 +427,8 @@ def property6_check(points, space_side: float, horizon: float, eps: float,
     side below it and unit time depth, and each family is tested by
     sliding over integer time translates.
     """
+    # imported here: it costs about 1.4 s and most runs never need it
+    from scipy.stats import binom
     gen = np.random.Generator(np.random.Philox(key=np.array(
         [probe_seed, 6], dtype=np.uint64)))
     pts = np.array([[pt.location[0], pt.location[1], pt.t]

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .kernel import DiscreteKernel, Kernel1D
 from .mean_field import Params, mf_step
@@ -46,6 +45,10 @@ class Field2D:
             raise ValueError("values must be a 2D grid with a node")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError("grid spacing h must be positive and finite")
+        if not all(map(math.isfinite, (self.x0, self.y0, self.clamp_value))):
+            raise ValueError("x0, y0 and clamp_value must be finite")
         # written so that NaN, which fails every comparison, is rejected
         if not (self.values.min() >= -1e-12
                 and self.values.max() <= 1.0 + 1e-12):
@@ -122,6 +125,8 @@ def convolve_sq(u: Field2D, dk: DiscreteKernel, method: str = "auto") -> np.ndar
         raise ValueError(f"unknown convolution method {method!r}")
     if u.boundary == "periodic":
         return periodic_correlate(usq, shifts, dk.masses)
+    # imported here: it costs about 1.4 s and most runs never need it
+    from scipy.signal import fftconvolve
     fill = u.clamp_value * u.clamp_value
     padded = np.pad(usq, radius, mode="constant", constant_values=fill)
     dense = np.zeros((2 * radius + 1, 2 * radius + 1))
@@ -190,6 +195,10 @@ class Profile1D:
         if not (math.isfinite(self.left_limit)
                 and math.isfinite(self.right_limit)):
             raise ValueError("profile limits must be finite")
+        if not math.isfinite(self.s0):
+            raise ValueError("profile origin s0 must be finite")
+        if not np.isfinite(self.values).all():
+            raise ValueError("profile values must be finite")
 
     @property
     def grid(self) -> np.ndarray:

@@ -69,6 +69,8 @@ def build_kernel(spec: KernelSpec) -> KernelSpec:
         if not entries:
             raise ValueError("table kernel needs at least one entry")
         entries = [(float(dx), float(dy), float(m)) for dx, dy, m in entries]
+        if not all(math.isfinite(v) for e in entries for v in e):
+            raise ValueError("table offsets and masses must be finite")
         total = math.fsum(m for _, _, m in entries)
         if any(m < 0 for _, _, m in entries):
             raise ValueError("table masses must be nonnegative")

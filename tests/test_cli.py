@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +286,33 @@ class TestReproducibility:
             outs.append(read_data_files(d))
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+
+# Runs in a fresh interpreter: this test session has imported scipy already.
+_COLD_START = """
+import json, sys
+import qcp, qcp.cli
+out = sys.argv[1]
+for argv in (
+        ["mean-field", "--out", "trace.csv"],
+        ["lattice-run", "--L", "4", "--W", "2", "--steps", "2",
+         "--snapshot-every", "2"],
+        ["ide-run", "--L", "4", "--W", "2", "--steps", "2"],
+        ["speed", "--kernel-L", "4", "--tol", "0.05", "--out", "speed.csv"],
+        ["phase-scan", "--horizon", "5", "--phase-L", "4", "--phase-W", "3"]):
+    code = qcp.cli.run(argv + ["--out-dir", f"{out}/{argv[0]}"])
+    assert code == 0, (argv, code)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+class TestColdStart:
+    def test_main_paths_do_not_import_scipy(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", _COLD_START,
+                               str(tmp_path)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []

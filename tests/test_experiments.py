@@ -17,7 +17,7 @@ from qcp.rng import LatticeRng
 
 def small_cfg(**kw):
     base = dict(beta=1.0, eta=0.05, L_list=(10,), gamma=0.3, W=3.0,
-                steps=2, horizon=60, K=0.5, block_N=10, seeds=(1, 2))
+                steps=2, horizon=60, seeds=(1, 2))
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -92,28 +92,41 @@ class TestHydro:
 
 class TestBlockGoodness:
     def test_small_run(self):
-        cfg = small_cfg(L_list=(25,), W=4.0, K=0.5, block_N=8,
-                        seeds=tuple(range(1, 9)))
-        out = block_goodness(cfg)
+        cfg = small_cfg(L_list=(25,), W=4.0, seeds=tuple(range(1, 9)))
+        out = block_goodness(cfg, K=0.5, block_N=8)
         assert 0.0 <= out["estimate"] <= 1.0
         assert out["ci_low"] <= out["estimate"] <= out["ci_high"]
         assert out["good_both"] <= out["seeds"]
+        assert (out["K"], out["N"]) == (0.5, 8)
 
     def test_supercritical_death_fails(self):
-        cfg = small_cfg(L_list=(25,), W=4.0, K=0.5, block_N=12,
-                        seeds=(1, 2, 3), eta=0.5, beta=1.0)
+        cfg = small_cfg(L_list=(25,), W=4.0, seeds=(1, 2, 3), eta=0.5,
+                        beta=1.0)
         with pytest.raises(ValueError, match="bistable"):
-            block_goodness(cfg)
+            block_goodness(cfg, K=0.5, block_N=12)
 
     def test_delta_too_large_rejected(self):
-        cfg = small_cfg(L_list=(25,), W=4.0, delta=0.5)
+        cfg = small_cfg(L_list=(25,), W=4.0)
         with pytest.raises(ValueError, match="delta"):
-            block_goodness(cfg)
+            block_goodness(cfg, K=0.5, delta=0.5)
 
     def test_window_must_fit_blocks(self):
-        cfg = small_cfg(L_list=(25,), W=2.0, K=1.0)
+        cfg = small_cfg(L_list=(25,), W=2.0)
         with pytest.raises(ValueError, match="window"):
-            block_goodness(cfg)
+            block_goodness(cfg, K=1.0)
+
+    @pytest.mark.parametrize("kw", [
+        {"K": 0.0}, {"K": -0.5}, {"K": float("nan")}, {"K": float("inf")},
+        {"block_N": -1}, {"delta": 0.0}, {"delta": -0.01},
+        {"delta": float("nan")}, {"delta": float("inf")}])
+    def test_block_arguments_validated(self, kw):
+        cfg = small_cfg(L_list=(25,), W=4.0)
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            block_goodness(cfg, **{"K": 0.5, **kw})
+
+    def test_block_fields_left_config(self):
+        with pytest.raises(TypeError):
+            small_cfg(K=0.5)
 
 
 def phase_scan_oracle(cfg, init="all_ones", square_side=2.0):

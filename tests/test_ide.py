@@ -188,6 +188,28 @@ class TestProfileAndField:
         with pytest.raises(ValueError, match="limit"):
             Profile1D(0.0, 0.1, np.zeros(3), left, right)
 
+    @pytest.mark.parametrize("kw", [
+        {"h": np.nan}, {"h": 0.0}, {"h": -1.0}, {"h": np.inf},
+        {"x0": np.nan}, {"y0": np.nan}, {"x0": -np.inf}, {"y0": np.inf},
+        {"clamp_value": np.nan}, {"clamp_value": np.inf}])
+    def test_field_rejects_bad_geometry(self, kw):
+        args = {"x0": 0.0, "y0": 0.0, "h": 0.1, "values": np.zeros((4, 4)),
+                "boundary": "clamped", **kw}
+        with pytest.raises(ValueError, match="finite"):
+            Field2D(**args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_profile_rejects_nonfinite_values(self, bad):
+        vals = np.full(5, 0.5)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="values"):
+            Profile1D(0.0, 0.1, vals, 0.5, 0.5)
+
+    @pytest.mark.parametrize("s0", [np.nan, np.inf, -np.inf])
+    def test_profile_rejects_nonfinite_origin(self, s0):
+        with pytest.raises(ValueError, match="s0"):
+            Profile1D(s0, 0.1, np.zeros(3), 0.0, 0.0)
+
     def test_field_csv_round_trip(self, tmp_path):
         u = Field2D(-1.0, 2.0, 0.25, seeded(10).random((6, 6)),
                     boundary="clamped", clamp_value=0.2)

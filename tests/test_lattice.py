@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -307,3 +308,46 @@ class TestSnapshots:
         back = load_snapshot(path)
         assert back.L == s.L and back.side == s.side and back.time == 17
         assert np.array_equal(back.occ, s.occ)
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(1, 16), L=st.integers(1, 8),
+           fill=st.sampled_from(["zeros", "ones", "random"]),
+           occ_seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 1.0),
+           time=st.integers(0, 10 ** 9))
+    def test_round_trip_property(self, tmp_path_factory, side, L, fill,
+                                 occ_seed, density, time):
+        if fill == "random":
+            occ = np.random.default_rng(occ_seed).random((side, side)) < density
+        else:
+            occ = np.full((side, side), fill == "ones")
+        s = LatticeState(L, side, occ, time)
+        path = tmp_path_factory.mktemp("snap") / "snap.json"
+        save_snapshot(s, path)
+        back = load_snapshot(path)
+        assert (back.L, back.side, back.time) == (L, side, time)
+        assert back.W == s.W
+        assert back.occ.dtype == np.uint8
+        assert np.array_equal(back.occ, s.occ)
+
+    @pytest.mark.parametrize("side, header, rle", [
+        (8, {}, [10]),                      # covers 10 of 64 sites
+        (8, {}, [100, 3]),                  # runs past the grid
+        (8, {}, [70, -6]),                  # negative run
+        (8, {}, [32.5, 31.5]),              # not integers
+        (8, {}, [True, 63]),                # a bool is no run length
+        (8, {"first_bit": 7}, [64]),
+        (8, {"first_bit": None}, [64]),
+        (8, {"n": -5}, [64]),
+        (8, {"n": 1.5}, [64]),
+        (8, {"L": 0}, [64]),
+        (0, {}, []),
+        (-2, {}, [4]),
+        (2, {}, "4"),
+    ])
+    def test_malformed_snapshot_rejected(self, tmp_path, side, header, rle):
+        head = {"L": 4, "W": 2.0, "side": side, "n": 3, "first_bit": 0,
+                **header}
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps({"header": head, "rle": rle}))
+        with pytest.raises(ValueError):
+            load_snapshot(path)
