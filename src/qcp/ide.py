@@ -11,6 +11,7 @@ line marginal.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,12 @@ BOUNDARIES = ("periodic", "clamped")
 
 # direct summation above this support size costs more than FFTs
 _FFT_SUPPORT_THRESHOLD = 400
+
+# Inside an evolve call: a list holding the kernel spectrum once the
+# first step has computed it; None elsewhere.  Every step of one call
+# correlates the same kernel on the same grid, so later steps reuse it.
+_evolve_spectrum: ContextVar[list | None] = ContextVar("evolve_spectrum",
+                                                       default=None)
 
 
 @dataclass
@@ -138,14 +145,22 @@ def periodic_correlate(a: np.ndarray, shifts: np.ndarray,
                        masses: np.ndarray) -> np.ndarray:
     """sum_w masses(w) a(x + w) over the integer shifts w, on the torus
     of a's shape, by FFT (the kernel is even, so this is also the
-    convolution)."""
+    convolution).  Within one evolve call the kernel's spectrum is
+    computed at the first step only."""
     nx, ny = a.shape
     radius = int(np.max(np.abs(shifts))) if len(shifts) else 0
     if 2 * radius + 1 > min(nx, ny):
         raise ValueError("kernel support exceeds periodic window")
-    kern = np.zeros_like(a)
-    np.add.at(kern, (shifts[:, 0] % nx, shifts[:, 1] % ny), masses)
-    return np.fft.irfft2(np.fft.rfft2(a) * np.fft.rfft2(kern), s=a.shape)
+    memo = _evolve_spectrum.get()
+    if memo:
+        spectrum = memo[0]
+    else:
+        kern = np.zeros_like(a)
+        np.add.at(kern, (shifts[:, 0] % nx, shifts[:, 1] % ny), masses)
+        spectrum = np.fft.rfft2(kern)
+        if memo is not None:
+            memo.append(spectrum)
+    return np.fft.irfft2(np.fft.rfft2(a) * spectrum, s=a.shape)
 
 
 def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params,
@@ -169,11 +184,15 @@ def evolve(u: Field2D, dk: DiscreteKernel, p: Params, n: int,
         raise ValueError("taps must lie in [0, n]")
     out = []
     cur = u
-    for t in range(n + 1):
-        if t in taps:
-            out.append(cur.copy() if cur is u else cur)
-        if t < n:
-            cur = apply_Q_2d(cur, dk, p, method=method)
+    token = _evolve_spectrum.set([])
+    try:
+        for t in range(n + 1):
+            if t in taps:
+                out.append(cur.copy() if cur is u else cur)
+            if t < n:
+                cur = apply_Q_2d(cur, dk, p, method=method)
+    finally:
+        _evolve_spectrum.reset(token)
     return out
 
 

@@ -145,13 +145,33 @@ def _coins(rng: _rng.LatticeRng, n: int, side: int):
 
 
 def _parents(dk: DiscreteKernel, side: int, base_i, base_j, u_off, u_nbr):
-    """Parents y, through the kernel around the base sites, and z, a
-    uniform neighbour of y; element-wise, so any subset draws the same."""
+    """Flat site indices of the parents: y, through the kernel around the
+    base sites, and z, a uniform neighbour of y.  Element-wise, so any
+    subset of sites draws the same parents."""
+    # a coordinate k in [-r, side + r) wraps to wrap[k + r]; r reaches
+    # past the farthest kernel offset by the one neighbour step
+    r = int(np.abs(dk.offsets).max()) + 1
+    wrap = np.arange(-r, side + r) % side
+
+    def wrapped(coord, shift):
+        coord += shift
+        coord += r
+        return wrap[coord]
+
     idx = dk.sample_indices(u_off)
-    yi = (base_i + dk.offsets[idx, 0]) % side
-    yj = (base_j + dk.offsets[idx, 1]) % side
-    nsel = np.minimum((u_nbr * 4.0).astype(np.int64), 3)
-    return yi, yj, (yi + _NBR_DI[nsel]) % side, (yj + _NBR_DJ[nsel]) % side
+    yi = wrapped(dk.offsets[idx, 0], base_i)
+    yj = wrapped(dk.offsets[idx, 1], base_j)
+    del idx
+    nsel = (u_nbr * 4.0).astype(np.int64)
+    np.minimum(nsel, 3, out=nsel)
+    zi = wrapped(_NBR_DI[nsel], yi)
+    zj = wrapped(_NBR_DJ[nsel], yj)
+    del nsel
+    yi *= side
+    yi += yj
+    zi *= side
+    zi += zj
+    return yi, zi
 
 
 def step(s: LatticeState, dk: DiscreteKernel, p: Params,
@@ -174,26 +194,31 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     u_att, u_off, u_nbr, u_die = _coins(rng, n, side)
 
     occ0 = s.occ.astype(bool)
-    attempts = (~occ0) & (u_att < p.beta)
-    ai, aj = np.nonzero(attempts)
-
-    if anchor == "site":
-        base_i, base_j = ai, aj
-    else:
-        b = box_side_sites(s.L, gamma)
-        base_i, base_j = (ai // b) * b, (aj // b) * b
-    yi, yj, zi, zj = _parents(dk, side, base_i, base_j, u_off[ai, aj],
-                              u_nbr[ai, aj])
-
-    born = occ0[yi, yj] & occ0[zi, zj]
-    after_births = occ0.copy()
-    after_births[ai[born], aj[born]] = True
-
+    f = np.flatnonzero(~occ0 & (u_att < p.beta))  # the birth attempts
+    del u_att
     dies = u_die < p.eta
+    del u_die
+    u_off = u_off.ravel()[f]
+    u_nbr = u_nbr.ravel()[f]
+
+    base_i, base_j = np.divmod(f, side)
+    if anchor == "box_corner":
+        b = box_side_sites(s.L, gamma)
+        base_i -= base_i % b
+        base_j -= base_j % b
+    y, z = _parents(dk, side, base_i, base_j, u_off, u_nbr)
+    del base_i, base_j, u_off, u_nbr
+
+    flat0 = occ0.ravel()
+    born = flat0[y]
+    born &= flat0[z]
+    del y, z
+    after_births = occ0.copy()
+    after_births.ravel()[f[born]] = True
     final = after_births & ~dies
 
     report = StepReport(
-        births_attempted=int(len(ai)),
+        births_attempted=int(len(f)),
         births=int(born.sum()),
         deaths=int((after_births & dies).sum()),
         gamma=gamma,
@@ -235,15 +260,25 @@ def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
     """Labels B_{time+1} from B_time: B_n(x) = inf{beta : x occupied at n}
     over the site-anchored runs on rng's coins, so the run at beta has
     occupancy ``B < beta``.  B_0 is -inf on occupied sites, +inf elsewhere.
+
+    The new label is min(B, max(u_att, B(y), B(z))) for parents y, z, or
+    +inf where the site dies.  Where u_att >= B it is B itself, so the
+    parents are drawn only at the sites with u_att < B that survive.
     """
     side = B.shape[0]
     u_att, u_off, u_nbr, u_die = _coins(rng, time + 1, side)
-    ii, jj = np.indices((side, side)).reshape(2, -1)  # one draw per site
-    yi, yj, zi, zj = _parents(dk, side, ii, jj, u_off.ravel(), u_nbr.ravel())
-    born = np.maximum(B[yi, yj], B[zi, zj]).reshape(side, side)
-    out = np.minimum(B, np.maximum(u_att, born))
-    out[u_die < eta] = np.inf
-    return out
+    lab = B.astype(np.float64, order="C").ravel()
+    dead = (u_die < eta).ravel()
+    u_att = u_att.ravel()
+    f = np.flatnonzero((u_att < lab) & ~dead)
+    y, z = _parents(dk, side, *np.divmod(f, side), u_off.ravel()[f],
+                    u_nbr.ravel()[f])
+    born = np.maximum(lab[y], lab[z])
+    np.maximum(born, u_att[f], out=born)
+    np.minimum(born, lab[f], out=born)
+    lab[f] = born
+    lab[dead] = np.inf
+    return lab.reshape(B.shape)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -182,6 +183,62 @@ class TestOverlap:
         assert len(overlaps) == 2
         parents = sorted(tuple(sorted(o.parents)) for o in overlaps)
         assert parents == [(0, 1), (1, 2)]
+
+
+def _within(seconds, fn):
+    """fn() under a wall-clock limit: TimeoutError once it has passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestOverlapCascade:
+    """Sets where each new overlap region touches another region and
+    forms a further one, so overlaps pile up with no catch-up between
+    them; found among the random sets of TestArrayPathAgainstScalarOracle
+    at b = 1.0 and b = 0.2."""
+
+    CASCADES = {
+        "b1": (1.0, [[0.31295065943388345, 0.9497693850403357],
+                     [-0.8545986093871735, -0.5192891456919828],
+                     [0.6897275555807798, -0.7240689877853922]],
+               0.492404861835777,
+               [(0.8890485995239781, 0.21117882623787865, 1.9777054090806403),
+                (0.2018543502178789, 1.405773926460646, 0.5559532977805342),
+                (1.6609881569380391, 0.6716448863953917, 1.6269301748786646),
+                (0.7320141276118324, 1.4908405437057117, 1.414570263911467),
+                (1.222450959330004, 1.5587022116647355, 1.3096795640430563)]),
+        "b0.2": (0.2, [[0.6060892209579433, 0.7953966659715097],
+                       [-0.8664862915563469, 0.49920086793286866],
+                       [-0.3825596861635477, -0.9239307801575007]],
+                 0.6088212054294107,
+                 [(0.3916433763269229, 1.1940596264152163, 1.7688137504864265),
+                  (1.2561839973781235, 0.6836345802423949, 1.228595835367868),
+                  (1.9214168615281058, 1.8344335659298279, 0.4335336295813428),
+                  (1.6967333345083853, 0.39700912252095977, 0.257902035214699),
+                  (0.12461050815674701, 0.35468731908682427,
+                   0.3064315394096844),
+                  (1.792278158710698, 0.6297763390066635,
+                   0.16307306755249762)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASCADES))
+    def test_cascade_raises(self, name):
+        b, dirs, r, spawns = self.CASCADES[name]
+        cfg = small_cfg(r=r, c=0.1, b=b, directions=np.array(dirs))
+        rs = RegionSet(cfg)
+        errors = [point(x, y, t, math.floor(t) + 1, "I", (k, 0))
+                  for k, (x, y, t) in enumerate(spawns)]
+        with pytest.raises(RuntimeError, match="overlap cascade"):
+            _within(60, lambda: (rs.evolve_to(2.0, spawns=errors),
+                                 rs.evolve_to(3.0)))
 
 
 class FineStepOracle:
@@ -505,8 +562,8 @@ class TestArrayPathAgainstScalarOracle:
         seen = {"I": 0, "II": 0, "inside": 0}
         for trial in range(24):
             dirs = random_acute_normals(gen)
-            # b small: at b = 0.2 some of these sets form overlap after
-            # overlap without end (see CHANGES.md)
+            # b small: at b = 0.2 and 1.0 some of these sets form an
+            # overlap cascade, and evolve_to raises (TestOverlapCascade)
             cfg = small_cfg(r=float(gen.uniform(0.2, 1.0)), c=0.1, b=0.05,
                             directions=dirs, alpha=phi.alpha)
             w = cfg.box_side / cfg.L

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcp import ide
 from qcp.ide import Field2D, Profile1D, apply_Q_1d, apply_Q_2d, evolve
 from qcp.kernel import Kernel1D, discretize, marginal_1d
 from qcp.mean_field import equilibria, mean_field_trace, mf_step
@@ -103,6 +104,36 @@ class TestEvolve:
     def test_bad_taps(self, dk8, p_main):
         with pytest.raises(ValueError):
             evolve(const_field(0.5, h=0.125), dk8, p_main, 2, taps=[3])
+
+    @pytest.mark.parametrize("method, h", [
+        ("fft", 0.125), ("fft", 0.0625), ("direct", 0.125),
+    ])
+    def test_equals_repeated_apply_q_2d(self, dk8, p_main, method, h):
+        # evolve computes the kernel spectrum once per call; every step
+        # must still give the bits of a lone apply_Q_2d
+        u = random_field(seeded(8), n=40, h=h)
+        outs = evolve(u, dk8, p_main, 4, taps=range(5), method=method)
+        cur = u
+        for got in outs[1:]:
+            cur = apply_Q_2d(cur, dk8, p_main, method=method)
+            assert np.array_equal(got.values, cur.values)
+
+    def test_kernel_spectrum_once_per_call(self, dk8, p_main, monkeypatch):
+        calls = []
+        rfft2 = np.fft.rfft2
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return rfft2(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft2", spy)
+        u = random_field(seeded(9), n=40)
+        for _ in range(2):
+            calls.clear()
+            evolve(u, dk8, p_main, 5, method="fft")
+            # one transform per step for the field, one for the kernel
+            assert len(calls) == 5 + 1
+            assert ide._evolve_spectrum.get() is None
 
 
 class TestApplyQ1d:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from qcp.ide import Field2D
 from qcp.kernel import KernelSpec, discretize
-from qcp.lattice import (BoxStats, LatticeState, box_side_sites, box_stats,
-                         coupling_discrepancy, init, label_step,
+from qcp.lattice import (BoxStats, LatticeState, _coins, box_side_sites,
+                         box_stats, coupling_discrepancy, init, label_step,
                          load_snapshot, save_snapshot, step)
 from qcp.mean_field import Params
 from qcp.rng import LatticeRng
@@ -200,6 +200,55 @@ class TestGoldenTrajectories:
         assert hashlib.sha256(s.occ.tobytes()).hexdigest() == digest
 
 
+def full_site_label_step(B, time, dk, eta, rng):
+    """label_step with parents drawn at every site and wrapped by %."""
+    side = B.shape[0]
+    u_att, u_off, u_nbr, u_die = _coins(rng, time + 1, side)
+    ii, jj = np.indices((side, side)).reshape(2, -1)
+    idx = dk.sample_indices(u_off.ravel())
+    yi = (ii + dk.offsets[idx, 0]) % side
+    yj = (jj + dk.offsets[idx, 1]) % side
+    nbr = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])[
+        np.minimum((u_nbr.ravel() * 4.0).astype(np.int64), 3)]
+    zi, zj = (yi + nbr[:, 0]) % side, (yj + nbr[:, 1]) % side
+    born = np.maximum(B[yi, yj], B[zi, zj]).reshape(side, side)
+    out = np.minimum(B, np.maximum(u_att, born))
+    out[u_die < eta] = np.inf
+    return out
+
+
+class TestMonotoneCoupling:
+    """Same-seed steps are monotone in beta and in the initial state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(1, 12), L=st.integers(1, 6),
+           anchor=st.sampled_from(["site", "box_corner"]),
+           occ_seed=st.integers(0, 2 ** 32 - 1),
+           densities=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+           betas=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+           seed=st.integers(0, 2 ** 63 - 1), time=st.integers(0, 10 ** 6),
+           eta=st.floats(0.0, 1.0), steps=st.integers(1, 3))
+    def test_monotone(self, square_spec, side, L, anchor, occ_seed,
+                      densities, betas, seed, time, eta, steps):
+        # A at beta1 must stay inside A at beta2 and inside B at beta1,
+        # for A inside B and beta1 <= beta2
+        dk = discretize(square_spec, L)
+        d_a, d_b = sorted(densities)
+        beta1, beta2 = sorted(betas)
+        u = np.random.default_rng(occ_seed).random((side, side))
+        a = LatticeState(L, side, u < d_a, time)
+        runs = {"a1": (a, beta1), "a2": (a, beta2),
+                "b1": (LatticeState(L, side, u < d_b, time), beta1)}
+        rng = LatticeRng(seed)
+        for _ in range(steps):
+            runs = {k: (step(s, dk, Params(beta, eta), rng, anchor=anchor,
+                             gamma=0.3)[0], beta)
+                    for k, (s, beta) in runs.items()}
+            inner = runs["a1"][0].occ.astype(bool)
+            for outer in ("a2", "b1"):
+                assert not np.any(inner & ~runs[outer][0].occ.astype(bool))
+
+
 class TestLabelStep:
     """Thresholding the label field at beta gives the beta run."""
 
@@ -220,6 +269,30 @@ class TestLabelStep:
             s, _ = step(s, dk, Params(beta, eta), rng, anchor="site")
             B = label_step(B, n, dk, eta, rng)
             assert np.array_equal(B < beta, s.occ.astype(bool))
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(1, 12), L=st.integers(1, 6),
+           field_seed=st.integers(0, 2 ** 32 - 1),
+           seed=st.integers(0, 2 ** 63 - 1), time=st.integers(0, 10 ** 6),
+           eta=st.floats(0.0, 1.0), steps=st.integers(1, 3))
+    def test_equals_full_site_oracle(self, square_spec, side, L, field_seed,
+                                     seed, time, eta, steps):
+        # labels of every kind: -inf, +inf, values in [0, 1] with both
+        # ends, and labels equal to the site's own attempt coin
+        dk = discretize(square_spec, L)
+        rng = LatticeRng(seed)
+        gen = np.random.default_rng(field_seed)
+        kind = gen.integers(0, 6, (side, side))
+        choices = [np.full((side, side), -np.inf),
+                   np.full((side, side), np.inf),
+                   gen.random((side, side)), np.zeros((side, side)),
+                   np.ones((side, side)), _coins(rng, time + 1, side)[0]]
+        B = np.choose(kind, choices)
+        for n in range(time, time + steps):
+            want = full_site_label_step(B, n, dk, eta, rng)
+            B = label_step(B, n, dk, eta, rng)
+            assert np.array_equal(B, want)
+            assert B.dtype == want.dtype
 
 
 class TestBoxStats:
