@@ -38,6 +38,8 @@ _EVENT_GUARD = 1_000_000
 # this many contact events in a row, with no spawn, catch-up or vanish
 # between them, is an overlap cascade (see RegionSet.evolve_to)
 _CASCADE_RUN = 32
+# ages of the recovery profile a new ProfileCache builds
+_PROFILE_AGES = 16
 
 # same-time event ordering: creations first, then interactions
 _PRIO_SPAWN = 0
@@ -90,10 +92,10 @@ class ComparisonConfig:
         return 1.0  # max{1, beta^2} with beta <= 1
 
 
-def make_comparison_config(phi: PhiData, dk, L: int, gamma: float,
-                           ceil_r: bool = True,
-                           delta1: float | None = None) -> ComparisonConfig:
-    """Derive all constants from the recovery profile."""
+def make_comparison_config(phi: PhiData, dk, L: int,
+                           gamma: float) -> ComparisonConfig:
+    """Derive all constants from the recovery profile: delta1 is half the
+    one-step rise Q(alpha) - alpha, and r = ceil(l + d(B) + c + d(k))."""
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must lie in (0, 1/2)")
     p = phi.params
@@ -105,10 +107,7 @@ def make_comparison_config(phi: PhiData, dk, L: int, gamma: float,
     if margin <= 0:
         raise ValueError("alpha has no one-step rise; rebuild phi with "
                          "fewer iterations")
-    if delta1 is None:
-        delta1 = margin / 2.0
-    if not 0.0 < delta1 < margin:
-        raise ValueError(f"delta1 must lie in (0, {margin})")
+    delta1 = margin / 2.0
 
     # smallest strict bound on Q_i[phi] - phi over s < 0
     neg = phi.phi.grid < 0.0
@@ -124,9 +123,7 @@ def make_comparison_config(phi: PhiData, dk, L: int, gamma: float,
     bside = box_side_sites(L, gamma)
     d_B = math.sqrt(2.0) * bside / L
     c = phi.c
-    r = phi.l + d_B + c + d_k
-    if ceil_r:
-        r = float(math.ceil(r))
+    r = float(math.ceil(phi.l + d_B + c + d_k))
     return ComparisonConfig(alpha=alpha, c=c, b=2.0 * d_k, r=r,
                             delta1=delta1, delta2=delta2, gamma=gamma, L=L,
                             d_k=d_k, d_B=d_B, box_side=bside,
@@ -218,9 +215,10 @@ def _circumradius(R: VacantRegion, t: float, normals: np.ndarray) -> float:
 
 
 def spawn_region(e: ErrorPoint, cfg: ComparisonConfig,
-                 directions: np.ndarray, rid: int = 0) -> VacantRegion:
-    """Inward-shrinking triangle of inradius r centered at the error."""
-    normals = np.asarray(directions, dtype=float)
+                 rid: int = 0) -> VacantRegion:
+    """Inward-shrinking triangle of inradius r centered at the error,
+    with the normals cfg.directions."""
+    normals = np.asarray(cfg.directions, dtype=float)
     reg = VacantRegion(rid, "spawned", e.t, e.step, e.location,
                        h0=[cfg.r] * 3, rates=[-cfg.c] * 3,
                        modes=["in"] * 3)
@@ -262,7 +260,7 @@ class RegionSet:
     # -- evolution -------------------------------------------------------
 
     def insert_spawn(self, e: ErrorPoint) -> VacantRegion:
-        reg = spawn_region(e, self.cfg, self.normals, rid=self.next_id)
+        reg = spawn_region(e, self.cfg, rid=self.next_id)
         self.next_id += 1
         self.regions[reg.id] = reg
         return reg
@@ -476,11 +474,13 @@ class RegionSet:
 
 class ProfileCache:
     """Iterated recovery profiles per (direction, age), widened on the
-    right so the advancing front never reads past the grid."""
+    right so the advancing front never reads past the grid.  Ages up to
+    _PROFILE_AGES are built at once; an older age rebuilds the ladder to
+    at least twice its length."""
 
-    def __init__(self, phi: PhiData, max_age: int = 16):
+    def __init__(self, phi: PhiData):
         self.phi = phi
-        self._build(max_age)
+        self._build(_PROFILE_AGES)
 
     def _build(self, cap: int):
         self.cap = cap

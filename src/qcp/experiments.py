@@ -209,9 +209,10 @@ def _wilson_interval(k: int, n: int, z: float = 1.96):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def survival_floor(p: Params, fallback: float = 0.05) -> float:
+def survival_floor(p: Params) -> float:
+    """rho_u / 2 when bistable, else the fixed floor 0.05."""
     eq = equilibria(p)
-    return eq.rho_u / 2.0 if eq.rho_u is not None else fallback
+    return eq.rho_u / 2.0 if eq.rho_u is not None else 0.05
 
 
 def square_bounds(cfg: ExperimentConfig, square_side: float = 2.0):
@@ -228,9 +229,9 @@ def phase_scan(cfg: ExperimentConfig, init: str = "all_ones",
                square_side: float = 2.0) -> list:
     """Survival frequencies over the (beta, eta) grid.
 
-    init 'all_ones': survival means final density at least the floor
-    (rho_u/2 when bistable, a fixed fallback otherwise).  init
-    'finite_square': survival means any particle alive at the horizon.
+    init 'all_ones': survival means final density at least
+    survival_floor.  init 'finite_square': survival means any particle
+    alive at the horizon.
     Same-seed runs across the grid share coins, so one label run per
     (eta, seed) gives the final state at every beta (lattice.label_step).
     """
@@ -314,10 +315,10 @@ def aligned_side(L: int, gamma: float, W: float) -> int:
 
 
 def run_coupled(p: Params, dk, gamma: float, side: int, steps: int,
-                seed: int, phi: PhiData, cfg: comparison.ComparisonConfig,
-                audit_every: int = 1) -> CoupledRunResult:
+                seed: int, phi: PhiData,
+                cfg: comparison.ComparisonConfig) -> CoupledRunResult:
     """Full coupled trajectory from all-ones: lattice drives errors,
-    errors drive regions, containment audited at integer times."""
+    errors drive regions, containment audited at every step."""
     rng = LatticeRng(seed)
     state = lattice.init("all_ones", dk.L, side=side)
     stats = lattice.box_stats(state, gamma)
@@ -331,9 +332,7 @@ def run_coupled(p: Params, dk, gamma: float, side: int, steps: int,
                                         cache=cache)
         points.extend(errs)
         rs.evolve_to(n, spawns=errs)
-        if n % audit_every == 0:
-            reports.append(
-                comparison.check_containment(stats, rs, phi, cfg, n))
+        reports.append(comparison.check_containment(stats, rs, phi, cfg, n))
     return CoupledRunResult(seed=seed, L=dk.L, steps=steps,
                             boxes=int(stats.nb ** 2), points=points,
                             reports=reports, n_regions=len(rs.regions))
@@ -380,13 +379,21 @@ def error_rate(cfg: ExperimentConfig, phi: PhiData) -> list:
 
 # -- point-process property checks -----------------------------------------
 
+# significance level of the one-sided binomial tests
+_LEVEL = 0.01
+# space-time boxes probed by property5_check, each drawn from the
+# Philox stream keyed [0, 5]
+_PROP5_PROBES = 400
+# cube families drawn by property6_check, from the stream keyed [1, 6]
+_PROP6_FAMILIES = 100
+
+
 def property5_check(points, space_side: float, horizon: float,
-                    box_width: float, n_probes: int = 400,
-                    level: float = 0.01, probe_seed: int = 0) -> dict:
+                    box_width: float) -> dict:
     """Small-box multiplicity: the chance of seeing two or more points
     in a small space-time box must be quadratic in its volume.
 
-    One-sided binomial test at the given level of H0: P(>= 2 in B) <=
+    One-sided binomial test at level _LEVEL of H0: P(>= 2 in B) <=
     2 (nu lambda)^2 with nu the empirical space-time intensity.
     """
     a = 1.5 * box_width
@@ -395,8 +402,8 @@ def property5_check(points, space_side: float, horizon: float,
     nu = len(points) / (space_side ** 2 * horizon) if horizon > 0 else 0.0
     bound = min(1.0, 2.0 * (nu * vol) ** 2)
     gen = np.random.Generator(np.random.Philox(key=np.array(
-        [probe_seed, 5], dtype=np.uint64)))
-    lows = gen.random((n_probes, 3))
+        [0, 5], dtype=np.uint64)))
+    lows = gen.random((_PROP5_PROBES, 3))
     lows[:, :2] *= max(space_side - a, 0.0)
     lows[:, 2] *= max(horizon - tau, 0.0)
     pts = np.array([[pt.location[0], pt.location[1], pt.t]
@@ -411,14 +418,13 @@ def property5_check(points, space_side: float, horizon: float,
     # imported here: it costs about 1.4 s and most runs never need it
     from scipy.stats import binom
     # reject only if observed count is implausibly high under the bound
-    critical = int(binom.ppf(1.0 - level, n_probes, bound))
+    critical = int(binom.ppf(1.0 - _LEVEL, _PROP5_PROBES, bound))
     return {"passed": observed <= max(critical, 0), "observed": observed,
-            "probes": n_probes, "bound": bound, "critical": critical}
+            "probes": _PROP5_PROBES, "bound": bound, "critical": critical}
 
 
 def property6_check(points, space_side: float, horizon: float, eps: float,
-                    l_gamma_sq: float, n_families: int = 100,
-                    level: float = 0.01, probe_seed: int = 1) -> dict:
+                    l_gamma_sq: float) -> dict:
     """Product bound for disjoint small cubes: joint hit frequencies may
     not exceed the product of the per-cube bounds 2 eps L^{2 gamma}
     lambda(B_j).
@@ -430,13 +436,13 @@ def property6_check(points, space_side: float, horizon: float, eps: float,
     # imported here: it costs about 1.4 s and most runs never need it
     from scipy.stats import binom
     gen = np.random.Generator(np.random.Philox(key=np.array(
-        [probe_seed, 6], dtype=np.uint64)))
+        [1, 6], dtype=np.uint64)))
     pts = np.array([[pt.location[0], pt.location[1], pt.t]
                     for pt in points]).reshape(-1, 3)
     area_unit = l_gamma_sq ** 2
     failures = 0
     translates = max(1, int(horizon) - 1)
-    for _ in range(n_families):
+    for _ in range(_PROP6_FAMILIES):
         m = int(gen.integers(2, 4))
         sides = (0.3 + 0.6 * gen.random(m)) * l_gamma_sq
         anchors = gen.random((m, 2)) * (space_side - sides[:, None])
@@ -460,8 +466,9 @@ def property6_check(points, space_side: float, horizon: float, eps: float,
                     break
             hits += ok
         # one-sided binomial test of freq <= target
-        critical = int(binom.ppf(1.0 - level, translates, min(target, 1.0)))
+        critical = int(binom.ppf(1.0 - _LEVEL, translates,
+                                 min(target, 1.0)))
         if hits > critical:
             failures += 1
-    return {"passed": failures == 0, "families": n_families,
+    return {"passed": failures == 0, "families": _PROP6_FAMILIES,
             "failures": failures}

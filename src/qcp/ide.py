@@ -112,33 +112,28 @@ def convolve_sq(u: Field2D, dk: DiscreteKernel, method: str = "auto") -> np.ndar
     shifts = _node_shifts(dk, u.h)
     if method == "auto":
         method = "fft" if len(shifts) > _FFT_SUPPORT_THRESHOLD else "direct"
-    usq = u.values * u.values
-    radius = int(np.max(np.abs(shifts))) if len(shifts) else 0
-
-    if method == "direct":
-        fill = u.clamp_value * u.clamp_value
-        if u.boundary == "periodic":
-            padded = np.pad(usq, radius, mode="wrap")
-        else:
-            padded = np.pad(usq, radius, mode="constant", constant_values=fill)
-        acc = np.zeros_like(usq)
-        nx, ny = usq.shape
-        for (di, dj), m in zip(shifts, dk.masses):
-            acc += m * padded[radius + di:radius + di + nx,
-                              radius + dj:radius + dj + ny]
-        return acc
-
-    if method != "fft":
+    if method not in ("direct", "fft"):
         raise ValueError(f"unknown convolution method {method!r}")
-    if u.boundary == "periodic":
+    usq = u.values * u.values
+    if method == "fft" and u.boundary == "periodic":
         return periodic_correlate(usq, shifts, dk.masses)
-    # imported here: it costs about 1.4 s and most runs never need it
-    from scipy.signal import fftconvolve
-    fill = u.clamp_value * u.clamp_value
-    padded = np.pad(usq, radius, mode="constant", constant_values=fill)
-    dense = np.zeros((2 * radius + 1, 2 * radius + 1))
-    dense[shifts[:, 0] + radius, shifts[:, 1] + radius] = dk.masses
-    return fftconvolve(padded, dense, mode="valid")
+    radius = int(np.max(np.abs(shifts))) if len(shifts) else 0
+    if u.boundary == "periodic":
+        padded = np.pad(usq, radius, mode="wrap")
+    else:
+        fill = u.clamp_value * u.clamp_value
+        padded = np.pad(usq, radius, mode="constant", constant_values=fill)
+    nx, ny = usq.shape
+    if method == "fft":
+        # a node of the window reads the padded grid within the kernel
+        # radius, which stays inside it: no read wraps around the torus
+        return periodic_correlate(padded, shifts, dk.masses)[
+            radius:radius + nx, radius:radius + ny]
+    acc = np.zeros_like(usq)
+    for (di, dj), m in zip(shifts, dk.masses):
+        acc += m * padded[radius + di:radius + di + nx,
+                          radius + dj:radius + dj + ny]
+    return acc
 
 
 def periodic_correlate(a: np.ndarray, shifts: np.ndarray,

@@ -133,10 +133,6 @@ class DiscreteKernel:
     def cdf(self) -> np.ndarray:
         return self._cdf
 
-    def points(self) -> np.ndarray:
-        """Offsets in continuum coordinates."""
-        return self.offsets / float(self.L)
-
     def sample_indices(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0,1) to rows of ``offsets`` by inverse CDF.
 
@@ -269,8 +265,8 @@ def unit_direction(xi) -> np.ndarray:
 def marginal_1d(dk: DiscreteKernel, xi, delta: float) -> Kernel1D:
     """Line marginal of dk along the unit direction xi, binned to the
     grid m*delta with half-open bins, then symmetrised exactly."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:  # written so that NaN fails too
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     xi = unit_direction(xi)
     proj = (dk.offsets @ xi) / dk.L
     bins = np.floor(proj / delta + 0.5).astype(np.int64)

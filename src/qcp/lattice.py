@@ -93,11 +93,15 @@ def init(mode: str, L: int, W: float | None = None, side: int | None = None,
         if points is None:
             raise ValueError("finite_set mode needs points")
         occ = np.zeros((side, side), dtype=np.uint8)
+        w = side / L
         for x, y in points:
-            i = int(math.floor(x * L + 0.5))
-            j = int(math.floor(y * L + 0.5))
-            if not (0 <= i < side and 0 <= j < side):
-                raise ValueError(f"point ({x}, {y}) outside the window")
+            if not (0.0 <= x < w and 0.0 <= y < w):  # NaN fails too
+                raise ValueError(f"point ({x}, {y}) outside the window "
+                                 f"[0, {w})^2")
+            # the window is a torus: the nearest site of a point within
+            # 1/2L of the far edge is site 0
+            i = int(math.floor(x * L + 0.5)) % side
+            j = int(math.floor(y * L + 0.5)) % side
             occ[i, j] = 1
     elif mode == "from_field":
         if field is None or rng is None:
@@ -121,20 +125,11 @@ def box_side_sites(L: int, gamma: float) -> int:
 
 @dataclass
 class StepReport:
-    """Counters plus optional one-step moment diagnostics.
-
-    exp_hat is the per-box mean of the per-site occupation probabilities
-    p_x conditioned on the previous configuration (the closed form for
-    the corner-anchored variant); k_box is the kernel-weighted occupied
-    pair density K evaluated at box corners.
-    """
+    """Counters of one step: birth attempts, births and deaths."""
 
     births_attempted: int
     births: int
     deaths: int
-    gamma: float | None = None
-    exp_hat: np.ndarray | None = None
-    k_box: np.ndarray | None = None
 
 
 def _coins(rng: _rng.LatticeRng, n: int, side: int):
@@ -176,8 +171,7 @@ def _parents(dk: DiscreteKernel, side: int, base_i, base_j, u_off, u_nbr):
 
 def step(s: LatticeState, dk: DiscreteKernel, p: Params,
          rng: _rng.LatticeRng, anchor: str = "site",
-         gamma: float | None = None,
-         with_expectation: bool = False) -> tuple[LatticeState, StepReport]:
+         gamma: float | None = None) -> tuple[LatticeState, StepReport]:
     """One synchronous update; deterministic given (seed, time).
 
     anchor 'site' draws the first parent around the site, 'box_corner'
@@ -217,42 +211,33 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     after_births.ravel()[f[born]] = True
     final = after_births & ~dies
 
-    report = StepReport(
-        births_attempted=int(len(f)),
-        births=int(born.sum()),
-        deaths=int((after_births & dies).sum()),
-        gamma=gamma,
-    )
-    if with_expectation:
-        if gamma is None:
-            raise ValueError("expectation report needs gamma")
-        b = box_side_sites(s.L, gamma)
-        nb = side // b
-        trim = nb * b
-        s0 = s.occ[:trim, :trim].reshape(nb, b, nb, b).sum(axis=(1, 3))
-        dens0 = s0 / float(b * b)
-        # K(x) = sum_w mass(w) q(x + w), with q(y) = occ(y) times the
-        # fraction of occupied nearest neighbours of y
-        occf = s.occ.astype(float)
-        q = occf * 0.25 * (np.roll(occf, -1, 0) + np.roll(occf, 1, 0)
-                           + np.roll(occf, -1, 1) + np.roll(occf, 1, 1))
-        kfull = periodic_correlate(q, dk.offsets, dk.masses)
-        kcorners = kfull[0:trim:b, 0:trim:b]
-        report.k_box = kcorners
-        if anchor == "box_corner":
-            # every site of a box shares the corner kernel, so the box
-            # expectation is exactly the one-step closed form
-            report.exp_hat = (1.0 - p.eta) * (
-                dens0 + p.beta * (1.0 - dens0) * kcorners)
-        else:
-            p_site = (1.0 - p.eta) * (
-                occf + p.beta * (1.0 - occf) * kfull)
-            report.exp_hat = p_site[:trim, :trim].reshape(
-                nb, b, nb, b).mean(axis=(1, 3))
-
     new = LatticeState(L=s.L, side=side, occ=final.astype(np.uint8),
                        time=n)
-    return new, report
+    return new, StepReport(births_attempted=int(len(f)),
+                           births=int(born.sum()),
+                           deaths=int((after_births & dies).sum()))
+
+
+def corner_expectation(s: LatticeState, dk: DiscreteKernel, p: Params,
+                       gamma: float) -> np.ndarray:
+    """Per-box expected density after one corner-anchored step from s.
+
+    Every site of a box draws its first parent around the box corner,
+    so the box mean of the per-site occupation probabilities is the
+    closed form (1 - eta) (S/m + beta (1 - S/m) K) with K the
+    kernel-weighted occupied pair density at the corner.
+    """
+    stats = box_stats(s, gamma)
+    dens0 = stats.density()
+    trim = stats.nb * stats.b
+    # K(x) = sum_w mass(w) q(x + w), with q(y) = occ(y) times the
+    # fraction of occupied nearest neighbours of y
+    occf = s.occ.astype(float)
+    q = occf * 0.25 * (np.roll(occf, -1, 0) + np.roll(occf, 1, 0)
+                       + np.roll(occf, -1, 1) + np.roll(occf, 1, 1))
+    k = periodic_correlate(q, dk.offsets, dk.masses)
+    kcorners = k[0:trim:stats.b, 0:trim:stats.b]
+    return (1.0 - p.eta) * (dens0 + p.beta * (1.0 - dens0) * kcorners)
 
 
 def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,

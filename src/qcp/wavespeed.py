@@ -31,6 +31,11 @@ AT_OR_ABOVE = "at_or_above"
 _DELTA_FRACTION = 1.0 / 64.0
 # probe interval right end, in kernel diameters
 _PROBE_DIAMETERS = 20.0
+# build_phi: slack of the translation-domination check and of the
+# plateau and tail read-offs, and the number of times n is raised by 2
+# when the check fails
+_PHI_TOL = 1e-6
+_PHI_RETRIES = 5
 
 
 class SpeedIndeterminate(RuntimeError):
@@ -61,19 +66,9 @@ def default_psi_spec(p: Params, dk: DiscreteKernel) -> PsiSpec:
                    width=5.0 * dk.support_diameter)
 
 
-def make_psi(spec: PsiSpec, delta: float, s_min=None, s_max=None,
-             params: Params | None = None) -> Profile1D:
-    """Sample the hump on a grid.  When params are given the plateau is
-    checked against the open interval (rho_u, rho_s)."""
-    if params is not None:
-        eq = equilibria(params)
-        if eq.rho_u is None or not eq.rho_u < spec.plateau < eq.rho_s:
-            raise ValueError("psi plateau must lie strictly between the "
-                             "interior equilibria")
-    if s_min is None:
-        s_min = -spec.width - 2 * delta
-    if s_max is None:
-        s_max = 2 * delta
+def make_psi(spec: PsiSpec, delta: float, s_min: float,
+             s_max: float) -> Profile1D:
+    """Sample the hump on the grid s_min + k * delta up to s_max."""
     n = int(math.floor((s_max - s_min) / delta + 0.5)) + 1
     s = s_min + np.arange(n) * delta
     vals = np.clip(-s / spec.width, 0.0, 1.0) * spec.plateau
@@ -97,6 +92,11 @@ def weinberger_step(f: Profile1D, c: float, k1: Kernel1D, p: Params,
     return Profile1D(f.s0, f.delta, vals,
                      left_limit=max(psi.left_limit, g.left_limit),
                      right_limit=max(psi.right_limit, g.right_limit))
+
+
+def _grid_step(dk: DiscreteKernel, delta: float | None) -> float:
+    """The profile grid step: delta, or d(k)/64 when it is None."""
+    return dk.support_diameter * _DELTA_FRACTION if delta is None else delta
 
 
 def _working_grid(dk: DiscreteKernel, spec: PsiSpec, delta: float):
@@ -149,7 +149,7 @@ def _classifier_state(xi, dk, p, psi, tol, delta):
     if not eq.rho_u < spec.plateau < eq.rho_s:
         raise ValueError("psi plateau must lie strictly between the "
                          "interior equilibria")
-    delta = delta or dk.support_diameter * _DELTA_FRACTION
+    delta = _grid_step(dk, delta)
     xi = unit_direction(xi)
     k1 = marginal_1d(dk, xi, delta)
     s_min, s_max = _working_grid(dk, spec, delta)
@@ -325,7 +325,7 @@ def front_speed_tracking(xi, dk: DiscreteKernel, p: Params, steps: int = 80,
     eq = equilibria(p)
     level = 0.5 * eq.rho_s
     d = dk.support_diameter
-    delta = delta or d * _DELTA_FRACTION
+    delta = _grid_step(dk, delta)
     xi = unit_direction(xi)
     k1 = marginal_1d(dk, xi, delta)
 
@@ -395,16 +395,15 @@ def validate_direction_triple(directions: np.ndarray) -> np.ndarray:
 
 
 def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
-              tol: float = 1e-6, speed_tol: float = 0.02,
-              psi: PsiSpec | None = None, delta: float | None = None,
-              max_retries: int = 5) -> PhiData:
+              speed_tol: float = 0.02, psi: PsiSpec | None = None,
+              delta: float | None = None) -> PhiData:
     """phi = min_i f_{n,i} at the common speed c = min_i c*(xi_i)/2.
 
     Verifies the translation domination phi(s - c) <= Q_i[phi](s) + tol
-    on the grid for every direction; if it fails, n is raised and the
-    iteration rerun (bounded retries).  alpha is the analytic left
-    limit; m and M are read off with the same tolerance since exact
-    threshold equality is measure zero on a grid.
+    with tol = _PHI_TOL on the grid for every direction; if it fails, n
+    is raised by 2 and the iteration rerun, at most _PHI_RETRIES times.
+    alpha is the analytic left limit; m and M are read off with the same
+    tolerance since exact threshold equality is measure zero on a grid.
     """
     dirs = validate_direction_triple([xi1, xi2, xi3])
     # directions with identical line marginals (reflections of one
@@ -421,10 +420,10 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
     eq = equilibria(p)
     spec = psi or default_psi_spec(p, dk)
     d = dk.support_diameter
-    delta = delta or d * _DELTA_FRACTION
+    delta = _grid_step(dk, delta)
     k1s = [marginal_1d(dk, x, delta) for x in dirs]
 
-    for attempt in range(max_retries + 1):
+    for _ in range(_PHI_RETRIES + 1):
         s_min = -(spec.width + 2.0 * d) - 2 * delta
         s_max = (n + 2) * 0.5 * d + 2.0 * d
         psi_prof = make_psi(spec, delta, s_min=s_min, s_max=s_max)
@@ -443,8 +442,7 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
         # translate inequality is unattainable there at finite n (and
         # vacuous for the comparison thresholds, which sit above rho_u);
         # verify it where the profile carries persistent density
-        ok, images = _check_domination(phi, k1s, p, c, tol,
-                                       floor=2.0 * eq.rho_u)
+        ok, images = _check_domination(phi, k1s, p, c, floor=2.0 * eq.rho_u)
         if ok:
             break
         n += 2
@@ -457,8 +455,8 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
     grid = phi.grid
     m_vals, M_vals = [], []
     for g in images:
-        at_plateau = np.nonzero(g.values >= alpha - tol)[0]
-        near_zero = np.nonzero(g.values <= tol)[0]
+        at_plateau = np.nonzero(g.values >= alpha - _PHI_TOL)[0]
+        near_zero = np.nonzero(g.values <= _PHI_TOL)[0]
         if len(at_plateau) == 0 or len(near_zero) == 0:
             raise RuntimeError("phi image misses its plateau or its tail; "
                                "widen the grid")
@@ -469,10 +467,10 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
                    speeds=speeds, c=c, kernels1d=k1s, params=p, n_iter=n)
 
 
-def _check_domination(phi, k1s, p, c, tol, floor=0.0):
+def _check_domination(phi, k1s, p, c, floor):
     translated = phi.evaluate(phi.grid - c)
     images = [apply_Q_1d(phi, k1, p) for k1 in k1s]
     mask = translated >= floor
-    ok = all(np.all(translated[mask] <= g.values[mask] + tol)
+    ok = all(np.all(translated[mask] <= g.values[mask] + _PHI_TOL)
              for g in images)
     return ok, images

@@ -298,6 +298,9 @@ for argv in (
         ["lattice-run", "--L", "4", "--W", "2", "--steps", "2",
          "--snapshot-every", "2"],
         ["ide-run", "--L", "4", "--W", "2", "--steps", "2"],
+        # 625 kernel offsets: the clamped FFT branch
+        ["ide-run", "--L", "12", "--W", "3", "--steps", "1",
+         "--boundary", "clamped"],
         ["speed", "--kernel-L", "4", "--tol", "0.05", "--out", "speed.csv"],
         ["phase-scan", "--horizon", "5", "--phase-L", "4", "--phase-W", "3"]):
     code = qcp.cli.run(argv + ["--out-dir", f"{out}/{argv[0]}"])

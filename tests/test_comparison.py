@@ -77,7 +77,7 @@ class TestGeometry:
 
     def test_spawn_offsets_equal_inradius(self):
         cfg = small_cfg(r=3.0)
-        reg = spawn_region(point(5.0, 5.0, 0.5, 1), cfg, cfg.directions)
+        reg = spawn_region(point(5.0, 5.0, 0.5, 1), cfg)
         assert np.allclose(reg.offsets_at(0.5), 3.0)
 
     def test_circumradius_against_angle_formula(self):
@@ -87,7 +87,7 @@ class TestGeometry:
         for _ in range(10):
             dirs = random_acute_normals(gen)
             cfg = small_cfg(r=1.7, directions=dirs)
-            reg = spawn_region(point(0.0, 0.0, 0.0, 0), cfg, dirs)
+            reg = spawn_region(point(0.0, 0.0, 0.0, 0), cfg)
             g = reg.supports_at(0.0, dirs)
             verts = _vertices(dirs, g)
             oracle = 0.0
@@ -341,18 +341,21 @@ class TestIntegratorOracle:
 class TestProfileCacheAndHField:
     def test_age_zero_is_phi(self):
         phi = synthetic_phi()
-        cache = ProfileCache(phi, max_age=4)
+        cache = ProfileCache(phi)
         prof = cache.profile(0, 0)
         assert prof.evaluate(0.0) == phi.alpha
         assert prof.evaluate(5.0) == 0.0
 
     def test_cache_extends(self):
         phi = synthetic_phi()
-        cache = ProfileCache(phi, max_age=2)
-        prof = cache.profile(1, 7)
+        cache = ProfileCache(phi)
+        # past the ages built at once, so the ladder is rebuilt longer
+        age = 2 * cache.cap + 3
+        prof = cache.profile(1, age)
+        assert cache.cap >= age
         p = phi.params
         want = phi.alpha
-        for _ in range(7):
+        for _ in range(age):
             want = mf_step(p, want)
         assert prof.evaluate(-2.0) == pytest.approx(want, abs=1e-12)
 
@@ -392,7 +395,7 @@ class TestProfileCacheAndHField:
         # deep positions: iterating the profile raises the demand toward
         # the stable density
         phi = synthetic_phi()
-        cache = ProfileCache(phi, max_age=6)
+        cache = ProfileCache(phi)
         s_probe = np.array([-2.0, -1.0, -0.5, 0.0])
         prev = cache.profile(0, 0).evaluate(s_probe)
         for age in range(1, 6):
@@ -686,10 +689,6 @@ class TestConfigAndSerialization:
         assert 0 < cfg.delta1 < mf_step(phi_main.params, cfg.alpha) - cfg.alpha
         assert cfg.delta2 > 0
         assert cfg.error_rate_bound() > 0
-
-    def test_no_ceiling_option(self, phi_main, dk8):
-        cfg = make_comparison_config(phi_main, dk8, 200, 0.3, ceil_r=False)
-        assert cfg.r == pytest.approx(phi_main.l + cfg.d_B + cfg.c + cfg.d_k)
 
     def test_bad_gamma(self, phi_main, dk8):
         with pytest.raises(ValueError):

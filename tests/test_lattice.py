@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from qcp.ide import Field2D
 from qcp.kernel import KernelSpec, discretize
 from qcp.lattice import (BoxStats, LatticeState, _coins, box_side_sites,
-                         box_stats, coupling_discrepancy, init, label_step,
-                         load_snapshot, save_snapshot, step)
+                         box_stats, corner_expectation, coupling_discrepancy,
+                         init, label_step, load_snapshot, save_snapshot, step)
 from qcp.mean_field import Params
 from qcp.rng import LatticeRng
 
@@ -46,6 +46,16 @@ class TestInit:
     def test_finite_set_outside_window(self):
         with pytest.raises(ValueError, match="outside"):
             init("finite_set", 10, W=2.0, points=[(2.5, 0.5)])
+
+    def test_finite_set_snaps_across_the_torus_edge(self):
+        # 1.97 lies in [0, 2) and snaps to site 20, which is site 0
+        s = init("finite_set", 10, W=2.0, points=[(1.97, 0.5)])
+        assert s.occ[0, 5] == 1 and int(s.occ.sum()) == 1
+
+    @pytest.mark.parametrize("x", [-0.04, float("inf"), float("nan")])
+    def test_finite_set_point_outside_window(self, x):
+        with pytest.raises(ValueError, match="outside"):
+            init("finite_set", 10, W=2.0, points=[(x, 0.5)])
 
     @pytest.mark.parametrize("W", [float("inf"), float("nan"), 1e308])
     def test_window_must_be_finite(self, W):
@@ -122,13 +132,11 @@ class TestStep:
         L, gamma, seeds = 50, 0.3, 60
         dk = discretize(square_spec, L)
         s0 = init("product", L, side=150, rng=LatticeRng(5), p=0.5)
+        expect = corner_expectation(s0, dk, p, gamma)
         acc = None
         for k in range(seeds):
             rng = LatticeRng(100 + k)
-            s1, rep = step(s0, dk, p, rng, anchor="box_corner", gamma=gamma,
-                           with_expectation=(k == 0))
-            if k == 0:
-                expect = rep.exp_hat
+            s1, _ = step(s0, dk, p, rng, anchor="box_corner", gamma=gamma)
             st = box_stats(s1, gamma)
             acc = st.density() if acc is None else acc + st.density()
         mean = acc / seeds
@@ -160,13 +168,11 @@ class TestStep:
         dk = discretize(square_spec, L)
         s0 = init("product", L, side=150, rng=LatticeRng(5), p=0.5)
         m = box_side_sites(L, gamma) ** 2
+        expect = corner_expectation(s0, dk, p, gamma)
         hits = 0
         for k in range(seeds):
             rng = LatticeRng(900 + k)
-            s1, rep = step(s0, dk, p, rng, anchor="box_corner", gamma=gamma,
-                           with_expectation=(k == 0))
-            if k == 0:
-                expect = rep.exp_hat
+            s1, _ = step(s0, dk, p, rng, anchor="box_corner", gamma=gamma)
             dens = box_stats(s1, gamma).density()
             if np.max(np.abs(dens - expect)) >= delta:
                 hits += 1
@@ -247,6 +253,35 @@ class TestMonotoneCoupling:
             inner = runs["a1"][0].occ.astype(bool)
             for outer in ("a2", "b1"):
                 assert not np.any(inner & ~runs[outer][0].occ.astype(bool))
+
+
+class TestStepReport:
+    """The counters of a step against its coins and occupancies."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(1, 12), L=st.integers(1, 6),
+           anchor=st.sampled_from(["site", "box_corner"]),
+           occ_seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 63 - 1), time=st.integers(0, 10 ** 6),
+           beta=st.floats(0.0, 1.0), eta=st.floats(0.0, 1.0),
+           steps=st.integers(1, 3))
+    def test_counters(self, square_spec, side, L, anchor, occ_seed, density,
+                      seed, time, beta, eta, steps):
+        dk = discretize(square_spec, L)
+        u = np.random.default_rng(occ_seed).random((side, side))
+        s = LatticeState(L, side, u < density, time)
+        rng = LatticeRng(seed)
+        for _ in range(steps):
+            s1, rep = step(s, dk, Params(beta, eta), rng, anchor=anchor,
+                           gamma=0.3)
+            u_att = _coins(rng, s.time + 1, side)[0]
+            vacant = s.occ == 0
+            assert rep.births_attempted == int(np.sum(vacant & (u_att < beta)))
+            assert 0 <= rep.births <= rep.births_attempted
+            assert 0 <= rep.deaths
+            assert (int(s1.occ.sum())
+                    == int(s.occ.sum()) + rep.births - rep.deaths)
+            s = s1
 
 
 class TestLabelStep:

@@ -101,12 +101,12 @@ class TestPsi:
         assert np.all(psi.values[grid >= 0.0] == 0.0)
         assert psi.is_monotone()
 
-    def test_plateau_validated_against_equilibria(self, p_main):
+    def test_plateau_validated_against_equilibria(self, dk8, p_main):
         eq = equilibria(p_main)
-        with pytest.raises(ValueError, match="plateau"):
-            make_psi(PsiSpec(eq.rho_s + 0.01, 1.0), 0.1, params=p_main)
-        with pytest.raises(ValueError, match="plateau"):
-            make_psi(PsiSpec(eq.rho_u / 2, 1.0), 0.1, params=p_main)
+        for plateau in (eq.rho_s + 0.01, eq.rho_u / 2):
+            with pytest.raises(ValueError, match="plateau"):
+                classify_speed(0.1, (1.0, 0.0), dk8, p_main,
+                               psi=PsiSpec(plateau, 1.0))
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
