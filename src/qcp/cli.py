@@ -299,7 +299,7 @@ def _cmd_lattice_run(cfg) -> int:
     outputs = []
     trace = [{"n": 0, "density": state.density()}]
     for n in range(1, cfg["steps"] + 1):
-        state, _ = lattice.step(state, dk, p, rng, anchor="site")
+        state, _ = lattice.step(state, dk, p, rng)
         trace.append({"n": n, "density": state.density()})
         if cfg["snapshot-every"] and n % cfg["snapshot-every"] == 0:
             path = outdir / f"snapshot_{n:05d}.json"

@@ -183,7 +183,6 @@ class VacantRegion:
         self.center = np.asarray(center, dtype=float)
         self.parents = tuple(parents)
         self.vanished_at = None
-        self.circumradius = None
         self.edges = [_Edge(created_at, h0[j], rates[j], modes[j],
                             targets if modes[j] == "out" else ())
                       for j in range(3)]
@@ -208,22 +207,13 @@ def _vertices(normals: np.ndarray, g: np.ndarray) -> np.ndarray:
                      for i, j in ((1, 2), (2, 0), (0, 1))])
 
 
-def _circumradius(R: VacantRegion, t: float, normals: np.ndarray) -> float:
-    """Largest distance from R's center to a vertex of R at time t."""
-    verts = _vertices(normals, R.supports_at(t, normals))
-    return float(np.max(np.hypot(*(verts - R.center).T)))
-
-
 def spawn_region(e: ErrorPoint, cfg: ComparisonConfig,
                  rid: int = 0) -> VacantRegion:
     """Inward-shrinking triangle of inradius r centered at the error,
     with the normals cfg.directions."""
-    normals = np.asarray(cfg.directions, dtype=float)
-    reg = VacantRegion(rid, "spawned", e.t, e.step, e.location,
-                       h0=[cfg.r] * 3, rates=[-cfg.c] * 3,
-                       modes=["in"] * 3)
-    reg.circumradius = _circumradius(reg, e.t, normals)
-    return reg
+    return VacantRegion(rid, "spawned", e.t, e.step, e.location,
+                        h0=[cfg.r] * 3, rates=[-cfg.c] * 3,
+                        modes=["in"] * 3)
 
 
 class RegionSet:
@@ -253,9 +243,6 @@ class RegionSet:
         offsets = np.array([R.offsets_at(t) for R in regs]).reshape(-1, 3)
         return regs, np.all(_edge_coords(points, regs, self.normals)
                             <= offsets + 1e-9, axis=-1)
-
-    def membership(self, x, t: float) -> bool:
-        return bool(self.holders(x, t)[1].any())
 
     # -- evolution -------------------------------------------------------
 
@@ -438,7 +425,6 @@ class RegionSet:
         reg = VacantRegion(self.next_id, kind, t, step, center,
                            h0=[rho] * 3, rates=[self.cfg.b] * 3,
                            modes=["out"] * 3, parents=ids, targets=ids)
-        reg.circumradius = _circumradius(reg, t, self.normals)
         self.next_id += 1
         self.regions[reg.id] = reg
         self.contacts.update(frozenset(pair) for pair in
@@ -504,20 +490,6 @@ class ProfileCache:
         if age > self.cap:
             self._build(max(age, 2 * self.cap))
         return self.tables[j][age]
-
-
-def h_field(rs: RegionSet, phi: PhiData, n: int,
-            cache: ProfileCache | None = None):
-    """Evaluator x -> h_n(x): max over edge directions of the infimum,
-    over regions containing x, of the age-iterated profile at the
-    signed edge coordinate.  Points outside every region get 0."""
-    cache = cache or ProfileCache(phi)
-
-    def evaluate(x) -> float:
-        regs, mask = rs.holders(x, n)
-        return float(_recovery_demand(x, regs, mask, rs.normals, cache, n)[0])
-
-    return evaluate
 
 
 def _project(v, normals: np.ndarray) -> np.ndarray:
@@ -693,23 +665,3 @@ def check_containment(stats: BoxStats, rs: RegionSet, phi: PhiData,
     return ContainmentReport(time=t, n_bad=len(bad), bad_boxes=bad,
                              violations=violations)
 
-
-def regions_to_json(rs: RegionSet) -> list:
-    """Snapshot of the region set for serialization."""
-    out = []
-    for R in sorted(rs.regions.values(), key=lambda r: r.id):
-        out.append({
-            "id": R.id,
-            "kind": R.kind,
-            "created_at": R.created_at,
-            "created_step": R.created_step,
-            "center": [float(c) for c in R.center],
-            "parents": list(R.parents),
-            "vanished_at": R.vanished_at,
-            "circumradius": R.circumradius,
-            "edges": [{"mode": e.mode,
-                       "targets": list(e.targets),
-                       "segments": [list(s) for s in e.segments]}
-                      for e in R.edges],
-        })
-    return out

@@ -8,7 +8,6 @@ coupled, and re-runs are bit-identical at any worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -111,7 +110,7 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
             state = lattice.init("from_field", L, side=side, rng=rng,
                                  field=u_field)
             for _ in range(cfg.steps):
-                state, _ = lattice.step(state, dk, p, rng, anchor="site")
+                state, _ = lattice.step(state, dk, p, rng)
             stats = lattice.box_stats(state, cfg.gamma)
             b, nb = stats.b, stats.nb
             corners = u_n.values[0:nb * b:b, 0:nb * b:b]
@@ -123,90 +122,6 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
 
         rows.extend(parallel_map(one_seed, cfg.seeds, cfg.threads))
     return rows
-
-
-def block_goodness(cfg: ExperimentConfig, *, K: float = 1.0,
-                   block_N: int = 30, delta: float | None = None) -> dict:
-    """Estimate the probability that goodness of the center block
-    propagates to both horizontal neighbor blocks after block_N steps.
-
-    Blocks are squares of half-width K.  A block is good when every box
-    fully inside it has density at least rho_u + 2 delta (delta defaults
-    to (rho_s - rho_u)/8).  The initial state is supercritical product
-    measure inside the center block and empty outside.
-    """
-    if not 0.0 < K < math.inf:
-        raise ValueError(f"K must be positive and finite, got {K}")
-    if block_N < 0:
-        raise ValueError(f"block_N must be nonnegative, got {block_N}")
-    if delta is not None and not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    p = cfg.params
-    eq = equilibria(p)
-    if eq.rho_u is None:
-        raise ValueError("block construction needs bistable parameters")
-    if delta is None:
-        delta = (eq.rho_s - eq.rho_u) / 8.0
-    if not eq.rho_s - 2 * delta > eq.rho_u + 2 * delta:
-        raise ValueError("delta too large: need rho_s - 2d > rho_u + 2d")
-    L = cfg.L_list[0]
-    dk = discretize(build_kernel(cfg.kernel), L)
-    side = lattice.window_side(cfg.W, L)
-    mid = 0.5 * cfg.W
-    if mid - 3 * K < 0 or mid + 3 * K > cfg.W:
-        raise ValueError("window too small for the three blocks")
-    p0 = min(0.95, eq.rho_u + 2 * delta + 0.1)
-
-    def block_boxes(stats, center_x):
-        lo_x, hi_x = center_x - K, center_x + K
-        lo_y, hi_y = mid - K, mid + K
-        w = stats.b / stats.L
-        sel = []
-        for bi in range(stats.nb):
-            for bj in range(stats.nb):
-                x0, y0, x1, y1 = stats.box_rect(bi, bj)
-                if x0 >= lo_x - 1e-9 and x1 <= hi_x + 1e-9 \
-                        and y0 >= lo_y - 1e-9 and y1 <= hi_y + 1e-9:
-                    sel.append((bi, bj))
-        return sel
-
-    def good(stats, boxes):
-        dens = stats.density()
-        return all(dens[b] >= eq.rho_u + 2 * delta for b in boxes)
-
-    def one_seed(seed):
-        rng = LatticeRng(seed)
-        state = lattice.init("product", L, side=side, rng=rng, p=p0)
-        inside = np.zeros((side, side), dtype=np.uint8)
-        i0, i1 = int((mid - K) * L), int((mid + K) * L)
-        inside[i0:i1, i0:i1] = 1
-        state.occ = state.occ * inside
-        stats0 = lattice.box_stats(state, cfg.gamma)
-        if not good(stats0, block_boxes(stats0, mid)):
-            raise RuntimeError("initial block not good; raise p0")
-        for _ in range(block_N):
-            state, _ = lattice.step(state, dk, p, rng, anchor="site")
-        stats = lattice.box_stats(state, cfg.gamma)
-        return (good(stats, block_boxes(stats, mid + 2 * K))
-                and good(stats, block_boxes(stats, mid - 2 * K)))
-
-    outcomes = parallel_map(one_seed, cfg.seeds, cfg.threads)
-    k = sum(outcomes)
-    nn = len(outcomes)
-    lo, hi = _wilson_interval(k, nn)
-    return {"L": L, "K": K, "N": block_N, "delta": delta, "p0": p0,
-            "seeds": nn, "good_both": k, "estimate": k / nn,
-            "eps_hat": 1.0 - k / nn, "ci_low": lo, "ci_high": hi}
-
-
-def _wilson_interval(k: int, n: int, z: float = 1.96):
-    if n == 0:
-        return (0.0, 1.0)
-    ph = k / n
-    denom = 1.0 + z * z / n
-    center = (ph + z * z / (2 * n)) / denom
-    half = z * math.sqrt(ph * (1 - ph) / n + z * z / (4 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
 
 
 def survival_floor(p: Params) -> float:
@@ -277,15 +192,6 @@ def survival_table(rows):
     return {k: sum(v) / len(v) for k, v in sorted(table.items())}
 
 
-def threshold_estimate(freqs: dict, eta: float) -> float | None:
-    """Smallest beta on the grid with survival frequency >= 1/2."""
-    betas = sorted(b for (b, e) in freqs if e == eta)
-    for b in betas:
-        if freqs[(b, eta)] >= 0.5:
-            return b
-    return None
-
-
 # -- coupled lattice / comparison runs ------------------------------------
 
 @dataclass
@@ -326,7 +232,7 @@ def run_coupled(p: Params, dk, gamma: float, side: int, steps: int,
     cache = comparison.ProfileCache(phi)
     points, reports = [], []
     for n in range(1, steps + 1):
-        state, _ = lattice.step(state, dk, p, rng, anchor="site")
+        state, _ = lattice.step(state, dk, p, rng)
         prev, stats = stats, lattice.box_stats(state, gamma)
         errs = comparison.detect_errors(prev, stats, rs, phi, cfg, rng,
                                         cache=cache)

@@ -276,10 +276,3 @@ def marginal_1d(dk: DiscreteKernel, xi, delta: float) -> Kernel1D:
     masses = 0.5 * (masses + masses[::-1])   # exact evenness
     return Kernel1D(delta=float(delta), masses=masses)
 
-
-def sample_offset(dk: DiscreteKernel, rng: np.random.Generator, size=None):
-    """Draw offsets (continuum coordinates) from dk's masses."""
-    u = rng.random(size if size is not None else 1)
-    idx = dk.sample_indices(np.atleast_1d(u))
-    pts = dk.offsets[idx] / float(dk.L)
-    return pts if size is not None else pts[0]

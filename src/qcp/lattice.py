@@ -2,9 +2,9 @@
 
 One step, computed entirely from the previous configuration: every
 vacant site independently attempts a birth with probability beta,
-drawing a first parent through the kernel (anchored at the site itself,
-or at its box corner for the corner-anchored variant) and a uniform
-nearest neighbor of the parent; the birth lands iff both are occupied.
+drawing a first parent through the kernel around the site itself and a
+uniform nearest neighbor of the parent; the birth lands iff both are
+occupied.
 Afterwards every particle, newborns included, dies with probability
 eta.  All coins come from counter-based streams (see rng), so coupled
 runs share randomness site by site and trajectories are bit-identical
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .ide import Field2D, periodic_correlate
+from .ide import Field2D
 from .kernel import DiscreteKernel
 from .mean_field import Params
 
@@ -170,19 +170,12 @@ def _parents(dk: DiscreteKernel, side: int, base_i, base_j, u_off, u_nbr):
 
 
 def step(s: LatticeState, dk: DiscreteKernel, p: Params,
-         rng: _rng.LatticeRng, anchor: str = "site",
-         gamma: float | None = None) -> tuple[LatticeState, StepReport]:
+         rng: _rng.LatticeRng) -> tuple[LatticeState, StepReport]:
     """One synchronous update; deterministic given (seed, time).
 
-    anchor 'site' draws the first parent around the site, 'box_corner'
-    around the corner of the site's box (needs gamma).  Coins are drawn
-    for every site regardless of occupancy so that coupled runs stay
-    coupled.
+    Coins are drawn for every site regardless of occupancy so that
+    coupled runs stay coupled.
     """
-    if anchor not in ("site", "box_corner"):
-        raise ValueError("anchor must be 'site' or 'box_corner'")
-    if anchor == "box_corner" and gamma is None:
-        raise ValueError("box_corner anchoring needs gamma")
     side = s.side
     n = s.time + 1
     u_att, u_off, u_nbr, u_die = _coins(rng, n, side)
@@ -195,13 +188,8 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     u_off = u_off.ravel()[f]
     u_nbr = u_nbr.ravel()[f]
 
-    base_i, base_j = np.divmod(f, side)
-    if anchor == "box_corner":
-        b = box_side_sites(s.L, gamma)
-        base_i -= base_i % b
-        base_j -= base_j % b
-    y, z = _parents(dk, side, base_i, base_j, u_off, u_nbr)
-    del base_i, base_j, u_off, u_nbr
+    y, z = _parents(dk, side, *np.divmod(f, side), u_off, u_nbr)
+    del u_off, u_nbr
 
     flat0 = occ0.ravel()
     born = flat0[y]
@@ -216,28 +204,6 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     return new, StepReport(births_attempted=int(len(f)),
                            births=int(born.sum()),
                            deaths=int((after_births & dies).sum()))
-
-
-def corner_expectation(s: LatticeState, dk: DiscreteKernel, p: Params,
-                       gamma: float) -> np.ndarray:
-    """Per-box expected density after one corner-anchored step from s.
-
-    Every site of a box draws its first parent around the box corner,
-    so the box mean of the per-site occupation probabilities is the
-    closed form (1 - eta) (S/m + beta (1 - S/m) K) with K the
-    kernel-weighted occupied pair density at the corner.
-    """
-    stats = box_stats(s, gamma)
-    dens0 = stats.density()
-    trim = stats.nb * stats.b
-    # K(x) = sum_w mass(w) q(x + w), with q(y) = occ(y) times the
-    # fraction of occupied nearest neighbours of y
-    occf = s.occ.astype(float)
-    q = occf * 0.25 * (np.roll(occf, -1, 0) + np.roll(occf, 1, 0)
-                       + np.roll(occf, -1, 1) + np.roll(occf, 1, 1))
-    k = periodic_correlate(q, dk.offsets, dk.masses)
-    kcorners = k[0:trim:stats.b, 0:trim:stats.b]
-    return (1.0 - p.eta) * (dens0 + p.beta * (1.0 - dens0) * kcorners)
 
 
 def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
@@ -321,113 +287,6 @@ def box_stats(s: LatticeState, gamma: float) -> BoxStats:
         R = np.zeros((nb, nb))
     return BoxStats(gamma=gamma, L=s.L, side=s.side, time=s.time,
                     b=b, S=S, R=R)
-
-
-def coupling_discrepancy(s0: LatticeState, dk: DiscreteKernel, p: Params,
-                         seeds, gamma: float) -> float:
-    """Fraction of sites where the site-anchored and corner-anchored
-    processes disagree after one maximally coupled step, averaged over
-    seeds.
-
-    Both processes share attempt and death coins.  Parent choices are
-    coupled maximally per site: with probability p_s (the overlap of
-    the two parent distributions, which depends only on the site's
-    within-box shift) the same parent is drawn from the overlap
-    measure, otherwise each process draws from its residual.
-    """
-    if p.beta == 0.0:
-        return 0.0
-    b = box_side_sites(s0.L, gamma)
-    side = s0.side
-    occ0 = s0.occ.astype(bool)
-
-    # dense kernel grid so shifted copies are plain slices; zero-mass
-    # cells never get sampled because the CDF is flat across them
-    imax = int(np.max(np.abs(dk.offsets))) if len(dk.offsets) else 0
-    size = 2 * imax + 1
-    dense = np.zeros((size, size))
-    dense[dk.offsets[:, 0] + imax, dk.offsets[:, 1] + imax] = dk.masses
-    flat_site = dense.ravel()
-    n_cells = size * size
-
-    def offsets_from_cells(idx):
-        return np.stack([idx // size - imax, idx % size - imax], axis=1)
-
-    def draw(cdf_flat, mass, u):
-        cdf = np.cumsum(cdf_flat) / mass
-        return np.minimum(np.searchsorted(cdf, u, "right"), n_cells - 1)
-
-    total = 0.0
-    for seed in seeds:
-        rng = _rng.LatticeRng(seed)
-        n = s0.time + 1
-        u_att = rng.stream(n, _rng.PHASE_ATTEMPT).random((side, side))
-        u_cpl = rng.stream(n, _rng.PHASE_OFFSET).random((side, side))
-        u_par = rng.stream(n, _rng.PHASE_COUPLED_PARENT).random((side, side))
-        u_res = rng.stream(n, _rng.PHASE_RESIDUAL_PARENT).random((side, side))
-        u_z = rng.stream(n, _rng.PHASE_NEIGHBOR).random((side, side))
-        u_z2 = rng.stream(n, _rng.PHASE_SECOND_NEIGHBOR).random((side, side))
-        u_die = rng.stream(n, _rng.PHASE_DEATH).random((side, side))
-
-        attempts = (~occ0) & (u_att < p.beta)
-        ai, aj = np.nonzero(attempts)
-        y_site = np.zeros((len(ai), 2), dtype=np.int64)
-        y_corner = np.zeros((len(ai), 2), dtype=np.int64)
-        same_all = np.zeros(len(ai), dtype=bool)
-
-        # x = x* + s with s the within-box shift; seen from the site, the
-        # corner kernel puts mass(w + s) on relative offset w
-        shift_key = (ai % b) * b + (aj % b)
-        for key in np.unique(shift_key):
-            members = np.nonzero(shift_key == key)[0]
-            si, sj = int(key // b), int(key % b)
-            m_corner = np.zeros((size, size))
-            m_corner[: size - si, : size - sj] = dense[si:, sj:]
-            flat_corner = m_corner.ravel()
-            overlap = np.minimum(flat_site, flat_corner)
-            p_same = overlap.sum()
-            uu = u_par[ai[members], aj[members]]
-            if p_same >= 1.0 - 1e-12:
-                same = np.ones(len(members), dtype=bool)
-            else:
-                same = u_cpl[ai[members], aj[members]] < p_same
-            same_all[members] = same
-            if same.any():
-                pick = draw(overlap, p_same, uu[same])
-                y_site[members[same]] = offsets_from_cells(pick)
-                y_corner[members[same]] = y_site[members[same]]
-            if (~same).any():
-                res_site = (flat_site - flat_corner).clip(min=0.0)
-                res_corner = (flat_corner - flat_site).clip(min=0.0)
-                diff = members[~same]
-                pick_s = draw(res_site, res_site.sum(), uu[~same])
-                pick_c = draw(res_corner, res_corner.sum(),
-                              u_res[ai[diff], aj[diff]])
-                y_site[diff] = offsets_from_cells(pick_s)
-                y_corner[diff] = offsets_from_cells(pick_c)
-
-        def births(y_rel, neighbor_u):
-            yi = (ai + y_rel[:, 0]) % side
-            yj = (aj + y_rel[:, 1]) % side
-            nsel = np.minimum((neighbor_u * 4.0).astype(np.int64), 3)
-            zi = (yi + _NBR_DI[nsel]) % side
-            zj = (yj + _NBR_DJ[nsel]) % side
-            return occ0[yi, yj] & occ0[zi, zj]
-
-        # shared second-parent coin when the first parents coincide,
-        # independent choices otherwise, as in the one-step coupling
-        uz1 = u_z[ai, aj]
-        uz2 = np.where(same_all, uz1, u_z2[ai, aj])
-        born_site = births(y_site, uz1)
-        born_corner = births(y_corner, uz2)
-
-        occ_site = occ0.copy()
-        occ_site[ai[born_site], aj[born_site]] = True
-        occ_corner = occ0.copy()
-        occ_corner[ai[born_corner], aj[born_corner]] = True
-        dies = u_die < p.eta
-        total += float(np.mean((occ_site & ~dies) != (occ_corner & ~dies)))
-    return total / len(seeds)
 
 
 def save_snapshot(s: LatticeState, path, seed=None, params: Params = None):

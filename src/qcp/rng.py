@@ -20,15 +20,7 @@ PHASE_NEIGHBOR = 2
 PHASE_DEATH = 3
 PHASE_INIT = 4
 PHASE_ERROR_POINT = 5
-# Extra coins of the maximally coupled step in
-# lattice.coupling_discrepancy: the shared or site-process parent, the
-# corner process's residual parent, and the corner process's neighbour
-# coin when the two first parents differ (this one shares its stream
-# with PHASE_INIT, which only ever draws at time 0).
-PHASE_COUPLED_PARENT = 6
-PHASE_RESIDUAL_PARENT = 7
-PHASE_SECOND_NEIGHBOR = PHASE_INIT
-
+# phases 6 and 7 are reserved: the count is part of every stream key
 _PHASE_COUNT = 8
 _MASK64 = (1 << 64) - 1
 

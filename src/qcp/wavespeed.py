@@ -123,32 +123,29 @@ def _check_budget(tol, max_iter) -> None:
 
 
 def classify_speed(c: float, xi, dk: DiscreteKernel, p: Params,
-                   psi: PsiSpec | None = None, max_iter: int | None = None,
-                   tol: float = 1e-3, delta: float | None = None) -> str:
+                   max_iter: int | None = None, tol: float = 1e-3,
+                   delta: float | None = None) -> str:
     """Decide whether the trial speed c lies below c*(xi).
 
-    Iterates the recursion from psi; 'below_cstar' once the profile
-    exceeds rho_s - tol one kernel diameter before the right end of the
-    probe interval, 'at_or_above' once the sup change per step drops
-    under tol/10 without that growth.
+    Iterates the recursion from the default psi; 'below_cstar' once the
+    profile exceeds rho_s - tol one kernel diameter before the right end
+    of the probe interval, 'at_or_above' once the sup change per step
+    drops under tol/10 without that growth.
     """
     _check_budget(tol, max_iter)
     if not math.isfinite(c):  # the shift must reach a finite distance
         raise ValueError(f"trial speed c must be finite, got {c}")
-    state = _classifier_state(xi, dk, p, psi, tol, delta)
+    state = _classifier_state(xi, dk, p, tol, delta)
     if max_iter is None:
         max_iter = _default_max_iter(dk, tol)
     return _classify_with_state(c, state, max_iter)[0]
 
 
-def _classifier_state(xi, dk, p, psi, tol, delta):
+def _classifier_state(xi, dk, p, tol, delta):
     eq = equilibria(p)
     if not p.bistable or eq.rho_u is None:
         raise ValueError("spreading speeds need bistable parameters")
-    spec = psi or default_psi_spec(p, dk)
-    if not eq.rho_u < spec.plateau < eq.rho_s:
-        raise ValueError("psi plateau must lie strictly between the "
-                         "interior equilibria")
+    spec = default_psi_spec(p, dk)
     delta = _grid_step(dk, delta)
     xi = unit_direction(xi)
     k1 = marginal_1d(dk, xi, delta)
@@ -249,8 +246,7 @@ class SpeedResult:
 
 
 def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
-                   psi: PsiSpec | None = None, max_iter: int | None = None,
-                   delta: float | None = None, *,
+                   max_iter: int | None = None, delta: float | None = None, *,
                    memo: dict | None = None) -> SpeedResult:
     """Bisect classify_speed over [-d(k)-1, d(k)+1] down to a bracket of
     width tol; c_star is reported as the bracket's upper end, so
@@ -264,7 +260,7 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
     actually run.
     """
     _check_budget(tol, max_iter)
-    state = _classifier_state(xi, dk, p, psi, min(tol, 1e-2), delta)
+    state = _classifier_state(xi, dk, p, min(tol, 1e-2), delta)
     key = state["k1"].masses.tobytes()
     if memo is not None and key in memo:
         trace, (lo, hi) = memo[key]
@@ -395,7 +391,7 @@ def validate_direction_triple(directions: np.ndarray) -> np.ndarray:
 
 
 def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
-              speed_tol: float = 0.02, psi: PsiSpec | None = None,
+              speed_tol: float = 0.02,
               delta: float | None = None) -> PhiData:
     """phi = min_i f_{n,i} at the common speed c = min_i c*(xi_i)/2.
 
@@ -409,8 +405,8 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
     # directions with identical line marginals (reflections of one
     # another for the symmetric kernels) share one bisection
     memo = {}
-    speeds = tuple(estimate_cstar(x, dk, p, tol=speed_tol, psi=psi,
-                                  delta=delta, memo=memo).c_star
+    speeds = tuple(estimate_cstar(x, dk, p, tol=speed_tol, delta=delta,
+                                  memo=memo).c_star
                    for x in dirs)
     if min(speeds) <= 0.0:
         raise ValueError(f"all three directions need positive speed, "
@@ -418,12 +414,12 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
     c = min(speeds) / 2.0
 
     eq = equilibria(p)
-    spec = psi or default_psi_spec(p, dk)
+    spec = default_psi_spec(p, dk)
     d = dk.support_diameter
     delta = _grid_step(dk, delta)
     k1s = [marginal_1d(dk, x, delta) for x in dirs]
 
-    for _ in range(_PHI_RETRIES + 1):
+    for n in range(n, n + 2 * _PHI_RETRIES + 1, 2):
         s_min = -(spec.width + 2.0 * d) - 2 * delta
         s_max = (n + 2) * 0.5 * d + 2.0 * d
         psi_prof = make_psi(spec, delta, s_min=s_min, s_max=s_max)
@@ -445,7 +441,6 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
         ok, images = _check_domination(phi, k1s, p, c, floor=2.0 * eq.rho_u)
         if ok:
             break
-        n += 2
     else:
         raise RuntimeError(
             f"translation domination failed up to n={n}; profile has not "

@@ -15,11 +15,10 @@ from qcp.cli import run as cli_run
 from qcp.experiments import (ExperimentConfig, aligned_side,
                              hydro_convergence, phase_scan,
                              property5_check, property6_check, run_coupled,
-                             survival_table, threshold_estimate)
+                             survival_table)
 from qcp.ide import Field2D, Profile1D, apply_Q_1d, apply_Q_2d, evolve
 from qcp.kernel import discretize, marginal_1d
-from qcp.lattice import (LatticeState, box_side_sites, box_stats,
-                         corner_expectation, init, step)
+from qcp.lattice import LatticeState, box_side_sites, box_stats, init, step
 from qcp.mean_field import Params, equilibria, mf_step
 from qcp.rng import LatticeRng
 from qcp.wavespeed import (AT_OR_ABOVE, BELOW, classify_speed,
@@ -27,6 +26,7 @@ from qcp.wavespeed import (AT_OR_ABOVE, BELOW, classify_speed,
                            front_speed_tracking, make_psi, weinberger_step)
 
 from conftest import seeded
+from helpers import corner_expectation, corner_step, threshold_estimate
 from test_comparison import FineStepOracle, random_acute_normals, small_cfg
 
 
@@ -177,7 +177,7 @@ class TestAcceptance:
         samples = []
         for k in range(seeds):
             rng = LatticeRng(5000 + k)
-            s1, _ = step(s0, dk, p, rng, anchor="box_corner", gamma=gamma)
+            s1, _ = corner_step(s0, dk, p, rng, gamma=gamma)
             st = box_stats(s1, gamma)
             acc = st.density() if acc is None else acc + st.density()
             samples.append(st.S)

@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 from qcp import comparison, lattice
 from qcp.comparison import ErrorPoint
-from qcp.experiments import (ExperimentConfig, aligned_side, block_goodness,
-                             error_rate, hydro_convergence, parallel_map,
-                             phase_scan, property5_check, property6_check,
-                             run_coupled, square_bounds, survival_floor,
-                             survival_table, threshold_estimate)
+from qcp.experiments import (ExperimentConfig, aligned_side, error_rate,
+                             hydro_convergence, parallel_map, phase_scan,
+                             property5_check, property6_check, run_coupled,
+                             square_bounds, survival_floor, survival_table)
 from qcp.kernel import build_kernel, discretize
 from qcp.mean_field import Params, equilibria
 from qcp.rng import LatticeRng
+
+from helpers import threshold_estimate
 
 
 def small_cfg(**kw):
@@ -90,45 +91,6 @@ class TestHydro:
         assert mean_coarse > mean_fine
 
 
-class TestBlockGoodness:
-    def test_small_run(self):
-        cfg = small_cfg(L_list=(25,), W=4.0, seeds=tuple(range(1, 9)))
-        out = block_goodness(cfg, K=0.5, block_N=8)
-        assert 0.0 <= out["estimate"] <= 1.0
-        assert out["ci_low"] <= out["estimate"] <= out["ci_high"]
-        assert out["good_both"] <= out["seeds"]
-        assert (out["K"], out["N"]) == (0.5, 8)
-
-    def test_supercritical_death_fails(self):
-        cfg = small_cfg(L_list=(25,), W=4.0, seeds=(1, 2, 3), eta=0.5,
-                        beta=1.0)
-        with pytest.raises(ValueError, match="bistable"):
-            block_goodness(cfg, K=0.5, block_N=12)
-
-    def test_delta_too_large_rejected(self):
-        cfg = small_cfg(L_list=(25,), W=4.0)
-        with pytest.raises(ValueError, match="delta"):
-            block_goodness(cfg, K=0.5, delta=0.5)
-
-    def test_window_must_fit_blocks(self):
-        cfg = small_cfg(L_list=(25,), W=2.0)
-        with pytest.raises(ValueError, match="window"):
-            block_goodness(cfg, K=1.0)
-
-    @pytest.mark.parametrize("kw", [
-        {"K": 0.0}, {"K": -0.5}, {"K": float("nan")}, {"K": float("inf")},
-        {"block_N": -1}, {"delta": 0.0}, {"delta": -0.01},
-        {"delta": float("nan")}, {"delta": float("inf")}])
-    def test_block_arguments_validated(self, kw):
-        cfg = small_cfg(L_list=(25,), W=4.0)
-        with pytest.raises(ValueError, match=next(iter(kw))):
-            block_goodness(cfg, **{"K": 0.5, **kw})
-
-    def test_block_fields_left_config(self):
-        with pytest.raises(TypeError):
-            small_cfg(K=0.5)
-
-
 def phase_scan_oracle(cfg, init="all_ones", square_side=2.0):
     """Reference phase scan: one lattice.step trajectory per (beta, eta,
     seed) cell, stopped once extinct."""
@@ -151,7 +113,7 @@ def phase_scan_oracle(cfg, init="all_ones", square_side=2.0):
             mask[i0:i1, i0:i1] = 1
             state.occ = state.occ * mask
         for _ in range(cfg.horizon):
-            state, _ = lattice.step(state, dk, p, rng, anchor="site")
+            state, _ = lattice.step(state, dk, p, rng)
             if not state.occ.any():
                 break
         dens = state.density()

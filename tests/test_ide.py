@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcp import ide
 from qcp.ide import Field2D, Profile1D, apply_Q_1d, apply_Q_2d, evolve
@@ -46,13 +48,22 @@ class TestApplyQ2d:
         assert out.values.min() >= 0.0
         assert out.values.max() <= 1.0 - p_main.eta + 1e-14
 
-    def test_translation_equivariance_bit_exact(self, dk8, p_main):
-        u = random_field(seeded(5), n=20)
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.integers(1, 8), shape=st.tuples(st.integers(1, 24),
+                                                st.integers(1, 24)),
+           field_seed=st.integers(0, 2 ** 32 - 1),
+           shift=st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
+    def test_translation_equivariance_bit_exact(self, square_spec, p_main, L,
+                                                shape, field_seed, shift):
+        # on the torus the direct sum commutes with every shift, bit for bit
+        dk = discretize(square_spec, L)
+        u = Field2D(0.0, 0.0, 1.0 / L,
+                    np.random.default_rng(field_seed).random(shape))
         rolled = u.copy()
-        rolled.values = np.roll(u.values, 1, axis=0)
-        a = apply_Q_2d(rolled, dk8, p_main, method="direct").values
-        b = np.roll(apply_Q_2d(u, dk8, p_main, method="direct").values,
-                    1, axis=0)
+        rolled.values = np.roll(u.values, shift, axis=(0, 1))
+        a = apply_Q_2d(rolled, dk, p_main, method="direct").values
+        b = np.roll(apply_Q_2d(u, dk, p_main, method="direct").values,
+                    shift, axis=(0, 1))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("boundary", ["periodic", "clamped"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcp.kernel import (KernelSpec, _symmetrise, build_kernel, density,
-                        discretize, marginal_1d, sample_offset)
+                        discretize, marginal_1d)
 
 from conftest import seeded
 
@@ -297,17 +297,17 @@ class TestMarginal:
 class TestSampling:
     def test_point_mass_always_origin(self, point_mass_spec):
         dk = discretize(point_mass_spec, 4)
-        pts = sample_offset(dk, seeded(0), size=100)
+        pts = dk.offsets[dk.sample_indices(seeded(0).random(100))]
         assert np.all(pts == 0.0)
 
     def test_deterministic_given_state(self, dk8):
-        a = sample_offset(dk8, seeded(123), size=1000)
-        b = sample_offset(dk8, seeded(123), size=1000)
+        a = dk8.offsets[dk8.sample_indices(seeded(123).random(1000))]
+        b = dk8.offsets[dk8.sample_indices(seeded(123).random(1000))]
         assert np.array_equal(a, b)
 
     def test_multinomial_frequencies(self, dk1):
         n = 10 ** 6
-        pts = sample_offset(dk1, seeded(7), size=n)
+        pts = dk1.offsets[dk1.sample_indices(seeded(7).random(n))]
         for (i, j), m in zip(dk1.offsets, dk1.masses):
             freq = np.mean((pts[:, 0] == i) & (pts[:, 1] == j))
             sigma = np.sqrt(m * (1 - m) / n)
@@ -336,7 +336,7 @@ class TestSampling:
             np.array([])).dtype
 
     def test_sample_offset_keeps_shape(self, dk8):
-        pts = sample_offset(dk8, seeded(3), size=(3, 4))
+        pts = dk8.offsets[dk8.sample_indices(seeded(3).random((3, 4)))]
         assert pts.shape == (3, 4, 2)
 
     def test_csv_dump(self, dk1, tmp_path):

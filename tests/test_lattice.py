@@ -9,10 +9,20 @@ from hypothesis import strategies as st
 from qcp.ide import Field2D
 from qcp.kernel import KernelSpec, discretize
 from qcp.lattice import (BoxStats, LatticeState, _coins, box_side_sites,
-                         box_stats, corner_expectation, coupling_discrepancy,
-                         init, label_step, load_snapshot, save_snapshot, step)
+                         box_stats, init, label_step, load_snapshot,
+                         save_snapshot, step)
 from qcp.mean_field import Params
 from qcp.rng import LatticeRng
+
+from helpers import corner_expectation, corner_step, coupling_discrepancy
+
+
+def anchored_step(anchor, s, dk, p, rng):
+    """lattice.step for the site anchor; corner_step at gamma 0.3 for the
+    box corner."""
+    if anchor == "site":
+        return step(s, dk, p, rng)
+    return corner_step(s, dk, p, rng, gamma=0.3)
 
 
 class TestInit:
@@ -120,11 +130,6 @@ class TestStep:
             b, _ = step(b, dk8, p_main, rng_b)
             assert np.all(a.occ <= b.occ)
 
-    def test_box_corner_anchor_needs_gamma(self, dk8, p_main):
-        s = init("all_ones", 8, W=4.0)
-        with pytest.raises(ValueError, match="gamma"):
-            step(s, dk8, p_main, LatticeRng(1), anchor="box_corner")
-
     def test_one_step_box_mean_matches_expectation(self, square_spec):
         # corner-anchored process: per-box mean over seeds against the
         # closed-form conditional expectation
@@ -136,7 +141,7 @@ class TestStep:
         acc = None
         for k in range(seeds):
             rng = LatticeRng(100 + k)
-            s1, _ = step(s0, dk, p, rng, anchor="box_corner", gamma=gamma)
+            s1, _ = corner_step(s0, dk, p, rng, gamma=gamma)
             st = box_stats(s1, gamma)
             acc = st.density() if acc is None else acc + st.density()
         mean = acc / seeds
@@ -152,8 +157,7 @@ class TestStep:
         m = box_side_sites(L, gamma) ** 2
         samples = []
         for k in range(seeds):
-            s1, _ = step(s0, dk, p, LatticeRng(500 + k), anchor="box_corner",
-                         gamma=gamma)
+            s1, _ = corner_step(s0, dk, p, LatticeRng(500 + k), gamma=gamma)
             samples.append(box_stats(s1, gamma).S)
         var = np.var(np.array(samples, dtype=float), axis=0, ddof=1)
         c_bound = max(1.0, p.beta ** 2)
@@ -172,7 +176,7 @@ class TestStep:
         hits = 0
         for k in range(seeds):
             rng = LatticeRng(900 + k)
-            s1, _ = step(s0, dk, p, rng, anchor="box_corner", gamma=gamma)
+            s1, _ = corner_step(s0, dk, p, rng, gamma=gamma)
             dens = box_stats(s1, gamma).density()
             if np.max(np.abs(dens - expect)) >= delta:
                 hits += 1
@@ -202,7 +206,7 @@ class TestGoldenTrajectories:
         rng = LatticeRng(seed)
         s = init("product", L, W=W, rng=rng, p=0.5)
         for _ in range(3):
-            s, _ = step(s, dk, p_main, rng, anchor=anchor, gamma=0.3)
+            s, _ = anchored_step(anchor, s, dk, p_main, rng)
         assert hashlib.sha256(s.occ.tobytes()).hexdigest() == digest
 
 
@@ -247,8 +251,8 @@ class TestMonotoneCoupling:
                 "b1": (LatticeState(L, side, u < d_b, time), beta1)}
         rng = LatticeRng(seed)
         for _ in range(steps):
-            runs = {k: (step(s, dk, Params(beta, eta), rng, anchor=anchor,
-                             gamma=0.3)[0], beta)
+            runs = {k: (anchored_step(anchor, s, dk, Params(beta, eta),
+                                      rng)[0], beta)
                     for k, (s, beta) in runs.items()}
             inner = runs["a1"][0].occ.astype(bool)
             for outer in ("a2", "b1"):
@@ -272,8 +276,7 @@ class TestStepReport:
         s = LatticeState(L, side, u < density, time)
         rng = LatticeRng(seed)
         for _ in range(steps):
-            s1, rep = step(s, dk, Params(beta, eta), rng, anchor=anchor,
-                           gamma=0.3)
+            s1, rep = anchored_step(anchor, s, dk, Params(beta, eta), rng)
             u_att = _coins(rng, s.time + 1, side)[0]
             vacant = s.occ == 0
             assert rep.births_attempted == int(np.sum(vacant & (u_att < beta)))
@@ -301,7 +304,7 @@ class TestLabelStep:
         B = np.where(s.occ.astype(bool), -np.inf, np.inf)
         rng = LatticeRng(seed)
         for n in range(time, time + steps):
-            s, _ = step(s, dk, Params(beta, eta), rng, anchor="site")
+            s, _ = step(s, dk, Params(beta, eta), rng)
             B = label_step(B, n, dk, eta, rng)
             assert np.array_equal(B < beta, s.occ.astype(bool))
 

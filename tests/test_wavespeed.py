@@ -101,13 +101,6 @@ class TestPsi:
         assert np.all(psi.values[grid >= 0.0] == 0.0)
         assert psi.is_monotone()
 
-    def test_plateau_validated_against_equilibria(self, dk8, p_main):
-        eq = equilibria(p_main)
-        for plateau in (eq.rho_s + 0.01, eq.rho_u / 2):
-            with pytest.raises(ValueError, match="plateau"):
-                classify_speed(0.1, (1.0, 0.0), dk8, p_main,
-                               psi=PsiSpec(plateau, 1.0))
-
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             PsiSpec(plateau=0.5, width=-1.0)
@@ -263,8 +256,8 @@ class TestBitIdentical:
         (0.0, BELOW, 331), (0.2392766952966369, AT_OR_ABOVE, 87)])
     def test_iterates_match_weinberger_step(self, dk8, p_main, c, cls,
                                             steps):
-        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, None,
-                                            0.01, None)
+        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, 0.01,
+                                            None)
         assert wavespeed._classify_with_state(c, state, 10 * steps) == \
             (cls, steps)
         assert_iterates_match(c, state["psi"], state["k1"], p_main, steps)
@@ -313,7 +306,7 @@ class TestWindowedRecursion:
         onset = 4.0 * eta / (1.0 - eta)  # bistable for beta above it
         p = Params(onset + excess * (1.0 - onset), eta)
         state = wavespeed._classifier_state(
-            (math.cos(angle), math.sin(angle)), dk, p, None, 0.01, None)
+            (math.cos(angle), math.sin(angle)), dk, p, 0.01, None)
         psi = state["psi"]
         span = psi.s_max - psi.s0
         # c in [-d - 1, d + 1], or a shift past the grid end
@@ -324,8 +317,7 @@ class TestWindowedRecursion:
     def test_left_limit_still_moving(self, dk8):
         # near the bistability onset the plateau converges slowly
         p = Params(0.25, 0.05)
-        state = wavespeed._classifier_state((1.0, 0.0), dk8, p, None, 0.01,
-                                            None)
+        state = wavespeed._classifier_state((1.0, 0.0), dk8, p, 0.01, None)
         spans, limits = assert_iterates_match(0.05, state["psi"],
                                               state["k1"], p, 300)
         assert limits[-1][0] != limits[-2][0]
@@ -333,8 +325,8 @@ class TestWindowedRecursion:
 
     def test_right_limit_still_moving(self, dk8, p_main):
         # a right limit just above rho_u climbs slowly towards rho_s
-        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, None,
-                                            0.01, None)
+        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, 0.01,
+                                            None)
         psi, k1 = state["psi"], state["k1"]
         eq = equilibria(p_main)
         right = eq.rho_u + 1e-3 * (eq.rho_s - eq.rho_u)
@@ -345,8 +337,8 @@ class TestWindowedRecursion:
         assert all(sp.stop == len(psi.values) for sp in spans)
 
     def test_off_grid_shift(self, dk8, p_main):
-        state = wavespeed._classifier_state((0.6, 0.8), dk8, p_main, None,
-                                            0.01, None)
+        state = wavespeed._classifier_state((0.6, 0.8), dk8, p_main, 0.01,
+                                            None)
         psi = state["psi"]
         c = 0.3
         assert c / psi.delta != round(c / psi.delta)
@@ -445,3 +437,27 @@ class TestPhi:
         with pytest.raises((ValueError, RuntimeError)):
             build_phi(dirs[0], dirs[1], dirs[2], dk, p_main, n=2,
                       delta=0.05)
+
+    def test_domination_failure_names_last_n(self, dk8, p_main, monkeypatch):
+        # force every domination check to fail and record the right end
+        # of each psi grid, s_max = (n + 2) d/2 + 2d
+        grids = []
+        real_make_psi = wavespeed.make_psi
+
+        def spy(spec, delta, s_min, s_max):
+            grids.append(s_max)
+            return real_make_psi(spec, delta, s_min=s_min, s_max=s_max)
+
+        monkeypatch.setattr(wavespeed, "make_psi", spy)
+        monkeypatch.setattr(wavespeed, "_check_domination",
+                            lambda *args, **kwargs: (False, []))
+        monkeypatch.setattr(wavespeed, "estimate_cstar",
+                            lambda xi, *args, **kwargs: wavespeed.SpeedResult(
+                                xi=xi, c_star=0.18, bracket=(0.17, 0.18),
+                                iterations=0))
+        with pytest.raises(RuntimeError, match="domination") as info:
+            build_phi(*default_directions(), dk8, p_main, n=4)
+        d = dk8.support_diameter
+        last_n = round((grids[-1] - 2.0 * d) / (0.5 * d)) - 2
+        assert last_n == 4 + 2 * wavespeed._PHI_RETRIES
+        assert f"n={last_n};" in str(info.value)
