@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import comparison, experiments, lattice, manifest
+from . import experiments, lattice, manifest
 from .experiments import ExperimentConfig
 from .ide import Field2D, evolve
 from .kernel import KernelSpec, discretize
@@ -289,12 +289,12 @@ def _cmd_lattice_run(cfg) -> int:
         p = Params(cfg["beta"], cfg["eta"])
         dk = discretize(cfg["kernel"], L)
     with _invalid("W", "init"):
-        init, W = cfg["init"], cfg["W"]
+        init, side = cfg["init"], lattice.window_side(cfg["W"], L)
         if init.startswith("product:"):
-            state = lattice.init("product", L, W, rng=rng,
+            state = lattice.init("product", L, side, rng=rng,
                                  p=float(init[len("product:"):]))
         else:
-            state = lattice.init(init, L, W)
+            state = lattice.init(init, L, side)
     outdir = _out_dir(cfg)
     outputs = []
     trace = [{"n": 0, "density": state.density()}]
@@ -358,6 +358,9 @@ def _default_phi(cfg, ecfg: ExperimentConfig):
 
 def _cmd_error_rate(cfg) -> int:
     ecfg = _experiment(cfg)
+    if ecfg.steps < 1:  # the rates are per step
+        raise ConfigError(f"steps: error-rate needs at least 1, "
+                          f"got {ecfg.steps}")
     phi = _default_phi(cfg, ecfg)
     rows = experiments.error_rate(ecfg, phi)
     outdir = _out_dir(cfg)
@@ -371,16 +374,7 @@ def _cmd_error_rate(cfg) -> int:
 def _cmd_compare(cfg) -> int:
     ecfg = _experiment(cfg)
     phi = _default_phi(cfg, ecfg)
-    L = ecfg.L_list[0]
-    dk = discretize(ecfg.kernel, L)
-    cmp_cfg = comparison.make_comparison_config(phi, dk, L, ecfg.gamma)
-    side = experiments.aligned_side(L, ecfg.gamma, ecfg.W)
-
-    def one_seed(seed):
-        return experiments.run_coupled(ecfg.params, dk, ecfg.gamma, side,
-                                       ecfg.steps, seed, phi, cmp_cfg)
-
-    results = experiments.parallel_map(one_seed, ecfg.seeds, ecfg.threads)
+    cmp_cfg, _, results = experiments.coupled_runs(ecfg, phi, ecfg.L_list[0])
     rows = [{"seed": res.seed, "n": rep.time, "bad_boxes": rep.n_bad,
              "violations": len(rep.violations)}
             for res in results for rep in res.reports]

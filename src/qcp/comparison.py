@@ -76,20 +76,31 @@ class ComparisonConfig:
     gamma: float
     L: int
     d_k: float
-    d_B: float        # box diameter
-    box_side: int     # sites per box side
     directions: np.ndarray
-    lam: np.ndarray
+
+    def __post_init__(self):
+        lambda_coeffs(self.directions)  # rejects a non-spanning triple
+
+    @property
+    def lam(self) -> np.ndarray:
+        return lambda_coeffs(self.directions)
+
+    @property
+    def box_side(self) -> int:
+        """Sites per box side."""
+        return box_side_sites(self.L, self.gamma)
 
     def error_rate_bound(self) -> float:
         """C L^(2 gamma - 2) with C from the two Chebyshev constants."""
-        c1 = self._cmax / self.delta1 ** 2
-        c2 = self._cmax / self.delta2 ** 2
+        cmax = 1.0  # max{1, beta^2} with beta <= 1
+        c1 = cmax / self.delta1 ** 2
+        c2 = cmax / self.delta2 ** 2
         return max(c1, c2) * self.L ** (2.0 * self.gamma - 2.0)
 
-    @property
-    def _cmax(self) -> float:
-        return 1.0  # max{1, beta^2} with beta <= 1
+
+def box_diameter(L: int, gamma: float) -> float:
+    """d(B), the diameter of one box."""
+    return math.sqrt(2.0) * box_side_sites(L, gamma) / L
 
 
 def make_comparison_config(phi: PhiData, dk, L: int,
@@ -120,15 +131,11 @@ def make_comparison_config(phi: PhiData, dk, L: int,
     d_k = dk.support_diameter
     if d_k <= 0:
         raise ValueError("point-mass kernels give interaction rate 0")
-    bside = box_side_sites(L, gamma)
-    d_B = math.sqrt(2.0) * bside / L
     c = phi.c
-    r = float(math.ceil(phi.l + d_B + c + d_k))
+    r = float(math.ceil(phi.l + box_diameter(L, gamma) + c + d_k))
     return ComparisonConfig(alpha=alpha, c=c, b=2.0 * d_k, r=r,
                             delta1=delta1, delta2=delta2, gamma=gamma, L=L,
-                            d_k=d_k, d_B=d_B, box_side=bside,
-                            directions=phi.directions,
-                            lam=lambda_coeffs(phi.directions))
+                            d_k=d_k, directions=phi.directions)
 
 
 @dataclass(frozen=True)
@@ -235,14 +242,6 @@ class RegionSet:
 
     def inradius(self, R: VacantRegion, t: float) -> float:
         return float(self.lam @ R.offsets_at(t))
-
-    def holders(self, points, t: float):
-        """Regions alive at t and the (P, K) mask of those whose closed
-        triangle holds each point."""
-        regs = self.alive(t)
-        offsets = np.array([R.offsets_at(t) for R in regs]).reshape(-1, 3)
-        return regs, np.all(_edge_coords(points, regs, self.normals)
-                            <= offsets + 1e-9, axis=-1)
 
     # -- evolution -------------------------------------------------------
 
@@ -583,17 +582,16 @@ def _rect_in_union(rect, g, verts, normals, depth: int = 6) -> bool:
 # -- error detection and containment --------------------------------------
 
 def detect_errors(prev: BoxStats, cur: BoxStats, rs: RegionSet,
-                  phi: PhiData, cfg: ComparisonConfig,
-                  rng: _rng.LatticeRng,
-                  cache: ProfileCache | None = None) -> list:
+                  cache: ProfileCache, rng: _rng.LatticeRng) -> list:
     """Compare two consecutive box statistics against the region set.
 
     Type I: a box whose d(k)-surroundings were region-free at n-1 and
     whose density fell to alpha or below at n.  Type II: a box meeting
     the region union at n whose density fell below the recovery demand
-    h_n at the box center.  One uniformly placed point per erroring box.
+    h_n at the box center, read off the profiles in cache.  One
+    uniformly placed point per erroring box.
     """
-    n = cur.time
+    cfg, n = rs.cfg, cur.time
     if prev.time != n - 1:
         raise ValueError("box statistics must be one step apart")
     dens_prev = prev.density()
@@ -621,7 +619,7 @@ def detect_errors(prev: BoxStats, cur: BoxStats, rs: RegionSet,
     if len(bi):
         centers = 0.5 * (rects[bi, bj, :2] + rects[bi, bj, 2:])
         h = _recovery_demand(centers, regs, meets[bi, bj], rs.normals,
-                             cache or ProfileCache(phi), n)
+                             cache, n)
         low = dens_cur[bi, bj] < h
         errors += [("II", int(i), int(j)) for i, j in zip(bi[low], bj[low])]
 
@@ -642,26 +640,21 @@ def detect_errors(prev: BoxStats, cur: BoxStats, rs: RegionSet,
 
 @dataclass
 class ContainmentReport:
-    time: float
+    time: int
     n_bad: int
     bad_boxes: list
     violations: list = field(default_factory=list)
 
-    @property
-    def contained(self) -> bool:
-        return not self.violations
 
-
-def check_containment(stats: BoxStats, rs: RegionSet, phi: PhiData,
-                      cfg: ComparisonConfig, t: float) -> ContainmentReport:
+def check_containment(stats: BoxStats, rs: RegionSet) -> ContainmentReport:
     """Verify every bad box (density <= alpha) sits inside the union of
-    regions at time t.  Violations are data, not exceptions."""
+    regions at the time of stats.  Violations are data, not exceptions."""
     bad = [(int(bi), int(bj))
-           for bi, bj in np.argwhere(stats.density() <= cfg.alpha)]
-    _, g, verts = _region_snapshot(rs, t)
+           for bi, bj in np.argwhere(stats.density() <= rs.cfg.alpha)]
+    _, g, verts = _region_snapshot(rs, stats.time)
     rects = _box_rects(stats)
     violations = [b for b in bad
                   if not _rect_in_union(rects[b], g, verts, rs.normals)]
-    return ContainmentReport(time=t, n_bad=len(bad), bad_boxes=bad,
+    return ContainmentReport(time=stats.time, n_bad=len(bad), bad_boxes=bad,
                              violations=violations)
 

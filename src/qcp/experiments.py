@@ -60,6 +60,9 @@ class ExperimentConfig:
                     raise ValueError(f"{name}: {exc}") from None
         if not 0.0 < self.gamma < 0.5:
             raise ValueError("gamma must lie in (0, 1/2)")
+        if not self.seeds or not self.L_list:
+            raise ValueError("L_list and seeds must each hold at least one "
+                             "value")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         if self.steps < 0 or self.horizon < 0:
@@ -103,7 +106,7 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
         xs = np.arange(side) / L
         vals = _field_values(u0, xs, xs)
         u_field = Field2D(0.0, 0.0, 1.0 / L, vals, boundary="periodic")
-        u_n = evolve(u_field, dk, p, cfg.steps, method="auto")[-1]
+        u_n = evolve(u_field, dk, p, cfg.steps)[-1]
 
         def one_seed(seed, L=L, dk=dk, side=side, u_field=u_field, u_n=u_n):
             rng = LatticeRng(seed)
@@ -234,32 +237,35 @@ def run_coupled(p: Params, dk, gamma: float, side: int, steps: int,
     for n in range(1, steps + 1):
         state, _ = lattice.step(state, dk, p, rng)
         prev, stats = stats, lattice.box_stats(state, gamma)
-        errs = comparison.detect_errors(prev, stats, rs, phi, cfg, rng,
-                                        cache=cache)
+        errs = comparison.detect_errors(prev, stats, rs, cache, rng)
         points.extend(errs)
         rs.evolve_to(n, spawns=errs)
-        reports.append(comparison.check_containment(stats, rs, phi, cfg, n))
+        reports.append(comparison.check_containment(stats, rs))
     return CoupledRunResult(seed=seed, L=dk.L, steps=steps,
                             boxes=int(stats.nb ** 2), points=points,
                             reports=reports, n_regions=len(rs.regions))
 
 
+def coupled_runs(cfg: ExperimentConfig, phi: PhiData, L: int):
+    """One run_coupled per seed of cfg at L, on the torus of cfg.W
+    aligned to whole boxes: (comparison config, side, results)."""
+    dk = discretize(cfg.kernel, L)
+    cmp_cfg = comparison.make_comparison_config(phi, dk, L, cfg.gamma)
+    side = aligned_side(L, cfg.gamma, cfg.W)
+
+    def one_seed(seed):
+        return run_coupled(cfg.params, dk, cfg.gamma, side, cfg.steps, seed,
+                           phi, cmp_cfg)
+
+    return cmp_cfg, side, parallel_map(one_seed, cfg.seeds, cfg.threads)
+
+
 def error_rate(cfg: ExperimentConfig, phi: PhiData) -> list:
     """Empirical error rates per L against the Chebyshev bound, plus
     the point-process property checks on the pooled points."""
-    p = cfg.params
-    spec = build_kernel(cfg.kernel)
     rows = []
     for L in cfg.L_list:
-        dk = discretize(spec, L)
-        cmp_cfg = comparison.make_comparison_config(phi, dk, L, cfg.gamma)
-        side = aligned_side(L, cfg.gamma, cfg.W)
-
-        def one_seed(seed, dk=dk, cmp_cfg=cmp_cfg, side=side):
-            return run_coupled(p, dk, cfg.gamma, side, cfg.steps, seed,
-                               phi, cmp_cfg)
-
-        results = parallel_map(one_seed, cfg.seeds, cfg.threads)
+        cmp_cfg, side, results = coupled_runs(cfg, phi, L)
         pooled = [pt for r in results for pt in r.points]
         w_cont = side / L
         prop5 = property5_check(pooled, w_cont, cfg.steps,

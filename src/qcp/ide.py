@@ -102,20 +102,18 @@ def _node_shifts(dk: DiscreteKernel, h: float) -> np.ndarray:
     return dk.offsets * r
 
 
-def convolve_sq(u: Field2D, dk: DiscreteKernel, method: str = "auto") -> np.ndarray:
+def convolve_sq(u: Field2D, dk: DiscreteKernel) -> np.ndarray:
     """k * u^2 on u's grid under u's boundary mode.
 
     The kernel is even, so the correlation computed here equals the
-    convolution.  method 'direct' fixes the summation order per node
-    (including bit-exact shift equivariance); 'fft' agrees within 1e-12.
+    convolution.  Supports up to _FFT_SUPPORT_THRESHOLD offsets are
+    summed directly, in a fixed order per node (so shifts commute with
+    it bit for bit); larger ones go through FFTs, within 1e-12 of that.
     """
     shifts = _node_shifts(dk, u.h)
-    if method == "auto":
-        method = "fft" if len(shifts) > _FFT_SUPPORT_THRESHOLD else "direct"
-    if method not in ("direct", "fft"):
-        raise ValueError(f"unknown convolution method {method!r}")
+    fft = len(shifts) > _FFT_SUPPORT_THRESHOLD
     usq = u.values * u.values
-    if method == "fft" and u.boundary == "periodic":
+    if fft and u.boundary == "periodic":
         return periodic_correlate(usq, shifts, dk.masses)
     radius = int(np.max(np.abs(shifts))) if len(shifts) else 0
     if u.boundary == "periodic":
@@ -124,7 +122,7 @@ def convolve_sq(u: Field2D, dk: DiscreteKernel, method: str = "auto") -> np.ndar
         fill = u.clamp_value * u.clamp_value
         padded = np.pad(usq, radius, mode="constant", constant_values=fill)
     nx, ny = usq.shape
-    if method == "fft":
+    if fft:
         # a node of the window reads the padded grid within the kernel
         # radius, which stays inside it: no read wraps around the torus
         return periodic_correlate(padded, shifts, dk.masses)[
@@ -158,18 +156,16 @@ def periodic_correlate(a: np.ndarray, shifts: np.ndarray,
     return np.fft.irfft2(np.fft.rfft2(a) * spectrum, s=a.shape)
 
 
-def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params,
-               method: str = "auto") -> Field2D:
+def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params) -> Field2D:
     """One operator step; output values stay in [0, 1 - eta] for beta <= 1."""
-    conv = convolve_sq(u, dk, method=method)
+    conv = convolve_sq(u, dk)
     vals = (1.0 - p.eta) * (u.values + p.beta * (1.0 - u.values) * conv)
     out = u.copy()
     out.values = vals
     return out
 
 
-def evolve(u: Field2D, dk: DiscreteKernel, p: Params, n: int,
-           taps=None, method: str = "auto"):
+def evolve(u: Field2D, dk: DiscreteKernel, p: Params, n: int, taps=None):
     """Iterate the operator n times, returning the fields at ``taps``
     (default: just the final time)."""
     if n < 0:
@@ -185,7 +181,7 @@ def evolve(u: Field2D, dk: DiscreteKernel, p: Params, n: int,
             if t in taps:
                 out.append(cur.copy() if cur is u else cur)
             if t < n:
-                cur = apply_Q_2d(cur, dk, p, method=method)
+                cur = apply_Q_2d(cur, dk, p)
     finally:
         _evolve_spectrum.reset(token)
     return out

@@ -64,19 +64,15 @@ def window_side(W: float, L: int) -> int:
     return int(round(W * L))
 
 
-def init(mode: str, L: int, W: float | None = None, side: int | None = None,
-         rng: _rng.LatticeRng | None = None, p: float | None = None,
-         points=None, field: Field2D | None = None) -> LatticeState:
-    """Build an initial configuration.
+def init(mode: str, L: int, side: int, rng: _rng.LatticeRng | None = None,
+         p: float | None = None,
+         field: Field2D | None = None) -> LatticeState:
+    """Build an initial configuration on the side x side torus.
 
-    modes: 'all_ones', 'product' (iid density p), 'finite_set' (continuum
-    points snapped to sites), 'from_field' (per-site Bernoulli at the
-    field's node values; the field grid must coincide with the torus).
+    modes: 'all_ones', 'product' (iid density p), 'from_field' (per-site
+    Bernoulli at the field's node values; the field grid must coincide
+    with the torus).
     """
-    if side is None:
-        if W is None:
-            raise ValueError("give either W (unit squares) or side (sites)")
-        side = window_side(W, L)
     if side < 1:
         raise ValueError("window too small")
 
@@ -89,20 +85,6 @@ def init(mode: str, L: int, W: float | None = None, side: int | None = None,
             raise ValueError(f"p must lie in [0, 1], got {p}")
         u = rng.stream(0, _rng.PHASE_INIT).random((side, side))
         occ = (u < p).astype(np.uint8)
-    elif mode == "finite_set":
-        if points is None:
-            raise ValueError("finite_set mode needs points")
-        occ = np.zeros((side, side), dtype=np.uint8)
-        w = side / L
-        for x, y in points:
-            if not (0.0 <= x < w and 0.0 <= y < w):  # NaN fails too
-                raise ValueError(f"point ({x}, {y}) outside the window "
-                                 f"[0, {w})^2")
-            # the window is a torus: the nearest site of a point within
-            # 1/2L of the far edge is site 0
-            i = int(math.floor(x * L + 0.5)) % side
-            j = int(math.floor(y * L + 0.5)) % side
-            occ[i, j] = 1
     elif mode == "from_field":
         if field is None or rng is None:
             raise ValueError("from_field mode needs field and rng")

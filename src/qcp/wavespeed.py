@@ -39,7 +39,7 @@ _PHI_RETRIES = 5
 
 
 class SpeedIndeterminate(RuntimeError):
-    """classify_speed ran out of iterations without meeting either
+    """A trial speed ran out of iterations without meeting either
     criterion; retry with a larger max_iter."""
 
 
@@ -122,25 +122,6 @@ def _check_budget(tol, max_iter) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
-def classify_speed(c: float, xi, dk: DiscreteKernel, p: Params,
-                   max_iter: int | None = None, tol: float = 1e-3,
-                   delta: float | None = None) -> str:
-    """Decide whether the trial speed c lies below c*(xi).
-
-    Iterates the recursion from the default psi; 'below_cstar' once the
-    profile exceeds rho_s - tol one kernel diameter before the right end
-    of the probe interval, 'at_or_above' once the sup change per step
-    drops under tol/10 without that growth.
-    """
-    _check_budget(tol, max_iter)
-    if not math.isfinite(c):  # the shift must reach a finite distance
-        raise ValueError(f"trial speed c must be finite, got {c}")
-    state = _classifier_state(xi, dk, p, tol, delta)
-    if max_iter is None:
-        max_iter = _default_max_iter(dk, tol)
-    return _classify_with_state(c, state, max_iter)[0]
-
-
 def _classifier_state(xi, dk, p, tol, delta):
     eq = equilibria(p)
     if not p.bistable or eq.rho_u is None:
@@ -220,6 +201,10 @@ def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
 
 
 def _classify_with_state(c, state, max_iter):
+    """(class, steps) of trial speed c: 'below_cstar' once the profile
+    exceeds rho_s - tol one kernel diameter before the right end of the
+    probe interval, 'at_or_above' once the sup change per step drops
+    under tol/10 without that growth."""
     rho_s, tol, probe = state["rho_s"], state["tol"], state["probe"]
     top, still = rho_s - tol, tol / 10.0
     prev = state["psi"].values
@@ -248,9 +233,9 @@ class SpeedResult:
 def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
                    max_iter: int | None = None, delta: float | None = None, *,
                    memo: dict | None = None) -> SpeedResult:
-    """Bisect classify_speed over [-d(k)-1, d(k)+1] down to a bracket of
-    width tol; c_star is reported as the bracket's upper end, so
-    c_lo < c* <= c_star.
+    """Bisect the trial-speed class over [-d(k)-1, d(k)+1] down to a
+    bracket of width tol; c_star is reported as the bracket's upper end,
+    so c_lo < c* <= c_star.
 
     The bisection sees xi only through its line marginal.  ``memo`` is
     a dict owned by the caller, shared only between calls that differ
@@ -418,9 +403,9 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
     d = dk.support_diameter
     delta = _grid_step(dk, delta)
     k1s = [marginal_1d(dk, x, delta) for x in dirs]
+    s_min, _ = _working_grid(dk, spec, delta)
 
     for n in range(n, n + 2 * _PHI_RETRIES + 1, 2):
-        s_min = -(spec.width + 2.0 * d) - 2 * delta
         s_max = (n + 2) * 0.5 * d + 2.0 * d
         psi_prof = make_psi(spec, delta, s_min=s_min, s_max=s_max)
         fronts = []  # (values, left limit) of f_n per direction

@@ -1,13 +1,16 @@
 """Reference code that only the tests use: the box-corner-anchored
 lattice step and its one-step closed form, the maximal coupling of the
-site- and corner-anchored steps, scalar region queries, a region-set
-snapshot and the phase-scan threshold read-off.  No subcommand writes
-any of their numbers, so they live here and not in the library."""
+site- and corner-anchored steps, a single trial-speed classification,
+scalar region queries, a region-set snapshot and the phase-scan
+threshold read-off.  No subcommand writes any of their numbers, so they
+live here and not in the library."""
+
+import math
 
 import numpy as np
 
-from qcp import lattice
-from qcp.comparison import ProfileCache, _recovery_demand
+from qcp import lattice, wavespeed
+from qcp.comparison import ProfileCache, _edge_coords, _recovery_demand
 from qcp.ide import periodic_correlate
 from qcp.lattice import _NBR_DI, _NBR_DJ, box_side_sites, box_stats
 from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
@@ -177,9 +180,31 @@ def coupling_discrepancy(s0, dk, p, seeds, gamma: float) -> float:
     return total / len(seeds)
 
 
+def classify_speed(c: float, xi, dk, p, max_iter: int | None = None,
+                   tol: float = 1e-3, delta: float | None = None) -> str:
+    """Decide whether the trial speed c lies below c*(xi): one probe of
+    the bisection in wavespeed.estimate_cstar, from the default psi."""
+    wavespeed._check_budget(tol, max_iter)
+    if not math.isfinite(c):  # the shift must reach a finite distance
+        raise ValueError(f"trial speed c must be finite, got {c}")
+    state = wavespeed._classifier_state(xi, dk, p, tol, delta)
+    if max_iter is None:
+        max_iter = wavespeed._default_max_iter(dk, tol)
+    return wavespeed._classify_with_state(c, state, max_iter)[0]
+
+
+def holders(rs, points, t: float):
+    """Regions of rs alive at t and the (P, K) mask of those whose
+    closed triangle holds each point."""
+    regs = rs.alive(t)
+    offsets = np.array([R.offsets_at(t) for R in regs]).reshape(-1, 3)
+    return regs, np.all(_edge_coords(points, regs, rs.normals)
+                        <= offsets + 1e-9, axis=-1)
+
+
 def membership(rs, x, t: float) -> bool:
     """Whether some region of rs alive at t holds the point x."""
-    return bool(rs.holders(x, t)[1].any())
+    return bool(holders(rs, x, t)[1].any())
 
 
 def h_field(rs, phi, n: int, cache=None):
@@ -189,7 +214,7 @@ def h_field(rs, phi, n: int, cache=None):
     cache = cache or ProfileCache(phi)
 
     def evaluate(x) -> float:
-        regs, mask = rs.holders(x, n)
+        regs, mask = holders(rs, x, n)
         return float(_recovery_demand(x, regs, mask, rs.normals, cache, n)[0])
 
     return evaluate

@@ -150,10 +150,20 @@ class TestErrors:
         ["phase-scan", "--phase-W", "1.5"],
         *(["speed", "--track-steps", steps, "--method", "tracking"]
           for steps in ("-1", "0", "1", "2")),
-        ["speed", "--angle", "nan", "--method", "tracking"]])
-    def test_invalid_value_is_config_error(self, argv, tmp_path, capsys):
+        ["speed", "--angle", "nan", "--method", "tracking"],
+        # configs that yield no data
+        ["compare", {"L-list": []}], ["hydro", {"L-list": []}],
+        ["error-rate", {"seeds": []}], ["error-rate", "--steps", "0"]])
+    def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
+                                           monkeypatch):
         # a trailing dict is a config document; the error names its one
         # key, else the first flag (or the ExperimentConfig field behind it)
+        from qcp import cli
+
+        def no_phi(*args, **kwargs):
+            raise AssertionError("phi was built before the config was checked")
+
+        monkeypatch.setattr(cli, "build_phi", no_phi)
         if isinstance(argv[-1], dict):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(argv[-1]))

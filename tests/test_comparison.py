@@ -3,11 +3,13 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcp.comparison import (ComparisonConfig, ErrorPoint, ProfileCache,
-                            RegionSet, check_containment, detect_errors,
-                            lambda_coeffs, make_comparison_config,
-                            spawn_region, _vertices)
+                            RegionSet, box_diameter, check_containment,
+                            detect_errors, lambda_coeffs,
+                            make_comparison_config, spawn_region, _vertices)
 from qcp.ide import Profile1D
 from qcp.kernel import Kernel1D
 from qcp.lattice import BoxStats, box_side_sites
@@ -33,9 +35,7 @@ def small_cfg(r=2.0, c=0.1, b=1.0, directions=None, alpha=0.5, L=100,
     dirs = default_directions() if directions is None else directions
     return ComparisonConfig(alpha=alpha, c=c, b=b, r=r, delta1=0.05,
                             delta2=0.1, gamma=gamma, L=L, d_k=0.5,
-                            d_B=math.sqrt(2) * box_side_sites(L, gamma) / L,
-                            box_side=box_side_sites(L, gamma),
-                            directions=dirs, lam=lambda_coeffs(dirs))
+                            directions=dirs)
 
 
 def point(x, y, t, step, kind="I", box=(0, 0)):
@@ -299,43 +299,43 @@ class FineStepOracle:
 
 
 class TestIntegratorOracle:
-    def test_vanish_and_catchup_match_closed_forms(self):
-        gen = seeded(55)
-        for trial in range(12):
-            dirs = random_acute_normals(gen)
-            r = float(gen.uniform(1.0, 2.5))
-            c = float(gen.uniform(0.1, 0.4))
-            b = float(gen.uniform(0.8, 2.0))
-            cfg = small_cfg(r=r, c=c, b=b, directions=dirs)
-            oracle = FineStepOracle(dirs, cfg.lam, c, b)
+    @settings(max_examples=50, deadline=None)
+    @given(normals_seed=st.integers(0, 2 ** 32 - 1),
+           r=st.floats(1.0, 2.5), c=st.floats(0.1, 0.4),
+           b=st.floats(0.8, 2.0), t_spawn=st.floats(0.0, 0.5),
+           gap_frac=st.floats(0.2, 0.8))
+    def test_vanish_and_catchup_match_closed_forms(self, normals_seed, r, c,
+                                                   b, t_spawn, gap_frac):
+        dirs = random_acute_normals(seeded(normals_seed))
+        cfg = small_cfg(r=r, c=c, b=b, directions=dirs)
+        oracle = FineStepOracle(dirs, cfg.lam, c, b)
 
-            rs = RegionSet(cfg)
-            t_spawn = float(gen.uniform(0.0, 0.5))
-            gap = float(gen.uniform(0.2, 0.8)) * r
-            p1 = point(0.0, 0.0, t_spawn, 1, "I", (0, 0))
-            p2 = point(gap, 0.0, t_spawn, 1, "I", (1, 0))
-            rs.evolve_to(t_spawn + r / c + 1.0, spawns=[p1, p2])
+        rs = RegionSet(cfg)
+        gap = gap_frac * r
+        p1 = point(0.0, 0.0, t_spawn, 1, "I", (0, 0))
+        p2 = point(gap, 0.0, t_spawn, 1, "I", (1, 0))
+        rs.evolve_to(t_spawn + r / c + 1.0, spawns=[p1, p2])
 
-            reg = rs.regions[0]
-            t_v = oracle.vanish_time([r] * 3, t_spawn, t_spawn + r / c + 1.0)
-            # impl vanish may come later if both parents only shrink; the
-            # freestanding formula still applies to each spawned triangle
-            assert reg.vanished_at == pytest.approx(t_v, abs=1e-9)
+        reg = rs.regions[0]
+        t_v = oracle.vanish_time([r] * 3, t_spawn, t_spawn + r / c + 1.0)
+        # impl vanish may come later if both parents only shrink; the
+        # freestanding formula still applies to each spawned triangle
+        assert reg.vanished_at == pytest.approx(t_v, abs=1e-9)
 
-            ov = next((x for x in rs.regions.values()
-                       if x.kind == "overlap"), None)
-            assert ov is not None
-            parents = [(rs.regions[i].center,
-                        rs.regions[i].offsets_at(ov.created_at))
-                       for i in ov.parents]
-            times = oracle.catchup_times(ov.center,
-                                         ov.offsets_at(ov.created_at),
-                                         parents, ov.created_at,
-                                         ov.created_at + 10.0)
-            for j, edge in enumerate(ov.edges):
-                if len(edge.segments) > 1:
-                    assert times[j] == pytest.approx(edge.segments[1][0],
-                                                     abs=1e-9)
+        ov = next((x for x in rs.regions.values()
+                   if x.kind == "overlap"), None)
+        assert ov is not None
+        parents = [(rs.regions[i].center,
+                    rs.regions[i].offsets_at(ov.created_at))
+                   for i in ov.parents]
+        times = oracle.catchup_times(ov.center,
+                                     ov.offsets_at(ov.created_at),
+                                     parents, ov.created_at,
+                                     ov.created_at + 10.0)
+        for j, edge in enumerate(ov.edges):
+            if len(edge.segments) > 1:
+                assert times[j] == pytest.approx(edge.segments[1][0],
+                                                 abs=1e-9)
 
 
 class TestProfileCacheAndHField:
@@ -408,6 +408,7 @@ class TestDetectErrors:
     def setup_method(self):
         self.phi = synthetic_phi()
         self.cfg = small_cfg(r=2.0, alpha=self.phi.alpha)
+        self.cache = ProfileCache(self.phi)
         self.nb = 8
 
     def _uniform(self, value):
@@ -417,8 +418,7 @@ class TestDetectErrors:
         rs = RegionSet(self.cfg)
         prev = mk_stats(self._uniform(0.95), time=0)
         cur = mk_stats(self._uniform(0.90), time=1)
-        errs = detect_errors(prev, cur, rs, self.phi, self.cfg,
-                             LatticeRng(1))
+        errs = detect_errors(prev, cur, rs, self.cache, LatticeRng(1))
         assert errs == []
 
     def test_isolated_drop_is_type_one(self):
@@ -427,8 +427,7 @@ class TestDetectErrors:
         dens = self._uniform(0.95)
         dens[3, 4] = 0.25
         cur = mk_stats(dens, time=1)
-        errs = detect_errors(prev, cur, rs, self.phi, self.cfg,
-                             LatticeRng(1))
+        errs = detect_errors(prev, cur, rs, self.cache, LatticeRng(1))
         assert len(errs) == 1
         e = errs[0]
         assert e.type == "I" and e.box == (3, 4) and e.step == 1
@@ -446,8 +445,7 @@ class TestDetectErrors:
         dens = self._uniform(0.95)
         dens[3, 4] = 0.25
         cur = mk_stats(dens, time=1)
-        errs = detect_errors(prev, cur, rs, self.phi, self.cfg,
-                             LatticeRng(1))
+        errs = detect_errors(prev, cur, rs, self.cache, LatticeRng(1))
         assert all(e.type != "I" for e in errs)
 
     def test_type_two_below_recovery_demand(self):
@@ -459,8 +457,7 @@ class TestDetectErrors:
         dens = self._uniform(0.95)
         dens[3, 4] = self.phi.alpha - 0.2  # below h = alpha at the center
         cur = mk_stats(dens, time=1)
-        errs = detect_errors(prev, cur, rs, self.phi, self.cfg,
-                             LatticeRng(1))
+        errs = detect_errors(prev, cur, rs, self.cache, LatticeRng(1))
         assert [e.type for e in errs] == ["II"]
         assert errs[0].box == (3, 4)
 
@@ -475,8 +472,7 @@ class TestDetectErrors:
         dens = self._uniform(0.95)
         dens[3, 4] = self.phi.alpha + 0.05
         cur = mk_stats(dens, time=1)
-        errs = detect_errors(prev, cur, rs, self.phi, self.cfg,
-                             LatticeRng(1))
+        errs = detect_errors(prev, cur, rs, self.cache, LatticeRng(1))
         assert errs == []
 
     def test_placement_deterministic(self):
@@ -486,8 +482,8 @@ class TestDetectErrors:
         dens[2, 2] = 0.1
         dens[5, 6] = 0.1
         cur = mk_stats(dens, time=1)
-        a = detect_errors(prev, cur, rs, self.phi, self.cfg, LatticeRng(4))
-        b = detect_errors(prev, cur, rs, self.phi, self.cfg, LatticeRng(4))
+        a = detect_errors(prev, cur, rs, self.cache, LatticeRng(4))
+        b = detect_errors(prev, cur, rs, self.cache, LatticeRng(4))
         assert a == b
         assert len(a) == 2
 
@@ -582,8 +578,7 @@ class TestArrayPathAgainstScalarOracle:
             cache = ProfileCache(phi)
             oracle = ScalarOracle(rs, cache)
 
-            errs = detect_errors(prev, cur, rs, phi, cfg, LatticeRng(trial),
-                                 cache=cache)
+            errs = detect_errors(prev, cur, rs, cache, LatticeRng(trial))
             want = oracle.errors(prev, cur, cfg)
             assert [(e.type, *e.box) for e in errs] == want
             for kind, _, _ in want:
@@ -609,8 +604,8 @@ class TestContainment:
     def test_vacuous_when_no_bad_boxes(self):
         rs = RegionSet(self.cfg)
         stats = mk_stats(np.full((self.nb, self.nb), 0.9), time=1)
-        rep = check_containment(stats, rs, self.phi, self.cfg, 1)
-        assert rep.contained and rep.n_bad == 0
+        rep = check_containment(stats, rs)
+        assert not rep.violations and rep.n_bad == 0
 
     def test_bad_box_inside_triangle_contained(self):
         rs = RegionSet(self.cfg)
@@ -619,17 +614,15 @@ class TestContainment:
         rs.evolve_to(1.0, spawns=[point(center[0], center[1], 0.5, 1)])
         dens = np.full((self.nb, self.nb), 0.9)
         dens[3, 3] = 0.2
-        rep = check_containment(mk_stats(dens, time=1), rs, self.phi,
-                                self.cfg, 1)
-        assert rep.n_bad == 1 and rep.contained
+        rep = check_containment(mk_stats(dens, time=1), rs)
+        assert rep.n_bad == 1 and not rep.violations
 
     def test_uncovered_bad_box_is_violation(self):
         rs = RegionSet(self.cfg)
         dens = np.full((self.nb, self.nb), 0.9)
         dens[6, 1] = 0.2
-        rep = check_containment(mk_stats(dens, time=1), rs, self.phi,
-                                self.cfg, 1)
-        assert not rep.contained
+        rep = check_containment(mk_stats(dens, time=1), rs)
+        assert rep.violations
         assert rep.violations == [(6, 1)]
 
     def test_union_containment_across_two_regions(self):
@@ -643,9 +636,9 @@ class TestContainment:
             point(cx + 0.9, cy, 0.9, 1, "I", (1, 0))])
         dens = np.full((8, 8), 0.9)
         dens[3, 3] = 0.2
-        rep = check_containment(mk_stats(dens, time=1), rs, self.phi, cfg, 1)
+        rep = check_containment(mk_stats(dens, time=1), rs)
         assert rep.n_bad == 1
-        assert rep.contained
+        assert not rep.violations
 
 
 class TestErrorRateBound:
@@ -661,6 +654,7 @@ class TestErrorRateBound:
         cfg = make_comparison_config(phi_main, dk, L, gamma)
         warm = LatticeRng(77)
         state = init("all_ones", L, side=80)
+        cache = ProfileCache(phi_main)
         for _ in range(10):
             state, _ = step(state, dk, p_main, warm)
         prev = box_stats(state, gamma)
@@ -672,7 +666,7 @@ class TestErrorRateBound:
             nxt, _ = step(state, dk, p_main, rng)
             cur = box_stats(nxt, gamma)
             rs = RegionSet(cfg)
-            errs = detect_errors(prev, cur, rs, phi_main, cfg, rng_pts)
+            errs = detect_errors(prev, cur, rs, cache, rng_pts)
             count += sum(1 for e in errs if e.type == "I")
         rate = count / (boxes * 500)
         sigma = np.sqrt(max(rate, 1.0 / (boxes * 500)) / (boxes * 500))
@@ -683,9 +677,9 @@ class TestConfigAndSerialization:
     def test_make_config_from_phi(self, phi_main, dk8):
         cfg = make_comparison_config(phi_main, dk8, 200, 0.3)
         assert cfg.b == pytest.approx(2 * dk8.support_diameter)
-        assert cfg.r >= phi_main.l + cfg.d_B + cfg.c + cfg.d_k
-        assert cfg.r == float(math.ceil(phi_main.l + cfg.d_B + cfg.c
-                                        + cfg.d_k))
+        d_B = box_diameter(200, 0.3)
+        assert cfg.r >= phi_main.l + d_B + cfg.c + cfg.d_k
+        assert cfg.r == float(math.ceil(phi_main.l + d_B + cfg.c + cfg.d_k))
         assert 0 < cfg.delta1 < mf_step(phi_main.params, cfg.alpha) - cfg.alpha
         assert cfg.delta2 > 0
         assert cfg.error_rate_bound() > 0

@@ -20,11 +20,16 @@ def random_field(gen, n=24, h=0.125):
     return Field2D(0.0, 0.0, h, gen.random((n, n)))
 
 
+def force_fft(monkeypatch):
+    """Route every 2D convolution through FFTs, whatever its support."""
+    monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
+
+
 class TestApplyQ2d:
     def test_rho_s_fixed_point(self, dk8, p_main):
         eq = equilibria(p_main)
         u = const_field(eq.rho_s, h=1.0 / 8.0)
-        out = apply_Q_2d(u, dk8, p_main, method="direct")
+        out = apply_Q_2d(u, dk8, p_main)
         assert np.max(np.abs(out.values - eq.rho_s)) < 1e-12
 
     def test_zero_fixed_point(self, dk8, p_main):
@@ -38,8 +43,8 @@ class TestApplyQ2d:
             v = u.copy()
             v.values = np.minimum(1.0, u.values + gen.random(u.values.shape)
                                   * (1 - u.values))
-            qu = apply_Q_2d(u, dk8, p_main, method="direct")
-            qv = apply_Q_2d(v, dk8, p_main, method="direct")
+            qu = apply_Q_2d(u, dk8, p_main)
+            qv = apply_Q_2d(v, dk8, p_main)
             assert np.all(qu.values <= qv.values + 1e-14)
 
     def test_range_preserved(self, dk8, p_main):
@@ -55,24 +60,27 @@ class TestApplyQ2d:
            shift=st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
     def test_translation_equivariance_bit_exact(self, square_spec, p_main, L,
                                                 shape, field_seed, shift):
-        # on the torus the direct sum commutes with every shift, bit for bit
+        # on the torus the direct sum commutes with every shift, bit for
+        # bit; at L <= 8 the support has at most 289 offsets, below the
+        # FFT threshold
         dk = discretize(square_spec, L)
         u = Field2D(0.0, 0.0, 1.0 / L,
                     np.random.default_rng(field_seed).random(shape))
         rolled = u.copy()
         rolled.values = np.roll(u.values, shift, axis=(0, 1))
-        a = apply_Q_2d(rolled, dk, p_main, method="direct").values
-        b = np.roll(apply_Q_2d(u, dk, p_main, method="direct").values,
+        a = apply_Q_2d(rolled, dk, p_main).values
+        b = np.roll(apply_Q_2d(u, dk, p_main).values,
                     shift, axis=(0, 1))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("boundary", ["periodic", "clamped"])
-    def test_fft_matches_direct(self, dk8, p_main, boundary):
+    def test_fft_matches_direct(self, dk8, p_main, boundary, monkeypatch):
         u = random_field(seeded(6), n=40)
         u.boundary = boundary
         u.clamp_value = 0.3
-        a = apply_Q_2d(u, dk8, p_main, method="direct").values
-        b = apply_Q_2d(u, dk8, p_main, method="fft").values
+        a = apply_Q_2d(u, dk8, p_main).values
+        force_fft(monkeypatch)
+        b = apply_Q_2d(u, dk8, p_main).values
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_incompatible_grid_rejected(self, dk8, p_main):
@@ -119,14 +127,17 @@ class TestEvolve:
     @pytest.mark.parametrize("method, h", [
         ("fft", 0.125), ("fft", 0.0625), ("direct", 0.125),
     ])
-    def test_equals_repeated_apply_q_2d(self, dk8, p_main, method, h):
+    def test_equals_repeated_apply_q_2d(self, dk8, p_main, method, h,
+                                        monkeypatch):
         # evolve computes the kernel spectrum once per call; every step
         # must still give the bits of a lone apply_Q_2d
+        if method == "fft":
+            force_fft(monkeypatch)
         u = random_field(seeded(8), n=40, h=h)
-        outs = evolve(u, dk8, p_main, 4, taps=range(5), method=method)
+        outs = evolve(u, dk8, p_main, 4, taps=range(5))
         cur = u
         for got in outs[1:]:
-            cur = apply_Q_2d(cur, dk8, p_main, method=method)
+            cur = apply_Q_2d(cur, dk8, p_main)
             assert np.array_equal(got.values, cur.values)
 
     def test_kernel_spectrum_once_per_call(self, dk8, p_main, monkeypatch):
@@ -138,10 +149,11 @@ class TestEvolve:
             return rfft2(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft2", spy)
+        force_fft(monkeypatch)
         u = random_field(seeded(9), n=40)
         for _ in range(2):
             calls.clear()
-            evolve(u, dk8, p_main, 5, method="fft")
+            evolve(u, dk8, p_main, 5)
             # one transform per step for the field, one for the kernel
             assert len(calls) == 5 + 1
             assert ide._evolve_spectrum.get() is None
@@ -191,7 +203,7 @@ class TestApplyQ1d:
             g1 = apply_Q_1d(f, k1, p_main)
             field = Field2D(0.0, 0.0, h, np.tile(ramp[:, None], (1, n)),
                             boundary="periodic")
-            g2 = apply_Q_2d(field, dk, p_main, method="direct")
+            g2 = apply_Q_2d(field, dk, p_main)
             interior = slice(dk.offsets[:, 0].max(),
                              n - dk.offsets[:, 0].max())
             diff = np.abs(g2.values[interior, n // 2]

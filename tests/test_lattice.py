@@ -10,7 +10,7 @@ from qcp.ide import Field2D
 from qcp.kernel import KernelSpec, discretize
 from qcp.lattice import (BoxStats, LatticeState, _coins, box_side_sites,
                          box_stats, init, label_step, load_snapshot,
-                         save_snapshot, step)
+                         save_snapshot, step, window_side)
 from qcp.mean_field import Params
 from qcp.rng import LatticeRng
 
@@ -27,16 +27,16 @@ def anchored_step(anchor, s, dk, p, rng):
 
 class TestInit:
     def test_all_ones(self):
-        s = init("all_ones", 10, W=2.0)
+        s = init("all_ones", 10, side=20)
         assert s.density() == 1.0
         assert s.side == 20
 
     def test_product_zero_empty(self):
-        s = init("product", 10, W=2.0, rng=LatticeRng(1), p=0.0)
+        s = init("product", 10, side=20, rng=LatticeRng(1), p=0.0)
         assert s.density() == 0.0
 
     def test_product_density_clt(self):
-        s = init("product", 50, W=4.0, rng=LatticeRng(2), p=0.37)
+        s = init("product", 50, side=200, rng=LatticeRng(2), p=0.37)
         n = s.side ** 2
         sigma = np.sqrt(0.37 * 0.63 / n)
         assert abs(s.density() - 0.37) < 4 * sigma
@@ -48,44 +48,25 @@ class TestInit:
         sigma = np.sqrt(0.25 / side ** 2)
         assert abs(s.density() - 0.5) < 4 * sigma
 
-    def test_finite_set(self):
-        s = init("finite_set", 10, W=2.0, points=[(0.5, 0.5), (1.0, 1.5)])
-        assert int(s.occ.sum()) == 2
-        assert s.occ[5, 5] == 1
-
-    def test_finite_set_outside_window(self):
-        with pytest.raises(ValueError, match="outside"):
-            init("finite_set", 10, W=2.0, points=[(2.5, 0.5)])
-
-    def test_finite_set_snaps_across_the_torus_edge(self):
-        # 1.97 lies in [0, 2) and snaps to site 20, which is site 0
-        s = init("finite_set", 10, W=2.0, points=[(1.97, 0.5)])
-        assert s.occ[0, 5] == 1 and int(s.occ.sum()) == 1
-
-    @pytest.mark.parametrize("x", [-0.04, float("inf"), float("nan")])
-    def test_finite_set_point_outside_window(self, x):
-        with pytest.raises(ValueError, match="outside"):
-            init("finite_set", 10, W=2.0, points=[(x, 0.5)])
-
     @pytest.mark.parametrize("W", [float("inf"), float("nan"), 1e308])
     def test_window_must_be_finite(self, W):
         with pytest.raises(ValueError, match="not finite"):
-            init("all_ones", 10, W=W)
+            window_side(W, 10)
 
     @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
     def test_product_density_outside_unit_interval(self, p):
         with pytest.raises(ValueError, match="p must lie in"):
-            init("product", 10, W=2.0, rng=LatticeRng(1), p=p)
+            init("product", 10, side=20, rng=LatticeRng(1), p=p)
 
     def test_product_determinism(self):
-        a = init("product", 20, W=2.0, rng=LatticeRng(9), p=0.4)
-        b = init("product", 20, W=2.0, rng=LatticeRng(9), p=0.4)
+        a = init("product", 20, side=40, rng=LatticeRng(9), p=0.4)
+        b = init("product", 20, side=40, rng=LatticeRng(9), p=0.4)
         assert np.array_equal(a.occ, b.occ)
 
 
 class TestStep:
     def test_all_ones_deaths_only(self, dk8, p_main):
-        s = init("all_ones", 8, W=4.0)
+        s = init("all_ones", 8, side=32)
         rng = LatticeRng(11)
         s1, rep = step(s, dk8, p_main, rng)
         n = s.side ** 2
@@ -95,7 +76,9 @@ class TestStep:
 
     def test_single_site_cannot_give_birth(self, dk8):
         p = Params(1.0, 0.1)
-        s = init("finite_set", 8, W=4.0, points=[(2.0, 2.0)])
+        occ = np.zeros((32, 32), dtype=np.uint8)
+        occ[16, 16] = 1  # the site at (2, 2)
+        s = LatticeState(8, 32, occ)
         rng = LatticeRng(12)
         total = s.occ.sum()
         for _ in range(20):
@@ -105,14 +88,14 @@ class TestStep:
             total = s.occ.sum()
 
     def test_eta_one_kills_everything(self, dk8):
-        s = init("all_ones", 8, W=4.0)
+        s = init("all_ones", 8, side=32)
         s1, _ = step(s, dk8, Params(0.8, 1.0), LatticeRng(13))
         assert s1.occ.sum() == 0
 
     def test_bit_identical_trajectories(self, dk8, p_main):
         def run(seed):
             rng = LatticeRng(seed)
-            s = init("product", 8, W=4.0, rng=rng, p=0.5)
+            s = init("product", 8, side=32, rng=rng, p=0.5)
             for _ in range(10):
                 s, _ = step(s, dk8, p_main, rng)
             return s.occ
@@ -122,8 +105,8 @@ class TestStep:
 
     def test_monotone_coupling(self, dk8, p_main):
         rng_a, rng_b = LatticeRng(21), LatticeRng(21)
-        a = init("product", 8, W=4.0, rng=LatticeRng(1), p=0.3)
-        extra = init("product", 8, W=4.0, rng=LatticeRng(2), p=0.3)
+        a = init("product", 8, side=32, rng=LatticeRng(1), p=0.3)
+        extra = init("product", 8, side=32, rng=LatticeRng(2), p=0.3)
         b = LatticeState(8, a.side, (a.occ | extra.occ).astype(np.uint8))
         for _ in range(20):
             a, _ = step(a, dk8, p_main, rng_a)
@@ -204,7 +187,7 @@ class TestGoldenTrajectories:
                                  p_main):
         dk = discretize(KernelSpec(*spec), L)
         rng = LatticeRng(seed)
-        s = init("product", L, W=W, rng=rng, p=0.5)
+        s = init("product", L, window_side(W, L), rng=rng, p=0.5)
         for _ in range(3):
             s, _ = anchored_step(anchor, s, dk, p_main, rng)
         assert hashlib.sha256(s.occ.tobytes()).hexdigest() == digest
@@ -360,18 +343,18 @@ class TestBoxStats:
         assert st.R.sum() == 0.5
 
     def test_empty_state(self):
-        s = init("product", 16, W=2.0, rng=LatticeRng(1), p=0.0)
+        s = init("product", 16, side=32, rng=LatticeRng(1), p=0.0)
         st = box_stats(s, 0.3)
         assert np.all(st.S == 0) and np.all(st.R == 0)
 
     def test_gamma_validated(self):
-        s = init("all_ones", 16, W=2.0)
+        s = init("all_ones", 16, side=32)
         for g in (0.0, 0.5, 0.7):
             with pytest.raises(ValueError):
                 box_stats(s, g)
 
     def test_r_at_most_s(self):
-        s = init("product", 20, W=3.0, rng=LatticeRng(8), p=0.6)
+        s = init("product", 20, side=60, rng=LatticeRng(8), p=0.6)
         st = box_stats(s, 0.3)
         assert np.all(st.R <= st.S)
         assert 0 < st.m == st.b ** 2
@@ -395,7 +378,7 @@ class TestCouplingDiscrepancy:
         # pins every coin of the coupled step: the value was recorded
         # before the coupling phases got names in rng
         dk = discretize(square_spec, 10)
-        s0 = init("product", 10, W=2, rng=LatticeRng(2), p=0.4)
+        s0 = init("product", 10, side=20, rng=LatticeRng(2), p=0.4)
         assert coupling_discrepancy(s0, dk, Params(0.8, 0.1), [21, 22],
                                     gamma=0.3) == 0.0225
 
@@ -412,7 +395,7 @@ class TestCouplingDiscrepancy:
 
 class TestSnapshots:
     def test_round_trip(self, p_main, tmp_path):
-        s = init("product", 12, W=3.0, rng=LatticeRng(6), p=0.4)
+        s = init("product", 12, side=36, rng=LatticeRng(6), p=0.4)
         s.time = 17
         path = tmp_path / "snap.json"
         save_snapshot(s, path, seed=6, params=p_main)

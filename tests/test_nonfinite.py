@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from qcp.ide import Field2D, Profile1D
 from qcp.kernel import KernelSpec, build_kernel, marginal_1d
 from qcp.mean_field import Params
-from qcp.wavespeed import (build_phi, classify_speed, default_directions,
-                           estimate_cstar, front_speed_tracking)
+from qcp.wavespeed import (build_phi, default_directions, estimate_cstar,
+                           front_speed_tracking)
+
+from helpers import classify_speed
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 FINITE = st.floats(-10.0, 10.0)

@@ -10,12 +10,12 @@ from qcp.ide import Profile1D, apply_Q_1d
 from qcp.kernel import Kernel1D, discretize, marginal_1d
 from qcp.mean_field import Params, equilibria, mean_field_trace
 from qcp.wavespeed import (AT_OR_ABOVE, BELOW, PsiSpec, build_phi,
-                           classify_speed, default_directions,
-                           default_psi_spec, estimate_cstar,
-                           front_speed_tracking, make_psi,
+                           default_directions, default_psi_spec,
+                           estimate_cstar, front_speed_tracking, make_psi,
                            validate_direction_triple, weinberger_step)
 
 from conftest import seeded
+from helpers import classify_speed
 
 # frozen after first computation at beta=1, eta=0.05, unit-square kernel
 # discretized at L=8 with the default grid
