@@ -133,6 +133,10 @@ SCHEMA = {
                     {**_COMMON, **_U0, **_EXPERIMENT, "phi-L": (int, 8),
                      "assert": (bool, False)}),
 }
+# compare runs one L, since containment.csv has no L column; by default
+# the first of the shared list, the one it always ran
+SCHEMA["compare"] = {**SCHEMA["compare"], "L-list": (
+    _EXPERIMENT["L-list"][0], _EXPERIMENT["L-list"][1][:1])}
 
 
 def _load_document(path) -> dict:
@@ -373,6 +377,9 @@ def _cmd_error_rate(cfg) -> int:
 
 def _cmd_compare(cfg) -> int:
     ecfg = _experiment(cfg)
+    if len(ecfg.L_list) > 1:  # containment.csv has no L column
+        raise ConfigError(f"L-list: compare runs one L, got "
+                          f"{list(ecfg.L_list)}")
     phi = _default_phi(cfg, ecfg)
     cmp_cfg, _, results = experiments.coupled_runs(ecfg, phi, ecfg.L_list[0])
     rows = [{"seed": res.seed, "n": rep.time, "bad_boxes": rep.n_bad,

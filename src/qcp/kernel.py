@@ -128,6 +128,21 @@ class DiscreteKernel:
 
     def __post_init__(self):
         self._cdf = np.cumsum(self.masses)
+        n = len(self._cdf)
+        # bucket table of the inverse-CDF search: m is the smallest power
+        # of two >= n, and guide[k] counts the entries with
+        # floor(cdf * m) < k, so it is i for k in (bucket[i-1], bucket[i]].
+        # Built by repeats and held as int32, it needs no int64 array of
+        # m entries.
+        m = 1 << max(n - 1, 0).bit_length()
+        bucket = np.minimum(self._cdf * m, m).astype(np.int64)
+        runs = np.diff(bucket, prepend=-1, append=m)
+        self._guide = np.repeat(np.arange(n + 1, dtype=np.int32), runs)
+        # most entries in one bucket, the entries at or above 1 included
+        fill = int(np.diff(self._guide, append=n).max())
+        self._steps = fill.bit_length()
+        # the largest |coordinate| of an offset, in lattice steps
+        self.reach = int(np.abs(self.offsets).max(initial=0))
 
     @property
     def cdf(self) -> np.ndarray:
@@ -136,16 +151,32 @@ class DiscreteKernel:
     def sample_indices(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0,1) to rows of ``offsets`` by inverse CDF.
 
-        The search runs on the sorted uniforms, so a large CDF is read
-        in order rather than at random; each key's result is the same as
-        in one plain ``searchsorted``, and the output keeps u's shape.
+        The result is ``minimum(searchsorted(cdf, u, "right"), n - 1)``
+        for every key, NaN and +-inf included, in u's shape.  A key
+        starts at guide[k], k = floor(u * m) clamped to [0, m].  As m is
+        a power of two, u * m is exact, so the entries counted in
+        guide[k] all lie below u and those of later buckets all above
+        it: the answer is at most one bucket's entries past guide[k],
+        and ``_steps`` halvings find it.  A NaN key goes to bucket m and
+        no entry compares above it, so it ends past the last row, as in
+        the plain search.
         """
-        u = np.asarray(u)
+        u = np.asarray(u, dtype=np.float64)
         flat = u.ravel()
-        order = np.argsort(flat)
-        idx = np.empty(flat.shape, dtype=np.intp)
-        idx[order] = np.searchsorted(self._cdf, flat[order], side="right")
-        return np.minimum(idx.reshape(u.shape), len(self.masses) - 1)
+        m = len(self._guide) - 1
+        c = np.fmin(flat, 1.0)          # NaN and keys above 1 to bucket m
+        c *= m
+        np.fmax(c, 0.0, out=c)          # keys below 0 to bucket 0
+        hi = self._guide[c.astype(np.intp)]
+        hi += (1 << self._steps) - 1
+        probe = np.empty_like(hi)
+        for j in reversed(range(self._steps)):
+            s = 1 << j
+            np.subtract(hi, s, out=probe)
+            self._cdf.take(probe, mode="clip", out=c)
+            hi -= s * (c > flat)
+        np.minimum(hi, len(self.masses) - 1, out=hi)
+        return hi.astype(np.intp).reshape(u.shape)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:

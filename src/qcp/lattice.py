@@ -115,10 +115,11 @@ class StepReport:
 
 
 def _coins(rng: _rng.LatticeRng, n: int, side: int):
-    """The attempt, offset, neighbour and death coins of step n."""
-    return tuple(rng.stream(n, phase).random((side, side))
-                 for phase in (_rng.PHASE_ATTEMPT, _rng.PHASE_OFFSET,
-                               _rng.PHASE_NEIGHBOR, _rng.PHASE_DEATH))
+    """The attempt, offset, neighbour and death coins of step n, in that
+    order, each drawn only when the caller takes it."""
+    return _rng.uniforms(rng.seed, n, (_rng.PHASE_ATTEMPT, _rng.PHASE_OFFSET,
+                                       _rng.PHASE_NEIGHBOR, _rng.PHASE_DEATH),
+                         (side, side))
 
 
 def _parents(dk: DiscreteKernel, side: int, base_i, base_j, u_off, u_nbr):
@@ -127,7 +128,7 @@ def _parents(dk: DiscreteKernel, side: int, base_i, base_j, u_off, u_nbr):
     subset of sites draws the same parents."""
     # a coordinate k in [-r, side + r) wraps to wrap[k + r]; r reaches
     # past the farthest kernel offset by the one neighbour step
-    r = int(np.abs(dk.offsets).max()) + 1
+    r = dk.reach + 1
     wrap = np.arange(-r, side + r) % side
 
     def wrapped(coord, shift):
@@ -156,20 +157,17 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     """One synchronous update; deterministic given (seed, time).
 
     Coins are drawn for every site regardless of occupancy so that
-    coupled runs stay coupled.
+    coupled runs stay coupled.  Each full-lattice coin array is dropped
+    once used, so no two are alive at once.
     """
     side = s.side
     n = s.time + 1
-    u_att, u_off, u_nbr, u_die = _coins(rng, n, side)
+    coins = _coins(rng, n, side)
 
     occ0 = s.occ.astype(bool)
-    f = np.flatnonzero(~occ0 & (u_att < p.beta))  # the birth attempts
-    del u_att
-    dies = u_die < p.eta
-    del u_die
-    u_off = u_off.ravel()[f]
-    u_nbr = u_nbr.ravel()[f]
-
+    f = np.flatnonzero(~occ0 & (next(coins) < p.beta))  # the birth attempts
+    u_off = next(coins).ravel()[f]
+    u_nbr = next(coins).ravel()[f]
     y, z = _parents(dk, side, *np.divmod(f, side), u_off, u_nbr)
     del u_off, u_nbr
 
@@ -179,6 +177,7 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     del y, z
     after_births = occ0.copy()
     after_births.ravel()[f[born]] = True
+    dies = next(coins) < p.eta
     final = after_births & ~dies
 
     new = LatticeState(L=s.L, side=side, occ=final.astype(np.uint8),

@@ -25,17 +25,40 @@ _PHASE_COUNT = 8
 _MASK64 = (1 << 64) - 1
 
 
-def stream(seed: int, time: int, phase: int) -> np.random.Generator:
-    """Generator for one (seed, time, phase) triple."""
+def _key(seed: int, time: int, phase: int) -> np.ndarray:
+    """Philox key of one (seed, time, phase) triple."""
     if not 0 <= phase < _PHASE_COUNT:
         raise ValueError(f"phase must be in [0, {_PHASE_COUNT}), got {phase}")
     if time < 0:
         raise ValueError("time must be nonnegative")
-    key = np.array(
+    return np.array(
         [int(seed) & _MASK64, (int(time) * _PHASE_COUNT + phase) & _MASK64],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key))
+
+
+def stream(seed: int, time: int, phase: int) -> np.random.Generator:
+    """Generator for one (seed, time, phase) triple."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, time, phase)))
+
+
+def uniforms(seed: int, time: int, phases, shape):
+    """Yield ``stream(seed, time, phase).random(shape)`` for each phase in
+    turn, bit for bit, drawing each array only when it is asked for.
+
+    One Philox serves every phase: it is re-keyed to counter 0 with an
+    empty buffer, the state a fresh stream starts in, so no generator is
+    built (nor OS entropy read) per phase.
+    """
+    bits = np.random.Philox(key=_key(seed, time, phases[0]))
+    gen = np.random.Generator(bits)
+    for phase in phases:
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": np.zeros(4, np.uint64),
+                                "key": _key(seed, time, phase)},
+                      "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
+        yield gen.random(shape)
 
 
 class LatticeRng:

@@ -153,7 +153,9 @@ class TestErrors:
         ["speed", "--angle", "nan", "--method", "tracking"],
         # configs that yield no data
         ["compare", {"L-list": []}], ["hydro", {"L-list": []}],
-        ["error-rate", {"seeds": []}], ["error-rate", "--steps", "0"]])
+        ["error-rate", {"seeds": []}], ["error-rate", "--steps", "0"],
+        # compare writes one L: containment.csv has no L column
+        ["compare", {"L-list": [20, 40]}]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
         # a trailing dict is a config document; the error names its one

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcp.kernel import (KernelSpec, _symmetrise, build_kernel, density,
-                        discretize, marginal_1d)
+from qcp.kernel import (DiscreteKernel, KernelSpec, _symmetrise, build_kernel,
+                        density, discretize, marginal_1d)
 
 from conftest import seeded
 
@@ -314,7 +316,7 @@ class TestSampling:
             assert abs(freq - m) < 4 * sigma
 
     def test_matches_plain_inverse_cdf_search(self, square_spec):
-        # the sorted-key search must return what one plain searchsorted
+        # the bucket search must return what one plain searchsorted
         # plus the clamp returns, on ties, near-ties and the clamp
         dk = discretize(square_spec, 5)
         cdf, n = dk.cdf, len(dk.masses)
@@ -334,6 +336,48 @@ class TestSampling:
             assert np.array_equal(got, plain(u))
         assert dk.sample_indices(np.array([])).dtype == plain(
             np.array([])).dtype
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5000),
+           kind=st.sampled_from(["random", "zeros", "heavy", "atom",
+                                 "equal"]),
+           shape=st.sampled_from([(), (0,), (1,), (7,), (300,), (0, 3),
+                                  (3, 5), (40, 25)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bucket_search_equals_plain_search(self, n, kind, shape, seed):
+        # keys on and beside every CDF entry, the ends of [0, 1], keys
+        # outside it, infinities and NaN, on masses with long runs of
+        # ties ("zeros") and with many entries in one bucket ("heavy")
+        gen = np.random.default_rng(seed)
+        if kind == "random":
+            w = gen.random(n)
+        elif kind == "zeros":
+            w = np.where(gen.random(n) < 0.5, 0.0, gen.random(n))
+            w[gen.integers(n)] = 1.0
+        elif kind == "heavy":
+            w = np.full(n, 1e-12)
+            w[gen.integers(0, n, 3)] = 1.0
+        elif kind == "atom":
+            w = np.zeros(n)
+            w[gen.integers(n)] = 1.0
+        else:
+            w = np.ones(n)
+        dk = DiscreteKernel(L=1, offsets=np.zeros((n, 2), np.int64),
+                            masses=w / w.sum(), support_diameter=0.0)
+        cdf = dk.cdf
+        pool = np.concatenate([
+            gen.random(200), cdf, np.nextafter(cdf, -np.inf),
+            np.nextafter(cdf, np.inf), -gen.random(5),
+            [0.0, -0.0, 1.0, np.nextafter(cdf[-1], 2.0), -1e300, 1e300,
+             np.inf, -np.inf, np.nan]])
+        for u in (pool, gen.choice(pool, size=shape)):
+            got = dk.sample_indices(u)
+            want = np.minimum(np.searchsorted(cdf, u, "right"), n - 1)
+            assert got.shape == u.shape and got.dtype == np.intp
+            assert np.array_equal(got, want)
+            # the plain search sorts NaN above every entry
+            assert np.all(got[np.isnan(u)] == n - 1)
+        assert dk._steps <= n.bit_length()
 
     def test_sample_offset_keeps_shape(self, dk8):
         pts = dk8.offsets[dk8.sample_indices(seeded(3).random((3, 4)))]

@@ -12,7 +12,8 @@ from qcp.lattice import (BoxStats, LatticeState, _coins, box_side_sites,
                          box_stats, init, label_step, load_snapshot,
                          save_snapshot, step, window_side)
 from qcp.mean_field import Params
-from qcp.rng import LatticeRng
+from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_NEIGHBOR, PHASE_OFFSET,
+                     LatticeRng)
 
 from helpers import corner_expectation, corner_step, coupling_discrepancy
 
@@ -168,6 +169,29 @@ class TestStep:
         assert hits / seeds <= min(1.0, bound)
 
 
+class TestCoins:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 2 ** 40),
+           side=st.integers(1, 20), order_seed=st.integers(0, 2 ** 32 - 1))
+    def test_equal_fresh_streams(self, seed, n, side, order_seed):
+        # the coins of three steps, taken in a random interleaving, each
+        # have the bits of a fresh stream of their (step, phase)
+        rng = LatticeRng(seed)
+        times = (n, n + 1, n + 9)
+        coins = {t: _coins(rng, t, side) for t in times}
+        taken = {t: 0 for t in times}
+        phases = (PHASE_ATTEMPT, PHASE_OFFSET, PHASE_NEIGHBOR, PHASE_DEATH)
+        order = np.random.default_rng(order_seed).permutation(
+            np.repeat(times, len(phases)))
+        for t in order.tolist():
+            want = rng.stream(t, phases[taken[t]]).random((side, side))
+            got = next(coins[t])
+            assert got.shape == (side, side)
+            assert got.tobytes() == want.tobytes()
+            taken[t] += 1
+        assert all(next(c, None) is None for c in coins.values())
+
+
 class TestGoldenTrajectories:
     """sha256 of occ.tobytes() after three steps from a product start
     at density 1/2, recorded before the kernel layer was vectorised."""
@@ -260,7 +284,7 @@ class TestStepReport:
         rng = LatticeRng(seed)
         for _ in range(steps):
             s1, rep = anchored_step(anchor, s, dk, Params(beta, eta), rng)
-            u_att = _coins(rng, s.time + 1, side)[0]
+            u_att = next(_coins(rng, s.time + 1, side))
             vacant = s.occ == 0
             assert rep.births_attempted == int(np.sum(vacant & (u_att < beta)))
             assert 0 <= rep.births <= rep.births_attempted
@@ -307,7 +331,7 @@ class TestLabelStep:
         choices = [np.full((side, side), -np.inf),
                    np.full((side, side), np.inf),
                    gen.random((side, side)), np.zeros((side, side)),
-                   np.ones((side, side)), _coins(rng, time + 1, side)[0]]
+                   np.ones((side, side)), next(_coins(rng, time + 1, side))]
         B = np.choose(kind, choices)
         for n in range(time, time + steps):
             want = full_site_label_step(B, n, dk, eta, rng)
