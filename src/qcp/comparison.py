@@ -21,6 +21,7 @@ union of regions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,8 +39,8 @@ _EVENT_GUARD = 1_000_000
 # this many contact events in a row, with no spawn, catch-up or vanish
 # between them, is an overlap cascade (see RegionSet.evolve_to)
 _CASCADE_RUN = 32
-# ages of the recovery profile a new ProfileCache builds
-_PROFILE_AGES = 16
+# the two support lines that meet at vertex k of a triangle
+_VERTEX_LINES = np.array([[1, 2], [2, 0], [0, 1]])
 
 # same-time event ordering: creations first, then interactions
 _PRIO_SPAWN = 0
@@ -209,9 +210,13 @@ class VacantRegion:
 
 
 def _vertices(normals: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Vertex k meets the two support lines other than line k."""
-    return np.array([np.linalg.solve(normals[[i, j]], g[[i, j]])
-                     for i, j in ((1, 2), (2, 0), (0, 1))])
+    """(..., 3, 2) vertices of the triangles with supports g (..., 3):
+    vertex k meets the two support lines other than line k.  One stacked
+    solve runs LAPACK's gesv on each 2 x 2 system, as a solve per vertex
+    would."""
+    g = np.asarray(g, dtype=float)
+    return np.linalg.solve(normals[_VERTEX_LINES],
+                           g[..., _VERTEX_LINES, None])[..., 0]
 
 
 def spawn_region(e: ErrorPoint, cfg: ComparisonConfig,
@@ -234,6 +239,13 @@ class RegionSet:
         self.next_id = 0
         self.horizon = 0.0
         self.contacts: set[frozenset] = set()
+        # bumped by every change to a region, so a snapshot computed at
+        # one version holds until the next change
+        self.version = 0
+        self._snapshot = (None, None)
+        # supports_at(t) per (region id, t), within one pass of the
+        # event loop of evolve_to
+        self._supports: dict = {}
 
     # -- queries ---------------------------------------------------------
 
@@ -243,12 +255,27 @@ class RegionSet:
     def inradius(self, R: VacantRegion, t: float) -> float:
         return float(self.lam @ R.offsets_at(t))
 
+    def snapshot(self, t: float):
+        """Regions alive at t, their supports (K, 3) and vertices
+        (K, 3, 2), computed once per version and time; read-only."""
+        key, snap = self._snapshot
+        if key != (self.version, t):
+            regs = self.alive(t)
+            g = np.array([R.supports_at(t, self.normals)
+                          for R in regs]).reshape(-1, 3)
+            verts = _vertices(self.normals, g)
+            g.flags.writeable = verts.flags.writeable = False
+            snap = regs, g, verts
+            self._snapshot = (self.version, t), snap
+        return snap
+
     # -- evolution -------------------------------------------------------
 
     def insert_spawn(self, e: ErrorPoint) -> VacantRegion:
         reg = spawn_region(e, self.cfg, rid=self.next_id)
         self.next_id += 1
         self.regions[reg.id] = reg
+        self.version += 1
         return reg
 
     def evolve_to(self, t1: float, spawns=()) -> None:
@@ -270,6 +297,7 @@ class RegionSet:
             raise ValueError("spawn scheduled beyond the target time")
         contacts_in_a_row = 0
         for _ in range(_EVENT_GUARD):
+            self._supports.clear()
             now = self.horizon
             self._rearm_contacts(now)
             event = self._next_event(now, t1, spawn_queue)
@@ -305,9 +333,16 @@ class RegionSet:
 
         self.contacts -= {pair for pair in self.contacts if stale(pair)}
 
+    def _supports_at(self, R: VacantRegion, t: float) -> np.ndarray:
+        key = (R.id, t)
+        g = self._supports.get(key)
+        if g is None:
+            g = self._supports[key] = R.supports_at(t, self.normals)
+        return g
+
     def _pair_inradius(self, A, B, t: float) -> float:
-        ga = A.supports_at(t, self.normals)
-        gb = B.supports_at(t, self.normals)
+        ga = self._supports_at(A, t)
+        gb = self._supports_at(B, t)
         return float(self.lam @ np.minimum(ga, gb))
 
     def _next_event(self, now: float, t1: float, spawn_queue):
@@ -371,8 +406,8 @@ class RegionSet:
         return t_best
 
     def _contact_time(self, A, B, now: float, t1: float):
-        ga = A.supports_at(now, self.normals)
-        gb = B.supports_at(now, self.normals)
+        ga = self._supports_at(A, now)
+        gb = self._supports_at(B, now)
         ra, rb = A.rates(), B.rates()
         if float(self.lam @ np.minimum(ga, gb)) >= -1e-9:
             return now
@@ -426,6 +461,7 @@ class RegionSet:
                            modes=["out"] * 3, parents=ids, targets=ids)
         self.next_id += 1
         self.regions[reg.id] = reg
+        self.version += 1
         self.contacts.update(frozenset(pair) for pair in
                              itertools.combinations(ids + [reg.id], 2))
 
@@ -443,12 +479,14 @@ class RegionSet:
         else:
             h_new = edge.offset_at(t)
         edge.switch(t, h_new, -self.cfg.c, "in")
+        self.version += 1
 
     def _do_vanish(self, rid: int, t: float):
         R = self.regions[rid]
         if not R.alive_at(t) or R.vanished_at is not None:
             return
         R.vanished_at = t
+        self.version += 1
         for other in self.regions.values():
             for edge in other.edges:
                 if edge.mode == "out" and rid in edge.targets:
@@ -458,36 +496,44 @@ class RegionSet:
 # -- recovery profile field ----------------------------------------------
 
 class ProfileCache:
-    """Iterated recovery profiles per (direction, age), widened on the
-    right so the advancing front never reads past the grid.  Ages up to
-    _PROFILE_AGES are built at once; an older age rebuilds the ladder to
-    at least twice its length."""
+    """Iterated recovery profiles per (direction, age), each age computed
+    once, when first asked for.
+
+    apply_Q_1d reads past the right end of the grid as the right limit.
+    So an age whose last kernel half-width hw of points equals its limit
+    bit for bit gives the next age on the same grid; otherwise the grid
+    first grows by hw points of the limit.  phi's right limit is 0, which
+    the operator and mf_step both keep, so every age equals its limit
+    past its grid.  So on the points they share, the ladder equals one
+    built on a grid widened in advance by hw per age, bit for bit.
+    Underflow ends the front's spread after a few widenings.
+    """
 
     def __init__(self, phi: PhiData):
         self.phi = phi
-        self._build(_PROFILE_AGES)
+        self.tables = [[phi.phi] for _ in phi.kernels1d]
+        self.cap = 0
 
     def _build(self, cap: int):
+        """Grow every direction's ladder to age cap."""
+        for k1, ladder in zip(self.phi.kernels1d, self.tables):
+            hw = k1.halfwidth
+            while len(ladder) <= cap:
+                prof = ladder[-1]
+                if hw and np.any(prof.values[-hw:] != prof.right_limit):
+                    prof = Profile1D(
+                        prof.s0, prof.delta,
+                        np.concatenate([prof.values,
+                                        np.full(hw, prof.right_limit)]),
+                        prof.left_limit, prof.right_limit)
+                ladder.append(apply_Q_1d(prof, k1, self.phi.params))
         self.cap = cap
-        base = self.phi.phi
-        reach = max(k1.halfwidth for k1 in self.phi.kernels1d) * base.delta
-        extra = int(math.ceil((cap * reach + 2 * reach) / base.delta))
-        values = np.concatenate([base.values,
-                                 np.full(extra, base.right_limit)])
-        wide = Profile1D(base.s0, base.delta, values,
-                         base.left_limit, base.right_limit)
-        self.tables = []
-        for k1 in self.phi.kernels1d:
-            ladder = [wide]
-            for _ in range(cap):
-                ladder.append(apply_Q_1d(ladder[-1], k1, self.phi.params))
-            self.tables.append(ladder)
 
     def profile(self, j: int, age: int) -> Profile1D:
         if age < 0:
             raise ValueError("age must be nonnegative")
         if age > self.cap:
-            self._build(max(age, 2 * self.cap))
+            self._build(age)
         return self.tables[j][age]
 
 
@@ -524,12 +570,6 @@ def _recovery_demand(points, regions, mask, normals: np.ndarray,
 
 # -- geometric predicates for boxes ---------------------------------------
 
-def _box_rects(stats: BoxStats) -> np.ndarray:
-    """(nb, nb, 4) array whose entry (bi, bj) is stats.box_rect(bi, bj)."""
-    return np.array([[stats.box_rect(bi, bj) for bj in range(stats.nb)]
-                     for bi in range(stats.nb)])
-
-
 def _corner_coords(rects, normals: np.ndarray) -> np.ndarray:
     """(..., 4, 3) projections xi_j . corner of the four corners of
     (..., 4) rectangles (x0, y0, x1, y1)."""
@@ -538,37 +578,53 @@ def _corner_coords(rects, normals: np.ndarray) -> np.ndarray:
                              axis=-1), normals)
 
 
-def _rects_inside(rects, g: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """(..., K): the rectangle lies in the closed region with supports
-    g[k] (rows of a (K, 3) array)."""
-    proj = _corner_coords(rects, normals)[..., None, :, :]
-    return np.all(proj <= g[:, None, :] + 1e-9, axis=(-2, -1))
+@functools.lru_cache(maxsize=16)
+def _box_grid(L: int, b: int, nb: int, normals: tuple):
+    """Read-only rectangles (nb, nb, 4) of the boxes of b sites at
+    spacing 1/L, entry (bi, bj) equal to BoxStats.box_rect(bi, bj), and
+    their least corner projections on the normals (nb, nb, 3)."""
+    x0 = np.arange(nb) * b / L
+    x1 = x0 + b / L
+    rects = np.stack(np.broadcast_arrays(x0[:, None], x0[None, :],
+                                         x1[:, None], x1[None, :]), axis=-1)
+    lo = _corner_coords(rects, np.array(normals).reshape(3, 2)).min(axis=-2)
+    rects.flags.writeable = lo.flags.writeable = False
+    return rects, lo
 
 
-def _rects_meet(rects, g: np.ndarray, verts: np.ndarray,
-                normals: np.ndarray) -> np.ndarray:
-    """(..., K): the rectangle meets region k (supports g[k], vertices
-    verts[k]); separating axes are the edge normals and the x, y axes."""
-    lo = _corner_coords(rects, normals).min(axis=-2)[..., None, :]
-    apart = np.any(lo > g + 1e-9, axis=-1)
+def _boxes(rs: RegionSet, *stats: BoxStats):
+    """_box_grid of stats, which must have the L and box side of rs.cfg
+    and one window side."""
+    cfg = rs.cfg
+    for st in stats:
+        if (st.L, st.b) != (cfg.L, cfg.box_side):
+            raise ValueError(
+                f"box statistics at L={st.L} with boxes of b={st.b} sites "
+                f"do not match the comparison config (L={cfg.L}, "
+                f"b={cfg.box_side})")
+    if len({st.side for st in stats}) > 1:
+        raise ValueError("box statistics come from windows of different "
+                         "sides: " + ", ".join(str(st.side) for st in stats))
+    return _box_grid(cfg.L, cfg.box_side, stats[0].nb,
+                     tuple(rs.normals.ravel().tolist()))
+
+
+def _rects_meet(rects, lo, g: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """(..., K): the rectangle, with least corner projections lo, meets
+    region k (supports g[k], vertices verts[k]); separating axes are the
+    edge normals and the x, y axes."""
+    apart = np.any(lo[..., None, :] > g + 1e-9, axis=-1)
     r = np.asarray(rects, dtype=float)[..., None, :]
     apart |= np.any((verts.max(axis=1) < r[..., :2] - 1e-9)
                     | (verts.min(axis=1) > r[..., 2:] + 1e-9), axis=-1)
     return ~apart
 
 
-def _region_snapshot(rs: RegionSet, t: float):
-    """Regions alive at t, their supports (K, 3) and vertices (K, 3, 2)."""
-    regs = rs.alive(t)
-    g = np.array([R.supports_at(t, rs.normals) for R in regs]).reshape(-1, 3)
-    verts = np.array([_vertices(rs.normals, gk) for gk in g])
-    return regs, g, verts.reshape(-1, 3, 2)
-
-
 def _rect_in_union(rect, g, verts, normals, depth: int = 6) -> bool:
-    if _rects_inside(rect, g, normals).any():
+    proj = _corner_coords(rect, normals)
+    if np.all(proj[None] <= g[:, None, :] + 1e-9, axis=(-2, -1)).any():
         return True
-    touching = _rects_meet(rect, g, verts, normals)
+    touching = _rects_meet(rect, proj.min(axis=-2), g, verts)
     if not touching.any() or depth == 0:
         return False
     x0, y0, x1, y1 = rect
@@ -589,18 +645,20 @@ def detect_errors(prev: BoxStats, cur: BoxStats, rs: RegionSet,
     whose density fell to alpha or below at n.  Type II: a box meeting
     the region union at n whose density fell below the recovery demand
     h_n at the box center, read off the profiles in cache.  One
-    uniformly placed point per erroring box.
+    uniformly placed point per erroring box.  ValueError unless prev
+    and cur are one step apart, come from one window and have the L and
+    box side of rs.cfg.
     """
     cfg, n = rs.cfg, cur.time
     if prev.time != n - 1:
         raise ValueError("box statistics must be one step apart")
+    rects, lo = _boxes(rs, prev, cur)
     dens_prev = prev.density()
     dens_cur = cur.density()
     # all geometry is queried at n-1: the audit-time shrink is what the
     # +c term in the spawn inradius pays for
-    regs, g, verts = _region_snapshot(rs, n - 1)
-    rects = _box_rects(cur)
-    meets = _rects_meet(rects, g, verts, rs.normals)     # (nb, nb, K)
+    regs, g, verts = rs.snapshot(n - 1)
+    meets = _rects_meet(rects, lo, g, verts)             # (nb, nb, K)
     touched = meets.any(axis=-1)
 
     # Type I: no box within d(k) of the dropped box meets a region
@@ -648,11 +706,13 @@ class ContainmentReport:
 
 def check_containment(stats: BoxStats, rs: RegionSet) -> ContainmentReport:
     """Verify every bad box (density <= alpha) sits inside the union of
-    regions at the time of stats.  Violations are data, not exceptions."""
+    regions at the time of stats.  Violations are data, not exceptions;
+    box statistics without the L and box side of rs.cfg are a
+    ValueError."""
+    rects, _ = _boxes(rs, stats)
     bad = [(int(bi), int(bj))
            for bi, bj in np.argwhere(stats.density() <= rs.cfg.alpha)]
-    _, g, verts = _region_snapshot(rs, stats.time)
-    rects = _box_rects(stats)
+    _, g, verts = rs.snapshot(stats.time)
     violations = [b for b in bad
                   if not _rect_in_union(rects[b], g, verts, rs.normals)]
     return ContainmentReport(time=stats.time, n_bad=len(bad), bad_boxes=bad,

@@ -260,10 +260,11 @@ def box_stats(s: LatticeState, gamma: float) -> BoxStats:
     blk = s.occ[:trim, :trim].reshape(nb, b, nb, b).transpose(0, 2, 1, 3)
     S = blk.sum(axis=(2, 3)).astype(np.int64)
     if b > 1:
-        core = blk[:, :, : b - 1, : b - 1].astype(np.float64)
-        e1 = blk[:, :, 1:, : b - 1]
-        e2 = blk[:, :, : b - 1, 1:]
-        R = 0.5 * ((core * e1).sum(axis=(2, 3)) + (core * e2).sum(axis=(2, 3)))
+        # exact counts of occupied pairs, so R has the bits of a float sum
+        core = blk[:, :, : b - 1, : b - 1]
+        n1 = (core & blk[:, :, 1:, : b - 1]).sum(axis=(2, 3), dtype=np.int64)
+        n2 = (core & blk[:, :, : b - 1, 1:]).sum(axis=(2, 3), dtype=np.int64)
+        R = 0.5 * (n1 + n2)
     else:
         R = np.zeros((nb, nb))
     return BoxStats(gamma=gamma, L=s.L, side=s.side, time=s.time,

@@ -1,17 +1,20 @@
 """Reference code that only the tests use: the box-corner-anchored
 lattice step and its one-step closed form, the maximal coupling of the
 site- and corner-anchored steps, a single trial-speed classification,
-scalar region queries, a region-set snapshot and the phase-scan
-threshold read-off.  No subcommand writes any of their numbers, so they
-live here and not in the library."""
+scalar region queries, a region-set snapshot, an uncached oracle of the
+containment audit and the phase-scan threshold read-off.  No subcommand
+writes any of their numbers, so they live here and not in the library."""
 
 import math
 
 import numpy as np
 
 from qcp import lattice, wavespeed
-from qcp.comparison import ProfileCache, _edge_coords, _recovery_demand
-from qcp.ide import periodic_correlate
+from qcp import rng as _rng
+from qcp.comparison import (ErrorPoint, ProfileCache, RegionSet,
+                            _corner_coords, _edge_coords, _rect_in_union,
+                            _recovery_demand, _rects_meet)
+from qcp.ide import Profile1D, apply_Q_1d, periodic_correlate
 from qcp.lattice import _NBR_DI, _NBR_DJ, box_side_sites, box_stats
 from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
                      PHASE_OFFSET, LatticeRng)
@@ -83,7 +86,8 @@ def coupling_discrepancy(s0, dk, p, seeds, gamma: float) -> float:
     coupled maximally per site: with probability p_s (the overlap of
     the two parent distributions, which depends only on the site's
     within-box shift) the same parent is drawn from the overlap
-    measure, otherwise each process draws from its residual.
+    measure, otherwise each process draws from its residual.  The
+    tables of each shift are built once, for the attempts of every seed.
     """
     if p.beta == 0.0:
         return 0.0
@@ -97,64 +101,83 @@ def coupling_discrepancy(s0, dk, p, seeds, gamma: float) -> float:
     size = 2 * imax + 1
     dense = np.zeros((size, size))
     dense[dk.offsets[:, 0] + imax, dk.offsets[:, 1] + imax] = dk.masses
-    flat_site = dense.ravel()
     n_cells = size * size
 
     def offsets_from_cells(idx):
         return np.stack([idx // size - imax, idx % size - imax], axis=1)
 
-    def draw(cdf_flat, mass, u):
-        cdf = np.cumsum(cdf_flat) / mass
-        return np.minimum(np.searchsorted(cdf, u, "right"), n_cells - 1)
+    def draw(weights, u):
+        cdf = np.cumsum(weights)
+        cdf /= weights.sum()
+        return offsets_from_cells(
+            np.minimum(np.searchsorted(cdf, u, "right"), n_cells - 1))
+
+    class Run:
+        """The attempts of one seed, their coins and parent offsets."""
+
+        def __init__(self, seed):
+            rng = LatticeRng(seed)
+            n = s0.time + 1
+            coins = [rng.stream(n, phase).random((side, side)) for phase in (
+                PHASE_ATTEMPT, PHASE_OFFSET, PHASE_COUPLED_PARENT,
+                PHASE_RESIDUAL_PARENT, PHASE_NEIGHBOR, PHASE_SECOND_NEIGHBOR,
+                PHASE_DEATH)]
+            u_att, *rest, self.u_die = coins
+            self.ai, self.aj = np.nonzero(~occ0 & (u_att < p.beta))
+            self.u_cpl, self.u_par, self.u_res, self.u_z, self.u_z2 = (
+                u[self.ai, self.aj] for u in rest)
+            self.y_site = np.zeros((len(self.ai), 2), dtype=np.int64)
+            self.y_corner = np.zeros((len(self.ai), 2), dtype=np.int64)
+            self.same = np.zeros(len(self.ai), dtype=bool)
+            # attempts grouped by within-box shift, ascending in each
+            key = (self.ai % b) * b + (self.aj % b)
+            order = np.argsort(key, kind="stable")
+            keys, starts = np.unique(key[order], return_index=True)
+            self.members = dict(zip(keys.tolist(),
+                                    np.split(order, starts[1:])))
+
+    runs = [Run(seed) for seed in seeds]
+    for key in sorted(set().union(*(r.members for r in runs))):
+        # x = x* + s with s the within-box shift; seen from the site, the
+        # corner kernel puts mass(w + s) on relative offset w, which is
+        # 0 past the block [:size - si, :size - sj]
+        si, sj = divmod(key, b)
+        site, corner = dense[: size - si, : size - sj], dense[si:, sj:]
+        overlap = np.zeros((size, size))
+        np.minimum(site, corner, out=overlap[: size - si, : size - sj])
+        overlap = overlap.ravel()
+        p_same = overlap.sum()
+        groups = [(r, r.members.get(key, np.empty(0, dtype=np.intp)))
+                  for r in runs]
+        for r, members in groups:
+            r.same[members] = (True if p_same >= 1.0 - 1e-12
+                               else r.u_cpl[members] < p_same)
+        same = [(r, m[r.same[m]]) for r, m in groups]
+        diff = [(r, m[~r.same[m]]) for r, m in groups]
+        if any(len(m) for _, m in same):
+            y = draw(overlap, np.concatenate([r.u_par[m] for r, m in same]))
+            for (r, m), ym in zip(same, np.split(
+                    y, np.cumsum([len(m) for _, m in same])[:-1])):
+                r.y_site[m] = r.y_corner[m] = ym
+        if any(len(m) for _, m in diff):
+            res_site = dense.copy()
+            res_corner = np.zeros((size, size))
+            for res, a, c in ((res_site, site, corner),
+                              (res_corner, corner, site)):
+                block = res[: size - si, : size - sj]
+                np.maximum(np.subtract(a, c, out=block), 0.0, out=block)
+            splits = np.cumsum([len(m) for _, m in diff])[:-1]
+            ys = np.split(draw(res_site.ravel(), np.concatenate(
+                [r.u_par[m] for r, m in diff])), splits)
+            yc = np.split(draw(res_corner.ravel(), np.concatenate(
+                [r.u_res[m] for r, m in diff])), splits)
+            for (r, m), ysm, ycm in zip(diff, ys, yc):
+                r.y_site[m] = ysm
+                r.y_corner[m] = ycm
 
     total = 0.0
-    for seed in seeds:
-        rng = LatticeRng(seed)
-        n = s0.time + 1
-        u_att = rng.stream(n, PHASE_ATTEMPT).random((side, side))
-        u_cpl = rng.stream(n, PHASE_OFFSET).random((side, side))
-        u_par = rng.stream(n, PHASE_COUPLED_PARENT).random((side, side))
-        u_res = rng.stream(n, PHASE_RESIDUAL_PARENT).random((side, side))
-        u_z = rng.stream(n, PHASE_NEIGHBOR).random((side, side))
-        u_z2 = rng.stream(n, PHASE_SECOND_NEIGHBOR).random((side, side))
-        u_die = rng.stream(n, PHASE_DEATH).random((side, side))
-
-        attempts = (~occ0) & (u_att < p.beta)
-        ai, aj = np.nonzero(attempts)
-        y_site = np.zeros((len(ai), 2), dtype=np.int64)
-        y_corner = np.zeros((len(ai), 2), dtype=np.int64)
-        same_all = np.zeros(len(ai), dtype=bool)
-
-        # x = x* + s with s the within-box shift; seen from the site, the
-        # corner kernel puts mass(w + s) on relative offset w
-        shift_key = (ai % b) * b + (aj % b)
-        for key in np.unique(shift_key):
-            members = np.nonzero(shift_key == key)[0]
-            si, sj = int(key // b), int(key % b)
-            m_corner = np.zeros((size, size))
-            m_corner[: size - si, : size - sj] = dense[si:, sj:]
-            flat_corner = m_corner.ravel()
-            overlap = np.minimum(flat_site, flat_corner)
-            p_same = overlap.sum()
-            uu = u_par[ai[members], aj[members]]
-            if p_same >= 1.0 - 1e-12:
-                same = np.ones(len(members), dtype=bool)
-            else:
-                same = u_cpl[ai[members], aj[members]] < p_same
-            same_all[members] = same
-            if same.any():
-                pick = draw(overlap, p_same, uu[same])
-                y_site[members[same]] = offsets_from_cells(pick)
-                y_corner[members[same]] = y_site[members[same]]
-            if (~same).any():
-                res_site = (flat_site - flat_corner).clip(min=0.0)
-                res_corner = (flat_corner - flat_site).clip(min=0.0)
-                diff = members[~same]
-                pick_s = draw(res_site, res_site.sum(), uu[~same])
-                pick_c = draw(res_corner, res_corner.sum(),
-                              u_res[ai[diff], aj[diff]])
-                y_site[diff] = offsets_from_cells(pick_s)
-                y_corner[diff] = offsets_from_cells(pick_c)
+    for r in runs:
+        ai, aj = r.ai, r.aj
 
         def births(y_rel, neighbor_u):
             yi = (ai + y_rel[:, 0]) % side
@@ -166,16 +189,14 @@ def coupling_discrepancy(s0, dk, p, seeds, gamma: float) -> float:
 
         # shared second-parent coin when the first parents coincide,
         # independent choices otherwise, as in the one-step coupling
-        uz1 = u_z[ai, aj]
-        uz2 = np.where(same_all, uz1, u_z2[ai, aj])
-        born_site = births(y_site, uz1)
-        born_corner = births(y_corner, uz2)
+        born_site = births(r.y_site, r.u_z)
+        born_corner = births(r.y_corner, np.where(r.same, r.u_z, r.u_z2))
 
         occ_site = occ0.copy()
         occ_site[ai[born_site], aj[born_site]] = True
         occ_corner = occ0.copy()
         occ_corner[ai[born_corner], aj[born_corner]] = True
-        dies = u_die < p.eta
+        dies = r.u_die < p.eta
         total += float(np.mean((occ_site & ~dies) != (occ_corner & ~dies)))
     return total / len(seeds)
 
@@ -238,6 +259,117 @@ def regions_to_json(rs) -> list:
                       for e in R.edges],
         })
     return out
+
+
+# -- the containment audit without caches -----------------------------------
+
+class WidenedProfileCache:
+    """The recovery-profile ladder on a grid widened in advance: ages up
+    to cap on phi's grid plus (cap + 2) kernel half-widths of the right
+    limit, 16 ages at first and rebuilt at least twice as long when an
+    older age is asked for."""
+
+    def __init__(self, phi, cap: int = 16):
+        self.phi = phi
+        self._build(cap)
+
+    def _build(self, cap: int):
+        self.cap = cap
+        base = self.phi.phi
+        reach = max(k1.halfwidth for k1 in self.phi.kernels1d) * base.delta
+        extra = int(math.ceil((cap * reach + 2 * reach) / base.delta))
+        values = np.concatenate([base.values,
+                                 np.full(extra, base.right_limit)])
+        wide = Profile1D(base.s0, base.delta, values,
+                         base.left_limit, base.right_limit)
+        self.tables = []
+        for k1 in self.phi.kernels1d:
+            ladder = [wide]
+            for _ in range(cap):
+                ladder.append(apply_Q_1d(ladder[-1], k1, self.phi.params))
+            self.tables.append(ladder)
+
+    def profile(self, j: int, age: int) -> Profile1D:
+        if age < 0:
+            raise ValueError("age must be nonnegative")
+        if age > self.cap:
+            self._build(max(age, 2 * self.cap))
+        return self.tables[j][age]
+
+
+class UncachedRegionSet(RegionSet):
+    """RegionSet whose event loop computes every support afresh."""
+
+    def _supports_at(self, R, t):
+        return R.supports_at(t, self.normals)
+
+
+def box_rects(stats) -> np.ndarray:
+    """(nb, nb, 4) array whose entry (bi, bj) is stats.box_rect(bi, bj)."""
+    return np.array([[stats.box_rect(bi, bj) for bj in range(stats.nb)]
+                     for bi in range(stats.nb)])
+
+
+def uncached_snapshot(rs, t: float):
+    """Regions alive at t, their supports (K, 3) and vertices (K, 3, 2),
+    with one solve per vertex."""
+    regs = rs.alive(t)
+    g = np.array([R.supports_at(t, rs.normals) for R in regs]).reshape(-1, 3)
+    verts = np.array([[np.linalg.solve(rs.normals[[i, j]], gk[[i, j]])
+                       for i, j in ((1, 2), (2, 0), (0, 1))] for gk in g])
+    return regs, g, verts.reshape(-1, 3, 2)
+
+
+def uncached_detect_errors(prev, cur, rs, cache, rng) -> list:
+    """comparison.detect_errors with the box rectangles, the snapshot
+    and the corner projections computed afresh, and no agreement check
+    of the box statistics."""
+    cfg, n = rs.cfg, cur.time
+    dens_prev, dens_cur = prev.density(), cur.density()
+    regs, g, verts = uncached_snapshot(rs, n - 1)
+    rects = box_rects(cur)
+    lo = _corner_coords(rects, rs.normals).min(axis=-2)
+    meets = _rects_meet(rects, lo, g, verts)
+    touched = meets.any(axis=-1)
+    bad = np.argwhere((dens_cur <= cfg.alpha) & (dens_prev > cfg.alpha))
+    a = rects[bad[:, 0], bad[:, 1], None, None, :]
+    dx = np.maximum(0.0, np.maximum(a[..., 0] - rects[..., 2],
+                                    rects[..., 0] - a[..., 2]))
+    dy = np.maximum(0.0, np.maximum(a[..., 1] - rects[..., 3],
+                                    rects[..., 1] - a[..., 3]))
+    near = np.hypot(dx, dy) <= cfg.d_k + 1e-9
+    clear = ~np.any(near & touched, axis=(1, 2))
+    errors = [("I", int(bi), int(bj)) for bi, bj in bad[clear]]
+    bi, bj = np.nonzero(touched)
+    if len(bi):
+        centers = 0.5 * (rects[bi, bj, :2] + rects[bi, bj, 2:])
+        h = _recovery_demand(centers, regs, meets[bi, bj], rs.normals,
+                             cache, n)
+        low = dens_cur[bi, bj] < h
+        errors += [("II", int(i), int(j)) for i, j in zip(bi[low], bj[low])]
+    errors.sort()
+    if not errors:
+        return []
+    u = rng.stream(n, _rng.PHASE_ERROR_POINT).random((len(errors), 3))
+    w = cur.b / cur.L
+    out = []
+    for (etype, bi, bj), (ux, uy, ut) in zip(errors, u):
+        x0, y0 = cur.box_corner(bi, bj)
+        out.append(ErrorPoint(location=(x0 + ux * w, y0 + uy * w),
+                              t=n - 1 + ut, type=etype, box=(bi, bj),
+                              step=n))
+    return out
+
+
+def uncached_containment(stats, rs):
+    """(bad boxes, violations) of comparison.check_containment, from a
+    fresh snapshot and the box_rect rectangles."""
+    bad = [(int(bi), int(bj))
+           for bi, bj in np.argwhere(stats.density() <= rs.cfg.alpha)]
+    _, g, verts = uncached_snapshot(rs, stats.time)
+    rects = box_rects(stats)
+    return bad, [b for b in bad
+                 if not _rect_in_union(rects[b], g, verts, rs.normals)]
 
 
 def threshold_estimate(freqs: dict, eta: float) -> float | None:

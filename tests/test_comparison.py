@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcp import comparison
 from qcp.comparison import (ComparisonConfig, ErrorPoint, ProfileCache,
                             RegionSet, box_diameter, check_containment,
                             detect_errors, lambda_coeffs,
@@ -18,7 +19,9 @@ from qcp.rng import LatticeRng
 from qcp.wavespeed import PhiData, default_directions
 
 from conftest import seeded
-from helpers import h_field, membership, regions_to_json
+from helpers import (UncachedRegionSet, WidenedProfileCache, h_field,
+                     membership, regions_to_json, uncached_containment,
+                     uncached_detect_errors, uncached_snapshot)
 
 
 def random_acute_normals(gen):
@@ -349,7 +352,7 @@ class TestProfileCacheAndHField:
     def test_cache_extends(self):
         phi = synthetic_phi()
         cache = ProfileCache(phi)
-        # past the ages built at once, so the ladder is rebuilt longer
+        # past the ages built so far, so the ladder grows
         age = 2 * cache.cap + 3
         prof = cache.profile(1, age)
         assert cache.cap >= age
@@ -358,6 +361,40 @@ class TestProfileCacheAndHField:
         for _ in range(age):
             want = mf_step(p, want)
         assert prof.evaluate(-2.0) == pytest.approx(want, abs=1e-12)
+
+    def test_ladder_equals_widened_build(self, phi_main, monkeypatch):
+        # phi_main has the inputs of the compare-L50 benchmark's phi
+        calls = []
+
+        def counted(f, k1, p):
+            calls.append(id(k1))
+            return apply_Q_1d(f, k1, p)
+
+        apply_Q_1d = comparison.apply_Q_1d
+        monkeypatch.setattr(comparison, "apply_Q_1d", counted)
+        cache = ProfileCache(phi_main)
+        for j, age in [(0, 5), (2, 64), (1, 30), (0, 64), (1, 0), (2, 7)]:
+            cache.profile(j, age)
+        assert [calls.count(id(k1)) for k1 in phi_main.kernels1d] == [64] * 3
+
+        monkeypatch.setattr(comparison, "apply_Q_1d", apply_Q_1d)
+        wide = WidenedProfileCache(phi_main, cap=64)
+        base = phi_main.phi
+        n = len(base.values)
+        for j in range(3):
+            for age in range(65):
+                got, want = cache.profile(j, age), wide.profile(j, age)
+                assert got.values[:n].tobytes() == want.values[:n].tobytes()
+                assert (got.left_limit, got.right_limit) == (
+                    want.left_limit, want.right_limit)
+                # past its grid every age is its limit, 0
+                assert not want.values[len(got.values):].any()
+                assert got.evaluate(base.grid).tobytes() == \
+                    want.evaluate(base.grid).tobytes()
+        # underflow stops the front after two widenings, where the
+        # widened build holds 66 half-widths past phi's grid
+        assert [len(cache.profile(j, 64).values) - n for j in range(3)] == [
+            2 * k1.halfwidth for k1 in phi_main.kernels1d]
 
     def test_h_deep_inside_fresh_region_is_alpha(self):
         phi = synthetic_phi()
@@ -487,6 +524,21 @@ class TestDetectErrors:
         assert a == b
         assert len(a) == 2
 
+    @pytest.mark.parametrize("prev_kw, cur_kw", [
+        ({"shape": 1}, {}),                       # side 25 against 200
+        ({"L": 50}, {"L": 50}),                   # L and b of another config
+        ({}, {"gamma": 0.2}),                     # b = 40 against 25
+    ])
+    def test_box_geometry_must_agree(self, prev_kw, cur_kw):
+        def stats(time, shape=self.nb, **kw):
+            return mk_stats(self._uniform(0.95)[:shape, :shape], time=time,
+                            **kw)
+
+        rs = RegionSet(self.cfg)
+        with pytest.raises(ValueError, match="box"):
+            detect_errors(stats(0, **prev_kw), stats(1, **cur_kw), rs,
+                          self.cache, LatticeRng(1))
+
 
 class ScalarOracle:
     """The recovery demand and the error rule evaluated one point, one
@@ -595,6 +647,120 @@ class TestArrayPathAgainstScalarOracle:
         assert min(seen.values()) >= 5, seen
 
 
+class TestCachesAgainstUncachedOracle:
+    """detect_errors, check_containment and evolve_to, with their box
+    grid, snapshot, supports and ladder caches, against the uncached
+    oracle of tests/helpers.py, byte for byte."""
+
+    @staticmethod
+    def _stats(gen, cfg, nb, rem, time):
+        b = cfg.box_side
+        S = gen.integers(0, b * b + 1, (nb, nb))
+        return BoxStats(gamma=cfg.gamma, L=cfg.L, side=nb * b + rem,
+                        time=time, b=b, S=S, R=np.zeros((nb, nb)))
+
+    @staticmethod
+    def _same_snapshot(rs, rs_oracle, t):
+        regs, g, verts = rs.snapshot(t)
+        regs_o, g_o, verts_o = uncached_snapshot(rs_oracle, t)
+        assert [R.id for R in regs] == [R.id for R in regs_o]
+        assert (g.tobytes(), verts.tobytes()) == (g_o.tobytes(),
+                                                  verts_o.tobytes())
+
+    def _audit(self, stats, rs, rs_oracle):
+        rep = check_containment(stats, rs)
+        want = uncached_containment(stats, rs_oracle)
+        assert repr((rep.bad_boxes, rep.violations)) == repr(want)
+        self._same_snapshot(rs, rs_oracle, stats.time)
+        return rep
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), L=st.integers(20, 150),
+           gamma=st.floats(0.15, 0.45), nb=st.integers(1, 8),
+           steps=st.integers(1, 4), insert_at=st.integers(0, 4))
+    def test_equal_to_uncached_oracle(self, phi_main, seed, L, gamma, nb,
+                                      steps, insert_at):
+        gen = seeded(seed)
+        w = box_side_sites(L, gamma) / L
+        r = w * gen.uniform(0.5, 3.0)
+        c = r * gen.uniform(0.2, 1.0)           # vanish within 1-5 steps
+        # b well below c: tighter clusters or faster overlaps can pile up
+        # overlaps without end (ROADMAP item 7)
+        cfg = ComparisonConfig(
+            alpha=phi_main.alpha, c=c, b=c * gen.uniform(0.02, 0.2), r=r,
+            delta1=0.05, delta2=0.1, gamma=gamma, L=L, d_k=w * 1.5,
+            directions=random_acute_normals(gen))
+        rs, rs_oracle = RegionSet(cfg), UncachedRegionSet(cfg)
+        cache, ladder = ProfileCache(phi_main), WidenedProfileCache(phi_main)
+        rng = LatticeRng(seed)
+        rem = int(gen.integers(0, cfg.box_side))
+        prev = self._stats(gen, cfg, nb, rem, 0)
+        for n in range(1, steps + 1):
+            cur = self._stats(gen, cfg, nb, rem, n)
+            got = detect_errors(prev, cur, rs, cache, rng)
+            assert repr(got) == repr(uncached_detect_errors(
+                prev, cur, rs_oracle, ladder, rng))
+            # spawns in a cluster a few inradii wide, so regions overlap
+            # and catch up as well as vanish
+            centre = gen.uniform(0.0, nb * w, 2)
+            spawns = [point(*(centre + gen.normal(0.0, 2.0 * r, 2)),
+                            float(gen.uniform(n - 1, n)), n, "I", (k, 0))
+                      for k in range(int(gen.integers(0, 4)))]
+            # an audit at n before the clock gets there, so the next one
+            # must see every event up to n, not a snapshot held over
+            self._audit(cur, rs, rs_oracle)
+            rs.evolve_to(n, spawns=spawns)
+            rs_oracle.evolve_to(n, spawns=spawns)
+            assert repr(regions_to_json(rs)) == repr(
+                regions_to_json(rs_oracle))
+            self._audit(cur, rs, rs_oracle)
+            if n == insert_at:
+                e = point(*gen.uniform(0.0, nb * w, 2), float(n), n)
+                rs.insert_spawn(e)
+                rs_oracle.insert_spawn(e)
+                self._audit(cur, rs, rs_oracle)
+            prev = cur
+
+    @pytest.mark.parametrize("t_clock, t_ahead, event", [
+        (0.5, 1.0, "contact"), (1.7, 1.9, "catch-up"), (19.5, 20.5, "vanish")])
+    def test_snapshot_ahead_of_the_clock(self, t_clock, t_ahead, event):
+        # the chain of TestOverlap at b = 0.2: between t_clock and t_ahead
+        # comes one kind of event and no spawn
+        cfg = small_cfg(r=1.0, c=0.05, b=0.2)
+        rs, rs_oracle = RegionSet(cfg), UncachedRegionSet(cfg)
+        spawns = [point(1.8 * k, 0.0, 0.0, 0, "I", (k, 0)) for k in range(3)]
+
+        def counts():
+            regs = rs.regions.values()
+            return {"contact": len(regs),
+                    "catch-up": sum(len(e.segments) - 1 for R in regs
+                                    for e in R.edges),
+                    "vanish": sum(R.vanished_at is not None for R in regs)}
+
+        for s in (rs, rs_oracle):
+            s.evolve_to(t_clock, spawns=spawns)
+        before = counts()
+        rs.snapshot(t_ahead)
+        for s in (rs, rs_oracle):
+            s.evolve_to(t_ahead)
+        after = counts()
+        assert [k for k in after if after[k] != before[k]] == [event]
+        self._same_snapshot(rs, rs_oracle, t_ahead)
+
+    def test_spawn_inserted_between_audits_at_one_time(self):
+        cfg = small_cfg(r=2.0, alpha=0.5)
+        rs, rs_oracle = RegionSet(cfg), UncachedRegionSet(cfg)
+        dens = np.full((8, 8), 0.9)
+        dens[6, 1] = 0.2
+        stats = mk_stats(dens, time=1)
+        assert self._audit(stats, rs, rs_oracle).violations == [(6, 1)]
+        w = cfg.box_side / cfg.L
+        e = point(6.5 * w, 1.5 * w, 1.0, 1)
+        rs.insert_spawn(e)
+        rs_oracle.insert_spawn(e)
+        assert self._audit(stats, rs, rs_oracle).violations == []
+
+
 class TestContainment:
     def setup_method(self):
         self.phi = synthetic_phi()
@@ -639,6 +805,15 @@ class TestContainment:
         rep = check_containment(mk_stats(dens, time=1), rs)
         assert rep.n_bad == 1
         assert not rep.violations
+
+    @pytest.mark.parametrize("L, gamma", [(50, 0.2),    # b = 23 against 15
+                                          (100, 0.3)])  # L = 100 against 50
+    def test_box_geometry_must_agree(self, L, gamma):
+        rs = RegionSet(small_cfg(r=2.0, alpha=self.phi.alpha, L=50))
+        stats = mk_stats(np.full((self.nb, self.nb), 0.2), L=L, gamma=gamma,
+                         time=1)
+        with pytest.raises(ValueError, match="box"):
+            check_containment(stats, rs)
 
 
 class TestErrorRateBound:
