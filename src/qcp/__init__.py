@@ -9,9 +9,8 @@ from .kernel import (DiscreteKernel, Kernel1D, KernelSpec, build_kernel,
                      discretize, marginal_1d)
 from .mean_field import Equilibria, Params, equilibria, mean_field_trace
 from .ide import Field2D, Profile1D, apply_Q_1d, apply_Q_2d, evolve
-from .wavespeed import (PhiData, PsiSpec, SpeedResult, build_phi,
-                        estimate_cstar, front_speed_tracking, make_psi,
-                        weinberger_step)
+from .wavespeed import (PhiData, SpeedResult, build_phi, estimate_cstar,
+                        front_speed_tracking, weinberger_step)
 from .lattice import BoxStats, LatticeState, StepReport, box_stats, init, step
 from .comparison import (ComparisonConfig, ContainmentReport, ErrorPoint,
                          RegionSet, VacantRegion, check_containment,
@@ -25,7 +24,7 @@ __all__ = [
     "marginal_1d",
     "Params", "Equilibria", "equilibria", "mean_field_trace",
     "Field2D", "Profile1D", "apply_Q_2d", "apply_Q_1d", "evolve",
-    "PsiSpec", "SpeedResult", "PhiData", "make_psi", "weinberger_step",
+    "SpeedResult", "PhiData", "weinberger_step",
     "estimate_cstar", "front_speed_tracking", "build_phi",
     "LatticeState", "BoxStats", "StepReport", "init", "step", "box_stats",
     "ComparisonConfig", "ErrorPoint", "VacantRegion", "RegionSet",

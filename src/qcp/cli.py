@@ -251,9 +251,6 @@ def _cmd_ide_run(cfg) -> int:
 def _cmd_speed(cfg) -> int:
     with _invalid():
         p = Params(cfg["beta"], cfg["eta"])
-    if not p.bistable:
-        raise ConfigError("speed needs bistable parameters "
-                          "(beta (1 - eta) > 4 eta)")
     with _invalid("kernel-L"):
         dk = discretize(cfg["kernel"], cfg["kernel-L"])
     angle, method = cfg["angle"], cfg["method"]
@@ -272,7 +269,8 @@ def _cmd_speed(cfg) -> int:
                      "bracket_hi": res.bracket[1],
                      "method": "weinberger-bisection"})
     if tracking:
-        c = front_speed_tracking(xi, dk, p, steps=cfg["track-steps"])
+        with _invalid(errors=ValueError):  # checks the kernel first
+            c = front_speed_tracking(xi, dk, p, steps=cfg["track-steps"])
         rows.append({"angle": angle, "c_star": c, "bracket_lo": c,
                      "bracket_hi": c, "method": "front-tracking"})
     columns = ["angle", "c_star", "bracket_lo", "bracket_hi", "method"]

@@ -43,38 +43,31 @@ class SpeedIndeterminate(RuntimeError):
     criterion; retry with a larger max_iter."""
 
 
-@dataclass(frozen=True)
-class PsiSpec:
-    """Piecewise-linear initial hump: plateau for s <= -width, linear
-    down to 0 at s = 0, zero afterwards."""
-
-    plateau: float
-    width: float
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
-        if not 0.0 < self.plateau < 1.0:
-            raise ValueError("plateau must be a density in (0, 1)")
-
-
-def default_psi_spec(p: Params, dk: DiscreteKernel) -> PsiSpec:
+def _hump(dk: DiscreteKernel, p: Params,
+          s_max: float | None = None) -> Profile1D:
+    """The start psi of every front recursion, on the grid of step
+    d(k)/64 from -(7 d(k)) - 2 step up to s_max, by default the probe
+    interval's right end: the plateau (rho_u + rho_s)/2 for
+    s <= -5 d(k), linear down to 0 at s = 0, zero afterwards.  Raises
+    ValueError unless d(k) > 0 and p is bistable."""
+    d = dk.support_diameter
+    if not d > 0.0:
+        raise ValueError(f"the kernel diameter d(k) must be positive, got {d}")
     eq = equilibria(p)
     if eq.rho_u is None:
-        raise ValueError("default psi needs bistable parameters")
-    return PsiSpec(plateau=0.5 * (eq.rho_u + eq.rho_s),
-                   width=5.0 * dk.support_diameter)
-
-
-def make_psi(spec: PsiSpec, delta: float, s_min: float,
-             s_max: float) -> Profile1D:
-    """Sample the hump on the grid s_min + k * delta up to s_max."""
+        raise ValueError("spreading speeds need bistable parameters")
+    delta = d * _DELTA_FRACTION
+    width = 5.0 * d
+    s_min = -(width + 2.0 * d) - 2 * delta
+    if s_max is None:
+        s_max = _PROBE_DIAMETERS * d
     n = int(math.floor((s_max - s_min) / delta + 0.5)) + 1
     s = s_min + np.arange(n) * delta
-    vals = np.clip(-s / spec.width, 0.0, 1.0) * spec.plateau
+    plateau = 0.5 * (eq.rho_u + eq.rho_s)
+    vals = np.clip(-s / width, 0.0, 1.0) * plateau
     vals[s >= 0.0] = 0.0
     return Profile1D(s0=s_min, delta=delta, values=vals,
-                     left_limit=spec.plateau, right_limit=0.0)
+                     left_limit=plateau, right_limit=0.0)
 
 
 def weinberger_step(f: Profile1D, c: float, k1: Kernel1D, p: Params,
@@ -94,18 +87,6 @@ def weinberger_step(f: Profile1D, c: float, k1: Kernel1D, p: Params,
                      right_limit=max(psi.right_limit, g.right_limit))
 
 
-def _grid_step(dk: DiscreteKernel, delta: float | None) -> float:
-    """The profile grid step: delta, or d(k)/64 when it is None."""
-    return dk.support_diameter * _DELTA_FRACTION if delta is None else delta
-
-
-def _working_grid(dk: DiscreteKernel, spec: PsiSpec, delta: float):
-    d = dk.support_diameter
-    s_min = -(spec.width + 2.0 * d) - 2 * delta
-    s_max = _PROBE_DIAMETERS * d
-    return s_min, s_max
-
-
 def _default_max_iter(dk: DiscreteKernel, tol: float) -> int:
     # a probe just below c* must still cross the probe interval at front
     # speed ~ c* - c, with slack for the slow ramp-up near criticality
@@ -122,19 +103,13 @@ def _check_budget(tol, max_iter) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
-def _classifier_state(xi, dk, p, tol, delta):
-    eq = equilibria(p)
-    if not p.bistable or eq.rho_u is None:
-        raise ValueError("spreading speeds need bistable parameters")
-    spec = default_psi_spec(p, dk)
-    delta = _grid_step(dk, delta)
-    xi = unit_direction(xi)
-    k1 = marginal_1d(dk, xi, delta)
-    s_min, s_max = _working_grid(dk, spec, delta)
-    psi_profile = make_psi(spec, delta, s_min=s_min, s_max=s_max)
-    probe = int(round((s_max - dk.support_diameter - s_min) / delta))
-    return {"k1": k1, "p": p, "psi": psi_profile, "probe": probe,
-            "rho_s": eq.rho_s, "tol": tol}
+def _classifier_state(xi, dk, p, tol):
+    psi = _hump(dk, p)
+    k1 = marginal_1d(dk, unit_direction(xi), psi.delta)
+    probe = int(round((psi.s_max - dk.support_diameter - psi.s0)
+                      / psi.delta))
+    return {"k1": k1, "p": p, "psi": psi, "probe": probe,
+            "rho_s": equilibria(p).rho_s, "tol": tol}
 
 
 def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
@@ -231,7 +206,7 @@ class SpeedResult:
 
 
 def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
-                   max_iter: int | None = None, delta: float | None = None, *,
+                   max_iter: int | None = None, *,
                    memo: dict | None = None) -> SpeedResult:
     """Bisect the trial-speed class over [-d(k)-1, d(k)+1] down to a
     bracket of width tol; c_star is reported as the bracket's upper end,
@@ -245,7 +220,7 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
     actually run.
     """
     _check_budget(tol, max_iter)
-    state = _classifier_state(xi, dk, p, min(tol, 1e-2), delta)
+    state = _classifier_state(xi, dk, p, min(tol, 1e-2))
     key = state["k1"].masses.tobytes()
     if memo is not None and key in memo:
         trace, (lo, hi) = memo[key]
@@ -297,16 +272,17 @@ def check_tracking(xi, p: Params, steps: int) -> None:
     unit_direction(xi)
 
 
-def front_speed_tracking(xi, dk: DiscreteKernel, p: Params, steps: int = 80,
-                         delta: float | None = None) -> float:
+def front_speed_tracking(xi, dk: DiscreteKernel, p: Params,
+                         steps: int = 80) -> float:
     """Independent speed oracle: iterate plain Q on a half-plane-type
     profile and fit the displacement per step of the rho_s/2 level
-    crossing by least squares over the last half of the run."""
+    crossing by least squares over the last half of the run, on the
+    grid step of the front recursion."""
     check_tracking(xi, p, steps)
+    delta = _hump(dk, p).delta
     eq = equilibria(p)
     level = 0.5 * eq.rho_s
     d = dk.support_diameter
-    delta = _grid_step(dk, delta)
     xi = unit_direction(xi)
     k1 = marginal_1d(dk, xi, delta)
 
@@ -342,16 +318,25 @@ class PhiData:
     """Recovery profile and the constants derived from it."""
 
     phi: Profile1D
-    alpha: float
     m: float
     M: float
-    l: float
     directions: np.ndarray      # (3, 2) unit normals
     speeds: tuple               # measured c*(xi_i)
-    c: float                    # min speeds / 2
     kernels1d: list             # marginal per direction
     params: Params
     n_iter: int
+
+    @property
+    def alpha(self) -> float:
+        return self.phi.left_limit
+
+    @property
+    def l(self) -> float:
+        return self.M - self.m
+
+    @property
+    def c(self) -> float:
+        return min(self.speeds) / 2.0
 
 
 def default_directions() -> np.ndarray:
@@ -376,8 +361,7 @@ def validate_direction_triple(directions: np.ndarray) -> np.ndarray:
 
 
 def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
-              speed_tol: float = 0.02,
-              delta: float | None = None) -> PhiData:
+              speed_tol: float = 0.02) -> PhiData:
     """phi = min_i f_{n,i} at the common speed c = min_i c*(xi_i)/2.
 
     Verifies the translation domination phi(s - c) <= Q_i[phi](s) + tol
@@ -390,32 +374,26 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
     # directions with identical line marginals (reflections of one
     # another for the symmetric kernels) share one bisection
     memo = {}
-    speeds = tuple(estimate_cstar(x, dk, p, tol=speed_tol, delta=delta,
-                                  memo=memo).c_star
+    speeds = tuple(estimate_cstar(x, dk, p, tol=speed_tol, memo=memo).c_star
                    for x in dirs)
     if min(speeds) <= 0.0:
         raise ValueError(f"all three directions need positive speed, "
                          f"got {speeds}")
     c = min(speeds) / 2.0
 
-    eq = equilibria(p)
-    spec = default_psi_spec(p, dk)
     d = dk.support_diameter
-    delta = _grid_step(dk, delta)
-    k1s = [marginal_1d(dk, x, delta) for x in dirs]
-    s_min, _ = _working_grid(dk, spec, delta)
-
+    floor = 2.0 * equilibria(p).rho_u
     for n in range(n, n + 2 * _PHI_RETRIES + 1, 2):
-        s_max = (n + 2) * 0.5 * d + 2.0 * d
-        psi_prof = make_psi(spec, delta, s_min=s_min, s_max=s_max)
+        psi = _hump(dk, p, s_max=(n + 2) * 0.5 * d + 2.0 * d)
+        k1s = [marginal_1d(dk, x, psi.delta) for x in dirs]
         fronts = []  # (values, left limit) of f_n per direction
         for k1 in k1s:
-            iterates = _front_iterates(c, psi_prof, k1, p)
-            values, left = psi_prof.values, psi_prof.left_limit
+            iterates = _front_iterates(c, psi, k1, p)
+            values, left = psi.values, psi.left_limit
             for _ in range(n):
                 values, left, _, _ = next(iterates)
             fronts.append((values, left))
-        phi = Profile1D(psi_prof.s0, delta,
+        phi = Profile1D(psi.s0, psi.delta,
                         np.min([v for v, _ in fronts], axis=0),
                         left_limit=min(left for _, left in fronts),
                         right_limit=0.0)
@@ -423,7 +401,7 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
         # translate inequality is unattainable there at finite n (and
         # vacuous for the comparison thresholds, which sit above rho_u);
         # verify it where the profile carries persistent density
-        ok, images = _check_domination(phi, k1s, p, c, floor=2.0 * eq.rho_u)
+        ok, images = _check_domination(phi, k1s, p, c, floor)
         if ok:
             break
     else:
@@ -431,8 +409,7 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
             f"translation domination failed up to n={n}; profile has not "
             "converged far enough")
 
-    alpha = phi.left_limit
-    grid = phi.grid
+    alpha, grid = phi.left_limit, phi.grid
     m_vals, M_vals = [], []
     for g in images:
         at_plateau = np.nonzero(g.values >= alpha - _PHI_TOL)[0]
@@ -442,9 +419,8 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
                                "widen the grid")
         m_vals.append(grid[at_plateau[-1]])
         M_vals.append(grid[near_zero[0]])
-    m, M = min(m_vals), max(M_vals)
-    return PhiData(phi=phi, alpha=alpha, m=m, M=M, l=M - m, directions=dirs,
-                   speeds=speeds, c=c, kernels1d=k1s, params=p, n_iter=n)
+    return PhiData(phi=phi, m=min(m_vals), M=max(M_vals), directions=dirs,
+                   speeds=speeds, kernels1d=k1s, params=p, n_iter=n)
 
 
 def _check_domination(phi, k1s, p, c, floor):

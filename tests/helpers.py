@@ -202,13 +202,13 @@ def coupling_discrepancy(s0, dk, p, seeds, gamma: float) -> float:
 
 
 def classify_speed(c: float, xi, dk, p, max_iter: int | None = None,
-                   tol: float = 1e-3, delta: float | None = None) -> str:
+                   tol: float = 1e-3) -> str:
     """Decide whether the trial speed c lies below c*(xi): one probe of
     the bisection in wavespeed.estimate_cstar, from the default psi."""
     wavespeed._check_budget(tol, max_iter)
     if not math.isfinite(c):  # the shift must reach a finite distance
         raise ValueError(f"trial speed c must be finite, got {c}")
-    state = wavespeed._classifier_state(xi, dk, p, tol, delta)
+    state = wavespeed._classifier_state(xi, dk, p, tol)
     if max_iter is None:
         max_iter = wavespeed._default_max_iter(dk, tol)
     return wavespeed._classify_with_state(c, state, max_iter)[0]

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qcp import comparison, ide, lattice
+from qcp import comparison, ide, lattice, wavespeed
 from qcp.cli import run as cli_run
 from qcp.experiments import (ExperimentConfig, aligned_side,
                              hydro_convergence, phase_scan,
@@ -21,9 +21,8 @@ from qcp.kernel import discretize, marginal_1d
 from qcp.lattice import LatticeState, box_side_sites, box_stats, init, step
 from qcp.mean_field import Params, equilibria, mf_step
 from qcp.rng import LatticeRng
-from qcp.wavespeed import (AT_OR_ABOVE, BELOW, default_psi_spec,
-                           estimate_cstar, front_speed_tracking, make_psi,
-                           weinberger_step)
+from qcp.wavespeed import (AT_OR_ABOVE, BELOW, estimate_cstar,
+                           front_speed_tracking, weinberger_step)
 
 from conftest import seeded
 from helpers import (classify_speed, corner_expectation, corner_step,
@@ -118,10 +117,8 @@ class TestAcceptance:
     def test_c04_weinberger_properties(self, dk8, p_main):
         t0 = time.time()
         eq = equilibria(p_main)
-        spec = default_psi_spec(p_main, dk8)
-        delta = dk8.support_diameter / 64.0
-        psi = make_psi(spec, delta, s_min=-(spec.width + 6.0), s_max=12.0)
-        k1 = marginal_1d(dk8, (1.0, 0.0), delta)
+        psi = wavespeed._hump(dk8, p_main, s_max=12.0)
+        k1 = marginal_1d(dk8, (1.0, 0.0), psi.delta)
         f = psi
         for _ in range(40):
             nxt = weinberger_step(f, 0.1, k1, p_main, psi)

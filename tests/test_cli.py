@@ -51,11 +51,44 @@ class TestSpeedCommand:
         assert float(row[3]) - float(row[2]) <= 0.05 + 1e-12
         assert row[4] == "weinberger-bisection"
 
-    def test_non_bistable_is_config_error(self, capsys):
-        code = run(["speed", "--angle", "0", "--beta", "0.3",
-                    "--eta", "0.2"])
+    def test_non_bistable_is_config_error(self, capsys, monkeypatch):
+        from qcp import wavespeed
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("probe ran on non-bistable parameters")
+
+        monkeypatch.setattr(wavespeed, "_classify_with_state", no_probe)
+        for method in ("bisection", "tracking", "both"):
+            code = run(["speed", "--angle", "0", "--beta", "0.3",
+                        "--eta", "0.2", "--method", method])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "config error" in err and "bistable" in err
+
+    @pytest.mark.parametrize("method", ["bisection", "tracking", "both"])
+    def test_zero_diameter_kernel_is_config_error(self, method, tmp_path,
+                                                  capsys, monkeypatch):
+        # a one-atom table kernel has d(k) = 0, so no profile grid
+        from qcp import wavespeed
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a speed method ran on a kernel of "
+                                 "diameter 0")
+
+        monkeypatch.setattr(wavespeed, "_classify_with_state", no_work)
+        monkeypatch.setattr(wavespeed, "apply_Q_1d", no_work)
+        cfg = tmp_path / "point-mass.json"
+        cfg.write_text(json.dumps({"kernel": {
+            "family": "table", "params": {"entries": [[0, 0, 1]]}}}))
+        out = tmp_path / "out"
+        code = run(["speed", "--config", str(cfg), "--method", method,
+                    "--out", "speed.csv", "--out-dir", str(out)])
+        captured = capsys.readouterr()
         assert code == 1
-        assert "config error" in capsys.readouterr().err
+        assert "config error" in captured.err
+        assert "kernel diameter" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],

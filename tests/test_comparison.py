@@ -56,9 +56,9 @@ def synthetic_phi(p=None, alpha=0.5, delta=0.1):
     prof = Profile1D(float(s[0]), delta, vals, alpha, 0.0)
     k1 = Kernel1D(delta, np.array([1.0]))
     dirs = default_directions()
-    return PhiData(phi=prof, alpha=alpha, m=-1.0, M=1.3, l=2.3,
-                   directions=dirs, speeds=(0.2, 0.2, 0.2), c=0.1,
-                   kernels1d=[k1, k1, k1], params=p, n_iter=1)
+    return PhiData(phi=prof, m=-1.0, M=1.3, directions=dirs,
+                   speeds=(0.2, 0.2, 0.2), kernels1d=[k1, k1, k1], params=p,
+                   n_iter=1)
 
 
 def mk_stats(dens, L=100, gamma=0.3, time=1):

@@ -13,10 +13,7 @@ from hypothesis import strategies as st
 from qcp.ide import Field2D, Profile1D
 from qcp.kernel import KernelSpec, build_kernel, marginal_1d
 from qcp.mean_field import Params
-from qcp.wavespeed import (build_phi, default_directions, estimate_cstar,
-                           front_speed_tracking)
 
-from helpers import classify_speed
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 FINITE = st.floats(-10.0, 10.0)
@@ -106,17 +103,10 @@ def test_profile1d(s0, delta, values, limits, slot, bad, at):
 
 
 # every function that takes a profile grid step; each must reject a bad
-# one before any work, and None (the default step) is the only stand-in
+# one before any work (the speed layer derives its step, d(k)/64, from
+# the kernel)
 GRID_STEP_USERS = {
     "marginal_1d": lambda dk, p, delta: marginal_1d(dk, (1.0, 0.0), delta),
-    "classify_speed": lambda dk, p, delta: classify_speed(
-        0.1, (1.0, 0.0), dk, p, delta=delta),
-    "estimate_cstar": lambda dk, p, delta: estimate_cstar(
-        (1.0, 0.0), dk, p, delta=delta),
-    "front_speed_tracking": lambda dk, p, delta: front_speed_tracking(
-        (1.0, 0.0), dk, p, delta=delta),
-    "build_phi": lambda dk, p, delta: build_phi(
-        *default_directions(), dk, p, delta=delta),
 }
 
 

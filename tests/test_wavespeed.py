@@ -9,10 +9,10 @@ from qcp import wavespeed
 from qcp.ide import Profile1D, apply_Q_1d
 from qcp.kernel import Kernel1D, discretize, marginal_1d
 from qcp.mean_field import Params, equilibria, mean_field_trace
-from qcp.wavespeed import (AT_OR_ABOVE, BELOW, PsiSpec, build_phi,
-                           default_directions, default_psi_spec,
-                           estimate_cstar, front_speed_tracking, make_psi,
-                           validate_direction_triple, weinberger_step)
+from qcp.wavespeed import (AT_OR_ABOVE, BELOW, build_phi,
+                           default_directions, estimate_cstar,
+                           front_speed_tracking, validate_direction_triple,
+                           weinberger_step)
 
 from conftest import seeded
 from helpers import classify_speed
@@ -91,41 +91,39 @@ def assert_iterates_match(c, psi, k1, p, steps):
 
 
 class TestPsi:
-    def test_piecewise_linear_values(self):
-        spec = PsiSpec(plateau=0.4, width=2.0)
-        psi = make_psi(spec, 0.125, s_min=-4.0, s_max=1.0)
-        assert psi.evaluate(-2.0) == pytest.approx(0.4)
-        assert psi.evaluate(-1.0) == pytest.approx(0.2)
-        assert psi.evaluate(0.0) == 0.0
+    def test_piecewise_linear_values(self, dk8, p_main):
+        # the hump every front recursion starts from
+        d = dk8.support_diameter
+        eq = equilibria(p_main)
+        plateau = 0.5 * (eq.rho_u + eq.rho_s)
+        psi = wavespeed._hump(dk8, p_main)
+        assert psi.delta == d / 64.0
+        assert psi.s0 == -7.0 * d - 2.0 * psi.delta
+        assert psi.left_limit == plateau and psi.right_limit == 0.0
         grid = psi.grid
+        assert np.all(psi.values[grid <= -5.0 * d] == plateau)
         assert np.all(psi.values[grid >= 0.0] == 0.0)
+        ramp = (grid > -5.0 * d) & (grid < 0.0)
+        assert np.allclose(psi.values[ramp], -grid[ramp] / (5.0 * d)
+                           * plateau, rtol=0.0, atol=1e-15)
+        assert psi.evaluate(-2.5 * d) == pytest.approx(0.5 * plateau)
         assert psi.is_monotone()
-
-    def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            PsiSpec(plateau=0.5, width=-1.0)
-        with pytest.raises(ValueError):
-            PsiSpec(plateau=1.5, width=1.0)
 
 
 class TestWeinbergerStep:
-    def _setup(self, p, dk, c=0.1):
-        spec = default_psi_spec(p, dk)
-        delta = dk.support_diameter / 64.0
-        psi = make_psi(spec, delta, s_min=-(spec.width + 6.0),
-                       s_max=10.0)
-        k1 = marginal_1d(dk, (1.0, 0.0), delta)
-        return psi, k1
+    def _setup(self, p, dk):
+        psi = wavespeed._hump(dk, p)
+        return psi, marginal_1d(dk, (1.0, 0.0), psi.delta)
 
     def test_first_step_dominates_psi(self, dk8, p_main):
         psi, k1 = self._setup(p_main, dk8)
         f1 = weinberger_step(psi, 0.1, k1, p_main, psi)
         assert np.all(f1.values >= psi.values - 1e-15)
 
-    def test_point_mass_constant_rho_s(self, p_main):
+    def test_point_mass_constant_rho_s(self, dk8, p_main):
         eq = equilibria(p_main)
-        k1 = Kernel1D(0.1, np.array([1.0]))
-        psi = make_psi(PsiSpec(0.5, 2.0), 0.1, s_min=-4.0, s_max=4.0)
+        psi = wavespeed._hump(dk8, p_main)
+        k1 = Kernel1D(psi.delta, np.array([1.0]))
         f = Profile1D(psi.s0, psi.delta,
                       np.full(len(psi.values), eq.rho_s), eq.rho_s, eq.rho_s)
         out = weinberger_step(f, 0.0, k1, p_main, psi)
@@ -226,6 +224,21 @@ class TestSettings:
         with pytest.raises(ValueError, match="trial speed"):
             classify_speed(c, (1.0, 0.0), dk8, p_main)
 
+    def test_zero_diameter_rejected(self, point_mass_spec, p_main,
+                                    monkeypatch):
+        # a one-atom kernel has d(k) = 0, so no grid step d(k)/64
+        def refuse(*args, **kwargs):
+            raise AssertionError("tracking ran on a kernel of diameter 0")
+
+        monkeypatch.setattr(wavespeed, "apply_Q_1d", refuse)
+        dk = discretize(point_mass_spec, 4)
+        with pytest.raises(ValueError, match="kernel diameter"):
+            estimate_cstar((1.0, 0.0), dk, p_main)
+        with pytest.raises(ValueError, match="kernel diameter"):
+            front_speed_tracking((1.0, 0.0), dk, p_main)
+        with pytest.raises(ValueError, match="kernel diameter"):
+            build_phi(*default_directions(), dk, p_main)
+
     @pytest.mark.parametrize("max_iter", [0, -5])
     def test_bad_max_iter_rejected(self, dk8, p_main, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
@@ -256,8 +269,7 @@ class TestBitIdentical:
         (0.0, BELOW, 331), (0.2392766952966369, AT_OR_ABOVE, 87)])
     def test_iterates_match_weinberger_step(self, dk8, p_main, c, cls,
                                             steps):
-        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, 0.01,
-                                            None)
+        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, 0.01)
         assert wavespeed._classify_with_state(c, state, 10 * steps) == \
             (cls, steps)
         assert_iterates_match(c, state["psi"], state["k1"], p_main, steps)
@@ -306,7 +318,7 @@ class TestWindowedRecursion:
         onset = 4.0 * eta / (1.0 - eta)  # bistable for beta above it
         p = Params(onset + excess * (1.0 - onset), eta)
         state = wavespeed._classifier_state(
-            (math.cos(angle), math.sin(angle)), dk, p, 0.01, None)
+            (math.cos(angle), math.sin(angle)), dk, p, 0.01)
         psi = state["psi"]
         span = psi.s_max - psi.s0
         # c in [-d - 1, d + 1], or a shift past the grid end
@@ -317,7 +329,7 @@ class TestWindowedRecursion:
     def test_left_limit_still_moving(self, dk8):
         # near the bistability onset the plateau converges slowly
         p = Params(0.25, 0.05)
-        state = wavespeed._classifier_state((1.0, 0.0), dk8, p, 0.01, None)
+        state = wavespeed._classifier_state((1.0, 0.0), dk8, p, 0.01)
         spans, limits = assert_iterates_match(0.05, state["psi"],
                                               state["k1"], p, 300)
         assert limits[-1][0] != limits[-2][0]
@@ -325,8 +337,7 @@ class TestWindowedRecursion:
 
     def test_right_limit_still_moving(self, dk8, p_main):
         # a right limit just above rho_u climbs slowly towards rho_s
-        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, 0.01,
-                                            None)
+        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, 0.01)
         psi, k1 = state["psi"], state["k1"]
         eq = equilibria(p_main)
         right = eq.rho_u + 1e-3 * (eq.rho_s - eq.rho_u)
@@ -337,8 +348,7 @@ class TestWindowedRecursion:
         assert all(sp.stop == len(psi.values) for sp in spans)
 
     def test_off_grid_shift(self, dk8, p_main):
-        state = wavespeed._classifier_state((0.6, 0.8), dk8, p_main, 0.01,
-                                            None)
+        state = wavespeed._classifier_state((0.6, 0.8), dk8, p_main, 0.01)
         psi = state["psi"]
         c = 0.3
         assert c / psi.delta != round(c / psi.delta)
@@ -366,12 +376,6 @@ class TestTracking:
         c = front_speed_tracking((1.0, 0.0), dk8, Params(1.0, 0.0), steps=40)
         assert c >= 0.0
 
-    def test_point_mass_speed_zero(self, point_mass_spec, p_main):
-        from qcp.kernel import discretize
-        dk = discretize(point_mass_spec, 4)
-        # degenerate kernel: supply the grid scale explicitly
-        c = front_speed_tracking((1.0, 0.0), dk, p_main, steps=40, delta=0.05)
-        assert abs(c) <= 0.05
 
 
 class TestPhi:
@@ -382,10 +386,10 @@ class TestPhi:
         dirs = validate_direction_triple(default_directions())
         assert dirs.shape == (3, 2)
 
-    def test_symmetric_directions_coincide(self, p_main):
+    def test_symmetric_directions_coincide(self, dk8, p_main):
         # identical 1D kernels make the three recursions identical
-        k1 = Kernel1D(0.05, np.array([0.25, 0.5, 0.25]))
-        psi = make_psi(PsiSpec(0.5, 1.0), 0.05, s_min=-3.0, s_max=3.0)
+        psi = wavespeed._hump(dk8, p_main)
+        k1 = Kernel1D(psi.delta, np.array([0.25, 0.5, 0.25]))
         profs = iterate_wave_profiles([k1, k1, k1], 0.03, p_main, psi, 5)
         assert np.array_equal(profs[0].values, profs[1].values)
         assert np.array_equal(profs[0].values, profs[2].values)
@@ -394,8 +398,7 @@ class TestPhi:
 
     def test_recursion_matches_reference(self, phi_main, dk8, p_main):
         phi = phi_main.phi
-        psi = make_psi(default_psi_spec(p_main, dk8), phi.delta,
-                       s_min=phi.s0, s_max=phi.s_max)
+        psi = wavespeed._hump(dk8, p_main, s_max=phi.s_max)
         profs = iterate_wave_profiles(phi_main.kernels1d, phi_main.c, p_main,
                                       psi, phi_main.n_iter)
         assert phi.values.tobytes() == \
@@ -430,25 +433,32 @@ class TestPhi:
             img = apply_Q_1d(phi, k1, p_main)
             assert np.all(translated[mask] <= img.values[mask] + 1e-6)
 
-    def test_rejects_nonpositive_speed(self, point_mass_spec, p_main):
-        from qcp.kernel import discretize
-        dk = discretize(point_mass_spec, 4)
-        dirs = default_directions()
-        with pytest.raises((ValueError, RuntimeError)):
-            build_phi(dirs[0], dirs[1], dirs[2], dk, p_main, n=2,
-                      delta=0.05)
+    def test_rejects_nonpositive_speed(self, dk8, p_main, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("phi was built at a nonpositive speed")
+
+        monkeypatch.setattr(wavespeed, "_front_iterates", refuse)
+        for c_star in (0.0, -0.05):
+            monkeypatch.setattr(
+                wavespeed, "estimate_cstar",
+                lambda xi, *args, c_star=c_star, **kwargs:
+                wavespeed.SpeedResult(xi=xi, c_star=c_star,
+                                      bracket=(c_star - 0.01, c_star),
+                                      iterations=0))
+            with pytest.raises(ValueError, match="positive speed"):
+                build_phi(*default_directions(), dk8, p_main, n=2)
 
     def test_domination_failure_names_last_n(self, dk8, p_main, monkeypatch):
         # force every domination check to fail and record the right end
         # of each psi grid, s_max = (n + 2) d/2 + 2d
         grids = []
-        real_make_psi = wavespeed.make_psi
+        real_hump = wavespeed._hump
 
-        def spy(spec, delta, s_min, s_max):
+        def spy(dk, p, s_max=None):
             grids.append(s_max)
-            return real_make_psi(spec, delta, s_min=s_min, s_max=s_max)
+            return real_hump(dk, p, s_max=s_max)
 
-        monkeypatch.setattr(wavespeed, "make_psi", spy)
+        monkeypatch.setattr(wavespeed, "_hump", spy)
         monkeypatch.setattr(wavespeed, "_check_domination",
                             lambda *args, **kwargs: (False, []))
         monkeypatch.setattr(wavespeed, "estimate_cstar",
