@@ -122,7 +122,7 @@ SCHEMA = {
                 "boundary": (str, "periodic"), "clamp": (float, 0.0)},
     "speed": {**_COMMON, **_OUT, **_shared("beta", "eta", "kernel"),
               "kernel-L": (int, 8), "angle": (float, 0.0),
-              "tol": (float, 0.01), "max-iter": (int | None, None),
+              "tol": (float, 0.01),
               "method": (typing.Literal["bisection", "tracking", "both"],
                          "bisection"),
               "track-steps": (int, 80)},
@@ -258,12 +258,11 @@ def _cmd_speed(cfg) -> int:
     tracking = method in ("tracking", "both")
     if tracking:  # before any bisection work
         with _invalid("angle", "track-steps", errors=ValueError):
-            check_tracking(xi, p, cfg["track-steps"])
+            check_tracking(xi, cfg["track-steps"])
     rows = []
     if method in ("bisection", "both"):
-        with _invalid(errors=ValueError):  # checks tol, max-iter first
-            res = estimate_cstar(xi, dk, p, tol=cfg["tol"],
-                                 max_iter=cfg["max-iter"])
+        with _invalid(errors=ValueError):  # checks tol first
+            res = estimate_cstar(xi, dk, p, tol=cfg["tol"])
         rows.append({"angle": angle, "c_star": res.c_star,
                      "bracket_lo": res.bracket[0],
                      "bracket_hi": res.bracket[1],
@@ -404,8 +403,8 @@ def _cmd_compare(cfg) -> int:
 _COMMANDS = {
     "mean-field": (_cmd_mean_field, "beta eta v0 trace-steps out"),
     "ide-run": (_cmd_ide_run, "beta eta L W steps boundary"),
-    "speed": (_cmd_speed, "beta eta angle tol max-iter kernel-L method "
-                          "track-steps out"),
+    "speed": (_cmd_speed, "beta eta angle tol kernel-L method track-steps "
+                          "out"),
     "lattice-run": (_cmd_lattice_run, "beta eta L W seed steps "
                                       "snapshot-every init"),
     "hydro": (_cmd_hydro, "beta eta gamma W steps"),

@@ -108,8 +108,7 @@ def make_comparison_config(phi: PhiData, dk, L: int,
                            gamma: float) -> ComparisonConfig:
     """Derive all constants from the recovery profile: delta1 is half the
     one-step rise Q(alpha) - alpha, and r = ceil(l + d(B) + c + d(k))."""
-    if not 0.0 < gamma < 0.5:
-        raise ValueError("gamma must lie in (0, 1/2)")
+    d_B = box_diameter(L, gamma)  # checks gamma before any work
     p = phi.params
     eq = equilibria(p)
     alpha = phi.alpha
@@ -133,7 +132,7 @@ def make_comparison_config(phi: PhiData, dk, L: int,
     if d_k <= 0:
         raise ValueError("point-mass kernels give interaction rate 0")
     c = phi.c
-    r = float(math.ceil(phi.l + box_diameter(L, gamma) + c + d_k))
+    r = float(math.ceil(phi.l + d_B + c + d_k))
     return ComparisonConfig(alpha=alpha, c=c, b=2.0 * d_k, r=r,
                             delta1=delta1, delta2=delta2, gamma=gamma, L=L,
                             d_k=d_k, directions=phi.directions)

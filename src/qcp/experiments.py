@@ -58,8 +58,6 @@ class ExperimentConfig:
                     Params(beta, eta)
                 except ValueError as exc:
                     raise ValueError(f"{name}: {exc}") from None
-        if not 0.0 < self.gamma < 0.5:
-            raise ValueError("gamma must lie in (0, 1/2)")
         if not self.seeds or not self.L_list:
             raise ValueError("L_list and seeds must each hold at least one "
                              "value")
@@ -71,6 +69,7 @@ class ExperimentConfig:
         if any(L < 1 or lattice.window_side(W, L) < 1
                for W, L in windows + [(self.phase_W, self.phase_L)]):
             raise ValueError("every (W, L) window must hold a site")
+        lattice.box_side_sites(self.L_list[0], self.gamma)  # checks gamma
 
     @property
     def params(self) -> Params:

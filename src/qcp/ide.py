@@ -81,16 +81,6 @@ class Field2D:
             for row in self.values:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
-    @staticmethod
-    def from_csv(path) -> "Field2D":
-        with open(path) as fh:
-            head = fh.readline().strip().lstrip("# ").split()
-            meta = dict(item.split("=", 1) for item in head)
-            vals = [[float(v) for v in line.strip().split(",")]
-                    for line in fh if line.strip()]
-        return Field2D(float(meta["x0"]), float(meta["y0"]), float(meta["h"]),
-                       np.array(vals), meta["boundary"], float(meta["clamp"]))
-
 
 def _node_shifts(dk: DiscreteKernel, h: float) -> np.ndarray:
     """Kernel offsets as whole node steps; rejects incompatible grids."""
@@ -221,9 +211,6 @@ class Profile1D:
     def evaluate(self, t) -> np.ndarray:
         return np.interp(t, self.grid, self.values,
                          left=self.left_limit, right=self.right_limit)
-
-    def is_monotone(self, slack: float = 1e-12) -> bool:
-        return bool(np.all(np.diff(self.values) <= slack))
 
     def copy(self) -> "Profile1D":
         return Profile1D(self.s0, self.delta, self.values.copy(),

@@ -39,10 +39,6 @@ class KernelSpec:
     family: str
     params: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps({"family": self.family, "params": self.params},
-                          sort_keys=True)
-
     @staticmethod
     def from_json(text: str) -> "KernelSpec":
         data = json.loads(text)
@@ -177,13 +173,6 @@ class DiscreteKernel:
             hi -= s * (c > flat)
         np.minimum(hi, len(self.masses) - 1, out=hi)
         return hi.astype(np.intp).reshape(u.shape)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("dx,dy,mass\n")
-            inv_l = 1.0 / self.L
-            for (i, j), m in zip(self.offsets, self.masses):
-                fh.write(f"{float(i * inv_l)!r},{float(j * inv_l)!r},{float(m)!r}\n")
 
 
 def _interval_overlap(lo1, hi1, lo2, hi2):

@@ -287,31 +287,3 @@ def save_snapshot(s: LatticeState, path, seed=None, params: Params = None):
     with open(path, "w") as fh:
         json.dump({"header": header, "rle": runs}, fh)
 
-
-def _is_count(v) -> bool:
-    """A nonnegative JSON integer; a bool is none."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-def load_snapshot(path) -> LatticeState:
-    """Inverse of save_snapshot.  ValueError unless side and L are
-    positive, n is a nonnegative integer, first_bit is 0 or 1, and the
-    runs are nonnegative integers covering the side x side grid."""
-    with open(path) as fh:
-        data = json.load(fh)
-    head, runs = data["header"], data["rle"]
-    side, L, n, bit = head["side"], head["L"], head["n"], head["first_bit"]
-    if not (_is_count(side) and side >= 1 and _is_count(L) and L >= 1):
-        raise ValueError("snapshot side and L must be positive integers")
-    if not _is_count(n):
-        raise ValueError(f"snapshot time n must be a nonnegative integer, "
-                         f"got {n!r}")
-    if not (_is_count(bit) and bit <= 1):
-        raise ValueError(f"snapshot first_bit must be 0 or 1, got {bit!r}")
-    if not (isinstance(runs, list) and all(map(_is_count, runs))
-            and sum(runs) == side * side):
-        raise ValueError(f"snapshot runs must be nonnegative integers "
-                         f"summing to side^2 = {side * side}")
-    parity = (np.arange(len(runs)) + bit) % 2
-    bits = np.repeat(parity.astype(np.uint8), runs)
-    return LatticeState(L=L, side=side, occ=bits.reshape(side, side), time=n)

@@ -35,7 +35,7 @@ class Params:
 
     @property
     def bistable(self) -> bool:
-        return self.beta * (1.0 - self.eta) > 4.0 * self.eta
+        return equilibria(self).rho_u is not None
 
 
 def mf_step(p: Params, v):

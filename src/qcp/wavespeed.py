@@ -27,8 +27,8 @@ from .mean_field import Params, equilibria, mf_step
 BELOW = "below_cstar"
 AT_OR_ABOVE = "at_or_above"
 
-# grid resolution as a fraction of the kernel diameter
-_DELTA_FRACTION = 1.0 / 64.0
+# grid steps per kernel diameter
+_STEPS_PER_DIAMETER = 64
 # probe interval right end, in kernel diameters
 _PROBE_DIAMETERS = 20.0
 # build_phi: slack of the translation-domination check and of the
@@ -40,7 +40,7 @@ _PHI_RETRIES = 5
 
 class SpeedIndeterminate(RuntimeError):
     """A trial speed ran out of iterations without meeting either
-    criterion; retry with a larger max_iter."""
+    criterion, or the bracket endpoints were misclassified."""
 
 
 def _hump(dk: DiscreteKernel, p: Params,
@@ -56,7 +56,7 @@ def _hump(dk: DiscreteKernel, p: Params,
     eq = equilibria(p)
     if eq.rho_u is None:
         raise ValueError("spreading speeds need bistable parameters")
-    delta = d * _DELTA_FRACTION
+    delta = d / _STEPS_PER_DIAMETER
     width = 5.0 * d
     s_min = -(width + 2.0 * d) - 2 * delta
     if s_max is None:
@@ -87,29 +87,14 @@ def weinberger_step(f: Profile1D, c: float, k1: Kernel1D, p: Params,
                      right_limit=max(psi.right_limit, g.right_limit))
 
 
-def _default_max_iter(dk: DiscreteKernel, tol: float) -> int:
-    # a probe just below c* must still cross the probe interval at front
-    # speed ~ c* - c, with slack for the slow ramp-up near criticality
+def _budget(dk: DiscreteKernel, tol: float) -> int:
+    """Recursion steps a bisection probe may run before it raises.  A
+    probe just below c* must still cross the probe interval at front
+    speed ~ c* - c, with slack for the slow ramp-up near criticality,
+    and a probe can land arbitrarily close to c*, where both criteria
+    are slow: hence the factor 16."""
     s_span = (_PROBE_DIAMETERS + 2.0) * dk.support_diameter
-    return max(20000, int(8.0 * s_span / max(tol, 1e-6)))
-
-
-def _check_budget(tol, max_iter) -> None:
-    # tol <= 0 or NaN would never meet the stall criterion, and the
-    # bisection would never narrow to it
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-
-
-def _classifier_state(xi, dk, p, tol):
-    psi = _hump(dk, p)
-    k1 = marginal_1d(dk, unit_direction(xi), psi.delta)
-    probe = int(round((psi.s_max - dk.support_diameter - psi.s0)
-                      / psi.delta))
-    return {"k1": k1, "p": p, "psi": psi, "probe": probe,
-            "rho_s": equilibria(p).rho_s, "tol": tol}
+    return 16 * max(20000, int(8.0 * s_span / max(tol, 1e-6)))
 
 
 def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
@@ -175,16 +160,17 @@ def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
         yield values, left, right, slice(0, 0)
 
 
-def _classify_with_state(c, state, max_iter):
+def _classify(c, psi: Profile1D, k1: Kernel1D, p: Params, tol: float,
+              budget: int):
     """(class, steps) of trial speed c: 'below_cstar' once the profile
-    exceeds rho_s - tol one kernel diameter before the right end of the
-    probe interval, 'at_or_above' once the sup change per step drops
-    under tol/10 without that growth."""
-    rho_s, tol, probe = state["rho_s"], state["tol"], state["probe"]
-    top, still = rho_s - tol, tol / 10.0
-    prev = state["psi"].values
-    iterates = _front_iterates(c, state["psi"], state["k1"], state["p"])
-    for it, (values, _, _, span) in zip(range(1, max_iter + 1), iterates):
+    exceeds rho_s - tol one kernel diameter before the right end of
+    psi's grid, 'at_or_above' once the sup change per step drops under
+    tol/10 without that growth; SpeedIndeterminate after budget steps."""
+    top, still = equilibria(p).rho_s - tol, tol / 10.0
+    probe = len(psi.values) - 1 - _STEPS_PER_DIAMETER
+    prev = psi.values
+    iterates = _front_iterates(c, psi, k1, p)
+    for it, (values, _, _, span) in zip(range(1, budget + 1), iterates):
         if values[probe] > top:
             return BELOW, it
         # the sup change: values equals prev outside span
@@ -193,7 +179,7 @@ def _classify_with_state(c, state, max_iter):
             return AT_OR_ABOVE, it
         prev = values
     raise SpeedIndeterminate(
-        f"no classification for c={c} after {max_iter} iterations")
+        f"no classification for c={c} after {budget} iterations")
 
 
 @dataclass
@@ -205,8 +191,7 @@ class SpeedResult:
     trace: list = field(default_factory=list)
 
 
-def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
-                   max_iter: int | None = None, *,
+def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01, *,
                    memo: dict | None = None) -> SpeedResult:
     """Bisect the trial-speed class over [-d(k)-1, d(k)+1] down to a
     bracket of width tol; c_star is reported as the bracket's upper end,
@@ -219,27 +204,27 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
     trace and bracket back with ``iterations`` 0, the recursion steps
     actually run.
     """
-    _check_budget(tol, max_iter)
-    state = _classifier_state(xi, dk, p, min(tol, 1e-2))
-    key = state["k1"].masses.tobytes()
+    # tol <= 0 or NaN would never meet the stall criterion, and the
+    # bisection would never narrow to it
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    psi = _hump(dk, p)
+    xi = unit_direction(xi)
+    k1 = marginal_1d(dk, xi, psi.delta)
+    key = k1.masses.tobytes()
     if memo is not None and key in memo:
         trace, (lo, hi) = memo[key]
-        return SpeedResult(xi=unit_direction(xi), c_star=hi, bracket=(lo, hi),
+        return SpeedResult(xi=xi, c_star=hi, bracket=(lo, hi),
                            iterations=0, trace=list(trace))
-    cap = max_iter if max_iter is not None else _default_max_iter(dk, tol)
+    budget, probe_tol = _budget(dk, tol), min(tol, 1e-2)
     d = dk.support_diameter
     lo, hi = -d - 1.0, d + 1.0
     trace = []
     total = 0
 
     def probe(c):
-        # a bisection probe can land arbitrarily close to c*, where both
-        # criteria are slow, so its budget widens twice by 4x before it
-        # gives up.  The recursion resumes at each widening, which makes
-        # that one run at the widest budget, with the class and step of
-        # the first budget that suffices
         nonlocal total
-        cls, its = _classify_with_state(c, state, 16 * cap)
+        cls, its = _classify(c, psi, k1, p, probe_tol, budget)
         total += its
         trace.append((c, cls))
         return cls
@@ -258,18 +243,17 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01,
             hi = mid
     if memo is not None:
         memo[key] = (tuple(trace), (lo, hi))
-    return SpeedResult(xi=unit_direction(xi), c_star=hi, bracket=(lo, hi),
+    return SpeedResult(xi=xi, c_star=hi, bracket=(lo, hi),
                        iterations=total, trace=trace)
 
 
-def check_tracking(xi, p: Params, steps: int) -> None:
-    """Raise ValueError unless front_speed_tracking can run on these
-    arguments; it calls this before any work."""
+def check_tracking(xi, steps: int) -> np.ndarray:
+    """xi as a unit vector; ValueError unless front_speed_tracking can
+    run on this direction and step count (_hump checks the kernel and
+    the parameters).  It calls this before any work."""
     if steps < 3:  # the fit needs three positions, steps // 2 + 1 of them
         raise ValueError(f"steps must be at least 3, got {steps}")
-    if not p.bistable:
-        raise ValueError("front tracking needs bistable parameters")
-    unit_direction(xi)
+    return unit_direction(xi)
 
 
 def front_speed_tracking(xi, dk: DiscreteKernel, p: Params,
@@ -278,12 +262,11 @@ def front_speed_tracking(xi, dk: DiscreteKernel, p: Params,
     profile and fit the displacement per step of the rho_s/2 level
     crossing by least squares over the last half of the run, on the
     grid step of the front recursion."""
-    check_tracking(xi, p, steps)
+    xi = check_tracking(xi, steps)
     delta = _hump(dk, p).delta
     eq = equilibria(p)
     level = 0.5 * eq.rho_s
     d = dk.support_diameter
-    xi = unit_direction(xi)
     k1 = marginal_1d(dk, xi, delta)
 
     margin = steps * (0.5 * d + delta) + 5.0 * d

@@ -2,9 +2,12 @@
 lattice step and its one-step closed form, the maximal coupling of the
 site- and corner-anchored steps, a single trial-speed classification,
 scalar region queries, a region-set snapshot, an uncached oracle of the
-containment audit and the phase-scan threshold read-off.  No subcommand
-writes any of their numbers, so they live here and not in the library."""
+containment audit, the phase-scan threshold read-off, and the readers
+and writers of the library's files and values that no subcommand
+calls.  No subcommand writes any of their numbers, so they live here
+and not in the library."""
 
+import json
 import math
 
 import numpy as np
@@ -14,8 +17,10 @@ from qcp import rng as _rng
 from qcp.comparison import (ErrorPoint, ProfileCache, RegionSet,
                             _corner_coords, _edge_coords, _rect_in_union,
                             _recovery_demand, _rects_meet)
-from qcp.ide import Profile1D, apply_Q_1d, periodic_correlate
-from qcp.lattice import _NBR_DI, _NBR_DJ, box_side_sites, box_stats
+from qcp.ide import Field2D, Profile1D, apply_Q_1d, periodic_correlate
+from qcp.kernel import marginal_1d
+from qcp.lattice import (_NBR_DI, _NBR_DJ, LatticeState, box_side_sites,
+                         box_stats)
 from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
                      PHASE_OFFSET, LatticeRng)
 
@@ -201,17 +206,23 @@ def coupling_discrepancy(s0, dk, p, seeds, gamma: float) -> float:
     return total / len(seeds)
 
 
-def classify_speed(c: float, xi, dk, p, max_iter: int | None = None,
-                   tol: float = 1e-3) -> str:
+def probe_start(xi, dk, p):
+    """psi and the line marginal along xi of a bisection probe in
+    wavespeed.estimate_cstar."""
+    psi = wavespeed._hump(dk, p)
+    return psi, marginal_1d(dk, xi, psi.delta)
+
+
+def classify_speed(c: float, xi, dk, p, tol: float = 1e-3) -> str:
     """Decide whether the trial speed c lies below c*(xi): one probe of
-    the bisection in wavespeed.estimate_cstar, from the default psi."""
-    wavespeed._check_budget(tol, max_iter)
+    the bisection in wavespeed.estimate_cstar, with its step budget."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not math.isfinite(c):  # the shift must reach a finite distance
         raise ValueError(f"trial speed c must be finite, got {c}")
-    state = wavespeed._classifier_state(xi, dk, p, tol)
-    if max_iter is None:
-        max_iter = wavespeed._default_max_iter(dk, tol)
-    return wavespeed._classify_with_state(c, state, max_iter)[0]
+    psi, k1 = probe_start(xi, dk, p)
+    return wavespeed._classify(c, psi, k1, p, tol,
+                               wavespeed._budget(dk, tol))[0]
 
 
 def holders(rs, points, t: float):
@@ -379,3 +390,64 @@ def threshold_estimate(freqs: dict, eta: float) -> float | None:
         if freqs[(b, eta)] >= 0.5:
             return b
     return None
+
+
+def is_monotone(f: Profile1D, slack: float = 1e-12) -> bool:
+    """Whether the profile's values are nonincreasing up to slack."""
+    return bool(np.all(np.diff(f.values) <= slack))
+
+
+def field_from_csv(path) -> Field2D:
+    """Inverse of Field2D.to_csv."""
+    with open(path) as fh:
+        head = fh.readline().strip().lstrip("# ").split()
+        meta = dict(item.split("=", 1) for item in head)
+        vals = [[float(v) for v in line.strip().split(",")]
+                for line in fh if line.strip()]
+    return Field2D(float(meta["x0"]), float(meta["y0"]), float(meta["h"]),
+                   np.array(vals), meta["boundary"], float(meta["clamp"]))
+
+
+def kernel_spec_json(spec) -> str:
+    """The JSON text of a KernelSpec that KernelSpec.from_json reads."""
+    return json.dumps({"family": spec.family, "params": spec.params},
+                      sort_keys=True)
+
+
+def kernel_to_csv(dk, path) -> None:
+    """The atoms of a DiscreteKernel as dx,dy,mass rows."""
+    with open(path, "w") as fh:
+        fh.write("dx,dy,mass\n")
+        inv_l = 1.0 / dk.L
+        for (i, j), m in zip(dk.offsets, dk.masses):
+            fh.write(f"{float(i * inv_l)!r},{float(j * inv_l)!r},"
+                     f"{float(m)!r}\n")
+
+
+def _is_count(v) -> bool:
+    """A nonnegative JSON integer; a bool is none."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def load_snapshot(path) -> LatticeState:
+    """Inverse of lattice.save_snapshot.  ValueError unless side and L
+    are positive, n is a nonnegative integer, first_bit is 0 or 1, and
+    the runs are nonnegative integers covering the side x side grid."""
+    with open(path) as fh:
+        data = json.load(fh)
+    head, runs = data["header"], data["rle"]
+    side, L, n, bit = head["side"], head["L"], head["n"], head["first_bit"]
+    if not (_is_count(side) and side >= 1 and _is_count(L) and L >= 1):
+        raise ValueError("snapshot side and L must be positive integers")
+    if not _is_count(n):
+        raise ValueError(f"snapshot time n must be a nonnegative integer, "
+                         f"got {n!r}")
+    if not (_is_count(bit) and bit <= 1):
+        raise ValueError(f"snapshot first_bit must be 0 or 1, got {bit!r}")
+    if not (isinstance(runs, list) and all(map(_is_count, runs))
+            and sum(runs) == side * side):
+        raise ValueError(f"snapshot runs must be nonnegative integers "
+                         f"summing to side^2 = {side * side}")
+    parity = (np.arange(len(runs)) + bit) % 2
+    bits = np.repeat(parity.astype(np.uint8), runs)
+    return LatticeState(L=L, side=side, occ=bits.reshape(side, side), time=n)

@@ -26,7 +26,7 @@ from qcp.wavespeed import (AT_OR_ABOVE, BELOW, estimate_cstar,
 
 from conftest import seeded
 from helpers import (classify_speed, corner_expectation, corner_step,
-                     threshold_estimate)
+                     is_monotone, threshold_estimate)
 from test_comparison import FineStepOracle, random_acute_normals, small_cfg
 
 
@@ -123,7 +123,7 @@ class TestAcceptance:
         for _ in range(40):
             nxt = weinberger_step(f, 0.1, k1, p_main, psi)
             assert np.all(nxt.values >= f.values - 1e-12)
-            assert nxt.is_monotone(1e-12)
+            assert is_monotone(nxt, 1e-12)
             assert nxt.values.max() <= eq.rho_s + 1e-12
             f = nxt
 

@@ -52,18 +52,21 @@ class TestSpeedCommand:
         assert row[4] == "weinberger-bisection"
 
     def test_non_bistable_is_config_error(self, capsys, monkeypatch):
+        # the error names no key: neither angle nor track-steps is at fault
         from qcp import wavespeed
 
         def no_probe(*args, **kwargs):
             raise AssertionError("probe ran on non-bistable parameters")
 
-        monkeypatch.setattr(wavespeed, "_classify_with_state", no_probe)
+        monkeypatch.setattr(wavespeed, "_classify", no_probe)
         for method in ("bisection", "tracking", "both"):
             code = run(["speed", "--angle", "0", "--beta", "0.3",
                         "--eta", "0.2", "--method", method])
             assert code == 1
-            err = capsys.readouterr().err
-            assert "config error" in err and "bistable" in err
+            captured = capsys.readouterr()
+            assert captured.err == ("config error: spreading speeds need "
+                                    "bistable parameters\n")
+            assert captured.out == ""
 
     @pytest.mark.parametrize("method", ["bisection", "tracking", "both"])
     def test_zero_diameter_kernel_is_config_error(self, method, tmp_path,
@@ -75,7 +78,7 @@ class TestSpeedCommand:
             raise AssertionError("a speed method ran on a kernel of "
                                  "diameter 0")
 
-        monkeypatch.setattr(wavespeed, "_classify_with_state", no_work)
+        monkeypatch.setattr(wavespeed, "_classify", no_work)
         monkeypatch.setattr(wavespeed, "apply_Q_1d", no_work)
         cfg = tmp_path / "point-mass.json"
         cfg.write_text(json.dumps({"kernel": {
@@ -90,19 +93,27 @@ class TestSpeedCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    # the step budget is derived from d(k) and tol, so max-iter is no key
     @pytest.mark.parametrize("flags", [
         ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
-        ["--max-iter", "0"], ["--max-iter", "-5"]])
-    def test_bad_budget_is_config_error(self, flags, capsys, monkeypatch):
+        ["--max-iter", "5"], {"max-iter": 5}])
+    def test_bad_budget_is_config_error(self, flags, tmp_path, capsys,
+                                        monkeypatch):
         from qcp import wavespeed
 
         def no_probe(*args, **kwargs):
             raise AssertionError("probe ran before the settings were checked")
 
-        monkeypatch.setattr(wavespeed, "_classify_with_state", no_probe)
+        monkeypatch.setattr(wavespeed, "_classify", no_probe)
+        if isinstance(flags, dict):  # a config document
+            cfg = tmp_path / "speed.json"
+            cfg.write_text(json.dumps(flags))
+            flags = ["--config", str(cfg)]
         code = run(["speed", "--angle", "0", "--kernel-L", "4"] + flags)
+        captured = capsys.readouterr()
         assert code == 1
-        assert "config error" in capsys.readouterr().err
+        assert "config error" in captured.err
+        assert captured.out == ""
 
 
     @pytest.mark.parametrize("flags", [["--track-steps", "1"],
@@ -243,7 +254,7 @@ class TestLatticeRunCommand:
         assert len(trace) == 8  # header + 7 rows
 
     def test_snapshot_loads_back(self, tmp_path, capsys):
-        from qcp.lattice import load_snapshot
+        from helpers import load_snapshot
         run(["lattice-run", "--L", "8", "--W", "2", "--seed", "5",
              "--steps", "2", "--snapshot-every", "2", "--out-dir",
              str(tmp_path)])
@@ -260,8 +271,8 @@ class TestIdeRunCommand:
         assert code == 0
         capsys.readouterr()
         assert (tmp_path / "field_00002.csv").exists()
-        from qcp.ide import Field2D
-        f = Field2D.from_csv(tmp_path / "field_00002.csv")
+        from helpers import field_from_csv
+        f = field_from_csv(tmp_path / "field_00002.csv")
         assert f.nx == 12
 
 

@@ -859,8 +859,12 @@ class TestConfigAndSerialization:
         assert cfg.delta2 > 0
         assert cfg.error_rate_bound() > 0
 
-    def test_bad_gamma(self, phi_main, dk8):
-        with pytest.raises(ValueError):
+    def test_bad_gamma(self, phi_main, dk8, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before gamma was checked")
+
+        monkeypatch.setattr(comparison, "apply_Q_1d", refuse)
+        with pytest.raises(ValueError, match="gamma"):
             make_comparison_config(phi_main, dk8, 200, 0.6)
 
     def test_evolve_back_in_time_rejected(self):

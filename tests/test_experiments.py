@@ -29,7 +29,7 @@ class TestConfig:
             small_cfg(seeds=(1, 1))
 
     def test_gamma_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gamma"):
             small_cfg(gamma=0.6)
 
     @pytest.mark.parametrize("kw", [

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from qcp.ide import Field2D
 from qcp.kernel import KernelSpec, discretize
 from qcp.lattice import (BoxStats, LatticeState, _coins, box_side_sites,
-                         box_stats, init, label_step, load_snapshot,
-                         save_snapshot, step, window_side)
+                         box_stats, init, label_step, save_snapshot, step,
+                         window_side)
 from qcp.mean_field import Params
 from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_NEIGHBOR, PHASE_OFFSET,
                      LatticeRng)
 
-from helpers import corner_expectation, corner_step, coupling_discrepancy
+from helpers import (corner_expectation, corner_step, coupling_discrepancy,
+                     load_snapshot)
 
 
 def anchored_step(anchor, s, dk, p, rng):

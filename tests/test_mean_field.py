@@ -20,6 +20,10 @@ class TestParams:
         assert Params(1.0, 0.1).bistable
         assert not Params(0.3, 0.2).bistable
         assert not Params(1.0, 0.2).bistable  # equality is not bistable
+        # within equilibria's double-root snap of the tangent: no rho_u
+        p = Params(0.5, 0.11111111111111101)
+        assert equilibria(p).rho_u is None
+        assert not p.bistable
 
 
 class TestEquilibria:

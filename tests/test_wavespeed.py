@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qcp import wavespeed
 from qcp.ide import Profile1D, apply_Q_1d
-from qcp.kernel import Kernel1D, discretize, marginal_1d
+from qcp.kernel import Kernel1D, discretize
 from qcp.mean_field import Params, equilibria, mean_field_trace
 from qcp.wavespeed import (AT_OR_ABOVE, BELOW, build_phi,
                            default_directions, estimate_cstar,
@@ -15,7 +15,7 @@ from qcp.wavespeed import (AT_OR_ABOVE, BELOW, build_phi,
                            weinberger_step)
 
 from conftest import seeded
-from helpers import classify_speed
+from helpers import classify_speed, is_monotone, probe_start
 
 # frozen after first computation at beta=1, eta=0.05, unit-square kernel
 # discretized at L=8 with the default grid
@@ -107,16 +107,12 @@ class TestPsi:
         assert np.allclose(psi.values[ramp], -grid[ramp] / (5.0 * d)
                            * plateau, rtol=0.0, atol=1e-15)
         assert psi.evaluate(-2.5 * d) == pytest.approx(0.5 * plateau)
-        assert psi.is_monotone()
+        assert is_monotone(psi)
 
 
 class TestWeinbergerStep:
-    def _setup(self, p, dk):
-        psi = wavespeed._hump(dk, p)
-        return psi, marginal_1d(dk, (1.0, 0.0), psi.delta)
-
     def test_first_step_dominates_psi(self, dk8, p_main):
-        psi, k1 = self._setup(p_main, dk8)
+        psi, k1 = probe_start((1.0, 0.0), dk8, p_main)
         f1 = weinberger_step(psi, 0.1, k1, p_main, psi)
         assert np.all(f1.values >= psi.values - 1e-15)
 
@@ -130,21 +126,21 @@ class TestWeinbergerStep:
         assert np.max(np.abs(out.values - eq.rho_s)) < 1e-12
 
     def test_output_monotone(self, dk8, p_main):
-        psi, k1 = self._setup(p_main, dk8)
+        psi, k1 = probe_start((1.0, 0.0), dk8, p_main)
         gen = seeded(31)
         vals = np.sort(gen.random(len(psi.values)))[::-1] * 0.9
         f = Profile1D(psi.s0, psi.delta, vals, vals[0], vals[-1])
         out = weinberger_step(f, 0.37, k1, p_main, psi)
-        assert out.is_monotone(1e-12)
+        assert is_monotone(out, 1e-12)
 
     def test_iterates_monotone_in_n_and_s(self, dk8, p_main):
-        psi, k1 = self._setup(p_main, dk8)
+        psi, k1 = probe_start((1.0, 0.0), dk8, p_main)
         eq = equilibria(p_main)
         f = psi
         for _ in range(25):
             nxt = weinberger_step(f, 0.1, k1, p_main, psi)
             assert np.all(nxt.values >= f.values - 1e-12)
-            assert nxt.is_monotone(1e-12)
+            assert is_monotone(nxt, 1e-12)
             assert nxt.values.max() <= eq.rho_s + 1e-12
             f = nxt
 
@@ -210,7 +206,7 @@ class TestSettings:
         def refuse(*args, **kwargs):
             raise AssertionError("probe ran before the settings were checked")
 
-        monkeypatch.setattr(wavespeed, "_classify_with_state", refuse)
+        monkeypatch.setattr(wavespeed, "_classify", refuse)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tol_rejected(self, dk8, p_main, tol):
@@ -239,13 +235,6 @@ class TestSettings:
         with pytest.raises(ValueError, match="kernel diameter"):
             build_phi(*default_directions(), dk, p_main)
 
-    @pytest.mark.parametrize("max_iter", [0, -5])
-    def test_bad_max_iter_rejected(self, dk8, p_main, max_iter):
-        with pytest.raises(ValueError, match="max_iter"):
-            estimate_cstar((1.0, 0.0), dk8, p_main, max_iter=max_iter)
-        with pytest.raises(ValueError, match="max_iter"):
-            classify_speed(0.1, (1.0, 0.0), dk8, p_main, max_iter=max_iter)
-
 
 class TestBitIdentical:
     def test_e1_trajectory(self, e1_speed):
@@ -269,22 +258,32 @@ class TestBitIdentical:
         (0.0, BELOW, 331), (0.2392766952966369, AT_OR_ABOVE, 87)])
     def test_iterates_match_weinberger_step(self, dk8, p_main, c, cls,
                                             steps):
-        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, 0.01)
-        assert wavespeed._classify_with_state(c, state, 10 * steps) == \
-            (cls, steps)
-        assert_iterates_match(c, state["psi"], state["k1"], p_main, steps)
+        psi, k1 = probe_start((1.0, 0.0), dk8, p_main)
+        assert wavespeed._classify(c, psi, k1, p_main, 0.01,
+                                   10 * steps) == (cls, steps)
+        assert_iterates_match(c, psi, k1, p_main, steps)
 
-    def test_widened_budget_resumes(self, dk8, p_main):
-        # the longest e1 probe runs 18,352 steps, past two widenings of a
-        # 2,000-step budget; only the steps actually run are counted
-        res = estimate_cstar((1.0, 0.0), dk8, p_main, tol=0.01,
-                             max_iter=2000)
+    def test_widened_budget_resumes(self, dk8, p_main, monkeypatch):
+        # the longest e1 probe runs 18,352 steps, so a 32,000-step budget
+        # gives the golden run, counting only the steps actually run, and
+        # a 16,000-step budget runs out
+        monkeypatch.setattr(wavespeed, "_budget", lambda dk, tol: 32000)
+        res = estimate_cstar((1.0, 0.0), dk8, p_main, tol=0.01)
         assert res.trace == GOLDEN_E1_TRACE
         assert res.bracket == GOLDEN_E1_BRACKET
         assert res.iterations == GOLDEN_E1_ITERATIONS
+        monkeypatch.setattr(wavespeed, "_budget", lambda dk, tol: 16000)
         with pytest.raises(wavespeed.SpeedIndeterminate,
                            match="after 16000 iterations"):
-            estimate_cstar((1.0, 0.0), dk8, p_main, tol=0.01, max_iter=1000)
+            estimate_cstar((1.0, 0.0), dk8, p_main, tol=0.01)
+
+    # the budget when it was 16 times the max_iter option's default:
+    # tol 0.05 takes the 20,000 floor and 1e-7 the 1e-6 clamp
+    @pytest.mark.parametrize("tol, steps", [
+        (0.05, 320000), (0.01, 796480), (1e-3, 7964848),
+        (1e-7, 7964850768)])
+    def test_budget_unchanged(self, dk8, tol, steps):
+        assert wavespeed._budget(dk8, tol) == steps
 
     def test_memo_keeps_directions_apart(self, dk8, p_main):
         dirs = default_directions()
@@ -317,28 +316,24 @@ class TestWindowedRecursion:
         dk = discretize(square_spec, L)
         onset = 4.0 * eta / (1.0 - eta)  # bistable for beta above it
         p = Params(onset + excess * (1.0 - onset), eta)
-        state = wavespeed._classifier_state(
-            (math.cos(angle), math.sin(angle)), dk, p, 0.01)
-        psi = state["psi"]
+        psi, k1 = probe_start((math.cos(angle), math.sin(angle)), dk, p)
         span = psi.s_max - psi.s0
         # c in [-d - 1, d + 1], or a shift past the grid end
         c = (math.copysign(span, shift) + shift * span if beyond
              else shift * (dk.support_diameter + 1.0))
-        assert_iterates_match(c, psi, state["k1"], p, steps)
+        assert_iterates_match(c, psi, k1, p, steps)
 
     def test_left_limit_still_moving(self, dk8):
         # near the bistability onset the plateau converges slowly
         p = Params(0.25, 0.05)
-        state = wavespeed._classifier_state((1.0, 0.0), dk8, p, 0.01)
-        spans, limits = assert_iterates_match(0.05, state["psi"],
-                                              state["k1"], p, 300)
+        psi, k1 = probe_start((1.0, 0.0), dk8, p)
+        spans, limits = assert_iterates_match(0.05, psi, k1, p, 300)
         assert limits[-1][0] != limits[-2][0]
         assert all(sp.start == 0 for sp in spans)
 
     def test_right_limit_still_moving(self, dk8, p_main):
         # a right limit just above rho_u climbs slowly towards rho_s
-        state = wavespeed._classifier_state((1.0, 0.0), dk8, p_main, 0.01)
-        psi, k1 = state["psi"], state["k1"]
+        psi, k1 = probe_start((1.0, 0.0), dk8, p_main)
         eq = equilibria(p_main)
         right = eq.rho_u + 1e-3 * (eq.rho_s - eq.rho_u)
         psi = Profile1D(psi.s0, psi.delta, np.maximum(psi.values, right),
@@ -348,11 +343,10 @@ class TestWindowedRecursion:
         assert all(sp.stop == len(psi.values) for sp in spans)
 
     def test_off_grid_shift(self, dk8, p_main):
-        state = wavespeed._classifier_state((0.6, 0.8), dk8, p_main, 0.01)
-        psi = state["psi"]
+        psi, k1 = probe_start((0.6, 0.8), dk8, p_main)
         c = 0.3
         assert c / psi.delta != round(c / psi.delta)
-        spans, _ = assert_iterates_match(c, psi, state["k1"], p_main, 300)
+        spans, _ = assert_iterates_match(c, psi, k1, p_main, 300)
         # the window is narrower than the grid once the plateau settles
         assert min(sp.stop - sp.start for sp in spans) < len(psi.values) // 2
 
@@ -415,7 +409,7 @@ class TestPhi:
     def test_structure(self, phi_main, p_main):
         assert phi_main.m <= phi_main.M
         assert phi_main.l >= 0.0
-        assert phi_main.phi.is_monotone(1e-12)
+        assert is_monotone(phi_main.phi, 1e-12)
         # alpha is the mean-field iterate of the psi plateau
         eq = equilibria(p_main)
         plateau = 0.5 * (eq.rho_u + eq.rho_s)
