@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,11 +149,13 @@ def periodic_correlate(a: np.ndarray, shifts: np.ndarray,
 
 def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params) -> Field2D:
     """One operator step; output values stay in [0, 1 - eta] for beta <= 1."""
-    conv = convolve_sq(u, dk)
-    vals = (1.0 - p.eta) * (u.values + p.beta * (1.0 - u.values) * conv)
-    out = u.copy()
-    out.values = vals
-    return out
+    conv = convolve_sq(u, dk)   # first, so vals is not alive at its peak
+    vals = np.subtract(1.0, u.values)
+    vals *= p.beta
+    vals *= conv
+    vals += u.values
+    vals *= 1.0 - p.eta
+    return Field2D(u.x0, u.y0, u.h, vals, u.boundary, u.clamp_value)
 
 
 def evolve(u: Field2D, dk: DiscreteKernel, p: Params, n: int, taps=None):
@@ -202,7 +205,7 @@ class Profile1D:
 
     @property
     def grid(self) -> np.ndarray:
-        return self.s0 + np.arange(len(self.values)) * self.delta
+        return _grid(self.s0, self.delta, len(self.values))
 
     @property
     def s_max(self) -> float:
@@ -212,9 +215,12 @@ class Profile1D:
         return np.interp(t, self.grid, self.values,
                          left=self.left_limit, right=self.right_limit)
 
-    def copy(self) -> "Profile1D":
-        return Profile1D(self.s0, self.delta, self.values.copy(),
-                         self.left_limit, self.right_limit)
+
+@lru_cache(maxsize=64)
+def _grid(s0: float, delta: float, n: int) -> np.ndarray:
+    grid = s0 + np.arange(n) * delta
+    grid.flags.writeable = False    # every profile of this geometry reads it
+    return grid
 
 
 def apply_Q_1d(f: Profile1D, k1: Kernel1D, p: Params) -> Profile1D:

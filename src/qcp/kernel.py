@@ -163,8 +163,8 @@ class DiscreteKernel:
         c = np.fmin(flat, 1.0)          # NaN and keys above 1 to bucket m
         c *= m
         np.fmax(c, 0.0, out=c)          # keys below 0 to bucket 0
-        hi = self._guide[c.astype(np.intp)]
-        hi += (1 << self._steps) - 1
+        hi = np.add(self._guide.take(c.astype(np.intp)),
+                    (1 << self._steps) - 1, dtype=np.intp)
         probe = np.empty_like(hi)
         for j in reversed(range(self._steps)):
             s = 1 << j
@@ -172,7 +172,7 @@ class DiscreteKernel:
             self._cdf.take(probe, mode="clip", out=c)
             hi -= s * (c > flat)
         np.minimum(hi, len(self.masses) - 1, out=hi)
-        return hi.astype(np.intp).reshape(u.shape)
+        return hi.reshape(u.shape)
 
 
 def _interval_overlap(lo1, hi1, lo2, hi2):

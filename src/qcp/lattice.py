@@ -24,9 +24,6 @@ from .ide import Field2D
 from .kernel import DiscreteKernel
 from .mean_field import Params
 
-_NBR_DI = np.array([1, -1, 0, 0], dtype=np.int64)
-_NBR_DJ = np.array([0, 0, 1, -1], dtype=np.int64)
-
 
 @dataclass
 class LatticeState:
@@ -52,9 +49,6 @@ class LatticeState:
 
     def density(self) -> float:
         return float(self.occ.mean())
-
-    def copy(self) -> "LatticeState":
-        return LatticeState(self.L, self.side, self.occ.copy(), self.time)
 
 
 def window_side(W: float, L: int) -> int:
@@ -122,34 +116,37 @@ def _coins(rng: _rng.LatticeRng, n: int, side: int):
                          (side, side))
 
 
-def _parents(dk: DiscreteKernel, side: int, base_i, base_j, u_off, u_nbr):
-    """Flat site indices of the parents: y, through the kernel around the
-    base sites, and z, a uniform neighbour of y.  Element-wise, so any
-    subset of sites draws the same parents."""
-    # a coordinate k in [-r, side + r) wraps to wrap[k + r]; r reaches
-    # past the farthest kernel offset by the one neighbour step
+def _padded(a: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
+    """The side x side torus a padded by r = dk.reach + 1 sites at every
+    edge, flat: (i + r) (side + 2r) + j + r holds a[i % side, j % side]."""
+    side = a.shape[0]
     r = dk.reach + 1
-    wrap = np.arange(-r, side + r) % side
+    out = np.empty((side + 2 * r, side + 2 * r), a.dtype)
+    out[r:r + side, r:r + side] = a
+    # core rows' columns, then whole rows, by slices of <= side lines each
+    for lines in (out[r:r + side].T, out):
+        for k in range(r, 0, -side):
+            lines[max(k - side, 0):k] = lines[max(k, side):k + side]
+        for k in range(r + side, len(lines), side):
+            lines[k:k + side] = lines[k - side:min(k, len(lines) - side)]
+    return out.ravel()
 
-    def wrapped(coord, shift):
-        coord += shift
-        coord += r
-        return wrap[coord]
 
-    idx = dk.sample_indices(u_off)
-    yi = wrapped(dk.offsets[idx, 0], base_i)
-    yj = wrapped(dk.offsets[idx, 1], base_j)
-    del idx
-    nsel = (u_nbr * 4.0).astype(np.int64)
-    np.minimum(nsel, 3, out=nsel)
-    zi = wrapped(_NBR_DI[nsel], yi)
-    zj = wrapped(_NBR_DJ[nsel], yj)
-    del nsel
-    yi *= side
-    yi += yj
-    zi *= side
-    zi += zj
-    return yi, zi
+def _padded_index(f, side: int, dk: DiscreteKernel):
+    """Indices in _padded's flat array of the flat sites f."""
+    r = dk.reach + 1
+    return f + f // side * (2 * r) + r * (side + 2 * r + 1)
+
+
+def _parents(dk: DiscreteKernel, side: int, base, u_off, u_nbr):
+    """Parents y, through the kernel around the base sites, and z, the
+    neighbour of y that u_nbr (< 1) picks, as indices in _padded's flat
+    array, as base is; offsets reach dk.reach, so both stay in padding.
+    Element-wise, so any subset of sites draws the same parents."""
+    width = side + 2 * (dk.reach + 1)
+    flat_offset = dk.offsets[:, 0] * width + dk.offsets[:, 1]
+    y = flat_offset[dk.sample_indices(u_off)] + base
+    return y, y + np.array([width, -width, 1, -1])[(u_nbr * 4).astype(np.intp)]
 
 
 def step(s: LatticeState, dk: DiscreteKernel, p: Params,
@@ -164,27 +161,20 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     n = s.time + 1
     coins = _coins(rng, n, side)
 
-    occ0 = s.occ.astype(bool)
-    f = np.flatnonzero(~occ0 & (next(coins) < p.beta))  # the birth attempts
-    u_off = next(coins).ravel()[f]
-    u_nbr = next(coins).ravel()[f]
-    y, z = _parents(dk, side, *np.divmod(f, side), u_off, u_nbr)
-    del u_off, u_nbr
-
-    flat0 = occ0.ravel()
-    born = flat0[y]
-    born &= flat0[z]
-    del y, z
-    after_births = occ0.copy()
-    after_births.ravel()[f[born]] = True
-    dies = next(coins) < p.eta
-    final = after_births & ~dies
-
-    new = LatticeState(L=s.L, side=side, occ=final.astype(np.uint8),
-                       time=n)
-    return new, StepReport(births_attempted=int(len(f)),
-                           births=int(born.sum()),
-                           deaths=int((after_births & dies).sum()))
+    occ = s.occ.astype(bool)
+    f = np.flatnonzero((next(coins) < p.beta) > occ)   # vacant, coin < beta
+    y, z = _parents(dk, side, _padded_index(f, side, dk),
+                    next(coins).ravel()[f], next(coins).ravel()[f])
+    padded = _padded(occ, dk)
+    born = padded[y]
+    born &= padded[z]
+    del y, z, padded
+    occ.ravel()[f[born]] = True     # now the occupancy after births
+    final = occ > (next(coins) < p.eta)   # occupied and not dying
+    deaths = np.count_nonzero(occ) - np.count_nonzero(final)
+    return (LatticeState(L=s.L, side=side, occ=final.view(np.uint8), time=n),
+            StepReport(births_attempted=len(f), deaths=int(deaths),
+                       births=int(np.count_nonzero(born))))
 
 
 def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
@@ -198,19 +188,21 @@ def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
     parents are drawn only at the sites with u_att < B that survive.
     """
     side = B.shape[0]
-    u_att, u_off, u_nbr, u_die = _coins(rng, time + 1, side)
-    lab = B.astype(np.float64, order="C").ravel()
-    dead = (u_die < eta).ravel()
-    u_att = u_att.ravel()
-    f = np.flatnonzero((u_att < lab) & ~dead)
-    y, z = _parents(dk, side, *np.divmod(f, side), u_off.ravel()[f],
-                    u_nbr.ravel()[f])
-    born = np.maximum(lab[y], lab[z])
+    coins = map(np.ravel, _coins(rng, time + 1, side))
+    u_att, u_off, u_nbr = next(coins), next(coins), next(coins)
+    dead = next(coins) < eta
+    lab = B.astype(np.float64, order="C")
+    flat = lab.ravel()
+    f = np.flatnonzero((u_att < flat) > dead)
+    y, z = _parents(dk, side, _padded_index(f, side, dk), u_off[f], u_nbr[f])
+    del u_off, u_nbr
+    padded = _padded(lab, dk)
+    born = np.maximum(padded[y], padded[z])
     np.maximum(born, u_att[f], out=born)
-    np.minimum(born, lab[f], out=born)
-    lab[f] = born
-    lab[dead] = np.inf
-    return lab.reshape(B.shape)
+    np.minimum(born, flat[f], out=born)
+    flat[f] = born
+    np.copyto(flat, np.inf, where=dead)
+    return lab
 
 
 @dataclass

@@ -33,10 +33,6 @@ class Params:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
-    @property
-    def bistable(self) -> bool:
-        return equilibria(self).rho_u is not None
-
 
 def mf_step(p: Params, v):
     """One application of the density map; accepts scalars or arrays."""

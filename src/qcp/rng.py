@@ -10,6 +10,8 @@ couplings and the reproducibility guarantees all rest on this.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 # Phases of one synchronous update.  Order is part of every seeded
@@ -42,23 +44,27 @@ def stream(seed: int, time: int, phase: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, time, phase)))
 
 
+_local = threading.local()      # per thread: one Generator over a Philox
+_ZEROS = np.zeros(4, np.uint64)
+
+
 def uniforms(seed: int, time: int, phases, shape):
     """Yield ``stream(seed, time, phase).random(shape)`` for each phase in
     turn, bit for bit, drawing each array only when it is asked for.
 
-    One Philox serves every phase: it is re-keyed to counter 0 with an
-    empty buffer, the state a fresh stream starts in, so no generator is
-    built (nor OS entropy read) per phase.
-    """
-    bits = np.random.Philox(key=_key(seed, time, phases[0]))
-    gen = np.random.Generator(bits)
+    Each phase re-keys the calling thread's Philox, looked up anew, to
+    counter 0 with an empty buffer: the state a fresh stream starts in.
+    So no generator is built (nor OS entropy read) per step, and a
+    generator resumed on another thread still gets these bits."""
     for phase in phases:
-        bits.state = {"bit_generator": "Philox",
-                      "state": {"counter": np.zeros(4, np.uint64),
-                                "key": _key(seed, time, phase)},
-                      "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-                      "has_uint32": 0, "uinteger": 0}
-        yield gen.random(shape)
+        if not hasattr(_local, "gen"):  # seeded, not keyed: no OS entropy
+            _local.gen = np.random.Generator(np.random.Philox(0))
+        _local.gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS, "key": _key(seed, time, phase)},
+            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0}
+        yield _local.gen.random(shape)
 
 
 class LatticeRng:

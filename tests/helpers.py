@@ -2,10 +2,10 @@
 lattice step and its one-step closed form, the maximal coupling of the
 site- and corner-anchored steps, a single trial-speed classification,
 scalar region queries, a region-set snapshot, an uncached oracle of the
-containment audit, the phase-scan threshold read-off, and the readers
-and writers of the library's files and values that no subcommand
-calls.  No subcommand writes any of their numbers, so they live here
-and not in the library."""
+containment audit, the phase-scan threshold read-off, the bistability
+test, and the readers and writers of the library's files and values
+that no subcommand calls.  No subcommand writes any of their numbers,
+so they live here and not in the library."""
 
 import json
 import math
@@ -19,8 +19,8 @@ from qcp.comparison import (ErrorPoint, ProfileCache, RegionSet,
                             _recovery_demand, _rects_meet)
 from qcp.ide import Field2D, Profile1D, apply_Q_1d, periodic_correlate
 from qcp.kernel import marginal_1d
-from qcp.lattice import (_NBR_DI, _NBR_DJ, LatticeState, box_side_sites,
-                         box_stats)
+from qcp.lattice import LatticeState, box_side_sites, box_stats
+from qcp.mean_field import equilibria
 from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
                      PHASE_OFFSET, LatticeRng)
 
@@ -32,6 +32,9 @@ from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
 PHASE_COUPLED_PARENT = 6
 PHASE_RESIDUAL_PARENT = 7
 PHASE_SECOND_NEIGHBOR = PHASE_INIT
+# the neighbour order of lattice._parents: +e1, -e1, +e2, -e2
+NBR_DI = np.array([1, -1, 0, 0])
+NBR_DJ = np.array([0, 0, 1, -1])
 
 
 def corner_step(s, dk, p, rng, gamma):
@@ -44,13 +47,12 @@ def corner_step(s, dk, p, rng, gamma):
     occ0 = s.occ.astype(bool)
     f = np.flatnonzero(~occ0 & (u_att < p.beta))
     b = box_side_sites(s.L, gamma)
-    base_i, base_j = np.divmod(f, side)
-    base_i -= base_i % b
-    base_j -= base_j % b
-    y, z = lattice._parents(dk, side, base_i, base_j, u_off.ravel()[f],
-                            u_nbr.ravel()[f])
-    flat0 = occ0.ravel()
-    born = flat0[y] & flat0[z]
+    i, j = np.divmod(f, side)
+    corner = (i - i % b) * side + (j - j % b)
+    y, z = lattice._parents(dk, side, lattice._padded_index(corner, side, dk),
+                            u_off.ravel()[f], u_nbr.ravel()[f])
+    padded = lattice._padded(occ0, dk)
+    born = padded[y] & padded[z]
     after_births = occ0.copy()
     after_births.ravel()[f[born]] = True
     dies = u_die < p.eta
@@ -188,8 +190,8 @@ def coupling_discrepancy(s0, dk, p, seeds, gamma: float) -> float:
             yi = (ai + y_rel[:, 0]) % side
             yj = (aj + y_rel[:, 1]) % side
             nsel = np.minimum((neighbor_u * 4.0).astype(np.int64), 3)
-            zi = (yi + _NBR_DI[nsel]) % side
-            zj = (yj + _NBR_DJ[nsel]) % side
+            zi = (yi + NBR_DI[nsel]) % side
+            zj = (yj + NBR_DJ[nsel]) % side
             return occ0[yi, yj] & occ0[zi, zj]
 
         # shared second-parent coin when the first parents coincide,
@@ -390,6 +392,11 @@ def threshold_estimate(freqs: dict, eta: float) -> float | None:
         if freqs[(b, eta)] >= 0.5:
             return b
     return None
+
+
+def bistable(p) -> bool:
+    """Whether p has an unstable interior equilibrium rho_u."""
+    return equilibria(p).rho_u is not None
 
 
 def is_monotone(f: Profile1D, slack: float = 1e-12) -> bool:

@@ -25,8 +25,8 @@ from qcp.wavespeed import (AT_OR_ABOVE, BELOW, estimate_cstar,
                            front_speed_tracking, weinberger_step)
 
 from conftest import seeded
-from helpers import (classify_speed, corner_expectation, corner_step,
-                     is_monotone, threshold_estimate)
+from helpers import (bistable, classify_speed, corner_expectation,
+                     corner_step, is_monotone, threshold_estimate)
 from test_comparison import FineStepOracle, random_acute_normals, small_cfg
 
 
@@ -43,7 +43,7 @@ class TestAcceptance:
             beta = float(gen.uniform(0.2, 1.0))
             eta = float(gen.uniform(0.001, 0.2))
             p = Params(beta, eta)
-            if not p.bistable:
+            if not bistable(p):
                 continue
             checked += 1
             eq = equilibria(p)

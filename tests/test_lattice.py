@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import queue
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,15 +13,15 @@ from hypothesis import strategies as st
 
 from qcp.ide import Field2D
 from qcp.kernel import KernelSpec, discretize
-from qcp.lattice import (BoxStats, LatticeState, _coins, box_side_sites,
-                         box_stats, init, label_step, save_snapshot, step,
-                         window_side)
+from qcp.lattice import (BoxStats, LatticeState, _coins, _padded,
+                         _padded_index, _parents, box_side_sites, box_stats,
+                         init, label_step, save_snapshot, step, window_side)
 from qcp.mean_field import Params
 from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_NEIGHBOR, PHASE_OFFSET,
                      LatticeRng)
 
-from helpers import (corner_expectation, corner_step, coupling_discrepancy,
-                     load_snapshot)
+from helpers import (NBR_DI, NBR_DJ, corner_expectation, corner_step,
+                     coupling_discrepancy, load_snapshot)
 
 
 def anchored_step(anchor, s, dk, p, rng):
@@ -191,6 +196,115 @@ class TestCoins:
             assert got.tobytes() == want.tobytes()
             taken[t] += 1
         assert all(next(c, None) is None for c in coins.values())
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 2 ** 40),
+           side=st.integers(1, 64))
+    def test_equal_fresh_streams_across_threads(self, seed, n, side):
+        # two threads draw at once, and every coin generator takes its
+        # phases on alternate threads: each array still has the bits of
+        # a fresh stream of its (step, phase)
+        rng = LatticeRng(seed)
+        times = range(n, n + 6)
+        phases = (PHASE_ATTEMPT, PHASE_OFFSET, PHASE_NEIGHBOR, PHASE_DEATH)
+        want = {(t, k): rng.stream(t, ph).random((side, side)).tobytes()
+                for t in times for k, ph in enumerate(phases)}
+        inboxes = (queue.Queue(), queue.Queue())
+        for t in times:
+            inboxes[t % 2].put((t, 0, _coins(rng, t, side)))
+        mismatches, done = [], []
+
+        def worker(me):
+            for _ in range(len(times) * len(phases) // 2):
+                t, k, coins = inboxes[me].get(timeout=30)
+                if next(coins).tobytes() != want[t, k]:
+                    mismatches.append((t, k))
+                if k + 1 < len(phases):
+                    inboxes[1 - me].put((t, k + 1, coins))
+            done.append(me)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(me,))
+                       for me in (0, 1)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(done) == [0, 1]
+        assert mismatches == []
+
+
+class TestCoinGenerator:
+    def test_one_philox_and_no_entropy_per_thread(self, square_spec,
+                                                  monkeypatch):
+        # 50 steps and 50 label steps on a fresh thread build at most
+        # the thread's one Philox and read no OS entropy
+        dk = discretize(square_spec, 4)
+        s = LatticeState(4, 12, np.random.default_rng(1).random((12, 12))
+                         < 0.5)
+        B = np.where(s.occ.astype(bool), -np.inf, np.inf)
+        built, reads = [], []
+        philox, urandom = np.random.Philox, random._urandom
+
+        def counting_philox(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        def counting_urandom(size):
+            reads.append(size)
+            return urandom(size)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(random, "_urandom", counting_urandom)
+        monkeypatch.setattr(os, "urandom", counting_urandom)
+
+        def run():
+            nonlocal s, B
+            rng = LatticeRng(7)
+            for n in range(50):
+                s, _ = step(s, dk, Params(0.8, 0.1), rng)
+                B = label_step(B, n, dk, 0.1, rng)
+
+        th = threading.Thread(target=run)
+        th.start()
+        th.join(timeout=60)
+        assert not th.is_alive()
+        assert s.time == 50
+        assert len(built) <= 1
+        assert reads == []
+
+
+class TestParents:
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(1, 12), L=st.integers(1, 6),
+           anchor=st.sampled_from(["site", "box_corner"]),
+           coin_seed=st.integers(0, 2 ** 32 - 1))
+    def test_equal_wrapped_reference(self, square_spec, side, L, anchor,
+                                     coin_seed):
+        # parents read through the padded torus are the sites that
+        # %-wrapping the offset and the neighbour step reaches, also
+        # where the kernel reaches past the whole torus
+        dk = discretize(square_spec, L)
+        u_off, u_nbr = np.random.default_rng(coin_seed).random(
+            (2, side * side))
+        i, j = np.indices((side, side)).reshape(2, -1)
+        if anchor == "box_corner":
+            b = box_side_sites(L, 0.3)
+            i, j = i - i % b, j - j % b
+        y, z = _parents(dk, side, _padded_index(i * side + j, side, dk),
+                        u_off, u_nbr)
+        sites = _padded(np.arange(side * side).reshape(side, side), dk)
+        off = dk.offsets[dk.sample_indices(u_off)]
+        yi, yj = (i + off[:, 0]) % side, (j + off[:, 1]) % side
+        nsel = np.minimum((u_nbr * 4.0).astype(np.int64), 3)
+        zi, zj = (yi + NBR_DI[nsel]) % side, (yj + NBR_DJ[nsel]) % side
+        assert np.array_equal(sites[y], yi * side + yj)
+        assert np.array_equal(sites[z], zi * side + zj)
 
 
 class TestGoldenTrajectories:

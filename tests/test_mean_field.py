@@ -6,6 +6,7 @@ from qcp.mean_field import (Params, equilibria, mean_field_trace,
                             mf_derivative, mf_step)
 
 from conftest import seeded
+from helpers import bistable
 
 
 class TestParams:
@@ -17,13 +18,13 @@ class TestParams:
             Params(beta, eta)
 
     def test_bistable_flag(self):
-        assert Params(1.0, 0.1).bistable
-        assert not Params(0.3, 0.2).bistable
-        assert not Params(1.0, 0.2).bistable  # equality is not bistable
+        assert bistable(Params(1.0, 0.1))
+        assert not bistable(Params(0.3, 0.2))
+        assert not bistable(Params(1.0, 0.2))  # equality is not bistable
         # within equilibria's double-root snap of the tangent: no rho_u
         p = Params(0.5, 0.11111111111111101)
         assert equilibria(p).rho_u is None
-        assert not p.bistable
+        assert not bistable(p)
 
 
 class TestEquilibria:
@@ -60,7 +61,7 @@ class TestEquilibria:
             beta = gen.uniform(0.3, 1.0)
             eta = gen.uniform(0.0, 0.2)
             p = Params(beta, eta)
-            if not p.bistable:
+            if not bistable(p):
                 continue
             count += 1
             eq = equilibria(p)
