@@ -232,28 +232,28 @@ def apply_Q_1d(f: Profile1D, k1: Kernel1D, p: Params) -> Profile1D:
             f"profile spacing {f.delta} != kernel spacing {k1.delta}")
     hw, n = k1.halfwidth, len(f.values)
     squares = np.empty(n + 2 * hw)
-    squares[:hw] = f.left_limit
-    squares[hw:hw + n] = f.values
-    squares[hw + n:] = f.right_limit
-    np.multiply(squares, squares, out=squares)
+    squares[:hw] = f.left_limit * f.left_limit
+    np.multiply(f.values, f.values, out=squares[hw:hw + n])
+    squares[hw + n:] = f.right_limit * f.right_limit
     vals = _q1d_image(f.values, squares, k1.masses, p)
     return Profile1D(f.s0, f.delta, vals, left_limit=mf_step(p, f.left_limit),
                      right_limit=mf_step(p, f.right_limit))
 
 
-def _q1d_image(values, squares, masses, p: Params):
+def _q1d_image(values, squares, masses, p: Params, out=None):
     """The operator's image (1 - eta) (f + beta (1 - f) k * f^2) at the
-    points ``values`` on bare arrays.
+    points ``values`` on bare arrays, written into ``out`` if given.
 
     ``squares`` holds f^2 over the span of ``values`` widened by the
-    kernel half-width on each side.  Each image point is a pure function
-    of its own inputs, computed by the same operations in the same
-    order, so a slice of ``values`` with the matching slice of
-    ``squares`` gives the same bits as the full arrays.
+    kernel half-width on each side; the masses are bitwise even, so the
+    correlation is k * f^2.  Each image point is a pure function of its
+    own inputs, computed by the same operations in the same order, so a
+    slice of ``values`` with the matching slice of ``squares`` gives the
+    same bits as the full arrays.
     """
-    vals = np.subtract(1.0, values)
+    vals = np.subtract(1.0, values, out=out)
     vals *= p.beta
-    vals *= np.convolve(squares, masses, mode="valid")
+    vals *= np.correlate(squares, masses)
     vals += values
     vals *= 1.0 - p.eta
     return vals

@@ -264,10 +264,18 @@ def discretize(spec: KernelSpec, L: int) -> DiscreteKernel:
 
 @dataclass
 class Kernel1D:
-    """Even probability masses on the 1D grid m * delta."""
+    """Even probability masses on the 1D grid m * delta; ValueError unless
+    they are finite, nonnegative, of odd length and bitwise palindromic."""
 
     delta: float
     masses: np.ndarray  # odd length, centered
+
+    def __post_init__(self):
+        m = self.masses = np.asarray(self.masses, dtype=float)
+        if not (m.ndim == 1 and len(m) % 2 == 1 and np.isfinite(m).all()
+                and (m >= 0.0).all() and m.tobytes() == m[::-1].tobytes()):
+            raise ValueError("1D kernel masses must be finite, nonnegative, "
+                             "of odd length and even")
 
     @property
     def halfwidth(self) -> int:

@@ -99,8 +99,8 @@ def _budget(dk: DiscreteKernel, tol: float) -> int:
 
 def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
     """The iterates f_1, f_2, ... of weinberger_step from psi at trial
-    speed c, as (values, left_limit, right_limit, span): outside
-    values[span], f_n equals f_{n-1} bit for bit.
+    speed c, as (values, left_limit, right_limit, span, sup): f_n equals
+    f_{n-1} bit for bit outside values[span], and sup = max |f_n - f_{n-1}|.
 
     Each step recomputes only the points whose inputs changed at the
     last step: the image Q[f] within the kernel half-width of a change
@@ -108,8 +108,7 @@ def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
     A limit that changed puts the whole edge on its side in the window.
     Inside the window the arithmetic is that of weinberger_step on the
     same inputs, and outside it the inputs did not change, so every
-    iterate is bit-identical to it.  A yielded array is never written
-    to again.
+    iterate is bit-identical to it.  A yielded array is never written to again.
     """
     grid = psi.grid
     n, hw = len(grid), k1.halfwidth
@@ -125,29 +124,30 @@ def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
     lo, hi = -1, n + 1
     while lo < hi:
         if lo < 0:
-            squares[:hw] = left
+            squares[:hw] = left * left
+            g_left = mf_step(p, left)
         if hi > n:
-            squares[n + hw:] = right
+            squares[n + hw:] = right * right
+            g_right = mf_step(p, right)
         a, b = max(lo, 0), min(hi, n)
-        squares[a + hw:b + hw] = values[a:b]
-        fresh = squares[0 if lo < 0 else lo + hw:
-                        n + 2 * hw if hi > n else hi + hw]
-        np.multiply(fresh, fresh, out=fresh)
+        np.multiply(values[a:b], values[a:b], out=squares[a + hw:b + hw])
         a, b = max(lo - hw, 0), min(hi + hw, n)
         if a < b:
-            g[a:b] = _q1d_image(values[a:b], squares[a:b + 2 * hw],
-                                k1.masses, p)
-        g_left, g_right = mf_step(p, left), mf_step(p, right)
+            _q1d_image(values[a:b], squares[a:b + 2 * hw], k1.masses, p,
+                       out=g[a:b])
 
         a, b = max(lo - reach, 0), min(hi + reach, n)
         nxt = values.copy()
+        seg, old = nxt[a:b], values[a:b]
         np.maximum(psi.values[a:b],
                    np.interp(shifted[a:b], grid, g, left=g_left,
-                             right=g_right), out=nxt[a:b])
-        changed = np.flatnonzero(nxt[a:b].view(np.int64)
-                                 != values[a:b].view(np.int64))
+                             right=g_right), out=seg)
+        changed = (seg.view(np.int64) != old.view(np.int64)).nonzero()[0]
         lo, hi = (a + changed[0], a + changed[-1] + 1) if len(changed) \
             else (n, 0)
+        # f is unchanged outside [lo, hi); argmax is cheaper than max
+        step = np.abs(nxt[lo:hi] - values[lo:hi])
+        sup = float(step[step.argmax()]) if len(step) else 0.0
         nxt_left = max(psi.left_limit, g_left)
         nxt_right = max(psi.right_limit, g_right)
         if nxt_left != left:
@@ -155,9 +155,9 @@ def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
         if nxt_right != right:
             lo, hi = min(lo, n), n + 1
         values, left, right = nxt, nxt_left, nxt_right
-        yield values, left, right, slice(max(lo, 0), min(hi, n))
+        yield values, left, right, slice(max(lo, 0), min(hi, n)), sup
     while True:  # nothing changed: a fixed point
-        yield values, left, right, slice(0, 0)
+        yield values, left, right, slice(0, 0), 0.0
 
 
 def _classify(c, psi: Profile1D, k1: Kernel1D, p: Params, tol: float,
@@ -168,16 +168,12 @@ def _classify(c, psi: Profile1D, k1: Kernel1D, p: Params, tol: float,
     tol/10 without that growth; SpeedIndeterminate after budget steps."""
     top, still = equilibria(p).rho_s - tol, tol / 10.0
     probe = len(psi.values) - 1 - _STEPS_PER_DIAMETER
-    prev = psi.values
     iterates = _front_iterates(c, psi, k1, p)
-    for it, (values, _, _, span) in zip(range(1, budget + 1), iterates):
+    for it, (values, _, _, _, sup) in zip(range(1, budget + 1), iterates):
         if values[probe] > top:
             return BELOW, it
-        # the sup change: values equals prev outside span
-        change = values[span] - prev[span]
-        if np.abs(change, out=change).max(initial=0.0) < still:
+        if sup < still:
             return AT_OR_ABOVE, it
-        prev = values
     raise SpeedIndeterminate(
         f"no classification for c={c} after {budget} iterations")
 
@@ -217,20 +213,16 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01, *,
         return SpeedResult(xi=xi, c_star=hi, bracket=(lo, hi),
                            iterations=0, trace=list(trace))
     budget, probe_tol = _budget(dk, tol), min(tol, 1e-2)
-    d = dk.support_diameter
-    lo, hi = -d - 1.0, d + 1.0
-    trace = []
-    total = 0
+    lo, hi = -dk.support_diameter - 1.0, dk.support_diameter + 1.0
+    trace, steps = [], []
 
     def probe(c):
-        nonlocal total
         cls, its = _classify(c, psi, k1, p, probe_tol, budget)
-        total += its
         trace.append((c, cls))
+        steps.append(its)
         return cls
 
-    cls_lo = probe(lo)
-    cls_hi = probe(hi)
+    cls_lo, cls_hi = probe(lo), probe(hi)
     if cls_lo != BELOW or cls_hi != AT_OR_ABOVE:
         raise SpeedIndeterminate(
             f"bracket endpoints misclassified: {cls_lo} / {cls_hi}")
@@ -244,7 +236,7 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01, *,
     if memo is not None:
         memo[key] = (tuple(trace), (lo, hi))
     return SpeedResult(xi=xi, c_star=hi, bracket=(lo, hi),
-                       iterations=total, trace=trace)
+                       iterations=sum(steps), trace=trace)
 
 
 def check_tracking(xi, steps: int) -> np.ndarray:
@@ -374,7 +366,7 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
             iterates = _front_iterates(c, psi, k1, p)
             values, left = psi.values, psi.left_limit
             for _ in range(n):
-                values, left, _, _ = next(iterates)
+                values, left, *_ = next(iterates)
             fronts.append((values, left))
         phi = Profile1D(psi.s0, psi.delta,
                         np.min([v for v, _ in fronts], axis=0),

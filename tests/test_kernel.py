@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcp.kernel import (DiscreteKernel, KernelSpec, _symmetrise, build_kernel,
-                        density, discretize, marginal_1d)
+from qcp.kernel import (DiscreteKernel, Kernel1D, KernelSpec, _symmetrise,
+                        build_kernel, density, discretize, marginal_1d)
 
 from conftest import seeded
 from helpers import kernel_spec_json, kernel_to_csv
@@ -295,6 +295,38 @@ class TestMarginal:
     def test_non_unit_direction(self, dk8):
         with pytest.raises(ValueError):
             marginal_1d(dk8, (1.0, 1.0), 0.05)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["square-1", "square-0.37", "gauss",
+                                 "table"]),
+           L=st.integers(1, 12), angle=st.floats(0.0, 2 * math.pi),
+           delta=st.floats(0.003, 0.5))
+    def test_masses_bitwise_palindromic(self, name, L, angle, delta):
+        # ide._q1d_image correlates with these masses as the convolution
+        xi = (math.cos(angle), math.sin(angle))
+        masses = marginal_1d(discretize(GOLDEN_SPECS[name], L), xi,
+                             delta).masses
+        assert masses.tobytes() == masses[::-1].tobytes()
+
+
+class TestKernel1D:
+    @pytest.mark.parametrize("masses", [[1.0], [0.25, 0.5, 0.25]])
+    def test_even_masses_build(self, masses):
+        assert Kernel1D(0.1, np.array(masses)).halfwidth == len(masses) // 2
+
+    @pytest.mark.parametrize("masses", [
+        [0.2, 0.5, 0.3],                 # lopsided
+        [0.25, 0.5, 0.25 + 2.0 ** -54],  # lopsided in the last bit
+        [0.5, math.nan, 0.5],
+        [0.0, math.inf, 0.0],
+        [-0.25, 1.5, -0.25],
+        [0.5, 0.5],                      # even length
+        [],
+        [[1.0]],
+    ])
+    def test_invalid_masses_rejected(self, masses):
+        with pytest.raises(ValueError, match="masses"):
+            Kernel1D(0.1, np.array(masses))
 
 
 class TestSampling:

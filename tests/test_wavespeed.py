@@ -72,19 +72,21 @@ def iterate_wave_profiles(k1s, c, p, psi, n):
 
 def assert_iterates_match(c, psi, k1, p, steps):
     """The windowed iterates equal repeated weinberger_step bit for bit,
-    and each one equals its predecessor outside the span it names.
-    Returns the spans and the limits from psi's on."""
+    each one equals its predecessor outside the span it names, and the
+    sup it yields is the sup change over the whole grid.  Returns the
+    spans and the limits from psi's on."""
     iterates = wavespeed._front_iterates(c, psi, k1, p)
     f, spans, limits = psi, [], [(psi.left_limit, psi.right_limit)]
     for _ in range(steps):
         prev = f.values
         f = weinberger_step(f, c, k1, p, psi)
-        values, left, right, span = next(iterates)
+        values, left, right, span, sup = next(iterates)
         assert values.tobytes() == f.values.tobytes()
         assert (left, right) == (f.left_limit, f.right_limit)
         outside = np.ones(len(values), dtype=bool)
         outside[span] = False
         assert values[outside].tobytes() == prev[outside].tobytes()
+        assert sup == np.abs(values - prev).max(initial=0.0)
         spans.append(span)
         limits.append((left, right))
     return spans, limits
@@ -341,6 +343,14 @@ class TestWindowedRecursion:
         spans, limits = assert_iterates_match(-0.2, psi, k1, p_main, 100)
         assert limits[-1][1] != limits[-2][1]
         assert all(sp.stop == len(psi.values) for sp in spans)
+
+    def test_fixed_point_tail(self, dk8, p_main):
+        # at the bisection's upper end the plateau settles within 27
+        # steps and nothing changes after that
+        psi, k1 = probe_start((1.0, 0.0), dk8, p_main)
+        c = dk8.support_diameter + 1.0
+        spans, limits = assert_iterates_match(c, psi, k1, p_main, 40)
+        assert spans[-1] == slice(0, 0) and limits[-1] == limits[-10]
 
     def test_off_grid_shift(self, dk8, p_main):
         psi, k1 = probe_start((0.6, 0.8), dk8, p_main)
