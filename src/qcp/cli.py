@@ -291,11 +291,10 @@ def _cmd_lattice_run(cfg) -> int:
         dk = discretize(cfg["kernel"], L)
     with _invalid("W", "init"):
         init, side = cfg["init"], lattice.window_side(cfg["W"], L)
-        if init.startswith("product:"):
-            state = lattice.init("product", L, side, rng=rng,
-                                 p=float(init[len("product:"):]))
-        else:
-            state = lattice.init(init, L, side)
+        if init != "all_ones" and not init.startswith("product:"):
+            raise ValueError(f"unknown init {init!r}")
+        density = 1.0 if init == "all_ones" else float(init[len("product:"):])
+        state = lattice.init(L, side, density, rng)
     outdir = _out_dir(cfg)
     outputs = []
     trace = [{"n": 0, "density": state.density()}]

@@ -80,6 +80,12 @@ class ComparisonConfig:
     directions: np.ndarray
 
     def __post_init__(self):
+        for name in ("c", "b", "r", "delta1", "delta2", "d_k"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        box_side_sites(self.L, self.gamma)  # checks L and gamma
         lambda_coeffs(self.directions)  # rejects a non-spanning triple
 
     @property
@@ -151,12 +157,10 @@ class ErrorPoint:
 
 
 class _Edge:
-    __slots__ = ("segments", "mode", "targets")
+    __slots__ = ("segments", "targets")
 
-    def __init__(self, t0: float, h0: float, rate: float, mode: str,
-                 targets=()):
+    def __init__(self, t0: float, h0: float, rate: float, targets):
         self.segments = [(t0, h0, rate)]
-        self.mode = mode
         self.targets = list(targets)
 
     def offset_at(self, t: float) -> float:
@@ -171,18 +175,24 @@ class _Edge:
     def rate(self) -> float:
         return self.segments[-1][2]
 
-    def switch(self, t: float, h: float, rate: float, mode: str):
+    @property
+    def mode(self) -> str:
+        """'out' while the edge grows at rate b > 0, else 'in'."""
+        return "out" if self.rate > 0 else "in"
+
+    def switch(self, t: float, h: float, rate: float):
         self.segments.append((t, h, rate))
-        self.mode = mode
         self.targets = []
 
 
 class VacantRegion:
-    """Triangle with per-edge offset histories; see module docstring."""
+    """Triangle with per-edge offset histories, all three edges starting
+    at offset h0 and rate; an outward edge targets the parents.  See the
+    module docstring."""
 
     def __init__(self, rid: int, kind: str, created_at: float,
-                 created_step: int, center, h0, rates, modes,
-                 parents=(), targets=()):
+                 created_step: int, center, h0: float, rate: float,
+                 parents=()):
         self.id = rid
         self.kind = kind               # 'spawned' | 'overlap' | 'collision'
         self.created_at = float(created_at)
@@ -190,9 +200,8 @@ class VacantRegion:
         self.center = np.asarray(center, dtype=float)
         self.parents = tuple(parents)
         self.vanished_at = None
-        self.edges = [_Edge(created_at, h0[j], rates[j], modes[j],
-                            targets if modes[j] == "out" else ())
-                      for j in range(3)]
+        self.edges = [_Edge(created_at, h0, rate, self.parents)
+                      for _ in range(3)]
 
     def alive_at(self, t: float) -> bool:
         return (self.created_at <= t + _EPS
@@ -223,8 +232,7 @@ def spawn_region(e: ErrorPoint, cfg: ComparisonConfig,
     """Inward-shrinking triangle of inradius r centered at the error,
     with the normals cfg.directions."""
     return VacantRegion(rid, "spawned", e.t, e.step, e.location,
-                        h0=[cfg.r] * 3, rates=[-cfg.c] * 3,
-                        modes=["in"] * 3)
+                        h0=cfg.r, rate=-cfg.c)
 
 
 class RegionSet:
@@ -250,9 +258,6 @@ class RegionSet:
 
     def alive(self, t: float) -> list:
         return [R for R in self.regions.values() if R.alive_at(t)]
-
-    def inradius(self, R: VacantRegion, t: float) -> float:
-        return float(self.lam @ R.offsets_at(t))
 
     def snapshot(self, t: float):
         """Regions alive at t, their supports (K, 3) and vertices
@@ -361,12 +366,10 @@ class RegionSet:
         # event sources: regions created and not yet vanished (a region
         # stays a member of the vacant set at its vanish instant, but
         # generates no further events)
-        alive = sorted((R for R in self.regions.values()
-                        if R.vanished_at is None
-                        and R.created_at <= now + _EPS),
-                       key=lambda R: R.id)
+        alive = [R for R in self.regions.values()
+                 if R.vanished_at is None and R.created_at <= now + _EPS]
         for R in alive:
-            rho = self.inradius(R, now)
+            rho = float(self.lam @ R.offsets_at(now))
             slope = float(self.lam @ R.rates())
             if slope < -_EPS and rho > -_EPS:
                 consider(now + max(rho, 0.0) / (-slope), _PRIO_VANISH, R.id)
@@ -433,7 +436,7 @@ class RegionSet:
 
     def _form_overlap(self, pair, t: float):
         seed = [self.regions[i] for i in pair]
-        alive = sorted(self.alive(t), key=lambda R: R.id)
+        alive = self.alive(t)
         chosen = list(seed)
         common = np.minimum(*(R.supports_at(t, self.normals) for R in seed))
         if float(self.lam @ common) < -1e-9:
@@ -456,8 +459,7 @@ class RegionSet:
         step = int(math.ceil(t - 1e-9))
         ids = [R.id for R in chosen]
         reg = VacantRegion(self.next_id, kind, t, step, center,
-                           h0=[rho] * 3, rates=[self.cfg.b] * 3,
-                           modes=["out"] * 3, parents=ids, targets=ids)
+                           h0=rho, rate=self.cfg.b, parents=ids)
         self.next_id += 1
         self.regions[reg.id] = reg
         self.version += 1
@@ -468,8 +470,6 @@ class RegionSet:
         rid, j = payload
         R = self.regions[rid]
         edge = R.edges[j]
-        if edge.mode != "out":
-            return
         live = self._live_targets(edge, t)
         if live:
             # land exactly on the outermost parent edge
@@ -477,18 +477,15 @@ class RegionSet:
             h_new = g_target - float(self.normals[j] @ R.center)
         else:
             h_new = edge.offset_at(t)
-        edge.switch(t, h_new, -self.cfg.c, "in")
+        edge.switch(t, h_new, -self.cfg.c)
         self.version += 1
 
     def _do_vanish(self, rid: int, t: float):
-        R = self.regions[rid]
-        if not R.alive_at(t) or R.vanished_at is not None:
-            return
-        R.vanished_at = t
+        self.regions[rid].vanished_at = t
         self.version += 1
         for other in self.regions.values():
             for edge in other.edges:
-                if edge.mode == "out" and rid in edge.targets:
+                if rid in edge.targets:
                     edge.targets.remove(rid)
 
 

@@ -17,7 +17,7 @@ from . import comparison, lattice
 from .ide import Field2D, evolve
 from .kernel import KernelSpec, build_kernel, discretize
 from .mean_field import Params, equilibria
-from .rng import LatticeRng
+from .rng import LatticeRng, stream
 from .wavespeed import PhiData
 
 
@@ -109,8 +109,7 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
 
         def one_seed(seed, L=L, dk=dk, side=side, u_field=u_field, u_n=u_n):
             rng = LatticeRng(seed)
-            state = lattice.init("from_field", L, side=side, rng=rng,
-                                 field=u_field)
+            state = lattice.init(L, side, u_field.values, rng)
             for _ in range(cfg.steps):
                 state, _ = lattice.step(state, dk, p, rng)
             stats = lattice.box_stats(state, cfg.gamma)
@@ -228,7 +227,7 @@ def run_coupled(p: Params, dk, gamma: float, side: int, steps: int,
     """Full coupled trajectory from all-ones: lattice drives errors,
     errors drive regions, containment audited at every step."""
     rng = LatticeRng(seed)
-    state = lattice.init("all_ones", dk.L, side=side)
+    state = lattice.init(dk.L, side, 1.0, rng)
     stats = lattice.box_stats(state, gamma)
     rs = comparison.RegionSet(cfg)
     cache = comparison.ProfileCache(phi)
@@ -292,11 +291,28 @@ def error_rate(cfg: ExperimentConfig, phi: PhiData) -> list:
 
 # significance level of the one-sided binomial tests
 _LEVEL = 0.01
-# space-time boxes probed by property5_check, each drawn from the
-# Philox stream keyed [0, 5]
+# space-time boxes probed by property5_check, drawn from stream(0, 0, 5)
 _PROP5_PROBES = 400
-# cube families drawn by property6_check, from the stream keyed [1, 6]
+# cube families drawn by property6_check, from stream(1, 0, 6)
 _PROP6_FAMILIES = 100
+
+
+def _counter(points):
+    """The count of the error points in the half-open space-time box
+    [lo, hi), as a function of its corners lo and hi; memory O(points)
+    per call."""
+    pts = np.array([[pt.location[0], pt.location[1], pt.t]
+                    for pt in points]).reshape(-1, 3)
+    return lambda lo, hi: np.count_nonzero(
+        np.all((pts >= lo) & (pts < hi), axis=1))
+
+
+def _critical(trials: int, prob: float) -> int:
+    """Largest count of hits, in trials with chance prob each, that the
+    one-sided binomial test at level _LEVEL does not reject."""
+    # imported here: it costs about 1.4 s and most runs never need it
+    from scipy.stats import binom
+    return int(binom.ppf(1.0 - _LEVEL, trials, prob))
 
 
 def property5_check(points, space_side: float, horizon: float,
@@ -312,24 +328,13 @@ def property5_check(points, space_side: float, horizon: float,
     vol = a * a * tau
     nu = len(points) / (space_side ** 2 * horizon) if horizon > 0 else 0.0
     bound = min(1.0, 2.0 * (nu * vol) ** 2)
-    gen = np.random.Generator(np.random.Philox(key=np.array(
-        [0, 5], dtype=np.uint64)))
-    lows = gen.random((_PROP5_PROBES, 3))
+    lows = stream(0, 0, 5).random((_PROP5_PROBES, 3))
     lows[:, :2] *= max(space_side - a, 0.0)
     lows[:, 2] *= max(horizon - tau, 0.0)
-    pts = np.array([[pt.location[0], pt.location[1], pt.t]
-                    for pt in points]).reshape(-1, 3)
-    observed = 0
-    for lo in lows:
-        hi = lo + np.array([a, a, tau])
-        if len(pts):
-            inside = np.all((pts >= lo) & (pts < hi), axis=1)
-            if int(inside.sum()) >= 2:
-                observed += 1
-    # imported here: it costs about 1.4 s and most runs never need it
-    from scipy.stats import binom
+    count, size = _counter(points), np.array([a, a, tau])
+    observed = sum(count(lo, lo + size) >= 2 for lo in lows)
     # reject only if observed count is implausibly high under the bound
-    critical = int(binom.ppf(1.0 - _LEVEL, _PROP5_PROBES, bound))
+    critical = _critical(_PROP5_PROBES, bound)
     return {"passed": observed <= max(critical, 0), "observed": observed,
             "probes": _PROP5_PROBES, "bound": bound, "critical": critical}
 
@@ -344,12 +349,7 @@ def property6_check(points, space_side: float, horizon: float, eps: float,
     side below it and unit time depth, and each family is tested by
     sliding over integer time translates.
     """
-    # imported here: it costs about 1.4 s and most runs never need it
-    from scipy.stats import binom
-    gen = np.random.Generator(np.random.Philox(key=np.array(
-        [1, 6], dtype=np.uint64)))
-    pts = np.array([[pt.location[0], pt.location[1], pt.t]
-                    for pt in points]).reshape(-1, 3)
+    gen, count = stream(1, 0, 6), _counter(points)
     area_unit = l_gamma_sq ** 2
     failures = 0
     translates = max(1, int(horizon) - 1)
@@ -364,22 +364,14 @@ def property6_check(points, space_side: float, horizon: float, eps: float,
         bounds = np.minimum(
             1.0, 2.0 * eps * (sides ** 2 / area_unit) * t_len)
         target = float(np.prod(bounds))
+        lo0 = np.column_stack([anchors, t_off])
+        size = np.column_stack([sides, sides, t_len])
         hits = 0
         for shift in range(translates):
-            ok = True
-            for k in range(m):
-                lo = np.array([anchors[k, 0], anchors[k, 1],
-                               shift + t_off[k]])
-                hi = lo + np.array([sides[k], sides[k], t_len[k]])
-                if not (len(pts) and np.any(
-                        np.all((pts >= lo) & (pts < hi), axis=1))):
-                    ok = False
-                    break
-            hits += ok
+            lo = lo0 + [0.0, 0.0, shift]
+            hits += all(count(lo[k], lo[k] + size[k]) for k in range(m))
         # one-sided binomial test of freq <= target
-        critical = int(binom.ppf(1.0 - _LEVEL, translates,
-                                 min(target, 1.0)))
-        if hits > critical:
+        if hits > _critical(translates, min(target, 1.0)):
             failures += 1
     return {"passed": failures == 0, "families": _PROP6_FAMILIES,
             "failures": failures}

@@ -149,12 +149,7 @@ def periodic_correlate(a: np.ndarray, shifts: np.ndarray,
 
 def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params) -> Field2D:
     """One operator step; output values stay in [0, 1 - eta] for beta <= 1."""
-    conv = convolve_sq(u, dk)   # first, so vals is not alive at its peak
-    vals = np.subtract(1.0, u.values)
-    vals *= p.beta
-    vals *= conv
-    vals += u.values
-    vals *= 1.0 - p.eta
+    vals = _image(u.values, convolve_sq(u, dk), p)
     return Field2D(u.x0, u.y0, u.h, vals, u.boundary, u.clamp_value)
 
 
@@ -235,25 +230,20 @@ def apply_Q_1d(f: Profile1D, k1: Kernel1D, p: Params) -> Profile1D:
     squares[:hw] = f.left_limit * f.left_limit
     np.multiply(f.values, f.values, out=squares[hw:hw + n])
     squares[hw + n:] = f.right_limit * f.right_limit
-    vals = _q1d_image(f.values, squares, k1.masses, p)
+    vals = _image(f.values, np.correlate(squares, k1.masses), p)
     return Profile1D(f.s0, f.delta, vals, left_limit=mf_step(p, f.left_limit),
                      right_limit=mf_step(p, f.right_limit))
 
 
-def _q1d_image(values, squares, masses, p: Params, out=None):
-    """The operator's image (1 - eta) (f + beta (1 - f) k * f^2) at the
-    points ``values`` on bare arrays, written into ``out`` if given.
-
-    ``squares`` holds f^2 over the span of ``values`` widened by the
-    kernel half-width on each side; the masses are bitwise even, so the
-    correlation is k * f^2.  Each image point is a pure function of its
-    own inputs, computed by the same operations in the same order, so a
-    slice of ``values`` with the matching slice of ``squares`` gives the
-    same bits as the full arrays.
-    """
+def _image(values, conv, p: Params, out=None):
+    """The operator's image (1 - eta) (f + beta (1 - f) conv) at the
+    points ``values`` of f, with conv = k * f^2 there (in 1D, the
+    correlation with the bitwise even masses), written into ``out`` if
+    given.  Pointwise and in a fixed order of operations, so a slice of
+    the inputs gives the bits of the full arrays."""
     vals = np.subtract(1.0, values, out=out)
     vals *= p.beta
-    vals *= np.correlate(squares, masses)
+    vals *= conv
     vals += values
     vals *= 1.0 - p.eta
     return vals

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .ide import Field2D
 from .kernel import DiscreteKernel
 from .mean_field import Params
 
@@ -58,42 +57,28 @@ def window_side(W: float, L: int) -> int:
     return int(round(W * L))
 
 
-def init(mode: str, L: int, side: int, rng: _rng.LatticeRng | None = None,
-         p: float | None = None,
-         field: Field2D | None = None) -> LatticeState:
-    """Build an initial configuration on the side x side torus.
-
-    modes: 'all_ones', 'product' (iid density p), 'from_field' (per-site
-    Bernoulli at the field's node values; the field grid must coincide
-    with the torus).
-    """
+def init(L: int, side: int, density, rng: _rng.LatticeRng) -> LatticeState:
+    """The side x side torus with site x occupied iff its start coin,
+    keyed (seed, 0, PHASE_INIT), lies below density: a number or a
+    (side, side) array in [0, 1].  A coin lies in [0, 1), so density 1
+    fills every site and 0 none."""
     if side < 1:
         raise ValueError("window too small")
-
-    if mode == "all_ones":
-        occ = np.ones((side, side), dtype=np.uint8)
-    elif mode == "product":
-        if p is None or rng is None:
-            raise ValueError("product mode needs p and rng")
-        if not 0.0 <= p <= 1.0:  # written so that NaN fails too
-            raise ValueError(f"p must lie in [0, 1], got {p}")
-        u = rng.stream(0, _rng.PHASE_INIT).random((side, side))
-        occ = (u < p).astype(np.uint8)
-    elif mode == "from_field":
-        if field is None or rng is None:
-            raise ValueError("from_field mode needs field and rng")
-        if (field.values.shape != (side, side)
-                or abs(field.h - 1.0 / L) > 1e-12):
-            raise ValueError("field grid must coincide with the lattice")
-        u = rng.stream(0, _rng.PHASE_INIT).random((side, side))
-        occ = (u < field.values).astype(np.uint8)
-    else:
-        raise ValueError(f"unknown init mode {mode!r}")
-    return LatticeState(L=L, side=side, occ=occ, time=0)
+    density = np.asarray(density, dtype=float)
+    if density.shape not in ((), (side, side)):
+        raise ValueError("density must be a number or a (side, side) array")
+    # written so that NaN fails too
+    if not (density.min() >= 0.0 and density.max() <= 1.0):
+        raise ValueError("density must lie in [0, 1]")
+    u = rng.stream(0, _rng.PHASE_INIT).random((side, side))
+    return LatticeState(L=L, side=side, occ=(u < density).view(np.uint8),
+                        time=0)
 
 
 def box_side_sites(L: int, gamma: float) -> int:
     """Sites per box side; boxes of continuum side ~ L^-gamma."""
+    if not 1 <= L < math.inf:
+        raise ValueError(f"L must be a finite count of at least 1, got {L}")
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must lie in (0, 1/2)")
     return max(1, int(round(L ** (1.0 - gamma))))
@@ -263,19 +248,14 @@ def box_stats(s: LatticeState, gamma: float) -> BoxStats:
                     b=b, S=S, R=R)
 
 
-def save_snapshot(s: LatticeState, path, seed=None, params: Params = None):
+def save_snapshot(s: LatticeState, path, seed: int, params: Params):
     """Run-length-encoded bit grid plus a JSON header."""
     flat = s.occ.ravel()
     change = np.nonzero(np.diff(flat))[0] + 1
     bounds = np.concatenate([[0], change, [len(flat)]])
     runs = np.diff(bounds).tolist()
     header = {"L": s.L, "W": s.W, "side": s.side, "n": s.time,
-              "first_bit": int(flat[0]) if len(flat) else 0}
-    if seed is not None:
-        header["seed"] = int(seed)
-    if params is not None:
-        header["beta"] = params.beta
-        header["eta"] = params.eta
+              "first_bit": int(flat[0]) if len(flat) else 0,
+              "seed": int(seed), "beta": params.beta, "eta": params.eta}
     with open(path, "w") as fh:
         json.dump({"header": header, "rle": runs}, fh)
-

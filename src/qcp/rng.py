@@ -22,7 +22,9 @@ PHASE_NEIGHBOR = 2
 PHASE_DEATH = 3
 PHASE_INIT = 4
 PHASE_ERROR_POINT = 5
-# phases 6 and 7 are reserved: the count is part of every stream key
+# phases 6 and 7 are reserved: the count is part of every stream key.
+# experiments' point-process checks draw from stream(0, 0, 5) and
+# stream(1, 0, 6), keys [0, 5] and [1, 6]; no run draws at time 0 there.
 _PHASE_COUNT = 8
 _MASK64 = (1 << 64) - 1
 

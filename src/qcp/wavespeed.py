@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ide import Profile1D, _q1d_image, apply_Q_1d
+from .ide import Profile1D, _image, apply_Q_1d
 from .kernel import DiscreteKernel, Kernel1D, marginal_1d, unit_direction
 from .mean_field import Params, equilibria, mf_step
 
@@ -133,8 +133,8 @@ def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
         np.multiply(values[a:b], values[a:b], out=squares[a + hw:b + hw])
         a, b = max(lo - hw, 0), min(hi + hw, n)
         if a < b:
-            _q1d_image(values[a:b], squares[a:b + 2 * hw], k1.masses, p,
-                       out=g[a:b])
+            conv = np.correlate(squares[a:b + 2 * hw], k1.masses)
+            _image(values[a:b], conv, p, out=g[a:b])
 
         a, b = max(lo - reach, 0), min(hi + reach, n)
         nxt = values.copy()

@@ -2,9 +2,10 @@
 lattice step and its one-step closed form, the maximal coupling of the
 site- and corner-anchored steps, a single trial-speed classification,
 scalar region queries, a region-set snapshot, an uncached oracle of the
-containment audit, the phase-scan threshold read-off, the bistability
-test, and the readers and writers of the library's files and values
-that no subcommand calls.  No subcommand writes any of their numbers,
+containment audit, probe-by-probe references of the point-process
+checks, the phase-scan threshold read-off, the bistability test, and
+the readers and writers of the library's files and values that no
+subcommand calls.  No subcommand writes any of their numbers,
 so they live here and not in the library."""
 
 import json
@@ -17,6 +18,7 @@ from qcp import rng as _rng
 from qcp.comparison import (ErrorPoint, ProfileCache, RegionSet,
                             _corner_coords, _edge_coords, _rect_in_union,
                             _recovery_demand, _rects_meet)
+from qcp.experiments import _LEVEL, _PROP5_PROBES, _PROP6_FAMILIES
 from qcp.ide import Field2D, Profile1D, apply_Q_1d, periodic_correlate
 from qcp.kernel import marginal_1d
 from qcp.lattice import LatticeState, box_side_sites, box_stats
@@ -383,6 +385,76 @@ def uncached_containment(stats, rs):
     rects = box_rects(stats)
     return bad, [b for b in bad
                  if not _rect_in_union(rects[b], g, verts, rs.normals)]
+
+
+def property5_reference(points, space_side: float, horizon: float,
+                        box_width: float) -> dict:
+    """experiments.property5_check with its own box test in each probe:
+    the oracle of the shared box counter."""
+    a = 1.5 * box_width
+    tau = 1.5
+    vol = a * a * tau
+    nu = len(points) / (space_side ** 2 * horizon) if horizon > 0 else 0.0
+    bound = min(1.0, 2.0 * (nu * vol) ** 2)
+    gen = np.random.Generator(np.random.Philox(key=np.array(
+        [0, 5], dtype=np.uint64)))
+    lows = gen.random((_PROP5_PROBES, 3))
+    lows[:, :2] *= max(space_side - a, 0.0)
+    lows[:, 2] *= max(horizon - tau, 0.0)
+    pts = np.array([[pt.location[0], pt.location[1], pt.t]
+                    for pt in points]).reshape(-1, 3)
+    observed = 0
+    for lo in lows:
+        hi = lo + np.array([a, a, tau])
+        if len(pts):
+            inside = np.all((pts >= lo) & (pts < hi), axis=1)
+            if int(inside.sum()) >= 2:
+                observed += 1
+    from scipy.stats import binom
+    critical = int(binom.ppf(1.0 - _LEVEL, _PROP5_PROBES, bound))
+    return {"passed": observed <= max(critical, 0), "observed": observed,
+            "probes": _PROP5_PROBES, "bound": bound, "critical": critical}
+
+
+def property6_reference(points, space_side: float, horizon: float,
+                        eps: float, l_gamma_sq: float) -> dict:
+    """experiments.property6_check with its own box test in each cube:
+    the oracle of the shared box counter."""
+    from scipy.stats import binom
+    gen = np.random.Generator(np.random.Philox(key=np.array(
+        [1, 6], dtype=np.uint64)))
+    pts = np.array([[pt.location[0], pt.location[1], pt.t]
+                    for pt in points]).reshape(-1, 3)
+    area_unit = l_gamma_sq ** 2
+    failures = 0
+    translates = max(1, int(horizon) - 1)
+    for _ in range(_PROP6_FAMILIES):
+        m = int(gen.integers(2, 4))
+        sides = (0.3 + 0.6 * gen.random(m)) * l_gamma_sq
+        anchors = gen.random((m, 2)) * (space_side - sides[:, None])
+        t_len = 0.5 + 0.4 * gen.random(m)
+        t_off = gen.random(m) * (1.0 - t_len).clip(min=0.0)
+        bounds = np.minimum(
+            1.0, 2.0 * eps * (sides ** 2 / area_unit) * t_len)
+        target = float(np.prod(bounds))
+        hits = 0
+        for shift in range(translates):
+            ok = True
+            for k in range(m):
+                lo = np.array([anchors[k, 0], anchors[k, 1],
+                               shift + t_off[k]])
+                hi = lo + np.array([sides[k], sides[k], t_len[k]])
+                if not (len(pts) and np.any(
+                        np.all((pts >= lo) & (pts < hi), axis=1))):
+                    ok = False
+                    break
+            hits += ok
+        critical = int(binom.ppf(1.0 - _LEVEL, translates,
+                                 min(target, 1.0)))
+        if hits > critical:
+            failures += 1
+    return {"passed": failures == 0, "families": _PROP6_FAMILIES,
+            "failures": failures}
 
 
 def threshold_estimate(freqs: dict, eta: float) -> float | None:

@@ -76,10 +76,8 @@ class TestAcceptance:
         dk = discretize(square_spec, L)
         for seed in range(1, 21):
             rng_a, rng_b = LatticeRng(seed), LatticeRng(seed)
-            a = init("product", L, side=200, rng=LatticeRng(1000 + seed),
-                     p=0.3)
-            extra = init("product", L, side=200, rng=LatticeRng(2000 + seed),
-                         p=0.3)
+            a = init(L, 200, 0.3, LatticeRng(1000 + seed))
+            extra = init(L, 200, 0.3, LatticeRng(2000 + seed))
             b = LatticeState(L, a.side, (a.occ | extra.occ).astype(np.uint8))
             for _ in range(50):
                 a, _ = step(a, dk, p_main, rng_a)
@@ -169,7 +167,7 @@ class TestAcceptance:
         p = Params(1.0, 0.05)
         L, gamma, seeds = 100, 0.3, 200
         dk = discretize(square_spec, L)
-        s0 = init("product", L, side=250, rng=LatticeRng(106), p=0.5)
+        s0 = init(L, 250, 0.5, LatticeRng(106))
         m = box_side_sites(L, gamma) ** 2
         expect = corner_expectation(s0, dk, p, gamma)
         acc = None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import signal
 
@@ -66,6 +67,36 @@ def mk_stats(dens, L=100, gamma=0.3, time=1):
     S = np.round(np.asarray(dens, dtype=float) * b * b).astype(np.int64)
     return BoxStats(gamma=gamma, L=L, side=S.shape[0] * b, time=time,
                     b=b, S=S, R=np.zeros(S.shape))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name, value", [
+        ("c", math.nan), ("c", 0.0), ("c", -0.1), ("c", math.inf),
+        ("b", 0.0), ("b", math.inf), ("b", -1.0), ("r", math.nan),
+        ("r", -1.0), ("r", 0.0), ("delta1", 0.0), ("delta2", -math.inf),
+        ("d_k", math.nan), ("d_k", 0.0)])
+    def test_rates_and_slacks_positive_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            dataclasses.replace(small_cfg(), **{name: value})
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, math.nan,
+                                       math.inf])
+    def test_alpha_in_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            small_cfg(alpha=alpha)
+
+    @pytest.mark.parametrize("L, gamma", [(100, 0.0), (100, 0.5),
+                                          (100, math.nan), (0, 0.3),
+                                          (-5, 0.3), (math.inf, 0.3),
+                                          (math.nan, 0.3)])
+    def test_L_and_gamma_pass_box_side(self, L, gamma):
+        with pytest.raises(ValueError, match="L must|gamma must"):
+            small_cfg(L=L, gamma=gamma)
+
+    def test_nan_rate_no_longer_evolves_silently(self):
+        # c = NaN once built a set whose regions never vanished
+        with pytest.raises(ValueError, match="c must be positive"):
+            RegionSet(small_cfg(c=math.nan))
 
 
 class TestGeometry:
@@ -828,7 +859,7 @@ class TestErrorRateBound:
         dk = discretize(square_spec, L)
         cfg = make_comparison_config(phi_main, dk, L, gamma)
         warm = LatticeRng(77)
-        state = init("all_ones", L, side=80)
+        state = init(L, 80, 1.0, LatticeRng(0))
         cache = ProfileCache(phi_main)
         for _ in range(10):
             state, _ = step(state, dk, p_main, warm)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcp import comparison, lattice
@@ -11,9 +11,10 @@ from qcp.experiments import (ExperimentConfig, aligned_side, error_rate,
                              square_bounds, survival_floor, survival_table)
 from qcp.kernel import build_kernel, discretize
 from qcp.mean_field import Params, equilibria
-from qcp.rng import LatticeRng
+from qcp.rng import LatticeRng, stream
 
-from helpers import threshold_estimate
+from helpers import (property5_reference, property6_reference,
+                     threshold_estimate)
 
 
 def small_cfg(**kw):
@@ -104,7 +105,7 @@ def phase_scan_oracle(cfg, init="all_ones", square_side=2.0):
         beta, eta, seed = cell
         p = Params(beta, eta)
         rng = LatticeRng(seed)
-        state = lattice.init("all_ones", L, side=side)
+        state = lattice.init(L, side, 1.0, LatticeRng(0))
         if init == "finite_square":
             mask = np.zeros((side, side), dtype=np.uint8)
             half = square_side / 2.0
@@ -273,6 +274,51 @@ class TestPointProcessProperties:
         assert property5_check([], 5.0, 100.0, box_width=0.5)["passed"]
         assert property6_check([], 5.0, 100.0, eps=0.01,
                                l_gamma_sq=0.5)["passed"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300),
+           layout=st.sampled_from(["uniform", "clusters", "pairs",
+                                   "faces"]),
+           horizon=st.one_of(st.integers(1, 25).map(float),
+                             st.floats(0.5, 25.0)),
+           space_side=st.floats(1.0, 6.0), width=st.floats(0.2, 1.0),
+           eps=st.floats(1e-3, 0.5), grid=st.booleans())
+    @example(seed=0, n=0, layout="uniform", horizon=1.0, space_side=5.0,
+             width=0.5, eps=0.02, grid=False)
+    @example(seed=3, n=250, layout="clusters", horizon=1.0, space_side=2.0,
+             width=1.0, eps=0.5, grid=True)
+    def test_equal_to_probe_by_probe_reference(self, seed, n, layout,
+                                               horizon, space_side, width,
+                                               eps, grid):
+        # clusters fill few cubes, so property 6 fails too, and pairs of
+        # points 0.01 apart in time make property 5 fail; faces puts
+        # points on both corners of property 5's first probes, where
+        # [lo, hi) is decided, and a grid makes points coincide
+        gen = np.random.default_rng(seed)
+        xyt = gen.random((n, 3)) * [space_side, space_side, horizon]
+        if layout == "clusters":
+            xyt = np.clip(xyt[gen.integers(0, 3, n) % max(n, 1)]
+                          + gen.normal(0.0, 0.05, (n, 3)), 0.0,
+                          [space_side, space_side, horizon])
+        elif layout == "pairs":
+            xyt = np.repeat(xyt[:n // 8], 2, axis=0)
+            xyt[1::2, 2] += 0.01
+        elif layout == "faces":
+            a = 1.5 * width
+            lows = stream(0, 0, 5).random((n // 2, 3)) * [
+                max(space_side - a, 0.0), max(space_side - a, 0.0),
+                max(horizon - 1.5, 0.0)]
+            xyt = np.concatenate([lows, lows + [a, a, 1.5]])
+        if grid:
+            xyt = np.round(xyt * 4.0) / 4.0
+        pts = [ErrorPoint((x, y), t, "I", (0, 0), int(t) + 1)
+               for x, y, t in xyt]
+        assert (property5_check(pts, space_side, horizon, box_width=width)
+                == property5_reference(pts, space_side, horizon, width))
+        assert (property6_check(pts, space_side, horizon, eps=eps,
+                                l_gamma_sq=width)
+                == property6_reference(pts, space_side, horizon, eps,
+                                       width))
 
 
 class TestSurvivalTable:

@@ -302,7 +302,7 @@ class TestMarginal:
            L=st.integers(1, 12), angle=st.floats(0.0, 2 * math.pi),
            delta=st.floats(0.003, 0.5))
     def test_masses_bitwise_palindromic(self, name, L, angle, delta):
-        # ide._q1d_image correlates with these masses as the convolution
+        # ide.apply_Q_1d correlates with these masses as the convolution
         xi = (math.cos(angle), math.sin(angle))
         masses = marginal_1d(discretize(GOLDEN_SPECS[name], L), xi,
                              delta).masses

@@ -17,8 +17,8 @@ from qcp.lattice import (BoxStats, LatticeState, _coins, _padded,
                          _padded_index, _parents, box_side_sites, box_stats,
                          init, label_step, save_snapshot, step, window_side)
 from qcp.mean_field import Params
-from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_NEIGHBOR, PHASE_OFFSET,
-                     LatticeRng)
+from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
+                     PHASE_OFFSET, LatticeRng)
 
 from helpers import (NBR_DI, NBR_DJ, corner_expectation, corner_step,
                      coupling_discrepancy, load_snapshot)
@@ -34,16 +34,16 @@ def anchored_step(anchor, s, dk, p, rng):
 
 class TestInit:
     def test_all_ones(self):
-        s = init("all_ones", 10, side=20)
+        s = init(10, 20, 1.0, LatticeRng(0))
         assert s.density() == 1.0
         assert s.side == 20
 
     def test_product_zero_empty(self):
-        s = init("product", 10, side=20, rng=LatticeRng(1), p=0.0)
+        s = init(10, 20, 0.0, LatticeRng(1))
         assert s.density() == 0.0
 
     def test_product_density_clt(self):
-        s = init("product", 50, side=200, rng=LatticeRng(2), p=0.37)
+        s = init(50, 200, 0.37, LatticeRng(2))
         n = s.side ** 2
         sigma = np.sqrt(0.37 * 0.63 / n)
         assert abs(s.density() - 0.37) < 4 * sigma
@@ -51,9 +51,29 @@ class TestInit:
     def test_from_field_density(self):
         L, side = 100, 400
         u = Field2D(0.0, 0.0, 1.0 / L, np.full((side, side), 0.5))
-        s = init("from_field", L, side=side, rng=LatticeRng(3), field=u)
+        s = init(L, side, u.values, LatticeRng(3))
         sigma = np.sqrt(0.25 / side ** 2)
         assert abs(s.density() - 0.5) < 4 * sigma
+
+    @settings(max_examples=30, deadline=None)
+    @given(side=st.integers(1, 40), seed=st.integers(0, 2 ** 64 - 1),
+           as_array=st.booleans())
+    def test_density_one_fills_and_zero_empties(self, side, seed, as_array):
+        # a coin lies in [0, 1), so the ends of the interval are exact
+        for density, want in ((1.0, 1), (0.0, 0)):
+            if as_array:
+                density = np.full((side, side), density)
+            s = init(3, side, density, LatticeRng(seed))
+            assert np.all(s.occ == want)
+
+    def test_density_field_equals_coinwise_threshold(self):
+        side = 30
+        field = np.random.default_rng(4).random((side, side))
+        s = init(5, side, field, LatticeRng(8))
+        u = LatticeRng(8).stream(0, PHASE_INIT).random((side, side))
+        assert np.array_equal(s.occ, (u < field).astype(np.uint8))
+        assert np.array_equal(init(5, side, 0.4, LatticeRng(8)).occ,
+                              (u < 0.4).astype(np.uint8))
 
     @pytest.mark.parametrize("W", [float("inf"), float("nan"), 1e308])
     def test_window_must_be_finite(self, W):
@@ -62,18 +82,32 @@ class TestInit:
 
     @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
     def test_product_density_outside_unit_interval(self, p):
-        with pytest.raises(ValueError, match="p must lie in"):
-            init("product", 10, side=20, rng=LatticeRng(1), p=p)
+        with pytest.raises(ValueError, match="density must lie in"):
+            init(10, 20, p, LatticeRng(1))
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1e-300, float("nan"),
+                                     float("inf")])
+    def test_density_field_outside_unit_interval(self, bad):
+        field = np.full((20, 20), 0.5)
+        field[3, 7] = bad
+        with pytest.raises(ValueError, match="density must lie in"):
+            init(10, 20, field, LatticeRng(1))
+
+    @pytest.mark.parametrize("shape", [(20,), (20, 21), (21, 20), (1, 1),
+                                       (2, 20, 20)])
+    def test_density_shape(self, shape):
+        with pytest.raises(ValueError, match="density must be a number"):
+            init(10, 20, np.full(shape, 0.5), LatticeRng(1))
 
     def test_product_determinism(self):
-        a = init("product", 20, side=40, rng=LatticeRng(9), p=0.4)
-        b = init("product", 20, side=40, rng=LatticeRng(9), p=0.4)
+        a = init(20, 40, 0.4, LatticeRng(9))
+        b = init(20, 40, 0.4, LatticeRng(9))
         assert np.array_equal(a.occ, b.occ)
 
 
 class TestStep:
     def test_all_ones_deaths_only(self, dk8, p_main):
-        s = init("all_ones", 8, side=32)
+        s = init(8, 32, 1.0, LatticeRng(0))
         rng = LatticeRng(11)
         s1, rep = step(s, dk8, p_main, rng)
         n = s.side ** 2
@@ -95,14 +129,14 @@ class TestStep:
             total = s.occ.sum()
 
     def test_eta_one_kills_everything(self, dk8):
-        s = init("all_ones", 8, side=32)
+        s = init(8, 32, 1.0, LatticeRng(0))
         s1, _ = step(s, dk8, Params(0.8, 1.0), LatticeRng(13))
         assert s1.occ.sum() == 0
 
     def test_bit_identical_trajectories(self, dk8, p_main):
         def run(seed):
             rng = LatticeRng(seed)
-            s = init("product", 8, side=32, rng=rng, p=0.5)
+            s = init(8, 32, 0.5, rng)
             for _ in range(10):
                 s, _ = step(s, dk8, p_main, rng)
             return s.occ
@@ -112,8 +146,8 @@ class TestStep:
 
     def test_monotone_coupling(self, dk8, p_main):
         rng_a, rng_b = LatticeRng(21), LatticeRng(21)
-        a = init("product", 8, side=32, rng=LatticeRng(1), p=0.3)
-        extra = init("product", 8, side=32, rng=LatticeRng(2), p=0.3)
+        a = init(8, 32, 0.3, LatticeRng(1))
+        extra = init(8, 32, 0.3, LatticeRng(2))
         b = LatticeState(8, a.side, (a.occ | extra.occ).astype(np.uint8))
         for _ in range(20):
             a, _ = step(a, dk8, p_main, rng_a)
@@ -126,7 +160,7 @@ class TestStep:
         p = Params(1.0, 0.05)
         L, gamma, seeds = 50, 0.3, 60
         dk = discretize(square_spec, L)
-        s0 = init("product", L, side=150, rng=LatticeRng(5), p=0.5)
+        s0 = init(L, 150, 0.5, LatticeRng(5))
         expect = corner_expectation(s0, dk, p, gamma)
         acc = None
         for k in range(seeds):
@@ -143,7 +177,7 @@ class TestStep:
         p = Params(1.0, 0.05)
         L, gamma, seeds = 50, 0.3, 100
         dk = discretize(square_spec, L)
-        s0 = init("product", L, side=150, rng=LatticeRng(5), p=0.5)
+        s0 = init(L, 150, 0.5, LatticeRng(5))
         m = box_side_sites(L, gamma) ** 2
         samples = []
         for k in range(seeds):
@@ -160,7 +194,7 @@ class TestStep:
         p = Params(1.0, 0.05)
         L, gamma, seeds, delta = 50, 0.3, 60, 0.1
         dk = discretize(square_spec, L)
-        s0 = init("product", L, side=150, rng=LatticeRng(5), p=0.5)
+        s0 = init(L, 150, 0.5, LatticeRng(5))
         m = box_side_sites(L, gamma) ** 2
         expect = corner_expectation(s0, dk, p, gamma)
         hits = 0
@@ -326,7 +360,7 @@ class TestGoldenTrajectories:
                                  p_main):
         dk = discretize(KernelSpec(*spec), L)
         rng = LatticeRng(seed)
-        s = init("product", L, window_side(W, L), rng=rng, p=0.5)
+        s = init(L, window_side(W, L), 0.5, rng)
         for _ in range(3):
             s, _ = anchored_step(anchor, s, dk, p_main, rng)
         assert hashlib.sha256(s.occ.tobytes()).hexdigest() == digest
@@ -460,7 +494,7 @@ class TestBoxStats:
         # oracle: enumerate zeta over a fully occupied small box
         L, gamma = 16, 0.3
         b = box_side_sites(L, gamma)
-        s = init("all_ones", L, side=4 * b)
+        s = init(L, 4 * b, 1.0, LatticeRng(0))
         st = box_stats(s, gamma)
         assert np.all(st.S == b * b)
         zeta = 0.0
@@ -482,18 +516,18 @@ class TestBoxStats:
         assert st.R.sum() == 0.5
 
     def test_empty_state(self):
-        s = init("product", 16, side=32, rng=LatticeRng(1), p=0.0)
+        s = init(16, 32, 0.0, LatticeRng(1))
         st = box_stats(s, 0.3)
         assert np.all(st.S == 0) and np.all(st.R == 0)
 
     def test_gamma_validated(self):
-        s = init("all_ones", 16, side=32)
+        s = init(16, 32, 1.0, LatticeRng(0))
         for g in (0.0, 0.5, 0.7):
             with pytest.raises(ValueError):
                 box_stats(s, g)
 
     def test_r_at_most_s(self):
-        s = init("product", 20, side=60, rng=LatticeRng(8), p=0.6)
+        s = init(20, 60, 0.6, LatticeRng(8))
         st = box_stats(s, 0.3)
         assert np.all(st.R <= st.S)
         assert 0 < st.m == st.b ** 2
@@ -504,12 +538,12 @@ class TestCouplingDiscrepancy:
         # L=1 makes every site its own box corner, so the two kernels
         # coincide exactly
         dk = discretize(point_mass_spec, 1)
-        s0 = init("product", 1, side=30, rng=LatticeRng(3), p=0.5)
+        s0 = init(1, 30, 0.5, LatticeRng(3))
         assert coupling_discrepancy(s0, dk, p_main, [4, 5], gamma=0.3) == 0.0
 
     def test_eta_one_no_discrepancy(self, square_spec):
         dk = discretize(square_spec, 10)
-        s0 = init("product", 10, side=40, rng=LatticeRng(3), p=0.5)
+        s0 = init(10, 40, 0.5, LatticeRng(3))
         assert coupling_discrepancy(s0, dk, Params(1.0, 1.0), [4],
                                     gamma=0.3) == 0.0
 
@@ -517,7 +551,7 @@ class TestCouplingDiscrepancy:
         # pins every coin of the coupled step: the value was recorded
         # before the coupling phases got names in rng
         dk = discretize(square_spec, 10)
-        s0 = init("product", 10, side=20, rng=LatticeRng(2), p=0.4)
+        s0 = init(10, 20, 0.4, LatticeRng(2))
         assert coupling_discrepancy(s0, dk, Params(0.8, 0.1), [21, 22],
                                     gamma=0.3) == 0.0225
 
@@ -525,7 +559,7 @@ class TestCouplingDiscrepancy:
         vals = []
         for L in (50, 100, 200):
             dk = discretize(square_spec, L)
-            s0 = init("product", L, side=2 * L, rng=LatticeRng(3), p=0.5)
+            s0 = init(L, 2 * L, 0.5, LatticeRng(3))
             vals.append(coupling_discrepancy(s0, dk, p_main, [11, 12],
                                              gamma=0.3))
         assert vals[0] > vals[1] > vals[2]
@@ -534,7 +568,7 @@ class TestCouplingDiscrepancy:
 
 class TestSnapshots:
     def test_round_trip(self, p_main, tmp_path):
-        s = init("product", 12, side=36, rng=LatticeRng(6), p=0.4)
+        s = init(12, 36, 0.4, LatticeRng(6))
         s.time = 17
         path = tmp_path / "snap.json"
         save_snapshot(s, path, seed=6, params=p_main)
@@ -555,7 +589,7 @@ class TestSnapshots:
             occ = np.full((side, side), fill == "ones")
         s = LatticeState(L, side, occ, time)
         path = tmp_path_factory.mktemp("snap") / "snap.json"
-        save_snapshot(s, path)
+        save_snapshot(s, path, seed=occ_seed, params=Params(1.0, 0.05))
         back = load_snapshot(path)
         assert (back.L, back.side, back.time) == (L, side, time)
         assert back.W == s.W

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcp.comparison import ComparisonConfig
 from qcp.ide import Field2D, Profile1D
 from qcp.kernel import KernelSpec, build_kernel, marginal_1d
 from qcp.mean_field import Params
+from qcp.wavespeed import default_directions
 
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -100,6 +102,24 @@ def test_profile1d(s0, delta, values, limits, slot, bad, at):
         args[slot] = bad
     with pytest.raises(ValueError):
         Profile1D(*args)
+
+
+# the float slots of ComparisonConfig
+CONFIG_SLOTS = ("alpha", "c", "b", "r", "delta1", "delta2", "gamma", "d_k")
+
+
+@EXAMPLES
+@given(values=st.lists(FINITE, min_size=len(CONFIG_SLOTS),
+                       max_size=len(CONFIG_SLOTS)),
+       L=st.integers(-3, 500), slot=st.integers(0, len(CONFIG_SLOTS)),
+       bad=NONFINITE)
+def test_comparison_config(values, L, slot, bad):
+    args = dict(zip(CONFIG_SLOTS, values), L=L,
+                directions=default_directions())
+    build_or_value_error(lambda: ComparisonConfig(**args))
+    args[(*CONFIG_SLOTS, "L")[slot]] = bad
+    with pytest.raises(ValueError):
+        ComparisonConfig(**args)
 
 
 # every function that takes a profile grid step; each must reject a bad
