@@ -14,9 +14,9 @@ times, pairwise contact times and overlap formation.
 Lattice errors spawn inward-shrinking triangles of inradius r; when
 regions touch, the maximal collection with a common point spawns an
 overlap region (their intersection) whose edges move outward at rate b
-until each catches the outermost parent edge, then turn inward.  The
-containment audit checks that every low-density box lies inside the
-union of regions.
+until each catches the outermost edge of the parents not yet vanished,
+then turn inward.  The containment audit checks that every low-density
+box lies inside the union of regions.
 """
 
 from __future__ import annotations
@@ -156,65 +156,42 @@ class ErrorPoint:
     step: int
 
 
-class _Edge:
-    __slots__ = ("segments", "targets")
-
-    def __init__(self, t0: float, h0: float, rate: float, targets):
-        self.segments = [(t0, h0, rate)]
-        self.targets = list(targets)
-
-    def offset_at(self, t: float) -> float:
-        segs = self.segments
-        k = len(segs) - 1
-        while k > 0 and segs[k][0] > t:
-            k -= 1
-        t0, h0, rate = segs[k]
-        return h0 + rate * (t - t0)
-
-    @property
-    def rate(self) -> float:
-        return self.segments[-1][2]
-
-    @property
-    def mode(self) -> str:
-        """'out' while the edge grows at rate b > 0, else 'in'."""
-        return "out" if self.rate > 0 else "in"
-
-    def switch(self, t: float, h: float, rate: float):
-        self.segments.append((t, h, rate))
-        self.targets = []
-
-
 class VacantRegion:
-    """Triangle with per-edge offset histories, all three edges starting
-    at offset h0 and rate; an outward edge targets the parents.  See the
-    module docstring."""
+    """Triangle whose three edges start on one linear piece, start =
+    (created_at, h0, rate), edge offset h0 + rate (t - created_at);
+    pieces[j] is the piece edge j is on now.  An outward edge (rate > 0)
+    turns inward once, at its catch-up; an inward edge never turns.  See
+    the module docstring."""
 
-    def __init__(self, rid: int, kind: str, created_at: float,
-                 created_step: int, center, h0: float, rate: float,
-                 parents=()):
+    def __init__(self, rid: int, created_at: float, created_step: int,
+                 center, h0: float, rate: float, parents=()):
         self.id = rid
-        self.kind = kind               # 'spawned' | 'overlap' | 'collision'
         self.created_at = float(created_at)
         self.created_step = int(created_step)
         self.center = np.asarray(center, dtype=float)
         self.parents = tuple(parents)
         self.vanished_at = None
-        self.edges = [_Edge(created_at, h0, rate, self.parents)
-                      for _ in range(3)]
+        self.start = (created_at, h0, rate)
+        self.pieces = [self.start] * 3
 
     def alive_at(self, t: float) -> bool:
         return (self.created_at <= t + _EPS
                 and (self.vanished_at is None or t <= self.vanished_at + _EPS))
 
+    def offset(self, j: int, t: float) -> float:
+        t0, h0, rate = self.pieces[j]
+        if t < t0:
+            t0, h0, rate = self.start
+        return h0 + rate * (t - t0)
+
     def offsets_at(self, t: float) -> np.ndarray:
-        return np.array([e.offset_at(t) for e in self.edges])
+        return np.array([self.offset(j, t) for j in range(3)])
 
     def supports_at(self, t: float, normals: np.ndarray) -> np.ndarray:
         return normals @ self.center + self.offsets_at(t)
 
     def rates(self) -> np.ndarray:
-        return np.array([e.rate for e in self.edges])
+        return np.array([piece[2] for piece in self.pieces])
 
 
 def _vertices(normals: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -231,7 +208,7 @@ def spawn_region(e: ErrorPoint, cfg: ComparisonConfig,
                  rid: int = 0) -> VacantRegion:
     """Inward-shrinking triangle of inradius r centered at the error,
     with the normals cfg.directions."""
-    return VacantRegion(rid, "spawned", e.t, e.step, e.location,
+    return VacantRegion(rid, e.t, e.step, e.location,
                         h0=cfg.r, rate=-cfg.c)
 
 
@@ -299,6 +276,8 @@ class RegionSet:
         spawn_queue = sorted(spawns, key=lambda e: (e.t, e.type, e.box))
         if spawn_queue and spawn_queue[-1].t > t1 + _EPS:
             raise ValueError("spawn scheduled beyond the target time")
+        if spawn_queue and spawn_queue[0].t < self.horizon - _EPS:
+            raise ValueError("spawn scheduled before the clock")
         contacts_in_a_row = 0
         for _ in range(_EVENT_GUARD):
             self._supports.clear()
@@ -324,7 +303,8 @@ class RegionSet:
             elif prio == _PRIO_CATCHUP:
                 self._do_catchup(payload, t)
             else:
-                self._do_vanish(payload, t)
+                self.regions[payload].vanished_at = t
+                self.version += 1
         else:
             raise RuntimeError("event guard exceeded; runaway geometry")
         self.horizon = t1
@@ -373,11 +353,10 @@ class RegionSet:
             slope = float(self.lam @ R.rates())
             if slope < -_EPS and rho > -_EPS:
                 consider(now + max(rho, 0.0) / (-slope), _PRIO_VANISH, R.id)
-            for j, edge in enumerate(R.edges):
-                if edge.mode != "out":
-                    continue
-                consider(self._catchup_time(R, j, now), _PRIO_CATCHUP,
-                         (R.id, j))
+            for j, piece in enumerate(R.pieces):
+                if piece[2] > 0:  # outward
+                    consider(self._catchup_time(R, j, now), _PRIO_CATCHUP,
+                             (R.id, j))
 
         for A, B in itertools.combinations(alive, 2):
             if frozenset((A.id, B.id)) in self.contacts:
@@ -387,24 +366,25 @@ class RegionSet:
         return best
 
     def _support(self, R: VacantRegion, j: int, t: float) -> float:
-        return float(self.normals[j] @ R.center + R.edges[j].offset_at(t))
+        return float(self.normals[j] @ R.center + R.offset(j, t))
 
-    def _live_targets(self, edge: _Edge, t: float) -> list:
-        return [self.regions[pid] for pid in edge.targets
-                if self.regions[pid].alive_at(t)]
+    def _targets(self, R: VacantRegion) -> list:
+        """The parents not yet vanished: an outward edge's targets."""
+        return [self.regions[i] for i in R.parents
+                if self.regions[i].vanished_at is None]
 
     def _catchup_time(self, R: VacantRegion, j: int, now: float):
-        edge = R.edges[j]
         g_self = self._support(R, j, now)
+        rate = R.pieces[j][2]
         t_best = now
-        for P in self._live_targets(edge, now):
+        for P in self._targets(R):
             g_p = self._support(P, j, now)
-            rate_p = P.edges[j].rate
+            rate_p = P.pieces[j][2]
             if g_self >= g_p - _EPS:
                 continue
-            if edge.rate <= rate_p + _EPS:
+            if rate <= rate_p + _EPS:
                 return None   # cannot close the gap in this regime
-            t_best = max(t_best, now + (g_p - g_self) / (edge.rate - rate_p))
+            t_best = max(t_best, now + (g_p - g_self) / (rate - rate_p))
         return t_best
 
     def _contact_time(self, A, B, now: float, t1: float):
@@ -454,11 +434,9 @@ class RegionSet:
         A = np.column_stack([self.normals, np.ones(3)])
         sol = np.linalg.solve(A, common)
         center, rho = sol[:2], max(sol[2], 0.0)
-        kind = ("overlap" if any(abs(R.created_at - t) <= _EPS
-                                 for R in chosen) else "collision")
         step = int(math.ceil(t - 1e-9))
         ids = [R.id for R in chosen]
-        reg = VacantRegion(self.next_id, kind, t, step, center,
+        reg = VacantRegion(self.next_id, t, step, center,
                            h0=rho, rate=self.cfg.b, parents=ids)
         self.next_id += 1
         self.regions[reg.id] = reg
@@ -469,24 +447,15 @@ class RegionSet:
     def _do_catchup(self, payload, t: float):
         rid, j = payload
         R = self.regions[rid]
-        edge = R.edges[j]
-        live = self._live_targets(edge, t)
+        live = self._targets(R)
         if live:
-            # land exactly on the outermost parent edge
+            # land exactly on the outermost live parent edge
             g_target = max(self._support(P, j, t) for P in live)
             h_new = g_target - float(self.normals[j] @ R.center)
         else:
-            h_new = edge.offset_at(t)
-        edge.switch(t, h_new, -self.cfg.c)
+            h_new = R.offset(j, t)
+        R.pieces[j] = (t, h_new, -self.cfg.c)
         self.version += 1
-
-    def _do_vanish(self, rid: int, t: float):
-        self.regions[rid].vanished_at = t
-        self.version += 1
-        for other in self.regions.values():
-            for edge in other.edges:
-                if rid in edge.targets:
-                    edge.targets.remove(rid)
 
 
 # -- recovery profile field ----------------------------------------------
@@ -576,8 +545,8 @@ def _corner_coords(rects, normals: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _box_grid(L: int, b: int, nb: int, normals: tuple):
-    """Read-only rectangles (nb, nb, 4) of the boxes of b sites at
-    spacing 1/L, entry (bi, bj) equal to BoxStats.box_rect(bi, bj), and
+    """Read-only rectangles (x0, y0, x1, y1), (nb, nb, 4), of the boxes
+    of b sites at spacing 1/L, box (bi, bj) from (bi b/L, bj b/L), and
     their least corner projections on the normals (nb, nb, 3)."""
     x0 = np.arange(nb) * b / L
     x1 = x0 + b / L
@@ -685,7 +654,7 @@ def detect_errors(prev: BoxStats, cur: BoxStats, rs: RegionSet,
     out = []
     w = cur.b / cur.L
     for (etype, bi, bj), (ux, uy, ut) in zip(errors, u):
-        x0, y0 = cur.box_corner(bi, bj)
+        x0, y0 = rects[bi, bj, :2]
         out.append(ErrorPoint(location=(x0 + ux * w, y0 + uy * w),
                               t=n - 1 + ut, type=etype, box=(bi, bj),
                               step=n))

@@ -219,14 +219,6 @@ class BoxStats:
     def density(self) -> np.ndarray:
         return self.S / float(self.m)
 
-    def box_corner(self, bi: int, bj: int) -> tuple:
-        return (bi * self.b / self.L, bj * self.b / self.L)
-
-    def box_rect(self, bi: int, bj: int) -> tuple:
-        x0, y0 = self.box_corner(bi, bj)
-        w = self.b / self.L
-        return (x0, y0, x0 + w, y0 + w)
-
 
 def box_stats(s: LatticeState, gamma: float) -> BoxStats:
     b = box_side_sites(s.L, gamma)

@@ -1,12 +1,12 @@
 """Reference code that only the tests use: the box-corner-anchored
 lattice step and its one-step closed form, the maximal coupling of the
 site- and corner-anchored steps, a single trial-speed classification,
-scalar region queries, a region-set snapshot, an uncached oracle of the
-containment audit, probe-by-probe references of the point-process
-checks, the phase-scan threshold read-off, the bistability test, and
-the readers and writers of the library's files and values that no
-subcommand calls.  No subcommand writes any of their numbers,
-so they live here and not in the library."""
+scalar region queries, the box rectangles, a region-set snapshot, an
+uncached oracle of the containment audit, probe-by-probe references of
+the point-process checks, the phase-scan threshold read-off, the
+bistability test, and the readers and writers of the library's files
+and values that no subcommand calls.  No subcommand writes any of their
+numbers, so they live here and not in the library."""
 
 import json
 import math
@@ -262,16 +262,13 @@ def regions_to_json(rs) -> list:
     for R in sorted(rs.regions.values(), key=lambda r: r.id):
         out.append({
             "id": R.id,
-            "kind": R.kind,
             "created_at": R.created_at,
             "created_step": R.created_step,
             "center": [float(c) for c in R.center],
             "parents": list(R.parents),
             "vanished_at": R.vanished_at,
-            "edges": [{"mode": e.mode,
-                       "targets": list(e.targets),
-                       "segments": [list(s) for s in e.segments]}
-                      for e in R.edges],
+            "start": list(R.start),
+            "pieces": [list(piece) for piece in R.pieces],
         })
     return out
 
@@ -319,9 +316,17 @@ class UncachedRegionSet(RegionSet):
         return R.supports_at(t, self.normals)
 
 
+def box_rect(stats, bi: int, bj: int) -> tuple:
+    """Rectangle (x0, y0, x1, y1) of box (bi, bj) of stats: b sites a
+    side at spacing 1/L, counted from the corner of the window."""
+    x0, y0 = bi * stats.b / stats.L, bj * stats.b / stats.L
+    w = stats.b / stats.L
+    return (x0, y0, x0 + w, y0 + w)
+
+
 def box_rects(stats) -> np.ndarray:
-    """(nb, nb, 4) array whose entry (bi, bj) is stats.box_rect(bi, bj)."""
-    return np.array([[stats.box_rect(bi, bj) for bj in range(stats.nb)]
+    """(nb, nb, 4) array whose entry (bi, bj) is box_rect(stats, bi, bj)."""
+    return np.array([[box_rect(stats, bi, bj) for bj in range(stats.nb)]
                      for bi in range(stats.nb)])
 
 
@@ -369,7 +374,7 @@ def uncached_detect_errors(prev, cur, rs, cache, rng) -> list:
     w = cur.b / cur.L
     out = []
     for (etype, bi, bj), (ux, uy, ut) in zip(errors, u):
-        x0, y0 = cur.box_corner(bi, bj)
+        x0, y0 = box_rect(cur, bi, bj)[:2]
         out.append(ErrorPoint(location=(x0 + ux * w, y0 + uy * w),
                               t=n - 1 + ut, type=etype, box=(bi, bj),
                               step=n))

@@ -273,8 +273,8 @@ class TestAcceptance:
                                      t_spawn + r / c + 1.0)
             assert reg.vanished_at == pytest.approx(t_v, abs=1e-9)
             vanish_checked += 1
-            ov = next((x for x in rs.regions.values()
-                       if x.kind == "overlap"), None)
+            ov = next((x for x in rs.regions.values() if x.parents),
+                      None)
             assert ov is not None
             parents = [(rs.regions[i].center,
                         rs.regions[i].offsets_at(ov.created_at))
@@ -283,10 +283,9 @@ class TestAcceptance:
                                          ov.offsets_at(ov.created_at),
                                          parents, ov.created_at,
                                          ov.created_at + 12.0)
-            for j, edge in enumerate(ov.edges):
-                if len(edge.segments) > 1 and times[j] is not None:
-                    assert times[j] == pytest.approx(edge.segments[1][0],
-                                                     abs=1e-9)
+            for j, (t_turn, _, rate) in enumerate(ov.pieces):
+                if rate < 0 and times[j] is not None:
+                    assert times[j] == pytest.approx(t_turn, abs=1e-9)
                     catchup_checked += 1
         assert catchup_checked >= 50
         elapsed = time.time() - t0

@@ -20,9 +20,10 @@ from qcp.rng import LatticeRng
 from qcp.wavespeed import PhiData, default_directions
 
 from conftest import seeded
-from helpers import (UncachedRegionSet, WidenedProfileCache, h_field,
-                     membership, regions_to_json, uncached_containment,
-                     uncached_detect_errors, uncached_snapshot)
+from helpers import (UncachedRegionSet, WidenedProfileCache, box_rect,
+                     h_field, membership, regions_to_json,
+                     uncached_containment, uncached_detect_errors,
+                     uncached_snapshot)
 
 
 def random_acute_normals(gen):
@@ -170,10 +171,9 @@ class TestOverlap:
         spawns = [point(1.0, 1.0, 0.5, 1, "I", (0, 0)),
                   point(1.0, 1.0, 0.5, 1, "II", (0, 1))]
         rs.evolve_to(1.5, spawns=spawns)
-        kinds = sorted(r.kind for r in rs.regions.values())
-        assert kinds == ["overlap", "spawned", "spawned"]
-        ov = next(r for r in rs.regions.values() if r.kind == "overlap")
-        assert all(e.mode == "in" for e in ov.edges)
+        assert [r.parents for r in rs.regions.values()] == [(), (), (0, 1)]
+        ov = rs.regions[2]
+        assert np.all(ov.rates() == -cfg.c)
         assert np.allclose(ov.offsets_at(1.0), rs.regions[0].offsets_at(1.0))
 
     def test_catchup_closed_form(self):
@@ -182,41 +182,96 @@ class TestOverlap:
         spawns = [point(0.0, 0.0, 1.0, 1, "I", (0, 0)),
                   point(0.8, 0.0, 1.0, 1, "I", (1, 0))]
         rs.evolve_to(6.0, spawns=spawns)
-        ov = next(r for r in rs.regions.values() if r.kind == "overlap")
+        ov = next(r for r in rs.regions.values() if r.parents)
         normals = rs.normals
-        for j, edge in enumerate(ov.edges):
-            t0, h0, rate0 = edge.segments[0]
-            assert rate0 == cfg.b
-            t_switch, h_switch, rate1 = edge.segments[1]
+        t0, h0, rate0 = ov.start
+        assert rate0 == cfg.b
+        for j in range(3):
+            t_switch, h_switch, rate1 = ov.pieces[j]
             assert rate1 == -cfg.c
             # gap at formation, closing at b + c
             g_self = normals[j] @ ov.center + h0
             g_par = max(normals[j] @ rs.regions[i].center
-                        + rs.regions[i].edges[j].offset_at(t0)
+                        + rs.regions[i].offset(j, t0)
                         for i in ov.parents)
             gap = g_par - g_self
             assert t_switch == pytest.approx(t0 + gap / (cfg.b + cfg.c),
                                              abs=1e-9)
             # lands exactly on the outermost parent edge
             g_target = max(normals[j] @ rs.regions[i].center
-                           + rs.regions[i].edges[j].offset_at(t_switch)
+                           + rs.regions[i].offset(j, t_switch)
                            for i in ov.parents)
             assert normals[j] @ ov.center + h_switch == pytest.approx(
                 g_target, abs=1e-12)
 
     def test_chain_forms_two_overlaps(self):
         # A-B touch and B-C touch, but A-B-C have no common point:
-        # two separate overlap regions appear
+        # two separate overlap regions appear at once; they grow until
+        # they touch each other and B, which forms a third
         cfg = small_cfg(r=1.0, c=0.05, b=0.5)
         rs = RegionSet(cfg)
         spawns = [point(0.0, 0.0, 0.0, 0, "I", (0, 0)),
                   point(1.8, 0.0, 0.0, 0, "I", (1, 0)),
                   point(3.6, 0.0, 0.0, 0, "I", (2, 0))]
         rs.evolve_to(0.5, spawns=spawns)
-        overlaps = [r for r in rs.regions.values() if r.kind == "overlap"]
-        assert len(overlaps) == 2
-        parents = sorted(tuple(sorted(o.parents)) for o in overlaps)
-        assert parents == [(0, 1), (1, 2)]
+        overlaps = [r for r in rs.regions.values() if r.parents]
+        assert [o.parents for o in overlaps] == [(0, 1), (1, 2), (3, 4, 1)]
+        assert [o.created_at for o in overlaps[:2]] == [0.0, 0.0]
+        assert 0.0 < overlaps[2].created_at < 0.5
+
+    @staticmethod
+    def _support(rs, R, j, t):
+        return float(rs.normals[j] @ R.center + R.offsets_at(t)[j])
+
+    def test_edge_lands_on_outermost_live_parent(self):
+        # region 0 is the outermost parent along edge 1 of the overlap
+        # but vanishes at t = 2 with that edge still outward; the edge
+        # then closes on region 1, the outermost live parent, at b + c
+        cfg = small_cfg(r=1.0, c=0.5, b=0.05)
+        rs = RegionSet(cfg)
+        rs.evolve_to(4.0, spawns=[
+            point(0.0, 0.0, 0.0, 1), point(0.4, 0.0, 0.5, 1, "I", (1, 0)),
+            point(1.2, -1.2, 0.5, 1, "I", (2, 0))])
+        A, B, C, ov = (rs.regions[i] for i in range(4))
+        assert ov.parents == (0, 1, 2)
+        t0 = ov.created_at
+
+        def g(R, t):
+            return self._support(rs, R, 1, t)
+
+        assert g(A, t0) > g(B, t0) > g(C, t0)
+        assert g(ov, t0) == pytest.approx(g(C, t0), abs=1e-12)
+        assert A.vanished_at == pytest.approx(2.0, abs=1e-12)
+        t_turn = t0 + (g(B, t0) - g(ov, t0)) / (cfg.b + cfg.c)
+        assert A.vanished_at < t_turn < B.vanished_at
+        assert g(ov, t_turn - 1e-6) == pytest.approx(
+            g(ov, t0) + cfg.b * (t_turn - 1e-6 - t0), abs=1e-9)
+        for t in (t_turn + 1e-6, 0.5 * (t_turn + B.vanished_at)):
+            assert g(ov, t) == pytest.approx(g(B, t), abs=1e-9)
+        assert ov.rates()[1] == -cfg.c
+
+    def test_edge_keeps_its_offset_when_every_parent_has_vanished(self):
+        # edge 0 of the overlap is still outward when its last parent
+        # vanishes (t = 2.5); it turns inward there, from its own offset
+        cfg = small_cfg(r=1.0, c=0.5, b=0.05)
+        rs = RegionSet(cfg)
+        rs.evolve_to(4.0, spawns=[point(0.0, 0.0, 0.0, 1),
+                                  point(0.3, 1.0, 0.5, 1, "I", (1, 0))])
+        A, B, ov = (rs.regions[i] for i in range(3))
+        assert ov.parents == (0, 1)
+        t0 = ov.created_at
+        t_last = max(A.vanished_at, B.vanished_at)
+        assert t_last == pytest.approx(2.5, abs=1e-12)
+        gap = max(self._support(rs, P, 0, t0) for P in (A, B)) - \
+            self._support(rs, ov, 0, t0)
+        assert gap > (cfg.b + cfg.c) * (t_last - t0)
+        h0 = ov.offsets_at(t0)[0]
+        h_turn = h0 + cfg.b * (t_last - t0)
+        assert ov.offsets_at(t_last)[0] == pytest.approx(h_turn, abs=1e-12)
+        assert ov.offsets_at(t_last + 0.2)[0] == pytest.approx(
+            h_turn - 0.2 * cfg.c, abs=1e-12)
+        assert ov.rates()[0] == -cfg.c
+        assert ov.vanished_at is not None and ov.vanished_at > t_last
 
 
 def _within(seconds, fn):
@@ -356,8 +411,7 @@ class TestIntegratorOracle:
         # freestanding formula still applies to each spawned triangle
         assert reg.vanished_at == pytest.approx(t_v, abs=1e-9)
 
-        ov = next((x for x in rs.regions.values()
-                   if x.kind == "overlap"), None)
+        ov = next((x for x in rs.regions.values() if x.parents), None)
         assert ov is not None
         parents = [(rs.regions[i].center,
                     rs.regions[i].offsets_at(ov.created_at))
@@ -366,10 +420,9 @@ class TestIntegratorOracle:
                                      ov.offsets_at(ov.created_at),
                                      parents, ov.created_at,
                                      ov.created_at + 10.0)
-        for j, edge in enumerate(ov.edges):
-            if len(edge.segments) > 1:
-                assert times[j] == pytest.approx(edge.segments[1][0],
-                                                 abs=1e-9)
+        for j, (t_turn, _, rate) in enumerate(ov.pieces):
+            if rate < 0:
+                assert times[j] == pytest.approx(t_turn, abs=1e-9)
 
 
 class TestProfileCacheAndHField:
@@ -500,7 +553,7 @@ class TestDetectErrors:
         e = errs[0]
         assert e.type == "I" and e.box == (3, 4) and e.step == 1
         assert 0.0 <= e.t - 0.0 < 1.0
-        x0, y0, x1, y1 = cur.box_rect(3, 4)
+        x0, y0, x1, y1 = box_rect(cur, 3, 4)
         assert x0 <= e.location[0] < x1 and y0 <= e.location[1] < y1
 
     def test_region_near_box_suppresses_type_one(self):
@@ -611,10 +664,10 @@ class ScalarOracle:
         boxes = [(i, j) for i in range(nb) for j in range(nb)]
         out = []
         for bi, bj in boxes:
-            rect = cur.box_rect(bi, bj)
+            rect = box_rect(cur, bi, bj)
             if dc[bi, bj] <= cfg.alpha < dp[bi, bj]:
-                near = [cur.box_rect(*o) for o in boxes
-                        if rect_distance(rect, cur.box_rect(*o))
+                near = [box_rect(cur, *o) for o in boxes
+                        if rect_distance(rect, box_rect(cur, *o))
                         <= cfg.d_k + 1e-9]
                 if not any(self.meets(o, R, n - 1)
                            for o in near for R in regs):
@@ -764,8 +817,8 @@ class TestCachesAgainstUncachedOracle:
         def counts():
             regs = rs.regions.values()
             return {"contact": len(regs),
-                    "catch-up": sum(len(e.segments) - 1 for R in regs
-                                    for e in R.edges),
+                    "catch-up": sum(piece != R.start for R in regs
+                                    for piece in R.pieces),
                     "vanish": sum(R.vanished_at is not None for R in regs)}
 
         for s in (rs, rs_oracle):
@@ -908,6 +961,16 @@ class TestConfigAndSerialization:
         assert rs.horizon == 5.0
         assert regions_to_json(rs) == before
 
+    def test_spawn_before_the_clock_rejected(self):
+        # moved to the clock, the region would keep its past created_at,
+        # and its vanish (at t = 3 here) would pass unseen
+        cfg = small_cfg(r=1.0, c=0.5)
+        rs = RegionSet(cfg)
+        rs.evolve_to(5.0)
+        with pytest.raises(ValueError, match="before the clock"):
+            rs.evolve_to(6.0, spawns=[point(0.0, 0.0, 1.0, 2)])
+        assert rs.horizon == 5.0 and not rs.regions
+
     def test_regions_to_json(self):
         cfg = small_cfg(r=2.0)
         rs = RegionSet(cfg)
@@ -915,6 +978,6 @@ class TestConfigAndSerialization:
             point(0.0, 0.0, 0.5, 1), point(0.5, 0.0, 0.5, 1, "I", (1, 0))])
         doc = regions_to_json(rs)
         assert len(doc) == 3
-        assert {d["kind"] for d in doc} == {"spawned", "overlap"}
+        assert {bool(d["parents"]) for d in doc} == {False, True}
         for d in doc:
-            assert len(d["edges"]) == 3
+            assert len(d["pieces"]) == 3

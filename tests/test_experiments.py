@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcp import comparison, lattice
+from qcp import comparison, experiments, lattice
 from qcp.comparison import ErrorPoint
 from qcp.experiments import (ExperimentConfig, aligned_side, error_rate,
                              hydro_convergence, parallel_map, phase_scan,
@@ -278,22 +278,32 @@ class TestPointProcessProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300),
            layout=st.sampled_from(["uniform", "clusters", "pairs",
-                                   "faces"]),
-           horizon=st.one_of(st.integers(1, 25).map(float),
-                             st.floats(0.5, 25.0)),
+                                   "faces", "integer times",
+                                   "cube ends"]),
+           horizon=st.one_of(st.integers(1, 100).map(float),
+                             st.floats(0.5, 100.0)),
            space_side=st.floats(1.0, 6.0), width=st.floats(0.2, 1.0),
            eps=st.floats(1e-3, 0.5), grid=st.booleans())
     @example(seed=0, n=0, layout="uniform", horizon=1.0, space_side=5.0,
              width=0.5, eps=0.02, grid=False)
     @example(seed=3, n=250, layout="clusters", horizon=1.0, space_side=2.0,
              width=1.0, eps=0.5, grid=True)
+    @example(seed=4, n=40, layout="faces", horizon=10.0, space_side=3.0,
+             width=0.5, eps=0.02, grid=False)
+    @example(seed=1, n=300, layout="integer times", horizon=1.0,
+             space_side=2.0, width=1.0, eps=0.5, grid=False)
+    @example(seed=2, n=300, layout="cube ends", horizon=60.0,
+             space_side=3.0, width=0.5, eps=0.01, grid=False)
     def test_equal_to_probe_by_probe_reference(self, seed, n, layout,
                                                horizon, space_side, width,
                                                eps, grid):
         # clusters fill few cubes, so property 6 fails too, and pairs of
         # points 0.01 apart in time make property 5 fail; faces puts
         # points on both corners of property 5's first probes, where
-        # [lo, hi) is decided, and a grid makes points coincide
+        # [lo, hi) is decided; at horizon 1 or less integer times lie on
+        # the lower time end of every property 5 probe, and cube ends on
+        # both time ends of property 6's first family of cubes at each
+        # translate; a grid makes points coincide
         gen = np.random.default_rng(seed)
         xyt = gen.random((n, 3)) * [space_side, space_side, horizon]
         if layout == "clusters":
@@ -309,16 +319,47 @@ class TestPointProcessProperties:
                 max(space_side - a, 0.0), max(space_side - a, 0.0),
                 max(horizon - 1.5, 0.0)]
             xyt = np.concatenate([lows, lows + [a, a, 1.5]])
+        elif layout == "integer times":
+            xyt[:, 2] = np.floor(xyt[:, 2])
+        elif layout == "cube ends":
+            # the first family as property6_check draws it
+            g6 = stream(1, 0, 6)
+            m = int(g6.integers(2, 4))
+            sides = (0.3 + 0.6 * g6.random(m)) * width
+            anchors = g6.random((m, 2)) * (space_side - sides[:, None])
+            t_len = 0.5 + 0.4 * g6.random(m)
+            t_off = g6.random(m) * (1.0 - t_len).clip(min=0.0)
+            lo = t_off + np.arange(max(1, int(horizon) - 1))[:, None]
+            ends = np.stack([lo, lo + t_len]).ravel()   # cube k last
+            xyt = np.column_stack([np.tile(anchors, (ends.size // m, 1)),
+                                   ends])[:n]
         if grid:
             xyt = np.round(xyt * 4.0) / 4.0
         pts = [ErrorPoint((x, y), t, "I", (0, 0), int(t) + 1)
                for x, y, t in xyt]
         assert (property5_check(pts, space_side, horizon, box_width=width)
                 == property5_reference(pts, space_side, horizon, width))
-        assert (property6_check(pts, space_side, horizon, eps=eps,
-                                l_gamma_sq=width)
-                == property6_reference(pts, space_side, horizon, eps,
-                                       width))
+        # the time ends of the boxes property6_check asks the counter for
+        ends = set()
+
+        def counter(points):
+            count = counter_of(points)
+
+            def recorded(lo, hi):
+                ends.update((lo[2], hi[2]))
+                return count(lo, hi)
+            return recorded
+
+        counter_of = experiments._counter
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_counter", counter)
+            out6 = property6_check(pts, space_side, horizon, eps=eps,
+                                   l_gamma_sq=width)
+        assert out6 == property6_reference(pts, space_side, horizon, eps,
+                                           width)
+        if layout == "cube ends" and n and not grid:
+            # the layout follows property6_check's draws of its first family
+            assert ends.intersection(pt.t for pt in pts)
 
 
 class TestSurvivalTable:
