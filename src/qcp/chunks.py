@@ -1,0 +1,76 @@
+"""Large-grid passes run in chunks across the cores.
+
+A pass over ``n`` lines of ``width`` sites each is a function
+``body(a, b)`` that handles lines [a, b) and writes only their part of
+its output.  A chunk reads nothing another chunk of the pass writes,
+and computes each site in a fixed order, so the result does not depend
+on how the lines are cut: the chunks are a schedule, not a parameter.
+
+With at least two workers and more than CHUNK sites, the lines are cut
+into chunks of about CHUNK sites each and run on one module-level
+thread pool, created at the first such pass.  Otherwise one chunk
+covers every line and runs inline.  Philox draws, the numpy ufuncs,
+``take`` and pocketfft release the GIL, so the chunks run in parallel.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+
+# Sites per chunk: a multiple of 4, so that a chunk of a flat site range
+# starts on a Philox block (see rng.uniforms).  Chunks this small keep
+# each worker's temporaries small: full-grid arrays made on the workers
+# raise the peak resident set through their per-thread malloc arenas.
+CHUNK = 1 << 16
+# the pool's thread count is never above this, whatever the core count
+_MAX_WORKERS = 8
+
+
+def _cores() -> int:
+    """The count of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+WORKERS = min(_cores(), _MAX_WORKERS)
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: it loads logging, and most runs never cut
+            # a grid
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="qcp-chunk")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def run(body, n: int, width: int = 1) -> list:
+    """``[body(a, b), ...]`` over ranges [a, b) that tile range(n) in
+    order, each of about CHUNK sites at ``width`` sites per line: on the
+    pool when it has two or more workers and the grid holds more than
+    CHUNK sites, else one inline ``body(0, n)``.  A body must not call
+    run itself: the pool's threads would wait on their own queue."""
+    if WORKERS < 2 or n * width <= CHUNK:
+        return [body(0, n)]
+    lines = max(1, CHUNK // width)
+    starts = range(0, n, lines)
+    return list(_executor().map(body, starts,
+                                [min(a + lines, n) for a in starts]))

@@ -412,7 +412,8 @@ _COMMANDS = {
     "error-rate": (_cmd_error_rate, "beta eta gamma W steps phi-L"),
 }
 _HELP = {"out-dir": "output directory (env QCP_OUT_DIR overrides)",
-         "threads": "worker count; results are independent of it"}
+         "threads": "seeds run at once; results are independent of it "
+                    "(a large grid uses the cores on its own)"}
 
 
 def _build_parser() -> _Parser:

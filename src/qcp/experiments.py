@@ -297,12 +297,17 @@ _PROP5_PROBES = 400
 _PROP6_FAMILIES = 100
 
 
+def _xyt(points) -> np.ndarray:
+    """The error points as rows (x, y, t)."""
+    return np.array([[pt.location[0], pt.location[1], pt.t]
+                     for pt in points]).reshape(-1, 3)
+
+
 def _counter(points):
     """The count of the error points in the half-open space-time box
     [lo, hi), as a function of its corners lo and hi; memory O(points)
     per call."""
-    pts = np.array([[pt.location[0], pt.location[1], pt.t]
-                    for pt in points]).reshape(-1, 3)
+    pts = _xyt(points)
     return lambda lo, hi: np.count_nonzero(
         np.all((pts >= lo) & (pts < hi), axis=1))
 
@@ -349,29 +354,55 @@ def property6_check(points, space_side: float, horizon: float, eps: float,
     side below it and unit time depth, and each family is tested by
     sliding over integer time translates.
     """
-    gen, count = stream(1, 0, 6), _counter(points)
+    gen = stream(1, 0, 6)
+    pts = _xyt(points)
+    pts = pts[np.argsort(pts[:, 2], kind="stable")]
     area_unit = l_gamma_sq ** 2
     failures = 0
     translates = max(1, int(horizon) - 1)
     for _ in range(_PROP6_FAMILIES):
-        m = int(gen.integers(2, 4))
-        sides = (0.3 + 0.6 * gen.random(m)) * l_gamma_sq
-        anchors = gen.random((m, 2)) * (space_side - sides[:, None])
-        t_len = 0.5 + 0.4 * gen.random(m)
-        t_off = gen.random(m) * (1.0 - t_len).clip(min=0.0)
+        cubes = _cube_family(gen, space_side, l_gamma_sq)
+        sides, _, _, t_len = cubes
         # per-cube bound: 2 eps L^{2 gamma} lambda(B); L^{2 gamma} is
         # 1/area of one box, so the rate is per unit volume
         bounds = np.minimum(
             1.0, 2.0 * eps * (sides ** 2 / area_unit) * t_len)
         target = float(np.prod(bounds))
-        lo0 = np.column_stack([anchors, t_off])
-        size = np.column_stack([sides, sides, t_len])
-        hits = 0
-        for shift in range(translates):
-            lo = lo0 + [0.0, 0.0, shift]
-            hits += all(count(lo[k], lo[k] + size[k]) for k in range(m))
+        hits = np.count_nonzero(_translate_hits(pts, cubes, translates))
         # one-sided binomial test of freq <= target
         if hits > _critical(translates, min(target, 1.0)):
             failures += 1
     return {"passed": failures == 0, "families": _PROP6_FAMILIES,
             "failures": failures}
+
+
+def _cube_family(gen, space_side: float, l_gamma_sq: float):
+    """The next family of property6_check's cubes from gen: the spatial
+    sides (below l_gamma_sq) of its 2 or 3 cubes, their lower spatial
+    corners, and the start and length of their time windows at the
+    first time translate."""
+    m = int(gen.integers(2, 4))
+    sides = (0.3 + 0.6 * gen.random(m)) * l_gamma_sq
+    anchors = gen.random((m, 2)) * (space_side - sides[:, None])
+    t_len = 0.5 + 0.4 * gen.random(m)
+    t_off = gen.random(m) * (1.0 - t_len).clip(min=0.0)
+    return sides, anchors, t_off, t_len
+
+
+def _translate_hits(pts: np.ndarray, cubes, translates: int) -> np.ndarray:
+    """Whether translate s of the cubes (sides, anchors, t_off, t_len)
+    of a _cube_family, for s in range(translates), finds a point in every
+    cube: cube k is [lo, lo + (sides[k], sides[k], t_len[k])) with lo =
+    (anchors[k], t_off[k] + s).  pts holds the points as rows (x, y, t)
+    in time order."""
+    sides, anchors, t_off, t_len = cubes
+    # seen[i, k] counts the first i points that lie in cube k's square,
+    # read at the ends of each of its time windows
+    xy = pts[:, None, :2]
+    inside = np.all((xy >= anchors) & (xy < anchors + sides[:, None]), axis=2)
+    seen = np.concatenate([np.zeros((1, len(sides)), np.intp),
+                           np.cumsum(inside, axis=0)])
+    cube = np.arange(len(sides))[:, None]
+    lo = t_off[:, None] + np.arange(translates, dtype=float)
+    return np.all(seen[np.searchsorted(pts[:, 2], lo + t_len[:, None]), cube]
+                  > seen[np.searchsorted(pts[:, 2], lo), cube], axis=0)

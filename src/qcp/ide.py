@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import chunks
 from .kernel import DiscreteKernel, Kernel1D
 from .mean_field import Params, mf_step
 
@@ -130,7 +131,13 @@ def periodic_correlate(a: np.ndarray, shifts: np.ndarray,
     """sum_w masses(w) a(x + w) over the integer shifts w, on the torus
     of a's shape, by FFT (the kernel is even, so this is also the
     convolution).  Within one evolve call the kernel's spectrum is
-    computed at the first step only."""
+    computed at the first step only.
+
+    The bits are those of ``irfft2(rfft2(a) * rfft2(kernel), a.shape)``:
+    each 2D transform is its 1D passes, run in bands of rows (the real
+    transforms, on axis 1) and of columns (the complex ones, on axis 0)
+    across the cores (see chunks), each written in place into one half
+    spectrum."""
     nx, ny = a.shape
     radius = int(np.max(np.abs(shifts))) if len(shifts) else 0
     if 2 * radius + 1 > min(nx, ny):
@@ -141,10 +148,41 @@ def periodic_correlate(a: np.ndarray, shifts: np.ndarray,
     else:
         kern = np.zeros_like(a)
         np.add.at(kern, (shifts[:, 0] % nx, shifts[:, 1] % ny), masses)
-        spectrum = np.fft.rfft2(kern)
+        spectrum = _rfft2(kern)
         if memo is not None:
             memo.append(spectrum)
-    return np.fft.irfft2(np.fft.rfft2(a) * spectrum, s=a.shape)
+    half = _rfft2(a, spectrum)
+    out = np.empty((nx, ny))
+
+    def rows(i, j):
+        np.fft.irfft(half[i:j], n=ny, axis=1, out=out[i:j])
+
+    chunks.run(rows, nx, ny)
+    return out
+
+
+def _rfft2(a: np.ndarray, spectrum=None) -> np.ndarray:
+    """``rfft2(a)``, bit for bit, by bands of rows and then of columns.
+    Given a kernel ``spectrum``, each column band is then multiplied by
+    it and taken back through the inverse complex pass, the first pass
+    of ``irfft2``: what is left of the correlation is the real inverse
+    pass over the rows."""
+    nx, ny = a.shape
+    half = np.empty((nx, ny // 2 + 1), complex)
+
+    def rows(i, j):
+        np.fft.rfft(a[i:j], axis=1, out=half[i:j])
+
+    def columns(i, j):
+        band = half[:, i:j]
+        np.fft.fft(band, axis=0, out=band)
+        if spectrum is not None:
+            band *= spectrum[:, i:j]
+            np.fft.ifft(band, axis=0, out=band)
+
+    chunks.run(rows, nx, ny)
+    chunks.run(columns, half.shape[1], nx)
+    return half
 
 
 def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params) -> Field2D:

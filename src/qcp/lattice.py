@@ -13,12 +13,14 @@ for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import chunks
 from . import rng as _rng
 from .kernel import DiscreteKernel
 from .mean_field import Params
@@ -70,9 +72,18 @@ def init(L: int, side: int, density, rng: _rng.LatticeRng) -> LatticeState:
     # written so that NaN fails too
     if not (density.min() >= 0.0 and density.max() <= 1.0):
         raise ValueError("density must lie in [0, 1]")
-    u = rng.stream(0, _rng.PHASE_INIT).random((side, side))
-    return LatticeState(L=L, side=side, occ=(u < density).view(np.uint8),
-                        time=0)
+    occ = np.empty(side * side, np.uint8)
+    flat = np.broadcast_to(density, (side, side)).reshape(-1)   # a view
+
+    def chunk(a, b):
+        # sites [a, b) of the start stream, whose Philox block a / 4
+        # holds site a's coin
+        gen = rng.stream(0, _rng.PHASE_INIT)
+        gen.bit_generator.advance(a // 4)
+        np.less(gen.random(b - a), flat[a:b], out=occ[a:b].view(bool))
+
+    chunks.run(chunk, side * side)
+    return LatticeState(L=L, side=side, occ=occ.reshape(side, side), time=0)
 
 
 def box_side_sites(L: int, gamma: float) -> int:
@@ -91,14 +102,6 @@ class StepReport:
     births_attempted: int
     births: int
     deaths: int
-
-
-def _coins(rng: _rng.LatticeRng, n: int, side: int):
-    """The attempt, offset, neighbour and death coins of step n, in that
-    order, each drawn only when the caller takes it."""
-    return _rng.uniforms(rng.seed, n, (_rng.PHASE_ATTEMPT, _rng.PHASE_OFFSET,
-                                       _rng.PHASE_NEIGHBOR, _rng.PHASE_DEATH),
-                         (side, side))
 
 
 def _padded(a: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
@@ -123,15 +126,23 @@ def _padded_index(f, side: int, dk: DiscreteKernel):
     return f + f // side * (2 * r) + r * (side + 2 * r + 1)
 
 
-def _parents(dk: DiscreteKernel, side: int, base, u_off, u_nbr):
+def _flat_steps(dk: DiscreteKernel, side: int):
+    """The kernel offsets and the neighbour steps +e1, -e1, +e2, -e2 as
+    steps in _padded's flat array of a side x side torus."""
+    width = side + 2 * (dk.reach + 1)
+    return (dk.offsets[:, 0] * width + dk.offsets[:, 1],
+            np.array([width, -width, 1, -1]))
+
+
+def _parents(dk: DiscreteKernel, steps, base, u_off, u_nbr):
     """Parents y, through the kernel around the base sites, and z, the
     neighbour of y that u_nbr (< 1) picks, as indices in _padded's flat
-    array, as base is; offsets reach dk.reach, so both stay in padding.
-    Element-wise, so any subset of sites draws the same parents."""
-    width = side + 2 * (dk.reach + 1)
-    flat_offset = dk.offsets[:, 0] * width + dk.offsets[:, 1]
-    y = flat_offset[dk.sample_indices(u_off)] + base
-    return y, y + np.array([width, -width, 1, -1])[(u_nbr * 4).astype(np.intp)]
+    array, as base is; steps is _flat_steps of the torus.  Offsets reach
+    dk.reach, so both stay in padding.  Element-wise, so any subset of
+    sites draws the same parents."""
+    kernel_steps, nbr_steps = steps
+    y = kernel_steps[dk.sample_indices(u_off)] + base
+    return y, y + nbr_steps[(u_nbr * 4).astype(np.intp)]
 
 
 def step(s: LatticeState, dk: DiscreteKernel, p: Params,
@@ -139,27 +150,44 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     """One synchronous update; deterministic given (seed, time).
 
     Coins are drawn for every site regardless of occupancy so that
-    coupled runs stay coupled.  Each full-lattice coin array is dropped
-    once used, so no two are alive at once.
+    coupled runs stay coupled.  The update runs in flat site chunks
+    (see chunks): each chunk draws its own sites' four coin ranges
+    (see rng.uniforms), reads its parents from one padded copy of the
+    old occupancy and writes its own slice of the new one, and the
+    counters are summed over the chunks.  So neither the occupancy nor
+    the counters depend on the chunks.  With two or more workers no
+    full-lattice coin array is made; with one, the single chunk draws
+    every site's coins into its thread's buffer.
     """
-    side = s.side
-    n = s.time + 1
-    coins = _coins(rng, n, side)
+    side, n = s.side, s.time + 1
+    coins = functools.partial(_rng.uniforms, rng.seed, n)
+    occ = s.occ.astype(bool).ravel()
+    padded = _padded(occ.reshape(side, side), dk)
+    steps = _flat_steps(dk, side)
+    new = np.empty(side * side, bool)
 
-    occ = s.occ.astype(bool)
-    f = np.flatnonzero((next(coins) < p.beta) > occ)   # vacant, coin < beta
-    y, z = _parents(dk, side, _padded_index(f, side, dk),
-                    next(coins).ravel()[f], next(coins).ravel()[f])
-    padded = _padded(occ, dk)
-    born = padded[y]
-    born &= padded[z]
-    del y, z, padded
-    occ.ravel()[f[born]] = True     # now the occupancy after births
-    final = occ > (next(coins) < p.eta)   # occupied and not dying
-    deaths = np.count_nonzero(occ) - np.count_nonzero(final)
-    return (LatticeState(L=s.L, side=side, occ=final.view(np.uint8), time=n),
-            StepReport(births_attempted=len(f), deaths=int(deaths),
-                       births=int(np.count_nonzero(born))))
+    def chunk(a, b):
+        # vacant, coin < beta
+        f = np.flatnonzero((coins(_rng.PHASE_ATTEMPT, a, b) < p.beta)
+                           > occ[a:b])
+        y, z = _parents(dk, steps, _padded_index(f + a, side, dk),
+                        coins(_rng.PHASE_OFFSET, a, b)[f],
+                        coins(_rng.PHASE_NEIGHBOR, a, b)[f])
+        born = padded[y]
+        born &= padded[z]
+        out = new[a:b]
+        out[:] = occ[a:b]
+        out[f[born]] = True             # the occupancy after births
+        alive = np.count_nonzero(out)
+        # occupied and not dying
+        np.greater(out, coins(_rng.PHASE_DEATH, a, b) < p.eta, out=out)
+        return len(f), np.count_nonzero(born), alive - np.count_nonzero(out)
+
+    attempted, births, deaths = map(sum, zip(*chunks.run(chunk, side * side)))
+    return (LatticeState(L=s.L, side=side, time=n,
+                         occ=new.reshape(side, side).view(np.uint8)),
+            StepReport(births_attempted=int(attempted), births=int(births),
+                       deaths=int(deaths)))
 
 
 def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
@@ -171,22 +199,31 @@ def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
     The new label is min(B, max(u_att, B(y), B(z))) for parents y, z, or
     +inf where the site dies.  Where u_att >= B it is B itself, so the
     parents are drawn only at the sites with u_att < B that survive.
+    Runs in flat site chunks, as step does.
     """
     side = B.shape[0]
-    coins = map(np.ravel, _coins(rng, time + 1, side))
-    u_att, u_off, u_nbr = next(coins), next(coins), next(coins)
-    dead = next(coins) < eta
+    coins = functools.partial(_rng.uniforms, rng.seed, time + 1)
     lab = B.astype(np.float64, order="C")
-    flat = lab.ravel()
-    f = np.flatnonzero((u_att < flat) > dead)
-    y, z = _parents(dk, side, _padded_index(f, side, dk), u_off[f], u_nbr[f])
-    del u_off, u_nbr
     padded = _padded(lab, dk)
-    born = np.maximum(padded[y], padded[z])
-    np.maximum(born, u_att[f], out=born)
-    np.minimum(born, flat[f], out=born)
-    flat[f] = born
-    np.copyto(flat, np.inf, where=dead)
+    steps = _flat_steps(dk, side)
+    flat = lab.ravel()
+
+    def chunk(a, b):
+        out = flat[a:b]
+        dead = coins(_rng.PHASE_DEATH, a, b) < eta
+        u_att = coins(_rng.PHASE_ATTEMPT, a, b)
+        f = np.flatnonzero((u_att < out) > dead)
+        u_att = u_att[f]
+        y, z = _parents(dk, steps, _padded_index(f + a, side, dk),
+                        coins(_rng.PHASE_OFFSET, a, b)[f],
+                        coins(_rng.PHASE_NEIGHBOR, a, b)[f])
+        born = np.maximum(padded[y], padded[z])
+        np.maximum(born, u_att, out=born)
+        np.minimum(born, out[f], out=born)
+        out[f] = born
+        np.copyto(out, np.inf, where=dead)
+
+    chunks.run(chunk, side * side)
     return lab
 
 

@@ -4,8 +4,10 @@ Every random draw in a run comes from a Philox generator keyed by
 (seed, time step, phase), with values consumed in fixed row-major site
 order.  A draw is therefore a pure function of (seed, n, site index,
 phase): two runs with the same seed see identical coins site by site,
-independent of lattice contents or how work is scheduled.  The monotone
-couplings and the reproducibility guarantees all rest on this.
+independent of lattice contents or how work is scheduled, and any range
+of sites starting on a Philox block of four can be drawn on its own
+(uniforms).  The monotone couplings and the reproducibility guarantees
+all rest on this.
 """
 
 from __future__ import annotations
@@ -46,27 +48,40 @@ def stream(seed: int, time: int, phase: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, time, phase)))
 
 
-_local = threading.local()      # per thread: one Generator over a Philox
-_ZEROS = np.zeros(4, np.uint64)
+_local = threading.local()      # per thread: one Philox Generator, one buffer
 
 
-def uniforms(seed: int, time: int, phases, shape):
-    """Yield ``stream(seed, time, phase).random(shape)`` for each phase in
-    turn, bit for bit, drawing each array only when it is asked for.
+def uniforms(seed: int, time: int, phase: int, a: int, b: int) -> np.ndarray:
+    """Sites [a, b) of ``stream(seed, time, phase).random(n)``, for any
+    n >= b, bit for bit; a must be a multiple of 4.
 
-    Each phase re-keys the calling thread's Philox, looked up anew, to
-    counter 0 with an empty buffer: the state a fresh stream starts in.
-    So no generator is built (nor OS entropy read) per step, and a
-    generator resumed on another thread still gets these bits."""
-    for phase in phases:
-        if not hasattr(_local, "gen"):  # seeded, not keyed: no OS entropy
-            _local.gen = np.random.Generator(np.random.Philox(0))
-        _local.gen.bit_generator.state = {
+    Philox makes its draws in blocks of four, and one at counter c with
+    an empty buffer next draws values 4c, 4c + 1, ... of its stream.  So
+    the calling thread's Philox, re-keyed and set to counter a / 4 with
+    an empty buffer, draws exactly these sites, and no generator is built
+    (nor OS entropy read) per call.  The draw fills the thread's buffer:
+    the result is a view of it, valid until the thread's next draw.  The
+    buffer keeps the size of the largest range the thread has drawn."""
+    if a % 4 or not 0 <= a <= b:
+        raise ValueError(f"need 0 <= a <= b with a a multiple of 4, "
+                         f"got [{a}, {b})")
+    if not hasattr(_local, "gen"):  # seeded, not keyed: no OS entropy
+        _local.gen = np.random.Generator(np.random.Philox(0))
+        _local.buf = np.empty(0)
+        # setting a state copies its values, so one dict serves every
+        # call; only the counter's first word and the key change
+        _local.state = {
             "bit_generator": "Philox",
-            "state": {"counter": _ZEROS, "key": _key(seed, time, phase)},
-            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0,
-            "uinteger": 0}
-        yield _local.gen.random(shape)
+            "state": {"counter": np.zeros(4, np.uint64), "key": None},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+    state = _local.state
+    state["state"]["counter"][0] = a // 4
+    state["state"]["key"] = _key(seed, time, phase)
+    _local.gen.bit_generator.state = state
+    if len(_local.buf) < b - a:
+        _local.buf = np.empty(b - a)
+    return _local.gen.random(out=_local.buf[:b - a])
 
 
 class LatticeRng:

@@ -1,12 +1,13 @@
-"""Reference code that only the tests use: the box-corner-anchored
-lattice step and its one-step closed form, the maximal coupling of the
-site- and corner-anchored steps, a single trial-speed classification,
-scalar region queries, the box rectangles, a region-set snapshot, an
-uncached oracle of the containment audit, probe-by-probe references of
-the point-process checks, the phase-scan threshold read-off, the
-bistability test, and the readers and writers of the library's files
-and values that no subcommand calls.  No subcommand writes any of their
-numbers, so they live here and not in the library."""
+"""Reference code that only the tests use: a step's coins at every
+site, the box-corner-anchored lattice step and its one-step closed
+form, the maximal coupling of the site- and corner-anchored steps, a
+single trial-speed classification, scalar region queries, the box
+rectangles, a region-set snapshot, an uncached oracle of the
+containment audit, probe-by-probe references of the point-process
+checks, the phase-scan threshold read-off, the bistability test, and
+the readers and writers of the library's files and values that no
+subcommand calls.  No subcommand writes any of their numbers, so they
+live here and not in the library."""
 
 import json
 import math
@@ -39,19 +40,30 @@ NBR_DI = np.array([1, -1, 0, 0])
 NBR_DJ = np.array([0, 0, 1, -1])
 
 
+def step_coins(rng, n: int, side: int) -> list:
+    """The attempt, offset, neighbour and death coins of step n at every
+    site of the side x side torus, as (side, side) arrays: one ranged
+    draw over all the sites per phase, copied out of the draw buffer."""
+    return [_rng.uniforms(rng.seed, n, phase, 0, side * side)
+            .reshape(side, side).copy()
+            for phase in (PHASE_ATTEMPT, PHASE_OFFSET, PHASE_NEIGHBOR,
+                          PHASE_DEATH)]
+
+
 def corner_step(s, dk, p, rng, gamma):
     """lattice.step with every first parent drawn around the corner of
     its site's box (box_side_sites(L, gamma) sites a side) instead of
     around the site; same coins, same StepReport counters."""
     side = s.side
     n = s.time + 1
-    u_att, u_off, u_nbr, u_die = lattice._coins(rng, n, side)
+    u_att, u_off, u_nbr, u_die = step_coins(rng, n, side)
     occ0 = s.occ.astype(bool)
     f = np.flatnonzero(~occ0 & (u_att < p.beta))
     b = box_side_sites(s.L, gamma)
     i, j = np.divmod(f, side)
     corner = (i - i % b) * side + (j - j % b)
-    y, z = lattice._parents(dk, side, lattice._padded_index(corner, side, dk),
+    y, z = lattice._parents(dk, lattice._flat_steps(dk, side),
+                            lattice._padded_index(corner, side, dk),
                             u_off.ravel()[f], u_nbr.ravel()[f])
     padded = lattice._padded(occ0, dk)
     born = padded[y] & padded[z]
@@ -460,6 +472,25 @@ def property6_reference(points, space_side: float, horizon: float,
             failures += 1
     return {"passed": failures == 0, "families": _PROP6_FAMILIES,
             "failures": failures}
+
+
+def translate_hits_reference(points, cubes, translates: int) -> np.ndarray:
+    """experiments._translate_hits by one box count per cube and
+    translate, as property6_check counted before it sorted the points:
+    the oracle of the time-sorted count."""
+    sides, anchors, t_off, t_len = cubes
+    pts = np.array([[pt.location[0], pt.location[1], pt.t]
+                    for pt in points]).reshape(-1, 3)
+    hits = []
+    for shift in range(translates):
+        hit = True
+        for k in range(len(sides)):
+            lo = np.array([anchors[k, 0], anchors[k, 1], t_off[k]]) + [
+                0.0, 0.0, shift]
+            hi = lo + [sides[k], sides[k], t_len[k]]
+            hit &= bool(np.any(np.all((pts >= lo) & (pts < hi), axis=1)))
+        hits.append(hit)
+    return np.array(hits, dtype=bool)
 
 
 def threshold_estimate(freqs: dict, eta: float) -> float | None:

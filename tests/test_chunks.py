@@ -1,0 +1,165 @@
+"""Large-grid passes cut into chunks across threads give the bits of
+one whole-grid pass, whatever the worker count and the chunk size."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qcp
+from qcp import chunks, experiments, ide, lattice
+from qcp.ide import Field2D
+from qcp.kernel import discretize
+from qcp.mean_field import Params
+from qcp.rng import LatticeRng
+
+# (workers, sites per chunk): 1 worker always runs one inline chunk
+CHUNKINGS = [(w, c) for w in (1, 2, 3) for c in (4, 12, 1 << 16)]
+IDS = [f"{w}workers-chunk{c}" for w, c in CHUNKINGS]
+# 83 is not a multiple of 4, so chunks of 12 sites cross rows; 150^2
+# sites fit in one chunk of 2^16
+SIDES = (83, 150)
+
+
+@pytest.fixture
+def chunked(monkeypatch, request):
+    """Run with the (workers, chunk) of the test's parameter, on a pool
+    of its own that is shut down afterwards."""
+    workers, size = request.param
+    monkeypatch.setattr(chunks, "WORKERS", workers)
+    monkeypatch.setattr(chunks, "CHUNK", size)
+    monkeypatch.setattr(chunks, "_pool", None)
+    yield workers, size
+    if chunks._pool is not None:
+        chunks._pool.shutdown()
+
+
+def whole(fn, *args):
+    """fn(*args) with one worker: every pass is one inline chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chunks, "WORKERS", 1)
+        return fn(*args)
+
+
+@pytest.fixture(scope="module")
+def dk10(square_spec):
+    # reach 10: parents lie up to 11 rows away, in other chunks
+    return discretize(square_spec, 10)
+
+
+@pytest.mark.parametrize("chunked", CHUNKINGS, indirect=True, ids=IDS)
+@pytest.mark.parametrize("side", SIDES)
+class TestLatticeBits:
+    def test_init(self, chunked, side):
+        field = np.random.default_rng(side).random((side, side))
+        for density in (0.3, field):
+            got = lattice.init(10, side, density, LatticeRng(4))
+            want = whole(lattice.init, 10, side, density, LatticeRng(4))
+            assert got.occ.tobytes() == want.occ.tobytes()
+
+    def test_step(self, chunked, side, dk10):
+        rng = LatticeRng(11)
+        s = whole(lattice.init, 10, side, 0.4, rng)
+        for p in (Params(0.9, 0.1), Params(0.3, 0.6)):
+            got, got_rep = lattice.step(s, dk10, p, rng)
+            want, want_rep = whole(lattice.step, s, dk10, p, rng)
+            assert got.occ.tobytes() == want.occ.tobytes()
+            assert got_rep == want_rep
+            assert got.time == want.time
+            s = got
+
+    def test_label_step(self, chunked, side, dk10):
+        gen = np.random.default_rng(side)
+        kind = gen.integers(0, 4, (side, side))
+        B = np.choose(kind, [np.full((side, side), -np.inf),
+                             np.full((side, side), np.inf),
+                             gen.random((side, side)),
+                             np.zeros((side, side))])
+        rng = LatticeRng(12)
+        for n in (0, 1):
+            got = lattice.label_step(B, n, dk10, 0.1, rng)
+            want = whole(lattice.label_step, B, n, dk10, 0.1, rng)
+            assert got.tobytes() == want.tobytes()
+            B = got
+
+
+@pytest.mark.parametrize("chunked", CHUNKINGS, indirect=True, ids=IDS)
+@pytest.mark.parametrize("shape", [(83, 83), (150, 150), (83, 150)])
+def test_periodic_correlate_equals_numpy_fft(chunked, shape, dk10):
+    a = np.random.default_rng(sum(shape)).random(shape)
+    shifts = dk10.offsets
+    kern = np.zeros(shape)
+    np.add.at(kern, (shifts[:, 0] % shape[0], shifts[:, 1] % shape[1]),
+              dk10.masses)
+    want = np.fft.irfft2(np.fft.rfft2(a) * np.fft.rfft2(kern), s=shape)
+    got = ide.periodic_correlate(a, shifts, dk10.masses)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunked", [(3, 12)], indirect=True)
+def test_evolve_reuses_the_chunked_spectrum(chunked, dk10, p_main,
+                                            monkeypatch):
+    monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
+    u = Field2D(0.0, 0.0, 0.1, np.random.default_rng(3).random((83, 83)))
+    got = ide.evolve(u, dk10, p_main, 3, taps=range(4))
+    want = whole(ide.evolve, u, dk10, p_main, 3, range(4))
+    for g, w in zip(got, want):
+        assert g.values.tobytes() == w.values.tobytes()
+
+
+@pytest.mark.parametrize("chunked", [(2, 12)], indirect=True)
+def test_seed_threads_share_the_pool(chunked, dk10, p_main):
+    # seeds run at once on their own threads, each cutting its steps
+    # into chunks on the one pool, give the bits of seeds run in turn
+    def run(seed):
+        rng = LatticeRng(seed)
+        s = lattice.init(10, 83, 0.5, rng)
+        for _ in range(3):
+            s, _ = lattice.step(s, dk10, p_main, rng)
+        return s.occ.tobytes()
+
+    got = experiments.parallel_map(run, range(4), threads=2)
+    assert got == whole(lambda: [run(seed) for seed in range(4)])
+
+
+@pytest.mark.parametrize("chunked", [(1, 4), (2, 4), (3, 12), (3, 1 << 16)],
+                         indirect=True)
+@pytest.mark.parametrize("n,width", [(0, 1), (1, 1), (83 * 83, 1),
+                                     (150, 150), (76, 83), (42, 1 << 20)])
+def test_ranges_tile_the_lines_in_order(chunked, n, width):
+    workers, size = chunked
+    ranges = chunks.run(lambda a, b: (a, b), n, width)
+    assert ranges[0][0] == 0 and ranges[-1][1] == n
+    assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
+    if workers < 2 or n * width <= size:
+        assert ranges == [(0, n)]
+    else:
+        # every chunk starts on a multiple of its line count, so a site
+        # chunk starts on a Philox block of four sites
+        lines = max(1, size // width)
+        assert [a for a, _ in ranges] == list(range(0, n, lines))
+
+
+def test_import_starts_no_thread():
+    code = ("import threading, qcp, qcp.chunks; "
+            "assert threading.active_count() == 1; "
+            "assert qcp.chunks._pool is None")
+    env = dict(os.environ, PYTHONPATH=str(Path(qcp.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_pool_threads_at_most_the_worker_count(dk10, p_main, monkeypatch):
+    # the module's own pool, at its own worker count, given many chunks
+    monkeypatch.setattr(chunks, "CHUNK", 4)
+    rng = LatticeRng(2)
+    s = lattice.init(10, 83, 0.5, rng)
+    lattice.step(s, dk10, p_main, rng)
+    pool = [t for t in threading.enumerate()
+            if t.name.startswith("qcp-chunk")]
+    assert chunks.WORKERS == min(chunks._cores(), 8)
+    assert len(pool) <= chunks.WORKERS
+    assert bool(pool) == (chunks.WORKERS > 1)

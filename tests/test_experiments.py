@@ -14,7 +14,7 @@ from qcp.mean_field import Params, equilibria
 from qcp.rng import LatticeRng, stream
 
 from helpers import (property5_reference, property6_reference,
-                     threshold_estimate)
+                     threshold_estimate, translate_hits_reference)
 
 
 def small_cfg(**kw):
@@ -323,43 +323,72 @@ class TestPointProcessProperties:
             xyt[:, 2] = np.floor(xyt[:, 2])
         elif layout == "cube ends":
             # the first family as property6_check draws it
-            g6 = stream(1, 0, 6)
-            m = int(g6.integers(2, 4))
-            sides = (0.3 + 0.6 * g6.random(m)) * width
-            anchors = g6.random((m, 2)) * (space_side - sides[:, None])
-            t_len = 0.5 + 0.4 * g6.random(m)
-            t_off = g6.random(m) * (1.0 - t_len).clip(min=0.0)
+            _, anchors, t_off, t_len = experiments._cube_family(
+                stream(1, 0, 6), space_side, width)
             lo = t_off + np.arange(max(1, int(horizon) - 1))[:, None]
             ends = np.stack([lo, lo + t_len]).ravel()   # cube k last
-            xyt = np.column_stack([np.tile(anchors, (ends.size // m, 1)),
-                                   ends])[:n]
+            xyt = np.column_stack([
+                np.tile(anchors, (ends.size // len(t_off), 1)), ends])[:n]
         if grid:
             xyt = np.round(xyt * 4.0) / 4.0
         pts = [ErrorPoint((x, y), t, "I", (0, 0), int(t) + 1)
                for x, y, t in xyt]
         assert (property5_check(pts, space_side, horizon, box_width=width)
                 == property5_reference(pts, space_side, horizon, width))
-        # the time ends of the boxes property6_check asks the counter for
-        ends = set()
+        # the cubes and translates of each family property6_check tests
+        families = []
 
-        def counter(points):
-            count = counter_of(points)
+        def translate_hits(rows, cubes, translates):
+            families.append((cubes, translates))
+            return hits_of(rows, cubes, translates)
 
-            def recorded(lo, hi):
-                ends.update((lo[2], hi[2]))
-                return count(lo, hi)
-            return recorded
-
-        counter_of = experiments._counter
+        hits_of = experiments._translate_hits
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "_counter", counter)
+            mp.setattr(experiments, "_translate_hits", translate_hits)
             out6 = property6_check(pts, space_side, horizon, eps=eps,
                                    l_gamma_sq=width)
         assert out6 == property6_reference(pts, space_side, horizon, eps,
                                            width)
         if layout == "cube ends" and n and not grid:
-            # the layout follows property6_check's draws of its first family
-            assert ends.intersection(pt.t for pt in pts)
+            # the layout follows property6_check's draws of its first
+            # family: a point lies on a time end of one of its cubes
+            (_, _, t_off, t_len), translates = families[0]
+            lo = t_off + np.arange(translates, dtype=float)[:, None]
+            first_ends = np.concatenate([lo, lo + t_len]).ravel()
+            assert set(first_ends.tolist()).intersection(pt.t for pt in pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 80),
+           translates=st.integers(1, 40),
+           layout=st.sampled_from(["uniform", "faces", "grid"]),
+           space_side=st.floats(1.0, 6.0), width=st.floats(0.2, 1.0))
+    @example(seed=5, n=80, translates=12, layout="faces", space_side=2.0,
+             width=1.0)
+    def test_translate_hits_equal_box_by_box_count(self, seed, n, translates,
+                                                   layout, space_side,
+                                                   width):
+        # faces puts each point on a face of one cube at one translate,
+        # either end of the time window or either side of the square,
+        # where [lo, hi) is decided; a grid makes points coincide
+        gen = np.random.default_rng(seed)
+        cubes = experiments._cube_family(gen, space_side, width)
+        sides, anchors, t_off, t_len = cubes
+        xyt = gen.random((n, 3)) * [space_side, space_side, translates + 1]
+        if layout == "faces":
+            k = gen.integers(0, len(sides), n)
+            lo = np.column_stack([anchors[k], t_off[k]]) + np.column_stack(
+                [np.zeros((n, 2)), gen.integers(0, translates, n)])
+            hi = lo + np.column_stack([sides[k], sides[k], t_len[k]])
+            xyt = np.where(gen.random((n, 3)) < 0.5, lo, hi)
+        elif layout == "grid":
+            xyt = np.round(xyt * 4.0) / 4.0
+        pts = [ErrorPoint((x, y), t, "I", (0, 0), int(t) + 1)
+               for x, y, t in xyt]
+        rows = experiments._xyt(pts)
+        rows = rows[np.argsort(rows[:, 2], kind="stable")]
+        got = experiments._translate_hits(rows, cubes, translates)
+        assert np.array_equal(
+            got, translate_hits_reference(pts, cubes, translates))
 
 
 class TestSurvivalTable:

@@ -143,13 +143,13 @@ class TestEvolve:
 
     def test_kernel_spectrum_once_per_call(self, dk8, p_main, monkeypatch):
         calls = []
-        rfft2 = np.fft.rfft2
+        rfft2 = ide._rfft2
 
         def spy(a, *args, **kwargs):
             calls.append(a.shape)
             return rfft2(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "rfft2", spy)
+        monkeypatch.setattr(ide, "_rfft2", spy)
         force_fft(monkeypatch)
         u = random_field(seeded(9), n=40)
         for _ in range(2):

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import queue
 import random
 import sys
 import threading
@@ -13,15 +12,15 @@ from hypothesis import strategies as st
 
 from qcp.ide import Field2D
 from qcp.kernel import KernelSpec, discretize
-from qcp.lattice import (BoxStats, LatticeState, _coins, _padded,
+from qcp.lattice import (BoxStats, LatticeState, _flat_steps, _padded,
                          _padded_index, _parents, box_side_sites, box_stats,
                          init, label_step, save_snapshot, step, window_side)
 from qcp.mean_field import Params
 from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
-                     PHASE_OFFSET, LatticeRng)
+                     PHASE_OFFSET, LatticeRng, uniforms)
 
 from helpers import (NBR_DI, NBR_DJ, corner_expectation, corner_step,
-                     coupling_discrepancy, load_snapshot)
+                     coupling_discrepancy, load_snapshot, step_coins)
 
 
 def anchored_step(anchor, s, dk, p, rng):
@@ -214,47 +213,54 @@ class TestCoins:
     @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 2 ** 40),
            side=st.integers(1, 20), order_seed=st.integers(0, 2 ** 32 - 1))
     def test_equal_fresh_streams(self, seed, n, side, order_seed):
-        # the coins of three steps, taken in a random interleaving, each
-        # have the bits of a fresh stream of their (step, phase)
+        # the coins of three steps, over every site and over a random
+        # range of sites, taken in a random interleaving, each have the
+        # bits of those sites of a fresh stream of their (step, phase)
         rng = LatticeRng(seed)
-        times = (n, n + 1, n + 9)
-        coins = {t: _coins(rng, t, side) for t in times}
-        taken = {t: 0 for t in times}
+        sites = side * side
+        gen = np.random.default_rng(order_seed)
         phases = (PHASE_ATTEMPT, PHASE_OFFSET, PHASE_NEIGHBOR, PHASE_DEATH)
-        order = np.random.default_rng(order_seed).permutation(
-            np.repeat(times, len(phases)))
-        for t in order.tolist():
-            want = rng.stream(t, phases[taken[t]]).random((side, side))
-            got = next(coins[t])
-            assert got.shape == (side, side)
+        draws = [(t, ph, whole) for t in (n, n + 1, n + 9) for ph in phases
+                 for whole in (True, False)]
+        for k in gen.permutation(len(draws)).tolist():
+            t, ph, whole = draws[k]
+            a = 0 if whole else 4 * int(gen.integers(0, sites // 4 + 1))
+            b = sites if whole else int(gen.integers(a, sites + 1))
+            want = rng.stream(t, ph).random((side, side)).ravel()[a:b]
+            got = uniforms(seed, t, ph, a, b)
+            assert got.shape == (b - a,)
             assert got.tobytes() == want.tobytes()
-            taken[t] += 1
-        assert all(next(c, None) is None for c in coins.values())
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 2 ** 40),
-           side=st.integers(1, 64))
-    def test_equal_fresh_streams_across_threads(self, seed, n, side):
-        # two threads draw at once, and every coin generator takes its
-        # phases on alternate threads: each array still has the bits of
-        # a fresh stream of its (step, phase)
+           side=st.integers(1, 64), range_seed=st.integers(0, 2 ** 32 - 1))
+    def test_equal_fresh_streams_across_threads(self, seed, n, side,
+                                                range_seed):
+        # two threads draw at once, each a range of every (step, phase)
+        # in turn, and read their draw only after the other thread has
+        # drawn: each has the bits of its sites of a fresh stream
         rng = LatticeRng(seed)
-        times = range(n, n + 6)
+        sites = side * side
+        gen = np.random.default_rng(range_seed)
         phases = (PHASE_ATTEMPT, PHASE_OFFSET, PHASE_NEIGHBOR, PHASE_DEATH)
-        want = {(t, k): rng.stream(t, ph).random((side, side)).tobytes()
-                for t in times for k, ph in enumerate(phases)}
-        inboxes = (queue.Queue(), queue.Queue())
-        for t in times:
-            inboxes[t % 2].put((t, 0, _coins(rng, t, side)))
+        jobs = [[], []]
+        for t in range(n, n + 6):
+            for ph in phases:
+                for me in (0, 1):
+                    a = 4 * int(gen.integers(0, sites // 4 + 1))
+                    b = int(gen.integers(a, sites + 1))
+                    want = rng.stream(t, ph).random(sites)[a:b].tobytes()
+                    jobs[me].append((t, ph, a, b, want))
+        barrier = threading.Barrier(2, timeout=30)
         mismatches, done = [], []
 
         def worker(me):
-            for _ in range(len(times) * len(phases) // 2):
-                t, k, coins = inboxes[me].get(timeout=30)
-                if next(coins).tobytes() != want[t, k]:
-                    mismatches.append((t, k))
-                if k + 1 < len(phases):
-                    inboxes[1 - me].put((t, k + 1, coins))
+            for t, ph, a, b, want in jobs[me]:
+                got = uniforms(seed, t, ph, a, b)
+                barrier.wait()
+                if got.tobytes() != want:
+                    mismatches.append((me, t, ph, a, b))
+                barrier.wait()
             done.append(me)
 
         interval = sys.getswitchinterval()
@@ -271,6 +277,20 @@ class TestCoins:
         assert not any(th.is_alive() for th in threads)
         assert sorted(done) == [0, 1]
         assert mismatches == []
+
+    def test_far_range_equals_advanced_stream(self):
+        # a counter past 2^32 blocks: the ranged draw and init's advanced
+        # stream both start there
+        a = 4 * (2 ** 40 + 3)
+        gen = LatticeRng(5).stream(0, PHASE_INIT)
+        gen.bit_generator.advance(a // 4)
+        assert (uniforms(5, 0, PHASE_INIT, a, a + 9).tobytes()
+                == gen.random(9).tobytes())
+
+    @pytest.mark.parametrize("a,b", [(1, 8), (6, 8), (-4, 8), (8, 4)])
+    def test_range_must_start_on_a_block(self, a, b):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            uniforms(1, 1, PHASE_ATTEMPT, a, b)
 
 
 class TestCoinGenerator:
@@ -330,8 +350,8 @@ class TestParents:
         if anchor == "box_corner":
             b = box_side_sites(L, 0.3)
             i, j = i - i % b, j - j % b
-        y, z = _parents(dk, side, _padded_index(i * side + j, side, dk),
-                        u_off, u_nbr)
+        y, z = _parents(dk, _flat_steps(dk, side),
+                        _padded_index(i * side + j, side, dk), u_off, u_nbr)
         sites = _padded(np.arange(side * side).reshape(side, side), dk)
         off = dk.offsets[dk.sample_indices(u_off)]
         yi, yj = (i + off[:, 0]) % side, (j + off[:, 1]) % side
@@ -369,7 +389,7 @@ class TestGoldenTrajectories:
 def full_site_label_step(B, time, dk, eta, rng):
     """label_step with parents drawn at every site and wrapped by %."""
     side = B.shape[0]
-    u_att, u_off, u_nbr, u_die = _coins(rng, time + 1, side)
+    u_att, u_off, u_nbr, u_die = step_coins(rng, time + 1, side)
     ii, jj = np.indices((side, side)).reshape(2, -1)
     idx = dk.sample_indices(u_off.ravel())
     yi = (ii + dk.offsets[idx, 0]) % side
@@ -433,7 +453,7 @@ class TestStepReport:
         rng = LatticeRng(seed)
         for _ in range(steps):
             s1, rep = anchored_step(anchor, s, dk, Params(beta, eta), rng)
-            u_att = next(_coins(rng, s.time + 1, side))
+            u_att = step_coins(rng, s.time + 1, side)[0]
             vacant = s.occ == 0
             assert rep.births_attempted == int(np.sum(vacant & (u_att < beta)))
             assert 0 <= rep.births <= rep.births_attempted
@@ -480,7 +500,8 @@ class TestLabelStep:
         choices = [np.full((side, side), -np.inf),
                    np.full((side, side), np.inf),
                    gen.random((side, side)), np.zeros((side, side)),
-                   np.ones((side, side)), next(_coins(rng, time + 1, side))]
+                   np.ones((side, side)),
+                   step_coins(rng, time + 1, side)[0]]
         B = np.choose(kind, choices)
         for n in range(time, time + steps):
             want = full_site_label_step(B, n, dk, eta, rng)
