@@ -84,43 +84,40 @@ class Field2D:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _node_shifts(dk: DiscreteKernel, h: float) -> np.ndarray:
-    """Kernel offsets as whole node steps; rejects incompatible grids."""
+def _node_shifts(dk: DiscreteKernel, h: float):
+    """Kernel offsets as whole node steps (dk.offsets itself at one node
+    per lattice step) and their largest |coordinate|; rejects
+    incompatible grids."""
     ratio = 1.0 / (dk.L * h)
     r = round(ratio)
     if r < 1 or abs(ratio - r) > 1e-9:
         raise ValueError(
             f"kernel spacing 1/{dk.L} incompatible with grid spacing {h}")
-    return dk.offsets * r
+    return (dk.offsets if r == 1 else dk.offsets * r), dk.reach * r
 
 
-def convolve_sq(u: Field2D, dk: DiscreteKernel) -> np.ndarray:
-    """k * u^2 on u's grid under u's boundary mode.
-
-    The kernel is even, so the correlation computed here equals the
-    convolution.  Supports up to _FFT_SUPPORT_THRESHOLD offsets are
-    summed directly, in a fixed order per node (so shifts commute with
-    it bit for bit); larger ones go through FFTs, within 1e-12 of that.
-    """
-    shifts = _node_shifts(dk, u.h)
-    fft = len(shifts) > _FFT_SUPPORT_THRESHOLD
+def _padded_correlate_sq(u: Field2D, shifts, radius: int,
+                         masses) -> np.ndarray:
+    """k * u^2 on u's grid under u's boundary mode, read from a copy of
+    u^2 padded by the kernel radius: summed directly for supports up to
+    _FFT_SUPPORT_THRESHOLD offsets, in a fixed order per node (so shifts
+    commute with it bit for bit), else by FFTs on the padded torus,
+    within 1e-12 of that.  The kernel is even, so this correlation
+    equals the convolution."""
     usq = u.values * u.values
-    if fft and u.boundary == "periodic":
-        return periodic_correlate(usq, shifts, dk.masses)
-    radius = int(np.max(np.abs(shifts))) if len(shifts) else 0
     if u.boundary == "periodic":
         padded = np.pad(usq, radius, mode="wrap")
     else:
         fill = u.clamp_value * u.clamp_value
         padded = np.pad(usq, radius, mode="constant", constant_values=fill)
     nx, ny = usq.shape
-    if fft:
+    if len(shifts) > _FFT_SUPPORT_THRESHOLD:
         # a node of the window reads the padded grid within the kernel
         # radius, which stays inside it: no read wraps around the torus
-        return periodic_correlate(padded, shifts, dk.masses)[
+        return periodic_correlate(padded, shifts, masses)[
             radius:radius + nx, radius:radius + ny]
     acc = np.zeros_like(usq)
-    for (di, dj), m in zip(shifts, dk.masses):
+    for (di, dj), m in zip(shifts, masses):
         acc += m * padded[radius + di:radius + di + nx,
                           radius + dj:radius + dj + ny]
     return acc
@@ -130,48 +127,57 @@ def periodic_correlate(a: np.ndarray, shifts: np.ndarray,
                        masses: np.ndarray) -> np.ndarray:
     """sum_w masses(w) a(x + w) over the integer shifts w, on the torus
     of a's shape, by FFT (the kernel is even, so this is also the
-    convolution).  Within one evolve call the kernel's spectrum is
-    computed at the first step only.
+    convolution): the bits of ``irfft2(rfft2(a) * rfft2(kernel),
+    a.shape)``, through the banded passes of _rfft2 that the periodic
+    operator step runs too.  Within one evolve call the kernel's
+    spectrum is computed at the first step only."""
+    radius = max(-int(shifts.min(initial=0)), int(shifts.max(initial=0)))
+    return _rfft2(a, _spectrum(shifts, masses, a.shape, radius))
 
-    The bits are those of ``irfft2(rfft2(a) * rfft2(kernel), a.shape)``:
-    each 2D transform is its 1D passes, run in bands of rows (the real
-    transforms, on axis 1) and of columns (the complex ones, on axis 0)
-    across the cores (see chunks), each written in place into one half
-    spectrum."""
-    nx, ny = a.shape
-    radius = int(np.max(np.abs(shifts))) if len(shifts) else 0
+
+def _spectrum(shifts, masses, shape, radius: int) -> np.ndarray:
+    """The kernel's half spectrum on the torus of this shape; inside an
+    evolve call, the one its first step computed.  The kernel grid
+    lives only in here, so it is gone before a field's arrays exist."""
+    nx, ny = shape
     if 2 * radius + 1 > min(nx, ny):
         raise ValueError("kernel support exceeds periodic window")
     memo = _evolve_spectrum.get()
     if memo:
-        spectrum = memo[0]
-    else:
-        kern = np.zeros_like(a)
-        np.add.at(kern, (shifts[:, 0] % nx, shifts[:, 1] % ny), masses)
-        spectrum = _rfft2(kern)
-        if memo is not None:
-            memo.append(spectrum)
-    half = _rfft2(a, spectrum)
-    out = np.empty((nx, ny))
-
-    def rows(i, j):
-        np.fft.irfft(half[i:j], n=ny, axis=1, out=out[i:j])
-
-    chunks.run(rows, nx, ny)
-    return out
+        return memo[0]
+    kern = np.zeros(shape)
+    # the offsets are distinct and fit the window, so they wrap to
+    # distinct nodes: each is written once, and 0.0 + m is m
+    kern[shifts[:, 0] % nx, shifts[:, 1] % ny] = masses
+    spectrum = _rfft2(kern)
+    if memo is not None:
+        memo.append(spectrum)
+    return spectrum
 
 
-def _rfft2(a: np.ndarray, spectrum=None) -> np.ndarray:
-    """``rfft2(a)``, bit for bit, by bands of rows and then of columns.
-    Given a kernel ``spectrum``, each column band is then multiplied by
-    it and taken back through the inverse complex pass, the first pass
-    of ``irfft2``: what is left of the correlation is the real inverse
-    pass over the rows."""
+def _rfft2(a: np.ndarray, spectrum=None, p: Params | None = None,
+           out=None) -> np.ndarray:
+    """Up to three passes over one half spectrum, in bands across the
+    cores (see chunks), with numpy's bits for the whole grid:
+
+    1. bands of rows: ``rfft`` of a's rows (of a * a, given p);
+    2. bands of columns: ``fft``; given a kernel ``spectrum``, each band
+       is then multiplied by it and taken back through ``ifft``;
+    3. given a spectrum, bands of rows: ``irfft``, which leaves the
+       correlation ``irfft2(rfft2(a) * spectrum)``, written into ``out``
+       (a new grid if None); given p, the band instead goes through
+       ``_image`` at a's rows, so out gets one periodic operator step.
+
+    Returns the half spectrum ``rfft2(a)`` without a spectrum, else
+    out.  Pass 1 reads every row of a before pass 3 writes any, so out
+    may be a itself.  The buffers made on the workers are band-sized."""
     nx, ny = a.shape
     half = np.empty((nx, ny // 2 + 1), complex)
 
-    def rows(i, j):
-        np.fft.rfft(a[i:j], axis=1, out=half[i:j])
+    def rows_in(i, j):
+        band = a[i:j]
+        np.fft.rfft(band if p is None else band * band, axis=1,
+                    out=half[i:j])
 
     def columns(i, j):
         band = half[:, i:j]
@@ -180,20 +186,51 @@ def _rfft2(a: np.ndarray, spectrum=None) -> np.ndarray:
             band *= spectrum[:, i:j]
             np.fft.ifft(band, axis=0, out=band)
 
-    chunks.run(rows, nx, ny)
+    def rows_out(i, j):
+        if p is None:
+            np.fft.irfft(half[i:j], n=ny, axis=1, out=out[i:j])
+        else:
+            _image(a[i:j], np.fft.irfft(half[i:j], n=ny, axis=1), p,
+                   out=out[i:j])
+
+    chunks.run(rows_in, nx, ny)
     chunks.run(columns, half.shape[1], nx)
-    return half
+    if spectrum is None:
+        return half
+    if out is None:
+        out = np.empty((nx, ny))
+    chunks.run(rows_out, nx, ny)
+    return out
 
 
-def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params) -> Field2D:
-    """One operator step; output values stay in [0, 1 - eta] for beta <= 1."""
-    vals = _image(u.values, convolve_sq(u, dk), p)
+def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params,
+               out=None) -> Field2D:
+    """One operator step; output values stay in [0, 1 - eta] for beta <= 1.
+    The values are written into ``out`` if given, which may be u.values.
+
+    On the torus a support of more than _FFT_SUPPORT_THRESHOLD offsets
+    goes through _rfft2's three banded passes, which square u in the
+    first and take the image in the last, so no full-grid temporary is
+    made; otherwise through _padded_correlate_sq, then _image."""
+    shifts, radius = _node_shifts(dk, u.h)
+    if len(shifts) > _FFT_SUPPORT_THRESHOLD and u.boundary == "periodic":
+        vals = _rfft2(u.values, _spectrum(shifts, dk.masses, u.values.shape,
+                                          radius), p, out)
+    else:
+        vals = _image(u.values,
+                      _padded_correlate_sq(u, shifts, radius, dk.masses),
+                      p, out)
     return Field2D(u.x0, u.y0, u.h, vals, u.boundary, u.clamp_value)
 
 
 def evolve(u: Field2D, dk: DiscreteKernel, p: Params, n: int, taps=None):
     """Iterate the operator n times, returning the fields at ``taps``
-    (default: just the final time)."""
+    (default: just the final time).
+
+    Every step of one call reuses the kernel spectrum of the first.  A
+    step writes over the field before it when that field is neither u
+    nor a returned tap, so u's values are never written, and a run
+    holds u, the taps and one field in progress."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     taps = [n] if taps is None else sorted(set(int(t) for t in taps))
@@ -204,10 +241,12 @@ def evolve(u: Field2D, dk: DiscreteKernel, p: Params, n: int, taps=None):
     token = _evolve_spectrum.set([])
     try:
         for t in range(n + 1):
-            if t in taps:
+            kept = t in taps
+            if kept:
                 out.append(cur.copy() if cur is u else cur)
             if t < n:
-                cur = apply_Q_2d(cur, dk, p)
+                cur = apply_Q_2d(cur, dk, p, out=None if kept or cur is u
+                                 else cur.values)
     finally:
         _evolve_spectrum.reset(token)
     return out
@@ -277,11 +316,13 @@ def _image(values, conv, p: Params, out=None):
     """The operator's image (1 - eta) (f + beta (1 - f) conv) at the
     points ``values`` of f, with conv = k * f^2 there (in 1D, the
     correlation with the bitwise even masses), written into ``out`` if
-    given.  Pointwise and in a fixed order of operations, so a slice of
-    the inputs gives the bits of the full arrays."""
-    vals = np.subtract(1.0, values, out=out)
-    vals *= p.beta
-    vals *= conv
-    vals += values
-    vals *= 1.0 - p.eta
-    return vals
+    given, which may be ``values`` itself; conv is overwritten.
+    Pointwise and in a fixed order of operations, so a slice of the
+    inputs gives the bits of the full arrays."""
+    # (1 - f) beta is formed in out, unless out holds f, read again below
+    shared = out is None or np.may_share_memory(out, values)
+    gain = np.subtract(1.0, values, out=None if shared else out)
+    gain *= p.beta
+    conv *= gain            # ((1 - f) beta) conv: IEEE products commute
+    conv += values
+    return np.multiply(conv, 1.0 - p.eta, out=conv if out is None else out)

@@ -150,7 +150,9 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     """One synchronous update; deterministic given (seed, time).
 
     Coins are drawn for every site regardless of occupancy so that
-    coupled runs stay coupled.  The update runs in flat site chunks
+    coupled runs stay coupled; at beta = 1 the attempt coins are not
+    drawn, as every coin lies below it (each phase has its own counter,
+    so the other coins do not move).  The update runs in flat site chunks
     (see chunks): each chunk draws its own sites' four coin ranges
     (see rng.uniforms), reads its parents from one padded copy of the
     old occupancy and writes its own slice of the new one, and the
@@ -167,9 +169,11 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     new = np.empty(side * side, bool)
 
     def chunk(a, b):
-        # vacant, coin < beta
-        f = np.flatnonzero((coins(_rng.PHASE_ATTEMPT, a, b) < p.beta)
-                           > occ[a:b])
+        # vacant, coin < beta (every coin in [0, 1) is below beta = 1)
+        f = ~occ[a:b]
+        if p.beta < 1.0:
+            f &= coins(_rng.PHASE_ATTEMPT, a, b) < p.beta
+        f = np.flatnonzero(f)
         y, z = _parents(dk, steps, _padded_index(f + a, side, dk),
                         coins(_rng.PHASE_OFFSET, a, b)[f],
                         coins(_rng.PHASE_NEIGHBOR, a, b)[f])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,46 @@ def test_evolve_reuses_the_chunked_spectrum(chunked, dk10, p_main,
     want = whole(ide.evolve, u, dk10, p_main, 3, range(4))
     for g, w in zip(got, want):
         assert g.values.tobytes() == w.values.tobytes()
+
+
+@pytest.mark.parametrize("chunked", CHUNKINGS, indirect=True, ids=IDS)
+@pytest.mark.parametrize("taps", [None, [0, 2, 5]])
+@pytest.mark.parametrize("threshold", [0, 10 ** 9], ids=["fft", "direct"])
+def test_evolve_in_place_keeps_inputs_and_taps(chunked, taps, threshold,
+                                              dk10, p_main, monkeypatch):
+    # steps between the taps overwrite the field before them; the
+    # caller's field and every returned tap keep the apply_Q_2d chain
+    monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", threshold)
+    u = Field2D(0.0, 0.0, 0.1, np.random.default_rng(4).random((83, 83)))
+    before = u.values.tobytes()
+    got = ide.evolve(u, dk10, p_main, 5, taps=taps)
+    assert u.values.tobytes() == before
+    chain = [u]
+    for _ in range(5):
+        chain.append(ide.apply_Q_2d(chain[-1], dk10, p_main))
+    want = [chain[t] for t in ([5] if taps is None else taps)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.values.tobytes() == w.values.tobytes()
+    assert len({id(g.values) for g in got} | {id(u.values)}) == len(got) + 1
+
+
+@pytest.mark.parametrize("chunked", [(2, 1 << 12)], indirect=True)
+def test_evolve_holds_at_most_four_grids(chunked, dk8, p_main, monkeypatch):
+    # the field in progress, its half spectrum and the kernel's: three
+    # grids above the input (3.2 measured at 512^2), plus band buffers
+    # of about CHUNK sites per worker
+    monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
+    n = 512
+    u = Field2D(0.0, 0.0, 1 / 8, np.random.default_rng(5).random((n, n)))
+    ide.evolve(u, dk8, p_main, 1)     # starts the pool outside the trace
+    tracemalloc.start()
+    try:
+        ide.evolve(u, dk8, p_main, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 8
 
 
 @pytest.mark.parametrize("chunked", [(2, 12)], indirect=True)

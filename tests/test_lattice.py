@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcp.ide import Field2D
@@ -445,6 +445,9 @@ class TestStepReport:
            seed=st.integers(0, 2 ** 63 - 1), time=st.integers(0, 10 ** 6),
            beta=st.floats(0.0, 1.0), eta=st.floats(0.0, 1.0),
            steps=st.integers(1, 3))
+    # at beta = 1 the step draws no attempt coins: every coin is below it
+    @example(side=12, L=2, anchor="site", occ_seed=3, density=0.5, seed=7,
+             time=0, beta=1.0, eta=0.1, steps=3)
     def test_counters(self, square_spec, side, L, anchor, occ_seed, density,
                       seed, time, beta, eta, steps):
         dk = discretize(square_spec, L)
@@ -472,6 +475,8 @@ class TestLabelStep:
            density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 63 - 1),
            time=st.integers(0, 10 ** 6), beta=st.floats(0.0, 1.0),
            eta=st.floats(0.0, 1.0), steps=st.integers(1, 4))
+    @example(side=12, L=2, occ_seed=3, density=0.5, seed=7, time=0,
+             beta=1.0, eta=0.1, steps=4)
     def test_threshold_equals_step(self, square_spec, side, L, occ_seed,
                                    density, seed, time, beta, eta, steps):
         dk = discretize(square_spec, L)
