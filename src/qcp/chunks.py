@@ -6,11 +6,12 @@ its output.  A chunk reads nothing another chunk of the pass writes,
 and computes each site in a fixed order, so the result does not depend
 on how the lines are cut: the chunks are a schedule, not a parameter.
 
-With at least two workers and more than CHUNK sites, the lines are cut
-into chunks of about CHUNK sites each and run on one module-level
-thread pool, created at the first such pass.  Otherwise one chunk
-covers every line and runs inline.  Philox draws, the numpy ufuncs,
-``take`` and pocketfft release the GIL, so the chunks run in parallel.
+The lines are cut into chunks of about CHUNK sites each, the same way
+at every worker count.  With two or more workers the chunks run on one
+module-level thread pool, created at the first pass of more than one
+chunk; with one they run inline, in order.  Philox draws, the numpy
+ufuncs, ``take`` and pocketfft release the GIL, so the chunks run in
+parallel.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ if hasattr(os, "register_at_fork"):
 
 def run(body, n: int, width: int = 1) -> list:
     """``[body(a, b), ...]`` over ranges [a, b) that tile range(n) in
-    order, each of about CHUNK sites at ``width`` sites per line: on the
-    pool when it has two or more workers and the grid holds more than
-    CHUNK sites, else one inline ``body(0, n)``.  A body must not call
+    order, each of about CHUNK sites at ``width`` sites per line (one
+    ``body(0, n)`` when the grid holds at most CHUNK sites): on the pool
+    when it has two or more workers, else inline.  A body must not call
     run itself: the pool's threads would wait on their own queue."""
-    if WORKERS < 2 or n * width <= CHUNK:
-        return [body(0, n)]
     lines = max(1, CHUNK // width)
-    starts = range(0, n, lines)
-    return list(_executor().map(body, starts,
-                                [min(a + lines, n) for a in starts]))
+    starts = range(0, max(n, 1), lines)
+    ends = [min(a + lines, n) for a in starts]
+    inline = WORKERS < 2 or len(ends) < 2
+    return list((map if inline else _executor().map)(body, starts, ends))

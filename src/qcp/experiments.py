@@ -314,10 +314,23 @@ def _counter(points):
 
 def _critical(trials: int, prob: float) -> int:
     """Largest count of hits, in trials with chance prob each, that the
-    one-sided binomial test at level _LEVEL does not reject."""
-    # imported here: it costs about 1.4 s and most runs never need it
-    from scipy.stats import binom
-    return int(binom.ppf(1.0 - _LEVEL, trials, prob))
+    one-sided binomial test at level _LEVEL does not reject: the least k
+    with P(X <= k) >= 1 - _LEVEL, exactly for the float prob.  In
+    integers: with prob = a / d, d^trials P(X = k) is the term
+    C(trials, k) a^k (d - a)^(trials - k)."""
+    if not 0.0 < prob < 1.0:
+        return 0 if prob <= 0.0 else trials
+    a, d = prob.as_integer_ratio()
+    qa, qd = (1.0 - _LEVEL).as_integer_ratio()
+    # the least integer at or above (1 - _LEVEL) d^trials
+    goal, term, total = -(-qa * d ** trials // qd), (d - a) ** trials, 0
+    for k in range(trials):
+        total += term
+        if total >= goal:
+            return k
+        # the next term; the division is exact
+        term = term * ((trials - k) * a) // ((k + 1) * (d - a))
+    return trials
 
 
 def property5_check(points, space_side: float, horizon: float,

@@ -96,43 +96,27 @@ def _node_shifts(dk: DiscreteKernel, h: float):
     return (dk.offsets if r == 1 else dk.offsets * r), dk.reach * r
 
 
+def _padded(u: Field2D, radius: int) -> np.ndarray:
+    """u's values padded by the kernel radius under u's boundary mode."""
+    if u.boundary == "periodic":
+        return np.pad(u.values, radius, mode="wrap")
+    return np.pad(u.values, radius, constant_values=u.clamp_value)
+
+
 def _padded_correlate_sq(u: Field2D, shifts, radius: int,
                          masses) -> np.ndarray:
-    """k * u^2 on u's grid under u's boundary mode, read from a copy of
-    u^2 padded by the kernel radius: summed directly for supports up to
-    _FFT_SUPPORT_THRESHOLD offsets, in a fixed order per node (so shifts
-    commute with it bit for bit), else by FFTs on the padded torus,
-    within 1e-12 of that.  The kernel is even, so this correlation
-    equals the convolution."""
-    usq = u.values * u.values
-    if u.boundary == "periodic":
-        padded = np.pad(usq, radius, mode="wrap")
-    else:
-        fill = u.clamp_value * u.clamp_value
-        padded = np.pad(usq, radius, mode="constant", constant_values=fill)
-    nx, ny = usq.shape
-    if len(shifts) > _FFT_SUPPORT_THRESHOLD:
-        # a node of the window reads the padded grid within the kernel
-        # radius, which stays inside it: no read wraps around the torus
-        return periodic_correlate(padded, shifts, masses)[
-            radius:radius + nx, radius:radius + ny]
-    acc = np.zeros_like(usq)
+    """k * u^2 on u's grid under u's boundary mode, summed directly over
+    the shifts from the square of _padded, in a fixed order per node (so
+    shifts commute with it bit for bit).  The kernel is even, so this
+    correlation equals the convolution."""
+    padded = _padded(u, radius)
+    padded *= padded
+    nx, ny = u.values.shape
+    acc = np.zeros((nx, ny))
     for (di, dj), m in zip(shifts, masses):
         acc += m * padded[radius + di:radius + di + nx,
                           radius + dj:radius + dj + ny]
     return acc
-
-
-def periodic_correlate(a: np.ndarray, shifts: np.ndarray,
-                       masses: np.ndarray) -> np.ndarray:
-    """sum_w masses(w) a(x + w) over the integer shifts w, on the torus
-    of a's shape, by FFT (the kernel is even, so this is also the
-    convolution): the bits of ``irfft2(rfft2(a) * rfft2(kernel),
-    a.shape)``, through the banded passes of _rfft2 that the periodic
-    operator step runs too.  Within one evolve call the kernel's
-    spectrum is computed at the first step only."""
-    radius = max(-int(shifts.min(initial=0)), int(shifts.max(initial=0)))
-    return _rfft2(a, _spectrum(shifts, masses, a.shape, radius))
 
 
 def _spectrum(shifts, masses, shape, radius: int) -> np.ndarray:
@@ -156,21 +140,22 @@ def _spectrum(shifts, masses, shape, radius: int) -> np.ndarray:
 
 
 def _rfft2(a: np.ndarray, spectrum=None, p: Params | None = None,
-           out=None) -> np.ndarray:
-    """Up to three passes over one half spectrum, in bands across the
-    cores (see chunks), with numpy's bits for the whole grid:
+           out=None, crop: int = 0) -> np.ndarray:
+    """The half spectrum ``rfft2(a)``; given a kernel ``spectrum`` and
+    p, one operator step on the torus of a's shape instead.  Three
+    passes in bands across the cores (see chunks), with numpy's bits for
+    the whole grid:
 
     1. bands of rows: ``rfft`` of a's rows (of a * a, given p);
-    2. bands of columns: ``fft``; given a kernel ``spectrum``, each band
-       is then multiplied by it and taken back through ``ifft``;
+    2. bands of columns: ``fft``; given a spectrum, each band is then
+       multiplied by it and taken back through ``ifft``;
     3. given a spectrum, bands of rows: ``irfft``, which leaves the
-       correlation ``irfft2(rfft2(a) * spectrum)``, written into ``out``
-       (a new grid if None); given p, the band instead goes through
-       ``_image`` at a's rows, so out gets one periodic operator step.
+       correlation ``irfft2(rfft2(a * a) * spectrum)``, cropped by
+       ``crop`` nodes at every edge, then ``_image`` at the same nodes
+       of a, written into ``out`` (a new grid if None).
 
-    Returns the half spectrum ``rfft2(a)`` without a spectrum, else
-    out.  Pass 1 reads every row of a before pass 3 writes any, so out
-    may be a itself.  The buffers made on the workers are band-sized."""
+    Pass 1 reads every row of a before pass 3 writes any, so out may be
+    a itself.  The buffers made in the bands are band-sized."""
     nx, ny = a.shape
     half = np.empty((nx, ny // 2 + 1), complex)
 
@@ -187,19 +172,17 @@ def _rfft2(a: np.ndarray, spectrum=None, p: Params | None = None,
             np.fft.ifft(band, axis=0, out=band)
 
     def rows_out(i, j):
-        if p is None:
-            np.fft.irfft(half[i:j], n=ny, axis=1, out=out[i:j])
-        else:
-            _image(a[i:j], np.fft.irfft(half[i:j], n=ny, axis=1), p,
-                   out=out[i:j])
+        rows = slice(i + crop, j + crop)
+        conv = np.fft.irfft(half[rows], n=ny, axis=1)[:, crop:ny - crop]
+        _image(a[rows, crop:ny - crop], conv, p, out=out[i:j])
 
     chunks.run(rows_in, nx, ny)
     chunks.run(columns, half.shape[1], nx)
     if spectrum is None:
         return half
     if out is None:
-        out = np.empty((nx, ny))
-    chunks.run(rows_out, nx, ny)
+        out = np.empty((nx - 2 * crop, ny - 2 * crop))
+    chunks.run(rows_out, nx - 2 * crop, ny)
     return out
 
 
@@ -208,18 +191,22 @@ def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params,
     """One operator step; output values stay in [0, 1 - eta] for beta <= 1.
     The values are written into ``out`` if given, which may be u.values.
 
-    On the torus a support of more than _FFT_SUPPORT_THRESHOLD offsets
-    goes through _rfft2's three banded passes, which square u in the
-    first and take the image in the last, so no full-grid temporary is
-    made; otherwise through _padded_correlate_sq, then _image."""
+    A support of more than _FFT_SUPPORT_THRESHOLD offsets goes through
+    _rfft2's three banded passes, which square the field in the first
+    and take the image in the last, so no full-grid temporary is made:
+    on the torus of the window, or, clamped, on the window padded by
+    the kernel radius with clamp_value, where a node of the window reads
+    within the radius and so no read wraps around.  A smaller support
+    goes through _padded_correlate_sq, then _image."""
     shifts, radius = _node_shifts(dk, u.h)
-    if len(shifts) > _FFT_SUPPORT_THRESHOLD and u.boundary == "periodic":
-        vals = _rfft2(u.values, _spectrum(shifts, dk.masses, u.values.shape,
-                                          radius), p, out)
+    if len(shifts) <= _FFT_SUPPORT_THRESHOLD:
+        conv = _padded_correlate_sq(u, shifts, radius, dk.masses)
+        vals = _image(u.values, conv, p, out)
     else:
-        vals = _image(u.values,
-                      _padded_correlate_sq(u, shifts, radius, dk.masses),
-                      p, out)
+        crop = 0 if u.boundary == "periodic" else radius
+        a = u.values if crop == 0 else _padded(u, crop)
+        vals = _rfft2(a, _spectrum(shifts, dk.masses, a.shape, radius), p,
+                      out, crop)
     return Field2D(u.x0, u.y0, u.h, vals, u.boundary, u.clamp_value)
 
 

@@ -157,9 +157,8 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     (see rng.uniforms), reads its parents from one padded copy of the
     old occupancy and writes its own slice of the new one, and the
     counters are summed over the chunks.  So neither the occupancy nor
-    the counters depend on the chunks.  With two or more workers no
-    full-lattice coin array is made; with one, the single chunk draws
-    every site's coins into its thread's buffer.
+    the counters depend on the chunks, and no full-lattice coin array is
+    made.
     """
     side, n = s.side, s.time + 1
     coins = functools.partial(_rng.uniforms, rng.seed, n)

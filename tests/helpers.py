@@ -20,7 +20,7 @@ from qcp.comparison import (ErrorPoint, ProfileCache, RegionSet,
                             _corner_coords, _edge_coords, _rect_in_union,
                             _recovery_demand, _rects_meet)
 from qcp.experiments import _LEVEL, _PROP5_PROBES, _PROP6_FAMILIES
-from qcp.ide import Field2D, Profile1D, apply_Q_1d, periodic_correlate
+from qcp.ide import Field2D, Profile1D, apply_Q_1d
 from qcp.kernel import marginal_1d
 from qcp.lattice import LatticeState, box_side_sites, box_stats
 from qcp.mean_field import equilibria
@@ -93,7 +93,10 @@ def corner_expectation(s, dk, p, gamma) -> np.ndarray:
     occf = s.occ.astype(float)
     q = occf * 0.25 * (np.roll(occf, -1, 0) + np.roll(occf, 1, 0)
                        + np.roll(occf, -1, 1) + np.roll(occf, 1, 1))
-    k = periodic_correlate(q, dk.offsets, dk.masses)
+    kern = np.zeros(q.shape)
+    np.add.at(kern, (dk.offsets[:, 0] % s.side, dk.offsets[:, 1] % s.side),
+              dk.masses)
+    k = np.fft.irfft2(np.fft.rfft2(q) * np.fft.rfft2(kern), s=q.shape)
     kcorners = k[0:trim:stats.b, 0:trim:stats.b]
     return (1.0 - p.eta) * (dens0 + p.beta * (1.0 - dens0) * kcorners)
 

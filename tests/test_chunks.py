@@ -18,7 +18,8 @@ from qcp.kernel import discretize
 from qcp.mean_field import Params
 from qcp.rng import LatticeRng
 
-# (workers, sites per chunk): 1 worker always runs one inline chunk
+# (workers, sites per chunk): every worker count cuts the same chunks,
+# which 1 worker runs inline and in order
 CHUNKINGS = [(w, c) for w in (1, 2, 3) for c in (4, 12, 1 << 16)]
 IDS = [f"{w}workers-chunk{c}" for w, c in CHUNKINGS]
 # 83 is not a multiple of 4, so chunks of 12 sites cross rows; 150^2
@@ -40,9 +41,11 @@ def chunked(monkeypatch, request):
 
 
 def whole(fn, *args):
-    """fn(*args) with one worker: every pass is one inline chunk."""
+    """fn(*args) with one worker and chunks larger than any grid: every
+    pass is one inline chunk."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chunks, "WORKERS", 1)
+        mp.setattr(chunks, "CHUNK", 1 << 62)
         return fn(*args)
 
 
@@ -90,15 +93,30 @@ class TestLatticeBits:
 
 @pytest.mark.parametrize("chunked", CHUNKINGS, indirect=True, ids=IDS)
 @pytest.mark.parametrize("shape", [(83, 83), (150, 150), (83, 150)])
-def test_periodic_correlate_equals_numpy_fft(chunked, shape, dk10):
-    a = np.random.default_rng(sum(shape)).random(shape)
-    shifts = dk10.offsets
-    kern = np.zeros(shape)
-    np.add.at(kern, (shifts[:, 0] % shape[0], shifts[:, 1] % shape[1]),
-              dk10.masses)
-    want = np.fft.irfft2(np.fft.rfft2(a) * np.fft.rfft2(kern), s=shape)
-    got = ide.periodic_correlate(a, shifts, dk10.masses)
-    assert got.tobytes() == want.tobytes()
+def test_periodic_correlate_equals_numpy_fft(chunked, shape, dk10, p_main,
+                                             monkeypatch):
+    # apply_Q_2d's FFT path, on the field's torus or, clamped, on the
+    # field padded by the kernel radius with the clamp value: numpy's
+    # whole-grid periodic correlation of the square, cropped to the
+    # window, then the image
+    monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
+    vals = np.random.default_rng(sum(shape)).random(shape)
+    for clamp in (None, 0.0, 0.3):
+        if clamp is None:
+            u, r, padded = Field2D(0.0, 0.0, 0.1, vals), 0, vals
+        else:
+            u = Field2D(0.0, 0.0, 0.1, vals, "clamped", clamp)
+            r = dk10.reach
+            padded = np.pad(vals, r, constant_values=clamp)
+        nx, ny = padded.shape
+        kern = np.zeros(padded.shape)
+        np.add.at(kern, (dk10.offsets[:, 0] % nx, dk10.offsets[:, 1] % ny),
+                  dk10.masses)
+        conv = np.fft.irfft2(np.fft.rfft2(padded * padded)
+                             * np.fft.rfft2(kern), s=padded.shape)
+        want = ide._image(vals, conv[r:nx - r, r:ny - r], p_main)
+        got = ide.apply_Q_2d(u, dk10, p_main)
+        assert got.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("chunked", [(3, 12)], indirect=True)
@@ -134,7 +152,8 @@ def test_evolve_in_place_keeps_inputs_and_taps(chunked, taps, threshold,
     assert len({id(g.values) for g in got} | {id(u.values)}) == len(got) + 1
 
 
-@pytest.mark.parametrize("chunked", [(2, 1 << 12)], indirect=True)
+@pytest.mark.parametrize("chunked", [(2, 1 << 12), (1, 1 << 12)],
+                         indirect=True)
 def test_evolve_holds_at_most_four_grids(chunked, dk8, p_main, monkeypatch):
     # the field in progress, its half spectrum and the kernel's: three
     # grids above the input (3.2 measured at 512^2), plus band buffers
@@ -150,6 +169,23 @@ def test_evolve_holds_at_most_four_grids(chunked, dk8, p_main, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * n * n * 8
+
+
+@pytest.mark.parametrize("chunked", [(1, 1 << 12)], indirect=True)
+def test_one_worker_step_makes_no_lattice_of_coins(chunked, dk10, p_main):
+    # the padded copy, the new occupancy and the old one as bools: about
+    # 3 B per site, plus coins and parents of one chunk at a time
+    side = 256
+    rng = LatticeRng(6)
+    s = lattice.init(10, side, 0.4, rng)
+    lattice.step(s, dk10, p_main, rng)    # sizes the thread's coin buffer
+    tracemalloc.start()
+    try:
+        lattice.step(s, dk10, p_main, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < side * side * 8
 
 
 @pytest.mark.parametrize("chunked", [(2, 12)], indirect=True)
@@ -171,12 +207,17 @@ def test_seed_threads_share_the_pool(chunked, dk10, p_main):
                          indirect=True)
 @pytest.mark.parametrize("n,width", [(0, 1), (1, 1), (83 * 83, 1),
                                      (150, 150), (76, 83), (42, 1 << 20)])
-def test_ranges_tile_the_lines_in_order(chunked, n, width):
-    workers, size = chunked
+def test_ranges_tile_the_lines_in_order(chunked, n, width, monkeypatch):
+    # the layout depends on the chunk size only: the pool's workers cut
+    # the lines as one worker does inline
+    _, size = chunked
     ranges = chunks.run(lambda a, b: (a, b), n, width)
+    with monkeypatch.context() as mp:
+        mp.setattr(chunks, "WORKERS", 1)
+        assert chunks.run(lambda a, b: (a, b), n, width) == ranges
     assert ranges[0][0] == 0 and ranges[-1][1] == n
     assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
-    if workers < 2 or n * width <= size:
+    if n * width <= size:
         assert ranges == [(0, n)]
     else:
         # every chunk starts on a multiple of its line count, so a site

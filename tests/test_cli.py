@@ -344,11 +344,25 @@ class TestReproducibility:
         assert outs[0] == outs[1]
 
 
-# Runs in a fresh interpreter: this test session has imported scipy already.
+# Runs in a fresh interpreter where importing scipy raises: this test
+# session has imported scipy already, and scipy is no runtime dependency.
 _COLD_START = """
 import json, sys
+from importlib.abc import MetaPathFinder
+
+
+class NoScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not installed")
+
+
+sys.meta_path.insert(0, NoScipy())
 import qcp, qcp.cli
 out = sys.argv[1]
+with open(f"{out}/tiny.json", "w") as fh:
+    json.dump({"W": 2.5, "steps": 3, "L-list": [20], "seeds": [7],
+               "phi-L": 4}, fh)
 for argv in (
         ["mean-field", "--out", "trace.csv"],
         ["lattice-run", "--L", "4", "--W", "2", "--steps", "2",
@@ -358,7 +372,9 @@ for argv in (
         ["ide-run", "--L", "12", "--W", "3", "--steps", "1",
          "--boundary", "clamped"],
         ["speed", "--kernel-L", "4", "--tol", "0.05", "--out", "speed.csv"],
-        ["phase-scan", "--horizon", "5", "--phase-L", "4", "--phase-W", "3"]):
+        ["phase-scan", "--horizon", "5", "--phase-L", "4", "--phase-W", "3"],
+        # the binomial tests of properties (5) and (6)
+        ["error-rate", "--config", f"{out}/tiny.json"]):
     code = qcp.cli.run(argv + ["--out-dir", f"{out}/{argv[0]}"])
     assert code == 0, (argv, code)
 print(json.dumps(sorted(m for m in sys.modules

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -399,3 +402,56 @@ class TestSurvivalTable:
         tab = survival_table(rows)
         assert tab[(0.5, 0.1)] == 0.5
         assert tab[(0.9, 0.1)] == 1.0
+
+
+def _crossings(trials: int) -> np.ndarray:
+    """For each k < trials, the float prob at which scipy's P(X <= k)
+    falls below 1 - _LEVEL, by bisection."""
+    from scipy.stats import binom
+    k = np.arange(trials)
+    lo, hi = np.zeros(trials), np.ones(trials)
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        up = binom.cdf(k, trials, mid) >= 1.0 - experiments._LEVEL
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return lo
+
+
+def _exact_cdf_reaches(trials: int, prob: float, k: int) -> bool:
+    """Whether P(X <= k) >= 1 - _LEVEL for X binomial(trials, prob), in
+    rationals: prob = a / d."""
+    a, d = prob.as_integer_ratio()
+    powers = [1]        # (d - a)^i for i <= trials
+    for _ in range(trials):
+        powers.append(powers[-1] * (d - a))
+    cdf = Fraction(sum(math.comb(trials, j) * a ** j * powers[trials - j]
+                       for j in range(k + 1)), d ** trials)
+    return cdf >= Fraction(1.0 - experiments._LEVEL)
+
+
+# property5_check tests 400 probes; property6_check tests horizon - 1
+# translates, for the horizons of the runs and of these tests
+@pytest.mark.parametrize("trials", [*range(1, 41), 99, 199, 400])
+def test_critical_count_at_the_crossings(trials):
+    # a few ulps either side of each crossing of the level, where a
+    # rounded CDF may land on the other side: where the library and
+    # scipy disagree, exact rational arithmetic decides
+    from scipy.stats import binom
+    probs = _crossings(trials)[:, None]
+    for _ in range(2):
+        probs = np.column_stack([np.nextafter(probs[:, 0], 0.0), probs,
+                                 np.nextafter(probs[:, -1], 1.0)])
+    probs = probs.ravel()
+    want = binom.ppf(1.0 - experiments._LEVEL, trials, probs).astype(int)
+    for prob, other in zip(probs.tolist(), want.tolist()):
+        got = experiments._critical(trials, prob)
+        if got != other:
+            lo = min(got, other)
+            assert (got == lo) == _exact_cdf_reaches(trials, prob, lo)
+
+
+@pytest.mark.parametrize("trials", [1, 4, 400])
+def test_critical_count_at_certain_chances(trials):
+    assert experiments._critical(trials, 0.0) == 0
+    assert experiments._critical(trials, 5e-324) == 0
+    assert experiments._critical(trials, 1.0) == trials
