@@ -14,8 +14,7 @@ from .wavespeed import (PhiData, SpeedResult, build_phi, estimate_cstar,
 from .lattice import BoxStats, LatticeState, StepReport, box_stats, init, step
 from .comparison import (ComparisonConfig, ContainmentReport, ErrorPoint,
                          RegionSet, VacantRegion, check_containment,
-                         detect_errors, make_comparison_config,
-                         spawn_region)
+                         detect_errors, make_comparison_config)
 from .rng import LatticeRng
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "estimate_cstar", "front_speed_tracking", "build_phi",
     "LatticeState", "BoxStats", "StepReport", "init", "step", "box_stats",
     "ComparisonConfig", "ErrorPoint", "VacantRegion", "RegionSet",
-    "ContainmentReport", "make_comparison_config", "spawn_region",
+    "ContainmentReport", "make_comparison_config",
     "detect_errors", "check_containment",
     "LatticeRng",
 ]

@@ -109,7 +109,7 @@ def _shared(*keys) -> dict:
     return {k: _EXPERIMENT[k] for k in keys}
 
 
-_COMMON = {"out-dir": (str, "."), **_shared("threads")}
+_COMMON = {"out-dir": (str, ".")}
 _OUT = {"out": (str | None, None)}
 _U0 = {"u0": (dict, {})}  # a preset for _u0_field
 
@@ -406,10 +406,10 @@ _COMMANDS = {
                           "out"),
     "lattice-run": (_cmd_lattice_run, "beta eta L W seed steps "
                                       "snapshot-every init"),
-    "hydro": (_cmd_hydro, "beta eta gamma W steps"),
-    "compare": (_cmd_compare, "beta eta gamma W steps phi-L assert"),
-    "phase-scan": (_cmd_phase_scan, "horizon phase-L phase-W"),
-    "error-rate": (_cmd_error_rate, "beta eta gamma W steps phi-L"),
+    "hydro": (_cmd_hydro, "beta eta gamma W steps threads"),
+    "compare": (_cmd_compare, "beta eta gamma W steps phi-L assert threads"),
+    "phase-scan": (_cmd_phase_scan, "horizon phase-L phase-W threads"),
+    "error-rate": (_cmd_error_rate, "beta eta gamma W steps phi-L threads"),
 }
 _HELP = {"out-dir": "output directory (env QCP_OUT_DIR overrides)",
          "threads": "seeds run at once; results are independent of it "
@@ -423,7 +423,7 @@ def _build_parser() -> _Parser:
     for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config document")
-        for key in ["out-dir", "threads"] + flags.split():
+        for key in ["out-dir"] + flags.split():
             tp = SCHEMA[name][key][0]
             kw = {}
             if tp is bool:

@@ -35,6 +35,8 @@ from .mean_field import equilibria, mf_step
 from .wavespeed import PhiData
 
 _EPS = 1e-12
+# slack of every touch, meet, containment and neighbourhood test
+_SLACK = 1e-9
 _EVENT_GUARD = 1_000_000
 # this many contact events in a row, with no spawn, catch-up or vanish
 # between them, is an overlap cascade (see RegionSet.evolve_to)
@@ -204,14 +206,6 @@ def _vertices(normals: np.ndarray, g: np.ndarray) -> np.ndarray:
                            g[..., _VERTEX_LINES, None])[..., 0]
 
 
-def spawn_region(e: ErrorPoint, cfg: ComparisonConfig,
-                 rid: int = 0) -> VacantRegion:
-    """Inward-shrinking triangle of inradius r centered at the error,
-    with the normals cfg.directions."""
-    return VacantRegion(rid, e.t, e.step, e.location,
-                        h0=cfg.r, rate=-cfg.c)
-
-
 class RegionSet:
     """All regions of one trajectory plus the evolution clock."""
 
@@ -220,7 +214,6 @@ class RegionSet:
         self.normals = np.asarray(cfg.directions, dtype=float)
         self.lam = np.asarray(cfg.lam, dtype=float)
         self.regions: dict[int, VacantRegion] = {}
-        self.next_id = 0
         self.horizon = 0.0
         self.contacts: set[frozenset] = set()
         # bumped by every change to a region, so a snapshot computed at
@@ -252,12 +245,18 @@ class RegionSet:
 
     # -- evolution -------------------------------------------------------
 
-    def insert_spawn(self, e: ErrorPoint) -> VacantRegion:
-        reg = spawn_region(e, self.cfg, rid=self.next_id)
-        self.next_id += 1
+    def _add(self, *args, **kwargs) -> VacantRegion:
+        """Store VacantRegion(id, *args, **kwargs) under the next id."""
+        reg = VacantRegion(len(self.regions), *args, **kwargs)
         self.regions[reg.id] = reg
         self.version += 1
         return reg
+
+    def insert_spawn(self, e: ErrorPoint) -> VacantRegion:
+        """An inward-shrinking triangle of inradius r centered at the
+        error."""
+        return self._add(e.t, e.step, e.location, h0=self.cfg.r,
+                         rate=-self.cfg.c)
 
     def evolve_to(self, t1: float, spawns=()) -> None:
         """Process every event up to t1 and move the clock there.
@@ -281,13 +280,11 @@ class RegionSet:
         contacts_in_a_row = 0
         for _ in range(_EVENT_GUARD):
             self._supports.clear()
-            now = self.horizon
-            self._rearm_contacts(now)
-            event = self._next_event(now, t1, spawn_queue)
+            event = self._next_event(self.horizon, t1, spawn_queue)
             if event is None:
                 break
             t, prio, payload = event
-            self.horizon = max(self.horizon, t)
+            self.horizon = t
             contacts_in_a_row = (contacts_in_a_row + 1
                                  if prio == _PRIO_CONTACT else 0)
             if contacts_in_a_row >= _CASCADE_RUN:
@@ -305,17 +302,11 @@ class RegionSet:
             else:
                 self.regions[payload].vanished_at = t
                 self.version += 1
+                self.contacts = {pair for pair in self.contacts
+                                 if payload not in pair}
         else:
             raise RuntimeError("event guard exceeded; runaway geometry")
         self.horizon = t1
-
-    def _rearm_contacts(self, now: float) -> None:
-        def stale(pair) -> bool:
-            ra, rb = (self.regions[i] for i in pair)
-            return (not (ra.alive_at(now) and rb.alive_at(now))
-                    or self._pair_inradius(ra, rb, now) < -1e-9)
-
-        self.contacts -= {pair for pair in self.contacts if stale(pair)}
 
     def _supports_at(self, R: VacantRegion, t: float) -> np.ndarray:
         key = (R.id, t)
@@ -346,8 +337,7 @@ class RegionSet:
         # event sources: regions created and not yet vanished (a region
         # stays a member of the vacant set at its vanish instant, but
         # generates no further events)
-        alive = [R for R in self.regions.values()
-                 if R.vanished_at is None and R.created_at <= now + _EPS]
+        alive = [R for R in self.alive(now) if R.vanished_at is None]
         for R in alive:
             rho = float(self.lam @ R.offsets_at(now))
             slope = float(self.lam @ R.rates())
@@ -359,10 +349,14 @@ class RegionSet:
                              (R.id, j))
 
         for A, B in itertools.combinations(alive, 2):
-            if frozenset((A.id, B.id)) in self.contacts:
-                continue
-            consider(self._contact_time(A, B, now, t1), _PRIO_CONTACT,
-                     (A.id, B.id))
+            pair = frozenset((A.id, B.id))
+            # a pair that has come apart since it touched is re-armed
+            if (pair in self.contacts
+                    and self._pair_inradius(A, B, now) < -_SLACK):
+                self.contacts.remove(pair)
+            if pair not in self.contacts:
+                consider(self._contact_time(A, B, now, t1), _PRIO_CONTACT,
+                         (A.id, B.id))
         return best
 
     def _support(self, R: VacantRegion, j: int, t: float) -> float:
@@ -388,11 +382,11 @@ class RegionSet:
         return t_best
 
     def _contact_time(self, A, B, now: float, t1: float):
+        if self._pair_inradius(A, B, now) >= -_SLACK:
+            return now
         ga = self._supports_at(A, now)
         gb = self._supports_at(B, now)
         ra, rb = A.rates(), B.rates()
-        if float(self.lam @ np.minimum(ga, gb)) >= -1e-9:
-            return now
         # kinks where the per-edge min switches branch
         kinks = [now]
         for j in range(3):
@@ -406,9 +400,9 @@ class RegionSet:
         for lo, hi in zip(kinks[:-1], kinks[1:]):
             v_lo = self._pair_inradius(A, B, lo)
             v_hi = self._pair_inradius(A, B, hi)
-            if v_lo >= -1e-9:
+            if v_lo >= -_SLACK:
                 return lo
-            if v_hi >= -1e-9:
+            if v_hi >= -_SLACK:
                 # linear on [lo, hi]
                 frac = (0.0 - v_lo) / (v_hi - v_lo)
                 return lo + frac * (hi - lo)
@@ -418,16 +412,16 @@ class RegionSet:
         seed = [self.regions[i] for i in pair]
         alive = self.alive(t)
         chosen = list(seed)
-        common = np.minimum(*(R.supports_at(t, self.normals) for R in seed))
-        if float(self.lam @ common) < -1e-9:
+        common = np.minimum(*(self._supports_at(R, t) for R in seed))
+        if float(self.lam @ common) < -_SLACK:
             # separated again before processing; drop silently
             self.contacts.add(frozenset(pair))
             return
         for R in alive:
             if R in chosen:
                 continue
-            trial = np.minimum(common, R.supports_at(t, self.normals))
-            if float(self.lam @ trial) >= -1e-9:
+            trial = np.minimum(common, self._supports_at(R, t))
+            if float(self.lam @ trial) >= -_SLACK:
                 chosen.append(R)
                 common = trial
         # incenter: equal margin to the three support lines
@@ -436,11 +430,8 @@ class RegionSet:
         center, rho = sol[:2], max(sol[2], 0.0)
         step = int(math.ceil(t - 1e-9))
         ids = [R.id for R in chosen]
-        reg = VacantRegion(self.next_id, t, step, center,
-                           h0=rho, rate=self.cfg.b, parents=ids)
-        self.next_id += 1
-        self.regions[reg.id] = reg
-        self.version += 1
+        reg = self._add(t, step, center, h0=rho, rate=self.cfg.b,
+                        parents=ids)
         self.contacts.update(frozenset(pair) for pair in
                              itertools.combinations(ids + [reg.id], 2))
 
@@ -504,7 +495,9 @@ class ProfileCache:
 
 def _project(v, normals: np.ndarray) -> np.ndarray:
     """(..., 3) projections xi_j . v of (..., 2) vectors, as one (P, 2) @
-    (2, 3) product: it rounds like normals[j] @ v, unlike v0 n0 + v1 n1."""
+    (2, 3) product.  For P >= 2 it rounds like normals[j] @ v; for one
+    vector it rounds like normals @ v, which often differs from that in
+    the last bit."""
     v = np.asarray(v, dtype=float)
     return (v.reshape(-1, 2) @ normals.T).reshape(v.shape[:-1] + (3,))
 
@@ -578,16 +571,16 @@ def _rects_meet(rects, lo, g: np.ndarray, verts: np.ndarray) -> np.ndarray:
     """(..., K): the rectangle, with least corner projections lo, meets
     region k (supports g[k], vertices verts[k]); separating axes are the
     edge normals and the x, y axes."""
-    apart = np.any(lo[..., None, :] > g + 1e-9, axis=-1)
+    apart = np.any(lo[..., None, :] > g + _SLACK, axis=-1)
     r = np.asarray(rects, dtype=float)[..., None, :]
-    apart |= np.any((verts.max(axis=1) < r[..., :2] - 1e-9)
-                    | (verts.min(axis=1) > r[..., 2:] + 1e-9), axis=-1)
+    apart |= np.any((verts.max(axis=1) < r[..., :2] - _SLACK)
+                    | (verts.min(axis=1) > r[..., 2:] + _SLACK), axis=-1)
     return ~apart
 
 
 def _rect_in_union(rect, g, verts, normals, depth: int = 6) -> bool:
     proj = _corner_coords(rect, normals)
-    if np.all(proj[None] <= g[:, None, :] + 1e-9, axis=(-2, -1)).any():
+    if np.all(proj[None] <= g[:, None, :] + _SLACK, axis=(-2, -1)).any():
         return True
     touching = _rects_meet(rect, proj.min(axis=-2), g, verts)
     if not touching.any() or depth == 0:
@@ -633,7 +626,7 @@ def detect_errors(prev: BoxStats, cur: BoxStats, rs: RegionSet,
                                     rects[..., 0] - a[..., 2]))
     dy = np.maximum(0.0, np.maximum(a[..., 1] - rects[..., 3],
                                     rects[..., 1] - a[..., 3]))
-    near = np.hypot(dx, dy) <= cfg.d_k + 1e-9          # (B, nb, nb)
+    near = np.hypot(dx, dy) <= cfg.d_k + _SLACK        # (B, nb, nb)
     clear = ~np.any(near & touched, axis=(1, 2))
     errors = [("I", int(bi), int(bj)) for bi, bj in bad[clear]]
 

@@ -65,6 +65,9 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if self.steps < 0 or self.horizon < 0:
             raise ValueError("steps and horizon must be nonnegative")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got "
+                             f"{self.threads}")
         windows = [(self.W, L) for L in self.L_list]
         if any(L < 1 or lattice.window_side(W, L) < 1
                for W, L in windows + [(self.phase_W, self.phase_L)]):
@@ -298,18 +301,10 @@ _PROP6_FAMILIES = 100
 
 
 def _xyt(points) -> np.ndarray:
-    """The error points as rows (x, y, t)."""
-    return np.array([[pt.location[0], pt.location[1], pt.t]
-                     for pt in points]).reshape(-1, 3)
-
-
-def _counter(points):
-    """The count of the error points in the half-open space-time box
-    [lo, hi), as a function of its corners lo and hi; memory O(points)
-    per call."""
-    pts = _xyt(points)
-    return lambda lo, hi: np.count_nonzero(
-        np.all((pts >= lo) & (pts < hi), axis=1))
+    """The error points as rows (x, y, t), in time order."""
+    pts = np.array([[pt.location[0], pt.location[1], pt.t]
+                    for pt in points]).reshape(-1, 3)
+    return pts[np.argsort(pts[:, 2], kind="stable")]
 
 
 def _critical(trials: int, prob: float) -> int:
@@ -349,8 +344,10 @@ def property5_check(points, space_side: float, horizon: float,
     lows = stream(0, 0, 5).random((_PROP5_PROBES, 3))
     lows[:, :2] *= max(space_side - a, 0.0)
     lows[:, 2] *= max(horizon - tau, 0.0)
-    count, size = _counter(points), np.array([a, a, tau])
-    observed = sum(count(lo, lo + size) >= 2 for lo in lows)
+    # each probe is one cube at one translate: memory O(points) per probe
+    pts, side, depth = _xyt(points), np.array([a]), np.array([tau])
+    observed = sum(_window_counts(pts, (side, lo[None, :2], lo[2:], depth),
+                                  1)[0, 0] >= 2 for lo in lows)
     # reject only if observed count is implausibly high under the bound
     critical = _critical(_PROP5_PROBES, bound)
     return {"passed": observed <= max(critical, 0), "observed": observed,
@@ -369,7 +366,6 @@ def property6_check(points, space_side: float, horizon: float, eps: float,
     """
     gen = stream(1, 0, 6)
     pts = _xyt(points)
-    pts = pts[np.argsort(pts[:, 2], kind="stable")]
     area_unit = l_gamma_sq ** 2
     failures = 0
     translates = max(1, int(horizon) - 1)
@@ -381,7 +377,8 @@ def property6_check(points, space_side: float, horizon: float, eps: float,
         bounds = np.minimum(
             1.0, 2.0 * eps * (sides ** 2 / area_unit) * t_len)
         target = float(np.prod(bounds))
-        hits = np.count_nonzero(_translate_hits(pts, cubes, translates))
+        hits = np.count_nonzero(
+            np.all(_window_counts(pts, cubes, translates) > 0, axis=0))
         # one-sided binomial test of freq <= target
         if hits > _critical(translates, min(target, 1.0)):
             failures += 1
@@ -402,12 +399,12 @@ def _cube_family(gen, space_side: float, l_gamma_sq: float):
     return sides, anchors, t_off, t_len
 
 
-def _translate_hits(pts: np.ndarray, cubes, translates: int) -> np.ndarray:
-    """Whether translate s of the cubes (sides, anchors, t_off, t_len)
-    of a _cube_family, for s in range(translates), finds a point in every
-    cube: cube k is [lo, lo + (sides[k], sides[k], t_len[k])) with lo =
-    (anchors[k], t_off[k] + s).  pts holds the points as rows (x, y, t)
-    in time order."""
+def _window_counts(pts: np.ndarray, cubes, translates: int) -> np.ndarray:
+    """(K, translates) counts of the points in cube k of the cubes
+    (sides, anchors, t_off, t_len), as a _cube_family gives them, at
+    translate s: cube k is [lo, lo + (sides[k], sides[k], t_len[k]))
+    with lo = (anchors[k], t_off[k] + s).  pts holds the points as rows
+    (x, y, t) in time order."""
     sides, anchors, t_off, t_len = cubes
     # seen[i, k] counts the first i points that lie in cube k's square,
     # read at the ends of each of its time windows
@@ -417,5 +414,5 @@ def _translate_hits(pts: np.ndarray, cubes, translates: int) -> np.ndarray:
                            np.cumsum(inside, axis=0)])
     cube = np.arange(len(sides))[:, None]
     lo = t_off[:, None] + np.arange(translates, dtype=float)
-    return np.all(seen[np.searchsorted(pts[:, 2], lo + t_len[:, None]), cube]
-                  > seen[np.searchsorted(pts[:, 2], lo), cube], axis=0)
+    return (seen[np.searchsorted(pts[:, 2], lo + t_len[:, None]), cube]
+            - seen[np.searchsorted(pts[:, 2], lo), cube])

@@ -2,12 +2,13 @@
 site, the box-corner-anchored lattice step and its one-step closed
 form, the maximal coupling of the site- and corner-anchored steps, a
 single trial-speed classification, scalar region queries, the box
-rectangles, a region-set snapshot, an uncached oracle of the
-containment audit, probe-by-probe references of the point-process
-checks, the phase-scan threshold read-off, the bistability test, and
-the readers and writers of the library's files and values that no
-subcommand calls.  No subcommand writes any of their numbers, so they
-live here and not in the library."""
+rectangles, a region-set snapshot, uncached oracles of the region
+set's event loop and of the containment audit, probe-by-probe
+references of the point-process checks, the phase-scan threshold
+read-off, the bistability test, and the readers and writers of the
+library's files and values that no subcommand calls.  No subcommand
+writes any of their numbers, so they live here and not in the
+library."""
 
 import json
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from qcp import lattice, wavespeed
 from qcp import rng as _rng
-from qcp.comparison import (ErrorPoint, ProfileCache, RegionSet,
+from qcp.comparison import (_SLACK, ErrorPoint, ProfileCache, RegionSet,
                             _corner_coords, _edge_coords, _rect_in_union,
                             _recovery_demand, _rects_meet)
 from qcp.experiments import _LEVEL, _PROP5_PROBES, _PROP6_FAMILIES
@@ -331,6 +332,29 @@ class UncachedRegionSet(RegionSet):
         return R.supports_at(t, self.normals)
 
 
+class PruningRegionSet(RegionSet):
+    """RegionSet that drops every separated or dead pair from contacts
+    in a scan of its own before each pass of the event loop: the oracle
+    of the re-arm in the pair loop.  rearms counts the pairs of regions
+    not yet vanished that it dropped."""
+
+    rearms = 0
+
+    def _next_event(self, now, t1, spawn_queue):
+        def live(pair) -> bool:
+            return all(self.regions[i].vanished_at is None for i in pair)
+
+        def stale(pair) -> bool:
+            ra, rb = (self.regions[i] for i in pair)
+            return (not (ra.alive_at(now) and rb.alive_at(now))
+                    or self._pair_inradius(ra, rb, now) < -_SLACK)
+
+        dropped = {pair for pair in self.contacts if stale(pair)}
+        self.rearms += sum(map(live, dropped))
+        self.contacts -= dropped
+        return super()._next_event(now, t1, spawn_queue)
+
+
 def box_rect(stats, bi: int, bj: int) -> tuple:
     """Rectangle (x0, y0, x1, y1) of box (bi, bj) of stats: b sites a
     side at spacing 1/L, counted from the corner of the window."""
@@ -410,7 +434,7 @@ def uncached_containment(stats, rs):
 def property5_reference(points, space_side: float, horizon: float,
                         box_width: float) -> dict:
     """experiments.property5_check with its own box test in each probe:
-    the oracle of the shared box counter."""
+    the oracle of the windowed box count."""
     a = 1.5 * box_width
     tau = 1.5
     vol = a * a * tau
@@ -439,7 +463,7 @@ def property5_reference(points, space_side: float, horizon: float,
 def property6_reference(points, space_side: float, horizon: float,
                         eps: float, l_gamma_sq: float) -> dict:
     """experiments.property6_check with its own box test in each cube:
-    the oracle of the shared box counter."""
+    the oracle of the windowed box count."""
     from scipy.stats import binom
     gen = np.random.Generator(np.random.Philox(key=np.array(
         [1, 6], dtype=np.uint64)))
@@ -477,23 +501,22 @@ def property6_reference(points, space_side: float, horizon: float,
             "failures": failures}
 
 
-def translate_hits_reference(points, cubes, translates: int) -> np.ndarray:
-    """experiments._translate_hits by one box count per cube and
-    translate, as property6_check counted before it sorted the points:
-    the oracle of the time-sorted count."""
+def window_counts_reference(points, cubes, translates: int) -> np.ndarray:
+    """experiments._window_counts by one box count per cube and
+    translate, on the points in their given order: the oracle of the
+    time-sorted count."""
     sides, anchors, t_off, t_len = cubes
     pts = np.array([[pt.location[0], pt.location[1], pt.t]
                     for pt in points]).reshape(-1, 3)
-    hits = []
+    counts = np.zeros((len(sides), translates), dtype=np.intp)
     for shift in range(translates):
-        hit = True
         for k in range(len(sides)):
             lo = np.array([anchors[k, 0], anchors[k, 1], t_off[k]]) + [
                 0.0, 0.0, shift]
             hi = lo + [sides[k], sides[k], t_len[k]]
-            hit &= bool(np.any(np.all((pts >= lo) & (pts < hi), axis=1)))
-        hits.append(hit)
-    return np.array(hits, dtype=bool)
+            counts[k, shift] = np.count_nonzero(
+                np.all((pts >= lo) & (pts < hi), axis=1))
+    return counts
 
 
 def threshold_estimate(freqs: dict, eta: float) -> float | None:

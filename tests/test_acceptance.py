@@ -394,13 +394,16 @@ class TestAcceptance:
             "phase-scan": ["phase-scan", "--config", str(cfg_path)],
             "error-rate": ["error-rate", "--config", str(cfg_path)],
         }
+        # threads is a key only of the subcommands that run seeds; the
+        # others run twice alike
+        seed_runs = ("hydro", "compare", "phase-scan", "error-rate")
         for name, argv in commands.items():
             outs = []
             for attempt, threads in (("a", "1"), ("b", "4")):
                 d = tmp_path / f"{name}-{attempt}"
                 d.mkdir()
-                code = cli_run(argv + ["--out-dir", str(d),
-                                       "--threads", threads])
+                code = cli_run(argv + ["--out-dir", str(d)] + (
+                    ["--threads", threads] if name in seed_runs else []))
                 assert code == 0, f"{name} failed"
                 data = {}
                 for f in sorted(d.rglob("*")):

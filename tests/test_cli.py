@@ -199,7 +199,13 @@ class TestErrors:
         ["compare", {"L-list": []}], ["hydro", {"L-list": []}],
         ["error-rate", {"seeds": []}], ["error-rate", "--steps", "0"],
         # compare writes one L: containment.csv has no L column
-        ["compare", {"L-list": [20, 40]}]])
+        ["compare", {"L-list": [20, 40]}],
+        # threads counts the seeds run at once: 1 or more, and a key only
+        # of the subcommands that run seeds
+        ["hydro", "--threads", "0"], ["hydro", "--threads", "-2"],
+        ["error-rate", {"threads": 0}], ["speed", "--threads", "2"],
+        ["lattice-run", "--threads", "1"], ["mean-field", {"threads": 1}],
+        ["ide-run", {"threads": 2}]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
         # a trailing dict is a config document; the error names its one

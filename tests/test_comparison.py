@@ -11,7 +11,7 @@ from qcp import comparison
 from qcp.comparison import (ComparisonConfig, ErrorPoint, ProfileCache,
                             RegionSet, box_diameter, check_containment,
                             detect_errors, lambda_coeffs,
-                            make_comparison_config, spawn_region, _vertices)
+                            make_comparison_config, _vertices)
 from qcp.ide import Profile1D
 from qcp.kernel import Kernel1D
 from qcp.lattice import BoxStats, box_side_sites
@@ -20,8 +20,9 @@ from qcp.rng import LatticeRng
 from qcp.wavespeed import PhiData, default_directions
 
 from conftest import seeded
-from helpers import (UncachedRegionSet, WidenedProfileCache, box_rect,
-                     h_field, membership, regions_to_json,
+from helpers import (PruningRegionSet, UncachedRegionSet,
+                     WidenedProfileCache, box_rect, h_field, membership,
+                     regions_to_json,
                      uncached_containment, uncached_detect_errors,
                      uncached_snapshot)
 
@@ -113,7 +114,7 @@ class TestGeometry:
 
     def test_spawn_offsets_equal_inradius(self):
         cfg = small_cfg(r=3.0)
-        reg = spawn_region(point(5.0, 5.0, 0.5, 1), cfg)
+        reg = RegionSet(cfg).insert_spawn(point(5.0, 5.0, 0.5, 1))
         assert np.allclose(reg.offsets_at(0.5), 3.0)
 
     def test_circumradius_against_angle_formula(self):
@@ -123,7 +124,7 @@ class TestGeometry:
         for _ in range(10):
             dirs = random_acute_normals(gen)
             cfg = small_cfg(r=1.7, directions=dirs)
-            reg = spawn_region(point(0.0, 0.0, 0.0, 0), cfg)
+            reg = RegionSet(cfg).insert_spawn(point(0.0, 0.0, 0.0, 0))
             g = reg.supports_at(0.0, dirs)
             verts = _vertices(dirs, g)
             radius = float(np.max(np.hypot(*(verts - reg.center).T)))
@@ -769,7 +770,7 @@ class TestCachesAgainstUncachedOracle:
         r = w * gen.uniform(0.5, 3.0)
         c = r * gen.uniform(0.2, 1.0)           # vanish within 1-5 steps
         # b well below c: tighter clusters or faster overlaps can pile up
-        # overlaps without end (ROADMAP item 7)
+        # overlaps without end (ROADMAP item 9)
         cfg = ComparisonConfig(
             alpha=phi_main.alpha, c=c, b=c * gen.uniform(0.02, 0.2), r=r,
             delta1=0.05, delta2=0.1, gamma=gamma, L=L, d_k=w * 1.5,
@@ -843,6 +844,53 @@ class TestCachesAgainstUncachedOracle:
         rs.insert_spawn(e)
         rs_oracle.insert_spawn(e)
         assert self._audit(stats, rs, rs_oracle).violations == []
+
+
+class TestContactRearm:
+    """The pair loop re-arms a pair of regions that has come apart since
+    it touched.  PruningRegionSet drops such pairs, and those of dead
+    regions, in a scan of its own before each pass, and must evolve
+    every region alike."""
+
+    @staticmethod
+    def _both(seed):
+        """Four steps of 0-3 spawns each, in the square of half-side
+        1.5 r about one centre, through both sets; the oracle's count of
+        re-armed live pairs."""
+        gen = seeded(seed)
+        c = gen.uniform(0.2, 1.0)
+        # b/c in [0.02, 0.3]: faster overlaps can pile up without end
+        # (ROADMAP item 9)
+        cfg = small_cfg(r=1.0, c=c, b=c * gen.uniform(0.02, 0.3),
+                        directions=random_acute_normals(gen))
+        steps = [[point(*gen.uniform(-1.5, 1.5, 2),
+                        float(gen.uniform(n - 1, n)), n, "I", (k, n))
+                  for k in range(int(gen.integers(0, 4)))]
+                 for n in range(1, 5)]
+        outcomes = []
+        for rs in (RegionSet(cfg), PruningRegionSet(cfg)):
+            err = None
+            try:
+                for n, spawns in enumerate(steps, 1):
+                    rs.evolve_to(n, spawns=spawns)
+            except RuntimeError as exc:  # an overlap cascade, alike
+                err = str(exc)
+            # the touched pairs of live regions that the last pass kept
+            held = sorted(sorted(pair) for pair in rs.contacts
+                          if all(rs.regions[i].vanished_at is None
+                                 for i in pair))
+            outcomes.append((err, repr(regions_to_json(rs)), held))
+        assert outcomes[0] == outcomes[1]
+        return rs.rearms
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_equal_to_pruning_oracle(self, seed):
+        self._both(seed)
+
+    def test_sets_of_this_kind_rearm_live_pairs(self):
+        # so the comparison above covers the re-arm of live pairs
+        assert all(self._both(seed) > 0 for seed in range(10))
 
 
 class TestContainment:

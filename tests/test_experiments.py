@@ -17,7 +17,7 @@ from qcp.mean_field import Params, equilibria
 from qcp.rng import LatticeRng, stream
 
 from helpers import (property5_reference, property6_reference,
-                     threshold_estimate, translate_hits_reference)
+                     threshold_estimate, window_counts_reference)
 
 
 def small_cfg(**kw):
@@ -49,6 +49,11 @@ class TestConfig:
     def test_window_must_be_finite(self, kw):
         with pytest.raises(ValueError, match="window"):
             small_cfg(**kw)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_at_least_one(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            small_cfg(threads=threads)
 
     def test_grid_entries_may_span_unit_interval(self):
         cfg = small_cfg(beta_grid=(0.0, 1.0), eta_grid=(0.0, 1.0))
@@ -341,13 +346,13 @@ class TestPointProcessProperties:
         # the cubes and translates of each family property6_check tests
         families = []
 
-        def translate_hits(rows, cubes, translates):
+        def window_counts(rows, cubes, translates):
             families.append((cubes, translates))
-            return hits_of(rows, cubes, translates)
+            return counts_of(rows, cubes, translates)
 
-        hits_of = experiments._translate_hits
+        counts_of = experiments._window_counts
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "_translate_hits", translate_hits)
+            mp.setattr(experiments, "_window_counts", window_counts)
             out6 = property6_check(pts, space_side, horizon, eps=eps,
                                    l_gamma_sq=width)
         assert out6 == property6_reference(pts, space_side, horizon, eps,
@@ -387,11 +392,10 @@ class TestPointProcessProperties:
             xyt = np.round(xyt * 4.0) / 4.0
         pts = [ErrorPoint((x, y), t, "I", (0, 0), int(t) + 1)
                for x, y, t in xyt]
-        rows = experiments._xyt(pts)
-        rows = rows[np.argsort(rows[:, 2], kind="stable")]
-        got = experiments._translate_hits(rows, cubes, translates)
+        got = experiments._window_counts(experiments._xyt(pts), cubes,
+                                         translates)
         assert np.array_equal(
-            got, translate_hits_reference(pts, cubes, translates))
+            got, window_counts_reference(pts, cubes, translates))
 
 
 class TestSurvivalTable:
