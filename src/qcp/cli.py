@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -203,28 +204,55 @@ def _cmd_mean_field(cfg) -> int:
     return 0
 
 
+# each u0 preset's numbers with their defaults; a cosine's period
+# defaults to the window's side
+_U0_PRESETS = {"constant": {"value": 0.5},
+               "square": {"side": 2.0, "level": 1.0, "background": 0.0},
+               "cosine": {"mean": 0.55, "amplitude": 0.12, "period": None}}
+
+
+def _u0_preset(preset: dict) -> tuple[str, dict]:
+    """The preset's type and numbers, defaults filled in.  ValueError for
+    an unknown type or key, a number that is not finite, and a constant
+    value or a square level or background outside [0, 1]."""
+    kind = preset.get("type", "constant")
+    if kind not in _U0_PRESETS:
+        raise ValueError(f"unknown u0 preset {kind!r}")
+    unknown = sorted(set(preset) - {"type", *_U0_PRESETS[kind]})
+    if unknown:
+        raise ValueError(f"unknown key(s) for a {kind} preset: "
+                         f"{', '.join(unknown)}")
+    num = {k: preset.get(k, v) for k, v in _U0_PRESETS[kind].items()}
+    for k, v in num.items():
+        if v is not None:
+            num[k] = v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"{kind} preset {k} must be finite, got {v}")
+            if k in ("value", "level", "background") and not 0.0 <= v <= 1.0:
+                raise ValueError(f"{kind} preset {k} must lie in [0, 1], "
+                                 f"got {v}")
+    return kind, num
+
+
 def _u0_field(preset: dict, L: int, W: float, **kw) -> Field2D:
-    """The u0 preset on the W x W window at spacing 1/L."""
+    """The u0 preset on the W x W window at spacing 1/L.  A cosine is
+    clipped to [0, 1]; the other presets must lie in it (_u0_preset)."""
+    kind, num = _u0_preset(preset)
     xs = np.arange(lattice.window_side(W, L)) / L
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    kind = preset.get("type", "constant")
     if kind == "constant":
-        vals = np.full_like(gx, float(preset.get("value", 0.5)))
+        vals = np.full_like(gx, num["value"])
     elif kind == "square":
-        half = float(preset.get("side", 2.0)) / 2.0
+        half = num["side"] / 2.0
         cx = cy = xs[-1] / 2.0
-        level = float(preset.get("level", 1.0))
         inside = (np.abs(gx - cx) <= half) & (np.abs(gy - cy) <= half)
-        vals = np.where(inside, level, float(preset.get("background", 0.0)))
-    elif kind == "cosine":
-        mean = float(preset.get("mean", 0.55))
-        amp = float(preset.get("amplitude", 0.12))
-        period = float(preset.get("period", xs[-1] + 1.0 / L))
-        vals = mean + amp * np.cos(2 * np.pi * gx / period) \
-            * np.cos(2 * np.pi * gy / period)
+        vals = np.where(inside, num["level"], num["background"])
     else:
-        raise ValueError(f"unknown u0 preset {kind!r}")
-    return Field2D(0.0, 0.0, 1.0 / L, np.clip(vals, 0.0, 1.0), **kw)
+        period = xs[-1] + 1.0 / L if num["period"] is None else num["period"]
+        vals = np.clip(num["mean"] + num["amplitude"]
+                       * np.cos(2 * np.pi * gx / period)
+                       * np.cos(2 * np.pi * gy / period), 0.0, 1.0)
+    return Field2D(0.0, 0.0, 1.0 / L, vals, **kw)
 
 
 def _cmd_ide_run(cfg) -> int:
@@ -316,7 +344,11 @@ def _cmd_lattice_run(cfg) -> int:
 def _cmd_hydro(cfg) -> int:
     ecfg = _experiment(cfg)
     with _invalid("u0"):
-        u0 = _u0_field(cfg["u0"], min(ecfg.L_list), ecfg.W)
+        kind, num = _u0_preset(cfg["u0"])
+        # every node of a constant preset's field holds its number, so the
+        # number goes in: hydro_convergence then holds no start grid
+        u0 = (num["value"] if kind == "constant"
+              else _u0_field(cfg["u0"], min(ecfg.L_list), ecfg.W))
     rows = experiments.hydro_convergence(ecfg, u0)
     outdir = _out_dir(cfg)
     path = outdir / "hydro.csv"

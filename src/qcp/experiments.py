@@ -80,6 +80,11 @@ class ExperimentConfig:
 
 
 def _field_values(u0, xs, ys):
+    """u0's start density at the nodes xs x ys: a Field2D resampled at
+    its nearest nodes, a callable evaluated there, and a constant as a
+    read-only broadcast view of that number, which holds no grid.  The
+    density recursion and lattice.init read it without writing it, so a
+    constant start adds no grid to a hydro run's peak."""
     if isinstance(u0, Field2D):
         fx = np.clip(np.round((xs - u0.x0) / u0.h).astype(int), 0, u0.nx - 1)
         fy = np.clip(np.round((ys - u0.y0) / u0.h).astype(int), 0, u0.ny - 1)
@@ -87,7 +92,7 @@ def _field_values(u0, xs, ys):
     if callable(u0):
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         return np.asarray(u0(gx, gy), dtype=float)
-    return np.full((len(xs), len(ys)), float(u0))
+    return np.broadcast_to(float(u0), (len(xs), len(ys)))
 
 
 def hydro_convergence(cfg: ExperimentConfig, u0) -> list:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,9 @@ FAMILIES = ("uniform-square", "truncated-gaussian", "table")
 # 1e-9: continuum normalisation check; 1e-12: discrete mass-sum invariant.
 NORM_TOL = 1e-9
 MASS_TOL = 1e-12
+
+# taken by a kernel's first build of its sampling tables
+_TABLES_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,12 @@ class DiscreteKernel:
     the sampling CDF has a canonical order.  support_diameter is the
     max pairwise distance between offsets of nonzero mass, which by the
     point symmetry of the support equals 2 max |w|.
+
+    A kernel holds its offsets and masses; the sampling tables of
+    ``sample_indices`` (the CDF and the bucket table: 9 MB at L = 400,
+    beside 15 MB of offsets and masses) are built at the first draw or
+    ``cdf`` read, so the density recursion and the speed layer, which
+    read only offsets and masses, never hold them.
     """
 
     L: int
@@ -123,25 +133,24 @@ class DiscreteKernel:
     support_diameter: float
 
     def __post_init__(self):
-        self._cdf = np.cumsum(self.masses)
-        n = len(self._cdf)
-        # bucket table of the inverse-CDF search: m is the smallest power
-        # of two >= n, and guide[k] counts the entries with
-        # floor(cdf * m) < k, so it is i for k in (bucket[i-1], bucket[i]].
-        # Built by repeats and held as int32, it needs no int64 array of
-        # m entries.
-        m = 1 << max(n - 1, 0).bit_length()
-        bucket = np.minimum(self._cdf * m, m).astype(np.int64)
-        runs = np.diff(bucket, prepend=-1, append=m)
-        self._guide = np.repeat(np.arange(n + 1, dtype=np.int32), runs)
-        # most entries in one bucket, the entries at or above 1 included
-        fill = int(np.diff(self._guide, append=n).max())
-        self._steps = fill.bit_length()
         # the largest |coordinate| of an offset, in lattice steps
         self.reach = int(np.abs(self.offsets).max(initial=0))
+        self._steps = None      # no sampling tables yet
+
+    def _build_tables(self) -> None:
+        """Build _cdf, _guide and _steps, once.  A lattice step's first
+        draws run on the chunk workers at once, so the build is under a
+        lock; _steps is assigned last, so a kernel whose _steps is set
+        holds all three."""
+        if self._steps is None:
+            with _TABLES_LOCK:
+                if self._steps is None:
+                    self._cdf, self._guide, self._steps = _sampling_tables(
+                        self.masses)
 
     @property
     def cdf(self) -> np.ndarray:
+        self._build_tables()
         return self._cdf
 
     def sample_indices(self, u: np.ndarray) -> np.ndarray:
@@ -157,6 +166,7 @@ class DiscreteKernel:
         no entry compares above it, so it ends past the last row, as in
         the plain search.
         """
+        self._build_tables()
         u = np.asarray(u, dtype=np.float64)
         flat = u.ravel()
         m = len(self._guide) - 1
@@ -173,6 +183,25 @@ class DiscreteKernel:
             hi -= s * (c > flat)
         np.minimum(hi, len(self.masses) - 1, out=hi)
         return hi.reshape(u.shape)
+
+
+def _sampling_tables(masses: np.ndarray):
+    """The inverse-CDF search's tables: the CDF of masses, the bucket
+    table ``guide`` and the halvings ``steps`` a search takes past it.
+
+    m is the smallest power of two >= n, and guide[k] counts the entries
+    with floor(cdf * m) < k, so it is i for k in (bucket[i-1], bucket[i]].
+    Built by repeats and held as int32, it needs no int64 array of m
+    entries."""
+    cdf = np.cumsum(masses)
+    n = len(cdf)
+    m = 1 << max(n - 1, 0).bit_length()
+    bucket = np.minimum(cdf * m, m).astype(np.int64)
+    runs = np.diff(bucket, prepend=-1, append=m)
+    guide = np.repeat(np.arange(n + 1, dtype=np.int32), runs)
+    # most entries in one bucket, the entries at or above 1 included
+    fill = int(np.diff(guide, append=n).max())
+    return cdf, guide, fill.bit_length()
 
 
 def _interval_overlap(lo1, hi1, lo2, hi2):

@@ -171,6 +171,31 @@ def test_evolve_holds_at_most_four_grids(chunked, dk8, p_main, monkeypatch):
     assert peak <= 4 * n * n * 8
 
 
+@pytest.mark.parametrize("chunked", [(2, 1 << 12), (1, 1 << 12)],
+                         indirect=True)
+def test_hydro_from_a_constant_holds_three_grids(chunked, square_spec,
+                                                 monkeypatch):
+    # a constant start is a broadcast view and the sampling tables wait
+    # for the first lattice step, so the FFT steps hold the field in
+    # progress, its half spectrum and the kernel's (3.1 grids measured
+    # at 512^2): no start grid, plus band buffers of CHUNK sites
+    monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
+    n = 512
+    cfg = experiments.ExperimentConfig(L_list=(8,), W=n / 8, steps=2,
+                                       seeds=(1,), kernel=square_spec)
+    experiments.hydro_convergence(cfg, 0.5)     # starts the pool
+    tracemalloc.start()
+    try:
+        experiments.hydro_convergence(cfg, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dk = discretize(square_spec, 8)
+    bands = 8 * chunks.CHUNK * 16
+    assert peak <= 3 * n * n * 8 + dk.offsets.nbytes + dk.masses.nbytes \
+        + bands
+
+
 @pytest.mark.parametrize("chunked", [(1, 1 << 12)], indirect=True)
 def test_one_worker_step_makes_no_lattice_of_coins(chunked, dk10, p_main):
     # the padded copy, the new occupancy and the old one as bools: about

@@ -205,7 +205,18 @@ class TestErrors:
         ["hydro", "--threads", "0"], ["hydro", "--threads", "-2"],
         ["error-rate", {"threads": 0}], ["speed", "--threads", "2"],
         ["lattice-run", "--threads", "1"], ["mean-field", {"threads": 1}],
-        ["ide-run", {"threads": 2}]])
+        ["ide-run", {"threads": 2}],
+        # a u0 preset with a key it does not read, a number that is not
+        # finite, or a constant, level or background outside [0, 1]
+        ["hydro", {"u0": {"type": "constant", "valeu": 0.9}}],
+        ["hydro", {"u0": {"type": "square", "sidee": 1.0}}],
+        ["hydro", {"u0": {"value": 1.5}}],
+        ["ide-run", {"u0": {"value": -0.1}}],
+        ["hydro", {"u0": {"value": float("nan")}}],
+        ["hydro", {"u0": {"type": "square", "level": -0.5}}],
+        ["hydro", {"u0": {"type": "square", "background": 1.01}}],
+        ["hydro", {"u0": {"type": "square", "side": float("inf")}}],
+        ["hydro", {"u0": {"type": "cosine", "amplitude": float("inf")}}]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
         # a trailing dict is a config document; the error names its one
@@ -242,6 +253,31 @@ class TestErrors:
         assert code == 1
         assert "taps" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestHydroPresets:
+    @pytest.mark.parametrize("preset", [
+        {"type": "constant", "value": 0.37},
+        {"type": "square", "side": 1.0, "level": 0.9, "background": 0.1},
+        {"type": "cosine", "mean": 0.5, "amplitude": 0.6, "period": 1.5}],
+        ids=["constant", "square", "cosine"])
+    def test_rows_of_the_preset_field(self, preset, tmp_path, capsys):
+        # hydro.csv holds the rows of the preset's field at the smallest
+        # L (a cosine clipped to [0, 1]); a constant goes in as its
+        # number, with the same bytes
+        from qcp import cli, manifest
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"L-list": [10, 20], "W": 3.0,
+                                    "steps": 2, "seeds": [1], "u0": preset}))
+        assert run(["hydro", "--config", str(path), "--out-dir",
+                    str(tmp_path / "out")]) == 0
+        cfg = experiments.ExperimentConfig(L_list=(10, 20), W=3.0, steps=2,
+                                           seeds=(1,))
+        rows = experiments.hydro_convergence(cfg, cli._u0_field(preset, 10,
+                                                                3.0))
+        manifest.write_csv(tmp_path / "want.csv", rows)
+        assert (tmp_path / "out" / "hydro.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
 
 
 class TestLatticeRunCommand:

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcp import comparison, experiments, lattice
+from qcp import comparison, experiments, ide, lattice
 from qcp.comparison import ErrorPoint
 from qcp.experiments import (ExperimentConfig, aligned_side, error_rate,
                              hydro_convergence, parallel_map, phase_scan,
                              property5_check, property6_check, run_coupled,
                              square_bounds, survival_floor, survival_table)
+from qcp.ide import Field2D
 from qcp.kernel import build_kernel, discretize
 from qcp.mean_field import Params, equilibria
 from qcp.rng import LatticeRng, stream
@@ -98,6 +99,22 @@ class TestHydro:
         mean_fine = np.mean([r["sup_S_err"] for r in fine])
         mean_coarse = np.mean([r["sup_S_err"] for r in coarse])
         assert mean_coarse > mean_fine
+
+    @pytest.mark.parametrize("threshold", [0, 10 ** 9], ids=["fft", "direct"])
+    def test_constant_start_holds_no_grid(self, threshold, monkeypatch):
+        # a read-only view of the number; its rows are those of the same
+        # density as a grid to resample and as a callable, bit for bit
+        monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", threshold)
+        xs = np.arange(30) / 10
+        vals = experiments._field_values(0.37, xs, xs)
+        assert vals.shape == (30, 30) and vals.strides == (0, 0)
+        assert not vals.flags.writeable
+        cfg = small_cfg(L_list=(10, 20), steps=2, seeds=(1, 2))
+        want = repr(hydro_convergence(cfg, 0.37))
+        grid = Field2D(0.0, 0.0, 0.1, np.full((30, 30), 0.37))
+        assert repr(hydro_convergence(cfg, grid)) == want
+        assert repr(hydro_convergence(
+            cfg, lambda x, y: np.full_like(x, 0.37))) == want
 
 
 def phase_scan_oracle(cfg, init="all_ones", square_side=2.0):

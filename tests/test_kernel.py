@@ -1,12 +1,18 @@
 import hashlib
 import json
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcp import ide, kernel
+from qcp.ide import Field2D
 from qcp.kernel import (DiscreteKernel, Kernel1D, KernelSpec, _symmetrise,
                         build_kernel, density, discretize, marginal_1d)
 
@@ -307,6 +313,52 @@ class TestMarginal:
         masses = marginal_1d(discretize(GOLDEN_SPECS[name], L), xi,
                              delta).masses
         assert masses.tobytes() == masses[::-1].tobytes()
+
+
+class TestSamplingTables:
+    @pytest.mark.parametrize("threshold", [0, 10 ** 9], ids=["fft", "direct"])
+    def test_only_draws_build_them(self, threshold, square_spec, p_main,
+                                   monkeypatch):
+        # the density recursion and the marginals read offsets and masses
+        monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", threshold)
+        dk = discretize(square_spec, 8)
+        marginal_1d(dk, (0.6, 0.8), 0.05)
+        ide.evolve(Field2D(0.0, 0.0, 1 / 8, seeded(2).random((40, 40))), dk,
+                   p_main, 2)
+        assert dk._steps is None
+        dk.sample_indices(seeded(3).random(10))
+        assert dk._steps is not None
+
+    def test_first_draws_on_four_threads_build_them_once(self, square_spec,
+                                                        monkeypatch):
+        u = seeded(4).random((4, 1000))
+        serial = discretize(square_spec, 8)
+        want = [serial.sample_indices(row).tobytes() for row in u]
+        calls = []
+        build = kernel._sampling_tables
+
+        def slow_build(masses):
+            calls.append(1)
+            time.sleep(0.05)        # the other threads reach the build
+            return build(masses)
+
+        monkeypatch.setattr(kernel, "_sampling_tables", slow_build)
+        dk = discretize(square_spec, 8)
+        start = threading.Barrier(4)
+
+        def draw(row):
+            start.wait(timeout=30)
+            return dk.sample_indices(row).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(draw, u, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert len(calls) == 1
 
 
 class TestKernel1D:
