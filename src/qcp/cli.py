@@ -131,9 +131,11 @@ SCHEMA = {
                     "L": (int, 20), "seed": (int, 0), "steps": (_count, 100),
                     "snapshot-every": (_count, 0), "init": (str, "all_ones")},
     **dict.fromkeys(("hydro", "compare", "phase-scan", "error-rate"),
-                    {**_COMMON, **_U0, **_EXPERIMENT, "phi-L": (int, 8),
+                    {**_COMMON, **_EXPERIMENT, "phi-L": (int, 8),
                      "assert": (bool, False)}),
 }
+# hydro is the one experiment that reads a start density
+SCHEMA["hydro"] = {**_COMMON, **_U0, **SCHEMA["hydro"]}
 # compare runs one L, since containment.csv has no L column; by default
 # the first of the shared list, the one it always ran
 SCHEMA["compare"] = {**SCHEMA["compare"], "L-list": (

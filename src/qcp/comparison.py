@@ -4,7 +4,8 @@ All regions share one triple of outward unit normals.  A region is
 {x : xi_j . (x - y) <= h_j(t)} with per-edge support offsets h_j that
 move at exactly rate -c (inward) or +b (outward); offsets are therefore
 piecewise linear in time with breakpoints only at events, and the whole
-evolution is event driven and exact.
+evolution is event driven and exact.  A region's supports are its base,
+the projections xi . y stored at its creation, plus its offsets h(t).
 
 Writing lam for the positive coefficients with sum_j lam_j xi_j = 0 and
 sum_j lam_j = 1, the inradius of a support vector g is lam . g
@@ -162,8 +163,8 @@ class VacantRegion:
     """Triangle whose three edges start on one linear piece, start =
     (created_at, h0, rate), edge offset h0 + rate (t - created_at);
     pieces[j] is the piece edge j is on now.  An outward edge (rate > 0)
-    turns inward once, at its catch-up; an inward edge never turns.  See
-    the module docstring."""
+    turns inward once, at its catch-up; an inward edge never turns; base
+    (see the module docstring) is set by RegionSet._add."""
 
     def __init__(self, rid: int, created_at: float, created_step: int,
                  center, h0: float, rate: float, parents=()):
@@ -189,8 +190,8 @@ class VacantRegion:
     def offsets_at(self, t: float) -> np.ndarray:
         return np.array([self.offset(j, t) for j in range(3)])
 
-    def supports_at(self, t: float, normals: np.ndarray) -> np.ndarray:
-        return normals @ self.center + self.offsets_at(t)
+    def supports_at(self, t: float) -> np.ndarray:
+        return self.base + self.offsets_at(t)
 
     def rates(self) -> np.ndarray:
         return np.array([piece[2] for piece in self.pieces])
@@ -216,10 +217,6 @@ class RegionSet:
         self.regions: dict[int, VacantRegion] = {}
         self.horizon = 0.0
         self.contacts: set[frozenset] = set()
-        # bumped by every change to a region, so a snapshot computed at
-        # one version holds until the next change
-        self.version = 0
-        self._snapshot = (None, None)
         # supports_at(t) per (region id, t), within one pass of the
         # event loop of evolve_to
         self._supports: dict = {}
@@ -230,26 +227,19 @@ class RegionSet:
         return [R for R in self.regions.values() if R.alive_at(t)]
 
     def snapshot(self, t: float):
-        """Regions alive at t, their supports (K, 3) and vertices
-        (K, 3, 2), computed once per version and time; read-only."""
-        key, snap = self._snapshot
-        if key != (self.version, t):
-            regs = self.alive(t)
-            g = np.array([R.supports_at(t, self.normals)
-                          for R in regs]).reshape(-1, 3)
-            verts = _vertices(self.normals, g)
-            g.flags.writeable = verts.flags.writeable = False
-            snap = regs, g, verts
-            self._snapshot = (self.version, t), snap
-        return snap
+        """Regions alive at t, their supports (K, 3), each base plus
+        offsets, and vertices (K, 3, 2), computed on every call."""
+        regs = self.alive(t)
+        g = np.array([R.supports_at(t) for R in regs]).reshape(-1, 3)
+        return regs, g, _vertices(self.normals, g)
 
     # -- evolution -------------------------------------------------------
 
     def _add(self, *args, **kwargs) -> VacantRegion:
         """Store VacantRegion(id, *args, **kwargs) under the next id."""
         reg = VacantRegion(len(self.regions), *args, **kwargs)
+        reg.base = self.normals @ reg.center
         self.regions[reg.id] = reg
-        self.version += 1
         return reg
 
     def insert_spawn(self, e: ErrorPoint) -> VacantRegion:
@@ -301,7 +291,6 @@ class RegionSet:
                 self._do_catchup(payload, t)
             else:
                 self.regions[payload].vanished_at = t
-                self.version += 1
                 self.contacts = {pair for pair in self.contacts
                                  if payload not in pair}
         else:
@@ -312,7 +301,7 @@ class RegionSet:
         key = (R.id, t)
         g = self._supports.get(key)
         if g is None:
-            g = self._supports[key] = R.supports_at(t, self.normals)
+            g = self._supports[key] = R.supports_at(t)
         return g
 
     def _pair_inradius(self, A, B, t: float) -> float:
@@ -359,20 +348,17 @@ class RegionSet:
                          (A.id, B.id))
         return best
 
-    def _support(self, R: VacantRegion, j: int, t: float) -> float:
-        return float(self.normals[j] @ R.center + R.offset(j, t))
-
     def _targets(self, R: VacantRegion) -> list:
         """The parents not yet vanished: an outward edge's targets."""
         return [self.regions[i] for i in R.parents
                 if self.regions[i].vanished_at is None]
 
     def _catchup_time(self, R: VacantRegion, j: int, now: float):
-        g_self = self._support(R, j, now)
+        g_self = float(self._supports_at(R, now)[j])
         rate = R.pieces[j][2]
         t_best = now
         for P in self._targets(R):
-            g_p = self._support(P, j, now)
+            g_p = float(self._supports_at(P, now)[j])
             rate_p = P.pieces[j][2]
             if g_self >= g_p - _EPS:
                 continue
@@ -441,12 +427,11 @@ class RegionSet:
         live = self._targets(R)
         if live:
             # land exactly on the outermost live parent edge
-            g_target = max(self._support(P, j, t) for P in live)
-            h_new = g_target - float(self.normals[j] @ R.center)
+            g_target = max(float(self._supports_at(P, t)[j]) for P in live)
+            h_new = g_target - float(R.base[j])
         else:
             h_new = R.offset(j, t)
         R.pieces[j] = (t, h_new, -self.cfg.c)
-        self.version += 1
 
 
 # -- recovery profile field ----------------------------------------------
@@ -657,9 +642,12 @@ def detect_errors(prev: BoxStats, cur: BoxStats, rs: RegionSet,
 @dataclass
 class ContainmentReport:
     time: int
-    n_bad: int
     bad_boxes: list
     violations: list = field(default_factory=list)
+
+    @property
+    def n_bad(self) -> int:
+        return len(self.bad_boxes)
 
 
 def check_containment(stats: BoxStats, rs: RegionSet) -> ContainmentReport:
@@ -673,6 +661,6 @@ def check_containment(stats: BoxStats, rs: RegionSet) -> ContainmentReport:
     _, g, verts = rs.snapshot(stats.time)
     violations = [b for b in bad
                   if not _rect_in_union(rects[b], g, verts, rs.normals)]
-    return ContainmentReport(time=stats.time, n_bad=len(bad), bad_boxes=bad,
+    return ContainmentReport(time=stats.time, bad_boxes=bad,
                              violations=violations)
 

@@ -329,7 +329,7 @@ class UncachedRegionSet(RegionSet):
     """RegionSet whose event loop computes every support afresh."""
 
     def _supports_at(self, R, t):
-        return R.supports_at(t, self.normals)
+        return R.supports_at(t)
 
 
 class PruningRegionSet(RegionSet):
@@ -373,7 +373,7 @@ def uncached_snapshot(rs, t: float):
     """Regions alive at t, their supports (K, 3) and vertices (K, 3, 2),
     with one solve per vertex."""
     regs = rs.alive(t)
-    g = np.array([R.supports_at(t, rs.normals) for R in regs]).reshape(-1, 3)
+    g = np.array([R.supports_at(t) for R in regs]).reshape(-1, 3)
     verts = np.array([[np.linalg.solve(rs.normals[[i, j]], gk[[i, j]])
                        for i, j in ((1, 2), (2, 0), (0, 1))] for gk in g])
     return regs, g, verts.reshape(-1, 3, 2)

@@ -216,7 +216,12 @@ class TestErrors:
         ["hydro", {"u0": {"type": "square", "level": -0.5}}],
         ["hydro", {"u0": {"type": "square", "background": 1.01}}],
         ["hydro", {"u0": {"type": "square", "side": float("inf")}}],
-        ["hydro", {"u0": {"type": "cosine", "amplitude": float("inf")}}]])
+        ["hydro", {"u0": {"type": "cosine", "amplitude": float("inf")}}],
+        # u0 is a key of hydro and ide-run only: the other experiment
+        # subcommands read no start density
+        ["phase-scan", {"u0": {"valeu": 7}}],
+        ["compare", {"u0": {"valeu": 7}}],
+        ["error-rate", {"u0": {"valeu": 7}}]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
         # a trailing dict is a config document; the error names its one

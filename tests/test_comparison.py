@@ -125,7 +125,7 @@ class TestGeometry:
             dirs = random_acute_normals(gen)
             cfg = small_cfg(r=1.7, directions=dirs)
             reg = RegionSet(cfg).insert_spawn(point(0.0, 0.0, 0.0, 0))
-            g = reg.supports_at(0.0, dirs)
+            g = reg.supports_at(0.0)
             verts = _vertices(dirs, g)
             radius = float(np.max(np.hypot(*(verts - reg.center).T)))
             oracle = 0.0
@@ -221,8 +221,8 @@ class TestOverlap:
         assert 0.0 < overlaps[2].created_at < 0.5
 
     @staticmethod
-    def _support(rs, R, j, t):
-        return float(rs.normals[j] @ R.center + R.offsets_at(t)[j])
+    def _support(R, j, t):
+        return float(R.supports_at(t)[j])
 
     def test_edge_lands_on_outermost_live_parent(self):
         # region 0 is the outermost parent along edge 1 of the overlap
@@ -238,7 +238,7 @@ class TestOverlap:
         t0 = ov.created_at
 
         def g(R, t):
-            return self._support(rs, R, 1, t)
+            return self._support(R, 1, t)
 
         assert g(A, t0) > g(B, t0) > g(C, t0)
         assert g(ov, t0) == pytest.approx(g(C, t0), abs=1e-12)
@@ -263,8 +263,8 @@ class TestOverlap:
         t0 = ov.created_at
         t_last = max(A.vanished_at, B.vanished_at)
         assert t_last == pytest.approx(2.5, abs=1e-12)
-        gap = max(self._support(rs, P, 0, t0) for P in (A, B)) - \
-            self._support(rs, ov, 0, t0)
+        gap = max(self._support(P, 0, t0) for P in (A, B)) - \
+            self._support(ov, 0, t0)
         assert gap > (cfg.b + cfg.c) * (t_last - t0)
         h0 = ov.offsets_at(t0)[0]
         h_turn = h0 + cfg.b * (t_last - t0)
@@ -273,6 +273,49 @@ class TestOverlap:
             h_turn - 0.2 * cfg.c, abs=1e-12)
         assert ov.rates()[0] == -cfg.c
         assert ov.vanished_at is not None and ov.vanished_at > t_last
+
+
+class TestOneRounding:
+    """A catch-up reads each support as the snapshot does, so its time
+    and its landing equal, bit for bit, the values computed from the
+    supports of rs.snapshot(now)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_catchup_reads_the_snapshot_supports(self, seed):
+        gen = seeded(seed)
+        cfg = small_cfg(r=1.0, c=float(gen.uniform(0.05, 0.5)),
+                        b=float(gen.uniform(0.05, 1.0)),
+                        directions=random_acute_normals(gen))
+        rs = RegionSet(cfg)
+        # two spawns less than one inradius apart overlap at once
+        a = gen.uniform(-5.0, 5.0, 2)
+        b = a + gen.uniform(-0.5, 0.5, 2)
+        rs.evolve_to(0.0, spawns=[point(*a, 0.0, 0, "I", (0, 0)),
+                                  point(*b, 0.0, 0, "I", (1, 0))])
+        ov = rs.regions[2]
+        assert ov.parents == (0, 1)
+        now = float(gen.uniform(0.0, 0.2))
+        rs.evolve_to(now)
+        regs, g, _ = rs.snapshot(now)
+        row = {R.id: k for k, R in enumerate(regs)}
+        live = [rs.regions[i] for i in ov.parents
+                if rs.regions[i].vanished_at is None]
+        outward = [j for j in range(3) if ov.pieces[j][2] > 0]
+        for j in outward:
+            g_self = float(g[row[ov.id], j])
+            want = now
+            for P in live:
+                g_p = float(g[row[P.id], j])
+                if g_self < g_p - comparison._EPS:
+                    want = max(want, now + (g_p - g_self)
+                               / (ov.pieces[j][2] - P.pieces[j][2]))
+            assert rs._catchup_time(ov, j, now) == want
+        base = rs.normals @ ov.center
+        for j in outward:
+            rs._do_catchup((ov.id, j), now)
+            h = max(float(g[row[P.id], j]) for P in live) - float(base[j])
+            assert repr(ov.pieces[j]) == repr((now, h, -cfg.c))
 
 
 def _within(seconds, fn):
@@ -648,7 +691,7 @@ class ScalarOracle:
 
     def meets(self, rect, R, t):
         x0, y0, x1, y1 = rect
-        g = R.supports_at(t, self.normals)
+        g = R.supports_at(t)
         verts = _vertices(self.normals, g)
         corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
         proj = corners @ self.normals.T
@@ -734,8 +777,8 @@ class TestArrayPathAgainstScalarOracle:
 
 class TestCachesAgainstUncachedOracle:
     """detect_errors, check_containment and evolve_to, with their box
-    grid, snapshot, supports and ladder caches, against the uncached
-    oracle of tests/helpers.py, byte for byte."""
+    grid, supports and ladder caches, against the uncached oracle of
+    tests/helpers.py, byte for byte."""
 
     @staticmethod
     def _stats(gen, cfg, nb, rem, time):
