@@ -160,22 +160,26 @@ class ErrorPoint:
 
 
 class VacantRegion:
-    """Triangle whose three edges start on one linear piece, start =
-    (created_at, h0, rate), edge offset h0 + rate (t - created_at);
-    pieces[j] is the piece edge j is on now.  An outward edge (rate > 0)
-    turns inward once, at its catch-up; an inward edge never turns; base
-    (see the module docstring) is set by RegionSet._add."""
+    """Triangle whose three edges start on one linear piece of floats,
+    start = (created_at, h0, rate), edge offset h0 + rate (t - t0) on a
+    piece (t0, h0, rate); pieces[j] is the piece edge j is on now.  An
+    outward edge (rate > 0) turns inward once, at its catch-up; an
+    inward edge never turns; base (see the module docstring) is set by
+    RegionSet._add."""
 
     def __init__(self, rid: int, created_at: float, created_step: int,
                  center, h0: float, rate: float, parents=()):
         self.id = rid
-        self.created_at = float(created_at)
         self.created_step = int(created_step)
         self.center = np.asarray(center, dtype=float)
         self.parents = tuple(parents)
         self.vanished_at = None
-        self.start = (created_at, h0, rate)
+        self.start = (float(created_at), float(h0), float(rate))
         self.pieces = [self.start] * 3
+
+    @property
+    def created_at(self) -> float:
+        return self.start[0]
 
     def alive_at(self, t: float) -> bool:
         return (self.created_at <= t + _EPS
@@ -290,7 +294,7 @@ class RegionSet:
             elif prio == _PRIO_CATCHUP:
                 self._do_catchup(payload, t)
             else:
-                self.regions[payload].vanished_at = t
+                self.regions[payload].vanished_at = float(t)
                 self.contacts = {pair for pair in self.contacts
                                  if payload not in pair}
         else:
@@ -431,7 +435,7 @@ class RegionSet:
             h_new = g_target - float(R.base[j])
         else:
             h_new = R.offset(j, t)
-        R.pieces[j] = (t, h_new, -self.cfg.c)
+        R.pieces[j] = (float(t), float(h_new), -float(self.cfg.c))
 
 
 # -- recovery profile field ----------------------------------------------
@@ -453,7 +457,6 @@ class ProfileCache:
     def __init__(self, phi: PhiData):
         self.phi = phi
         self.tables = [[phi.phi] for _ in phi.kernels1d]
-        self.cap = 0
 
     def _build(self, cap: int):
         """Grow every direction's ladder to age cap."""
@@ -468,12 +471,11 @@ class ProfileCache:
                                         np.full(hw, prof.right_limit)]),
                         prof.left_limit, prof.right_limit)
                 ladder.append(apply_Q_1d(prof, k1, self.phi.params))
-        self.cap = cap
 
     def profile(self, j: int, age: int) -> Profile1D:
         if age < 0:
             raise ValueError("age must be nonnegative")
-        if age > self.cap:
+        if age >= len(self.tables[j]):   # every ladder has one length
             self._build(age)
         return self.tables[j][age]
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import comparison, lattice
 from .ide import Field2D, evolve
-from .kernel import KernelSpec, build_kernel, discretize
+from .kernel import KernelSpec, discretize
 from .mean_field import Params, equilibria
 from .rng import LatticeRng, stream
 from .wavespeed import PhiData
@@ -104,11 +104,10 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
     particle count S/m against u_n and the pair count R/m against
     u_n^2.
     """
-    spec = build_kernel(cfg.kernel)
     p = cfg.params
     rows = []
     for L in cfg.L_list:
-        dk = discretize(spec, L)
+        dk = discretize(cfg.kernel, L)
         side = lattice.window_side(cfg.W, L)
         xs = np.arange(side) / L
         vals = _field_values(u0, xs, xs)
@@ -168,7 +167,7 @@ def phase_scan(cfg: ExperimentConfig, init: str = "all_ones",
         start[i0:i1, i0:i1] = -np.inf
     elif init != "all_ones":
         raise ValueError(f"unknown init {init!r}")
-    dk = discretize(build_kernel(cfg.kernel), cfg.phase_L)
+    dk = discretize(cfg.kernel, cfg.phase_L)
 
     def final_labels(cell):
         eta, seed = cell
@@ -207,11 +206,14 @@ def survival_table(rows):
 class CoupledRunResult:
     seed: int
     L: int
-    steps: int
     boxes: int
     points: list
-    reports: list
+    reports: list   # one ContainmentReport per step
     n_regions: int
+
+    @property
+    def steps(self) -> int:
+        return len(self.reports)
 
     @property
     def violations(self) -> int:
@@ -247,9 +249,9 @@ def run_coupled(p: Params, dk, gamma: float, side: int, steps: int,
         points.extend(errs)
         rs.evolve_to(n, spawns=errs)
         reports.append(comparison.check_containment(stats, rs))
-    return CoupledRunResult(seed=seed, L=dk.L, steps=steps,
-                            boxes=int(stats.nb ** 2), points=points,
-                            reports=reports, n_regions=len(rs.regions))
+    return CoupledRunResult(seed=seed, L=dk.L, boxes=int(stats.nb ** 2),
+                            points=points, reports=reports,
+                            n_regions=len(rs.regions))
 
 
 def coupled_runs(cfg: ExperimentConfig, phi: PhiData, L: int):
@@ -278,7 +280,7 @@ def error_rate(cfg: ExperimentConfig, phi: PhiData) -> list:
                                 box_width=cmp_cfg.box_side / L)
         prop6 = property6_check(pooled, w_cont, cfg.steps,
                                 eps=cmp_cfg.error_rate_bound(),
-                                l_gamma_sq=cmp_cfg.box_side / L)
+                                box_width=cmp_cfg.box_side / L)
         rate = (sum(len(r.points) for r in results)
                 / sum(r.boxes * r.steps for r in results))
         rows.append({
@@ -360,22 +362,22 @@ def property5_check(points, space_side: float, horizon: float,
 
 
 def property6_check(points, space_side: float, horizon: float, eps: float,
-                    l_gamma_sq: float) -> dict:
+                    box_width: float) -> dict:
     """Product bound for disjoint small cubes: joint hit frequencies may
     not exceed the product of the per-cube bounds 2 eps L^{2 gamma}
     lambda(B_j).
 
-    l_gamma_sq is the box width L^-gamma; cubes are drawn with spatial
+    box_width is the box width L^-gamma; cubes are drawn with spatial
     side below it and unit time depth, and each family is tested by
     sliding over integer time translates.
     """
     gen = stream(1, 0, 6)
     pts = _xyt(points)
-    area_unit = l_gamma_sq ** 2
+    area_unit = box_width ** 2
     failures = 0
     translates = max(1, int(horizon) - 1)
     for _ in range(_PROP6_FAMILIES):
-        cubes = _cube_family(gen, space_side, l_gamma_sq)
+        cubes = _cube_family(gen, space_side, box_width)
         sides, _, _, t_len = cubes
         # per-cube bound: 2 eps L^{2 gamma} lambda(B); L^{2 gamma} is
         # 1/area of one box, so the rate is per unit volume
@@ -391,13 +393,13 @@ def property6_check(points, space_side: float, horizon: float, eps: float,
             "failures": failures}
 
 
-def _cube_family(gen, space_side: float, l_gamma_sq: float):
+def _cube_family(gen, space_side: float, box_width: float):
     """The next family of property6_check's cubes from gen: the spatial
-    sides (below l_gamma_sq) of its 2 or 3 cubes, their lower spatial
+    sides (below box_width) of its 2 or 3 cubes, their lower spatial
     corners, and the start and length of their time windows at the
     first time translate."""
     m = int(gen.integers(2, 4))
-    sides = (0.3 + 0.6 * gen.random(m)) * l_gamma_sq
+    sides = (0.3 + 0.6 * gen.random(m)) * box_width
     anchors = gen.random((m, 2)) * (space_side - sides[:, None])
     t_len = 0.5 + 0.4 * gen.random(m)
     t_off = gen.random(m) * (1.0 - t_len).clip(min=0.0)

@@ -116,9 +116,9 @@ class DiscreteKernel:
     """Probability masses on lattice offsets at spacing 1/L.
 
     offsets are integer multiples of 1/L, stored lexicographically so
-    the sampling CDF has a canonical order.  support_diameter is the
-    max pairwise distance between offsets of nonzero mass, which by the
-    point symmetry of the support equals 2 max |w|.
+    the sampling CDF has a canonical order.  support_diameter is the max
+    pairwise distance between offsets, computed from them: by the point
+    symmetry of the support, 2 max |w|, and 0 with no offsets.
 
     A kernel holds its offsets and masses; the sampling tables of
     ``sample_indices`` (the CDF and the bucket table: 9 MB at L = 400,
@@ -130,11 +130,12 @@ class DiscreteKernel:
     L: int
     offsets: np.ndarray   # (n, 2) int64, lattice steps
     masses: np.ndarray    # (n,) float64, sums to 1 within MASS_TOL
-    support_diameter: float
 
     def __post_init__(self):
         # the largest |coordinate| of an offset, in lattice steps
         self.reach = int(np.abs(self.offsets).max(initial=0))
+        norms = np.hypot(*self.offsets.T) * (1.0 / self.L)
+        self.support_diameter = 2.0 * float(norms.max(initial=0.0))
         self._steps = None      # no sampling tables yet
 
     def _build_tables(self) -> None:
@@ -284,11 +285,7 @@ def discretize(spec: KernelSpec, L: int) -> DiscreteKernel:
 
     offsets, masses = _symmetrise(grid, imax)
     masses = masses / masses.sum()
-
-    norms = np.hypot(offsets[:, 0], offsets[:, 1]) * h
-    diameter = 2.0 * float(norms.max()) if len(norms) else 0.0
-    return DiscreteKernel(L=L, offsets=offsets, masses=masses,
-                          support_diameter=diameter)
+    return DiscreteKernel(L=L, offsets=offsets, masses=masses)
 
 
 @dataclass

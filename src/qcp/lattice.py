@@ -35,14 +35,17 @@ class LatticeState:
     """
 
     L: int
-    side: int
-    occ: np.ndarray  # uint8
+    occ: np.ndarray  # uint8, (side, side)
     time: int = 0
 
     def __post_init__(self):
         self.occ = np.asarray(self.occ, dtype=np.uint8)
-        if self.occ.shape != (self.side, self.side):
-            raise ValueError("occupancy shape must be (side, side)")
+        if self.occ.ndim != 2 or self.occ.shape[0] != self.occ.shape[1]:
+            raise ValueError("occupancy must be a square 2D grid")
+
+    @property
+    def side(self) -> int:
+        return self.occ.shape[0]
 
     @property
     def W(self) -> float:
@@ -83,7 +86,7 @@ def init(L: int, side: int, density, rng: _rng.LatticeRng) -> LatticeState:
         np.less(gen.random(b - a), flat[a:b], out=occ[a:b].view(bool))
 
     chunks.run(chunk, side * side)
-    return LatticeState(L=L, side=side, occ=occ.reshape(side, side), time=0)
+    return LatticeState(L=L, occ=occ.reshape(side, side), time=0)
 
 
 def box_side_sites(L: int, gamma: float) -> int:
@@ -187,7 +190,7 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
         return len(f), np.count_nonzero(born), alive - np.count_nonzero(out)
 
     attempted, births, deaths = map(sum, zip(*chunks.run(chunk, side * side)))
-    return (LatticeState(L=s.L, side=side, time=n,
+    return (LatticeState(L=s.L, time=n,
                          occ=new.reshape(side, side).view(np.uint8)),
             StepReport(births_attempted=int(attempted), births=int(births),
                        deaths=int(deaths)))
@@ -234,19 +237,22 @@ def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
 class BoxStats:
     """Per-box particle counts S and interior adjacent-pair sums R.
 
-    The torus is tiled with complete boxes of b sites from the corner;
-    a remainder strip (when side % b != 0) carries no box.  R sums
-    zeta(y) = occ(y) * (occ(y+e1) + occ(y+e2)) / 2 over the sites whose
-    +e1 and +e2 neighbors stay inside the box.
+    The torus is tiled with complete boxes of b = box_side_sites(L,
+    gamma) sites from the corner; a remainder strip (when side % b != 0)
+    carries no box.  R sums zeta(y) = occ(y) * (occ(y+e1) + occ(y+e2)) / 2
+    over the sites whose +e1 and +e2 neighbors stay inside the box.
     """
 
     gamma: float
     L: int
     side: int
     time: int
-    b: int
     S: np.ndarray  # (nb, nb) int64
     R: np.ndarray  # (nb, nb) float64
+
+    @property
+    def b(self) -> int:
+        return box_side_sites(self.L, self.gamma)
 
     @property
     def m(self) -> int:
@@ -276,8 +282,7 @@ def box_stats(s: LatticeState, gamma: float) -> BoxStats:
         R = 0.5 * (n1 + n2)
     else:
         R = np.zeros((nb, nb))
-    return BoxStats(gamma=gamma, L=s.L, side=s.side, time=s.time,
-                    b=b, S=S, R=R)
+    return BoxStats(gamma=gamma, L=s.L, side=s.side, time=s.time, S=S, R=R)
 
 
 def save_snapshot(s: LatticeState, path, seed: int, params: Params):

@@ -181,10 +181,13 @@ def _classify(c, psi: Profile1D, k1: Kernel1D, p: Params, tol: float,
 @dataclass
 class SpeedResult:
     xi: np.ndarray
-    c_star: float
     bracket: tuple
     iterations: int
     trace: list = field(default_factory=list)
+
+    @property
+    def c_star(self) -> float:   # the bracket's upper end
+        return self.bracket[1]
 
 
 def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01, *,
@@ -210,8 +213,8 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01, *,
     key = k1.masses.tobytes()
     if memo is not None and key in memo:
         trace, (lo, hi) = memo[key]
-        return SpeedResult(xi=xi, c_star=hi, bracket=(lo, hi),
-                           iterations=0, trace=list(trace))
+        return SpeedResult(xi=xi, bracket=(lo, hi), iterations=0,
+                           trace=list(trace))
     budget, probe_tol = _budget(dk, tol), min(tol, 1e-2)
     lo, hi = -dk.support_diameter - 1.0, dk.support_diameter + 1.0
     trace, steps = [], []
@@ -235,8 +238,8 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01, *,
             hi = mid
     if memo is not None:
         memo[key] = (tuple(trace), (lo, hi))
-    return SpeedResult(xi=xi, c_star=hi, bracket=(lo, hi),
-                       iterations=sum(steps), trace=trace)
+    return SpeedResult(xi=xi, bracket=(lo, hi), iterations=sum(steps),
+                       trace=trace)
 
 
 def check_tracking(xi, steps: int) -> np.ndarray:

@@ -71,7 +71,7 @@ def corner_step(s, dk, p, rng, gamma):
     after_births = occ0.copy()
     after_births.ravel()[f[born]] = True
     dies = u_die < p.eta
-    new = lattice.LatticeState(L=s.L, side=side, time=n,
+    new = lattice.LatticeState(L=s.L, time=n,
                                occ=(after_births & ~dies).astype(np.uint8))
     return new, lattice.StepReport(births_attempted=int(len(f)),
                                    births=int(born.sum()),
@@ -461,7 +461,7 @@ def property5_reference(points, space_side: float, horizon: float,
 
 
 def property6_reference(points, space_side: float, horizon: float,
-                        eps: float, l_gamma_sq: float) -> dict:
+                        eps: float, box_width: float) -> dict:
     """experiments.property6_check with its own box test in each cube:
     the oracle of the windowed box count."""
     from scipy.stats import binom
@@ -469,12 +469,12 @@ def property6_reference(points, space_side: float, horizon: float,
         [1, 6], dtype=np.uint64)))
     pts = np.array([[pt.location[0], pt.location[1], pt.t]
                     for pt in points]).reshape(-1, 3)
-    area_unit = l_gamma_sq ** 2
+    area_unit = box_width ** 2
     failures = 0
     translates = max(1, int(horizon) - 1)
     for _ in range(_PROP6_FAMILIES):
         m = int(gen.integers(2, 4))
-        sides = (0.3 + 0.6 * gen.random(m)) * l_gamma_sq
+        sides = (0.3 + 0.6 * gen.random(m)) * box_width
         anchors = gen.random((m, 2)) * (space_side - sides[:, None])
         t_len = 0.5 + 0.4 * gen.random(m)
         t_off = gen.random(m) * (1.0 - t_len).clip(min=0.0)
@@ -591,4 +591,4 @@ def load_snapshot(path) -> LatticeState:
                          f"summing to side^2 = {side * side}")
     parity = (np.arange(len(runs)) + bit) % 2
     bits = np.repeat(parity.astype(np.uint8), runs)
-    return LatticeState(L=L, side=side, occ=bits.reshape(side, side), time=n)
+    return LatticeState(L=L, occ=bits.reshape(side, side), time=n)

@@ -78,7 +78,7 @@ class TestAcceptance:
             rng_a, rng_b = LatticeRng(seed), LatticeRng(seed)
             a = init(L, 200, 0.3, LatticeRng(1000 + seed))
             extra = init(L, 200, 0.3, LatticeRng(2000 + seed))
-            b = LatticeState(L, a.side, (a.occ | extra.occ).astype(np.uint8))
+            b = LatticeState(L, (a.occ | extra.occ).astype(np.uint8))
             for _ in range(50):
                 a, _ = step(a, dk, p_main, rng_a)
                 b, _ = step(b, dk, p_main, rng_b)
@@ -319,7 +319,7 @@ class TestAcceptance:
                              box_width=cfg.box_side / L)
         p6 = property6_check(all_points, w_cont, steps,
                              eps=cfg.error_rate_bound(),
-                             l_gamma_sq=cfg.box_side / L)
+                             box_width=cfg.box_side / L)
         assert p5["passed"] and p6["passed"]
 
         # supplementary stress run at L=50 where errors actually occur

@@ -12,8 +12,9 @@ from qcp.comparison import (ComparisonConfig, ErrorPoint, ProfileCache,
                             RegionSet, box_diameter, check_containment,
                             detect_errors, lambda_coeffs,
                             make_comparison_config, _vertices)
+from qcp.experiments import aligned_side, run_coupled
 from qcp.ide import Profile1D
-from qcp.kernel import Kernel1D
+from qcp.kernel import Kernel1D, discretize
 from qcp.lattice import BoxStats, box_side_sites
 from qcp.mean_field import Params, mf_step
 from qcp.rng import LatticeRng
@@ -67,8 +68,8 @@ def synthetic_phi(p=None, alpha=0.5, delta=0.1):
 def mk_stats(dens, L=100, gamma=0.3, time=1):
     b = box_side_sites(L, gamma)
     S = np.round(np.asarray(dens, dtype=float) * b * b).astype(np.int64)
-    return BoxStats(gamma=gamma, L=L, side=S.shape[0] * b, time=time,
-                    b=b, S=S, R=np.zeros(S.shape))
+    return BoxStats(gamma=gamma, L=L, side=S.shape[0] * b, time=time, S=S,
+                    R=np.zeros(S.shape))
 
 
 class TestConfigValidation:
@@ -318,6 +319,54 @@ class TestOneRounding:
             assert repr(ov.pieces[j]) == repr((now, h, -cfg.c))
 
 
+class TestRecordScalars:
+    """A region record states its start once, and every path that builds
+    or moves a piece stores Python floats, so a record's text does not
+    depend on the path."""
+
+    def test_compare_L50_records_hold_floats(self, phi_main, square_spec,
+                                             p_main, monkeypatch):
+        # the five coupled runs of the compare-L50 benchmark (44 regions)
+        sets = []
+
+        class Recorded(RegionSet):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                sets.append(self)
+
+        monkeypatch.setattr(comparison, "RegionSet", Recorded)
+        L, gamma = 50, 0.3
+        dk = discretize(square_spec, L)
+        cfg = make_comparison_config(phi_main, dk, L, gamma)
+        for seed in range(351, 356):
+            run_coupled(p_main, dk, gamma, aligned_side(L, gamma, 3.0), 60,
+                        seed, phi_main, cfg)
+        regs = [R for rs in sets for R in rs.regions.values()]
+        assert len(regs) == 44
+        for R in regs:
+            values = list(R.start) + [v for piece in R.pieces for v in piece]
+            assert [type(v) for v in values] == [float] * 12, R.id
+            assert R.created_at == R.start[0]
+            assert type(R.created_at) is float
+
+    def test_vanish_times_are_floats(self):
+        # spawns in a square of half-side 1.5 r, so overlaps form, and
+        # regions vanish after a contact moved the clock
+        vanished = 0
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            rs = RegionSet(small_cfg(r=1.0, c=0.5, b=0.05))
+            for n in range(1, 8):
+                rs.evolve_to(n, spawns=[
+                    point(*gen.uniform(-1.5, 1.5, 2), n - 1 + gen.random(),
+                          n, "I", (k, 0)) for k in range(gen.integers(0, 3))])
+            times = [R.vanished_at for R in rs.regions.values()
+                     if R.vanished_at is not None]
+            assert [type(t) for t in times] == [float] * len(times)
+            vanished += len(times)
+        assert vanished > 0
+
+
 def _within(seconds, fn):
     """fn() under a wall-clock limit: TimeoutError once it has passed."""
     def expire(signum, frame):
@@ -480,10 +529,10 @@ class TestProfileCacheAndHField:
     def test_cache_extends(self):
         phi = synthetic_phi()
         cache = ProfileCache(phi)
-        # past the ages built so far, so the ladder grows
-        age = 2 * cache.cap + 3
+        # past the ages built so far, so every ladder grows
+        age = 2 * len(cache.tables[1]) + 1
         prof = cache.profile(1, age)
-        assert cache.cap >= age
+        assert all(len(ladder) == age + 1 for ladder in cache.tables)
         p = phi.params
         want = phi.alpha
         for _ in range(age):
@@ -785,7 +834,7 @@ class TestCachesAgainstUncachedOracle:
         b = cfg.box_side
         S = gen.integers(0, b * b + 1, (nb, nb))
         return BoxStats(gamma=cfg.gamma, L=cfg.L, side=nb * b + rem,
-                        time=time, b=b, S=S, R=np.zeros((nb, nb)))
+                        time=time, S=S, R=np.zeros((nb, nb)))
 
     @staticmethod
     def _same_snapshot(rs, rs_oracle, t):

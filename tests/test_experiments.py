@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -6,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcp import comparison, experiments, ide, lattice
+from qcp import comparison, experiments, ide, kernel, lattice, wavespeed
 from qcp.comparison import ErrorPoint
 from qcp.experiments import (ExperimentConfig, aligned_side, error_rate,
                              hydro_convergence, parallel_map, phase_scan,
                              property5_check, property6_check, run_coupled,
                              square_bounds, survival_floor, survival_table)
 from qcp.ide import Field2D
-from qcp.kernel import build_kernel, discretize
+from qcp.kernel import discretize
 from qcp.mean_field import Params, equilibria
 from qcp.rng import LatticeRng, stream
 
@@ -55,6 +56,19 @@ class TestConfig:
     def test_threads_at_least_one(self, threads):
         with pytest.raises(ValueError, match="threads"):
             small_cfg(threads=threads)
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: hydro_convergence(cfg, 0.5),
+        lambda cfg: phase_scan(cfg, init="finite_square")])
+    def test_bad_kernel_raises_before_any_step(self, run, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step ran before the kernel was checked")
+
+        monkeypatch.setattr(lattice, "step", refuse)
+        monkeypatch.setattr(lattice, "label_step", refuse)
+        bad = kernel.KernelSpec("uniform-square", {"radius": -1.0})
+        with pytest.raises(ValueError, match="radius"):
+            run(small_cfg(kernel=bad, phase_L=5, phase_W=4.0, horizon=5))
 
     def test_grid_entries_may_span_unit_interval(self):
         cfg = small_cfg(beta_grid=(0.0, 1.0), eta_grid=(0.0, 1.0))
@@ -123,7 +137,7 @@ def phase_scan_oracle(cfg, init="all_ones", square_side=2.0):
     betas = cfg.beta_grid or (cfg.beta,)
     etas = cfg.eta_grid or (cfg.eta,)
     L, W = cfg.phase_L, cfg.phase_W
-    dk = discretize(build_kernel(cfg.kernel), L)
+    dk = discretize(cfg.kernel, L)
     side = int(round(W * L))
 
     def one(cell):
@@ -173,7 +187,7 @@ class TestPhaseScan:
                         eta_grid=(0.1,), horizon=150, phase_L=5,
                         phase_W=4.0, seeds=(seed,))
         rows = phase_scan(cfg, init="finite_square")
-        dk = discretize(build_kernel(cfg.kernel), cfg.phase_L)
+        dk = discretize(cfg.kernel, cfg.phase_L)
         rng = LatticeRng(seed)
         i0, i1 = square_bounds(cfg)
         side = lattice.window_side(cfg.phase_W, cfg.phase_L)
@@ -243,6 +257,15 @@ class TestCoupledRuns:
         assert res.violations == 0
         assert res.error_rate <= 1.0
 
+    @pytest.mark.parametrize("record, derived", [
+        (lattice.LatticeState, "side"), (lattice.BoxStats, "b"),
+        (kernel.DiscreteKernel, "support_diameter"),
+        (wavespeed.SpeedResult, "c_star"),
+        (experiments.CoupledRunResult, "steps")])
+    def test_derived_field_is_no_argument(self, record, derived):
+        # each is computed from its source, so no caller can set it apart
+        assert derived not in inspect.signature(record).parameters
+
     def test_error_rate_rows(self, phi_main):
         cfg = small_cfg(L_list=(25,), W=3.0, steps=15, seeds=(1, 2))
         rows = error_rate(cfg, phi_main)
@@ -282,7 +305,7 @@ class TestPointProcessProperties:
 
     def test_property6_passes_for_independent_process(self):
         pts = self._iid_points(10, 200, 0.5, 0.01)
-        out = property6_check(pts, 5.0, 200.0, eps=0.02, l_gamma_sq=0.5)
+        out = property6_check(pts, 5.0, 200.0, eps=0.02, box_width=0.5)
         assert out["passed"]
 
     def test_property5_rejects_clustered_process(self):
@@ -298,7 +321,7 @@ class TestPointProcessProperties:
     def test_empty_process_trivially_passes(self):
         assert property5_check([], 5.0, 100.0, box_width=0.5)["passed"]
         assert property6_check([], 5.0, 100.0, eps=0.01,
-                               l_gamma_sq=0.5)["passed"]
+                               box_width=0.5)["passed"]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300),
@@ -371,7 +394,7 @@ class TestPointProcessProperties:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiments, "_window_counts", window_counts)
             out6 = property6_check(pts, space_side, horizon, eps=eps,
-                                   l_gamma_sq=width)
+                                   box_width=width)
         assert out6 == property6_reference(pts, space_side, horizon, eps,
                                            width)
         if layout == "cube ends" and n and not grid:

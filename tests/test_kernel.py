@@ -448,7 +448,7 @@ class TestSampling:
         else:
             w = np.ones(n)
         dk = DiscreteKernel(L=1, offsets=np.zeros((n, 2), np.int64),
-                            masses=w / w.sum(), support_diameter=0.0)
+                            masses=w / w.sum())
         cdf = dk.cdf
         pool = np.concatenate([
             gen.random(200), cdf, np.nextafter(cdf, -np.inf),

@@ -98,6 +98,17 @@ class TestInit:
         with pytest.raises(ValueError, match="density must be a number"):
             init(10, 20, np.full(shape, 0.5), LatticeRng(1))
 
+    @pytest.mark.parametrize("shape", [(20,), (20, 21), (21, 20), (0, 3),
+                                       (2, 20, 20), ()])
+    def test_state_occupancy_must_be_square(self, shape):
+        with pytest.raises(ValueError, match="square 2D grid"):
+            LatticeState(10, np.zeros(shape, np.uint8))
+
+    @pytest.mark.parametrize("side", [1, 7, 20])
+    def test_state_side_is_grid_side(self, side):
+        s = LatticeState(10, np.zeros((side, side), np.uint8), 3)
+        assert (s.side, s.W, s.time) == (side, side / 10, 3)
+
     def test_product_determinism(self):
         a = init(20, 40, 0.4, LatticeRng(9))
         b = init(20, 40, 0.4, LatticeRng(9))
@@ -118,7 +129,7 @@ class TestStep:
         p = Params(1.0, 0.1)
         occ = np.zeros((32, 32), dtype=np.uint8)
         occ[16, 16] = 1  # the site at (2, 2)
-        s = LatticeState(8, 32, occ)
+        s = LatticeState(8, occ)
         rng = LatticeRng(12)
         total = s.occ.sum()
         for _ in range(20):
@@ -147,7 +158,7 @@ class TestStep:
         rng_a, rng_b = LatticeRng(21), LatticeRng(21)
         a = init(8, 32, 0.3, LatticeRng(1))
         extra = init(8, 32, 0.3, LatticeRng(2))
-        b = LatticeState(8, a.side, (a.occ | extra.occ).astype(np.uint8))
+        b = LatticeState(8, (a.occ | extra.occ).astype(np.uint8))
         for _ in range(20):
             a, _ = step(a, dk8, p_main, rng_a)
             b, _ = step(b, dk8, p_main, rng_b)
@@ -299,8 +310,7 @@ class TestCoinGenerator:
         # 50 steps and 50 label steps on a fresh thread build at most
         # the thread's one Philox and read no OS entropy
         dk = discretize(square_spec, 4)
-        s = LatticeState(4, 12, np.random.default_rng(1).random((12, 12))
-                         < 0.5)
+        s = LatticeState(4, np.random.default_rng(1).random((12, 12)) < 0.5)
         B = np.where(s.occ.astype(bool), -np.inf, np.inf)
         built, reads = [], []
         philox, urandom = np.random.Philox, random._urandom
@@ -422,9 +432,9 @@ class TestMonotoneCoupling:
         d_a, d_b = sorted(densities)
         beta1, beta2 = sorted(betas)
         u = np.random.default_rng(occ_seed).random((side, side))
-        a = LatticeState(L, side, u < d_a, time)
+        a = LatticeState(L, u < d_a, time)
         runs = {"a1": (a, beta1), "a2": (a, beta2),
-                "b1": (LatticeState(L, side, u < d_b, time), beta1)}
+                "b1": (LatticeState(L, u < d_b, time), beta1)}
         rng = LatticeRng(seed)
         for _ in range(steps):
             runs = {k: (anchored_step(anchor, s, dk, Params(beta, eta),
@@ -452,7 +462,7 @@ class TestStepReport:
                       seed, time, beta, eta, steps):
         dk = discretize(square_spec, L)
         u = np.random.default_rng(occ_seed).random((side, side))
-        s = LatticeState(L, side, u < density, time)
+        s = LatticeState(L, u < density, time)
         rng = LatticeRng(seed)
         for _ in range(steps):
             s1, rep = anchored_step(anchor, s, dk, Params(beta, eta), rng)
@@ -481,7 +491,7 @@ class TestLabelStep:
                                    density, seed, time, beta, eta, steps):
         dk = discretize(square_spec, L)
         gen = np.random.default_rng(occ_seed)
-        s = LatticeState(L, side, gen.random((side, side)) < density, time)
+        s = LatticeState(L, gen.random((side, side)) < density, time)
         B = np.where(s.occ.astype(bool), -np.inf, np.inf)
         rng = LatticeRng(seed)
         for n in range(time, time + steps):
@@ -536,7 +546,7 @@ class TestBoxStats:
         occ = np.zeros((2 * b, 2 * b), dtype=np.uint8)
         occ[1, 1] = 1
         occ[2, 1] = 1  # neighbor in +e1
-        st = box_stats(LatticeState(L, 2 * b, occ), gamma)
+        st = box_stats(LatticeState(L, occ), gamma)
         assert st.S[0, 0] == 2
         assert st.R[0, 0] == 0.5
         assert st.R.sum() == 0.5
@@ -613,7 +623,7 @@ class TestSnapshots:
             occ = np.random.default_rng(occ_seed).random((side, side)) < density
         else:
             occ = np.full((side, side), fill == "ones")
-        s = LatticeState(L, side, occ, time)
+        s = LatticeState(L, occ, time)
         path = tmp_path_factory.mktemp("snap") / "snap.json"
         save_snapshot(s, path, seed=occ_seed, params=Params(1.0, 0.05))
         back = load_snapshot(path)

@@ -446,7 +446,7 @@ class TestPhi:
             monkeypatch.setattr(
                 wavespeed, "estimate_cstar",
                 lambda xi, *args, c_star=c_star, **kwargs:
-                wavespeed.SpeedResult(xi=xi, c_star=c_star,
+                wavespeed.SpeedResult(xi=xi,
                                       bracket=(c_star - 0.01, c_star),
                                       iterations=0))
             with pytest.raises(ValueError, match="positive speed"):
@@ -467,8 +467,7 @@ class TestPhi:
                             lambda *args, **kwargs: (False, []))
         monkeypatch.setattr(wavespeed, "estimate_cstar",
                             lambda xi, *args, **kwargs: wavespeed.SpeedResult(
-                                xi=xi, c_star=0.18, bracket=(0.17, 0.18),
-                                iterations=0))
+                                xi=xi, bracket=(0.17, 0.18), iterations=0))
         with pytest.raises(RuntimeError, match="domination") as info:
             build_phi(*default_directions(), dk8, p_main, n=4)
         d = dk8.support_diameter
