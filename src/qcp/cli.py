@@ -266,9 +266,8 @@ def _cmd_ide_run(cfg) -> int:
         field = _u0_field(cfg["u0"], L, cfg["W"], boundary=cfg["boundary"],
                           clamp_value=cfg["clamp"])
     taps = sorted(set((n,) if cfg["taps"] is None else cfg["taps"]))
-    if taps and (taps[0] < 0 or taps[-1] > n):
-        raise ConfigError(f"taps must lie in [0, {n}], got {taps}")
-    fields = evolve(field, dk, p, n, taps=taps)
+    with _invalid("taps", errors=ValueError):  # checks taps first
+        fields = evolve(field, dk, p, n, taps=taps)
     outdir = _out_dir(cfg)
     outputs = [outdir / f"field_{t:05d}.csv" for t in taps]
     for f, path in zip(fields, outputs):
@@ -345,6 +344,8 @@ def _cmd_lattice_run(cfg) -> int:
 
 def _cmd_hydro(cfg) -> int:
     ecfg = _experiment(cfg)
+    with _invalid("W", "L-list", "gamma"):
+        experiments.hydro_sides(ecfg)
     with _invalid("u0"):
         kind, num = _u0_preset(cfg["u0"])
         # every node of a constant preset's field holds its number, so the

@@ -106,9 +106,8 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
     """
     p = cfg.params
     rows = []
-    for L in cfg.L_list:
+    for L, side in zip(cfg.L_list, hydro_sides(cfg)):
         dk = discretize(cfg.kernel, L)
-        side = lattice.window_side(cfg.W, L)
         xs = np.arange(side) / L
         vals = _field_values(u0, xs, xs)
         u_field = Field2D(0.0, 0.0, 1.0 / L, vals, boundary="periodic")
@@ -130,6 +129,17 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
 
         rows.extend(parallel_map(one_seed, cfg.seeds, cfg.threads))
     return rows
+
+
+def hydro_sides(cfg: ExperimentConfig) -> list:
+    """The window's side in sites at each L of cfg.L_list; ValueError
+    when one holds no box, so no run starts."""
+    sides = [lattice.window_side(cfg.W, L) for L in cfg.L_list]
+    for L, side in zip(cfg.L_list, sides):
+        if side < lattice.box_side_sites(L, cfg.gamma):
+            raise ValueError(f"window of {side} sites smaller than one "
+                             f"box at L = {L}")
+    return sides
 
 
 def survival_floor(p: Params) -> float:

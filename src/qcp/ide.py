@@ -1,11 +1,12 @@
 """Deterministic density evolution u -> (1-eta)[u + beta(1-u)(k*u^2)].
 
-Fields live on square grids with spacing h; the kernel convolution is
-evaluated either by direct summation over the (finite) kernel support,
-which is bit-exactly translation equivariant, or through FFTs for large
-supports (identical to the direct path within 1e-12).  The 1D path
-evolves plane-wave profiles under the same operator via the kernel's
-line marginal.
+Fields live on square grids at the kernel's spacing 1/L; the kernel
+convolution is evaluated either by direct summation over the (finite)
+kernel support, which is bit-exactly translation equivariant, or through
+FFTs for large supports (identical to the direct path within 1e-12).
+Both wrap a kernel wider than a periodic window around its torus, as
+the lattice's parent draw does.  The 1D path evolves plane-wave
+profiles under the same operator via the kernel's line marginal.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,16 +84,11 @@ class Field2D:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _node_shifts(dk: DiscreteKernel, h: float):
-    """Kernel offsets as whole node steps (dk.offsets itself at one node
-    per lattice step) and their largest |coordinate|; rejects
-    incompatible grids."""
-    ratio = 1.0 / (dk.L * h)
-    r = round(ratio)
-    if r < 1 or abs(ratio - r) > 1e-9:
+def _check_spacing(dk: DiscreteKernel, h: float) -> None:
+    """Rejects a grid whose spacing is not the kernel's 1/dk.L."""
+    if abs(1.0 / (dk.L * h) - 1.0) > 1e-9:
         raise ValueError(
             f"kernel spacing 1/{dk.L} incompatible with grid spacing {h}")
-    return (dk.offsets if r == 1 else dk.offsets * r), dk.reach * r
 
 
 def _padded(u: Field2D, radius: int) -> np.ndarray:
@@ -103,36 +98,35 @@ def _padded(u: Field2D, radius: int) -> np.ndarray:
     return np.pad(u.values, radius, constant_values=u.clamp_value)
 
 
-def _padded_correlate_sq(u: Field2D, shifts, radius: int,
-                         masses) -> np.ndarray:
+def _padded_correlate_sq(u: Field2D, dk: DiscreteKernel) -> np.ndarray:
     """k * u^2 on u's grid under u's boundary mode, summed directly over
-    the shifts from the square of _padded, in a fixed order per node (so
+    the offsets from the square of _padded, in a fixed order per node (so
     shifts commute with it bit for bit).  The kernel is even, so this
     correlation equals the convolution."""
+    radius = dk.reach
     padded = _padded(u, radius)
     padded *= padded
     nx, ny = u.values.shape
     acc = np.zeros((nx, ny))
-    for (di, dj), m in zip(shifts, masses):
+    for (di, dj), m in zip(dk.offsets, dk.masses):
         acc += m * padded[radius + di:radius + di + nx,
                           radius + dj:radius + dj + ny]
     return acc
 
 
-def _spectrum(shifts, masses, shape, radius: int) -> np.ndarray:
+def _spectrum(dk: DiscreteKernel, shape) -> np.ndarray:
     """The kernel's half spectrum on the torus of this shape; inside an
     evolve call, the one its first step computed.  The kernel grid
     lives only in here, so it is gone before a field's arrays exist."""
-    nx, ny = shape
-    if 2 * radius + 1 > min(nx, ny):
-        raise ValueError("kernel support exceeds periodic window")
     memo = _evolve_spectrum.get()
     if memo:
         return memo[0]
-    kern = np.zeros(shape)
-    # the offsets are distinct and fit the window, so they wrap to
-    # distinct nodes: each is written once, and 0.0 + m is m
-    kern[shifts[:, 0] % nx, shifts[:, 1] % ny] = masses
+    nx, ny = shape
+    # offsets that wrap onto one node add up, as in the direct sum; a
+    # node that gets one mass holds it exactly, since 0.0 + m is m
+    nodes = dk.offsets[:, 0] % nx * ny + dk.offsets[:, 1] % ny
+    kern = np.bincount(nodes, weights=dk.masses,
+                       minlength=nx * ny).reshape(shape)
     spectrum = _rfft2(kern)
     if memo is not None:
         memo.append(spectrum)
@@ -198,15 +192,14 @@ def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params,
     the kernel radius with clamp_value, where a node of the window reads
     within the radius and so no read wraps around.  A smaller support
     goes through _padded_correlate_sq, then _image."""
-    shifts, radius = _node_shifts(dk, u.h)
-    if len(shifts) <= _FFT_SUPPORT_THRESHOLD:
-        conv = _padded_correlate_sq(u, shifts, radius, dk.masses)
+    _check_spacing(dk, u.h)
+    if len(dk.offsets) <= _FFT_SUPPORT_THRESHOLD:
+        conv = _padded_correlate_sq(u, dk)
         vals = _image(u.values, conv, p, out)
     else:
-        crop = 0 if u.boundary == "periodic" else radius
+        crop = 0 if u.boundary == "periodic" else dk.reach
         a = u.values if crop == 0 else _padded(u, crop)
-        vals = _rfft2(a, _spectrum(shifts, dk.masses, a.shape, radius), p,
-                      out, crop)
+        vals = _rfft2(a, _spectrum(dk, a.shape), p, out, crop)
     return Field2D(u.x0, u.y0, u.h, vals, u.boundary, u.clamp_value)
 
 
@@ -222,7 +215,7 @@ def evolve(u: Field2D, dk: DiscreteKernel, p: Params, n: int, taps=None):
         raise ValueError("n must be nonnegative")
     taps = [n] if taps is None else sorted(set(int(t) for t in taps))
     if taps and (taps[0] < 0 or taps[-1] > n):
-        raise ValueError("taps must lie in [0, n]")
+        raise ValueError(f"taps must lie in [0, {n}], got {taps}")
     out = []
     cur = u
     token = _evolve_spectrum.set([])
@@ -264,7 +257,7 @@ class Profile1D:
 
     @property
     def grid(self) -> np.ndarray:
-        return _grid(self.s0, self.delta, len(self.values))
+        return self.s0 + np.arange(len(self.values)) * self.delta
 
     @property
     def s_max(self) -> float:
@@ -273,13 +266,6 @@ class Profile1D:
     def evaluate(self, t) -> np.ndarray:
         return np.interp(t, self.grid, self.values,
                          left=self.left_limit, right=self.right_limit)
-
-
-@lru_cache(maxsize=64)
-def _grid(s0: float, delta: float, n: int) -> np.ndarray:
-    grid = s0 + np.arange(n) * delta
-    grid.flags.writeable = False    # every profile of this geometry reads it
-    return grid
 
 
 def apply_Q_1d(f: Profile1D, k1: Kernel1D, p: Params) -> Profile1D:

@@ -221,17 +221,20 @@ class TestErrors:
         # subcommands read no start density
         ["phase-scan", {"u0": {"valeu": 7}}],
         ["compare", {"u0": {"valeu": 7}}],
-        ["error-rate", {"u0": {"valeu": 7}}]])
+        ["error-rate", {"u0": {"valeu": 7}}],
+        # a hydro window of 3 sites at L = 8 holds no box of 4 sites
+        ["hydro", "--W", "0.4", "--steps", "1", {"L-list": [8]}]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
         # a trailing dict is a config document; the error names its one
         # key, else the first flag (or the ExperimentConfig field behind it)
         from qcp import cli
 
-        def no_phi(*args, **kwargs):
-            raise AssertionError("phi was built before the config was checked")
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before the config was checked")
 
-        monkeypatch.setattr(cli, "build_phi", no_phi)
+        monkeypatch.setattr(cli, "build_phi", no_work)
+        monkeypatch.setattr(experiments, "evolve", no_work)
         if isinstance(argv[-1], dict):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(argv[-1]))
@@ -284,6 +287,17 @@ class TestHydroPresets:
         assert (tmp_path / "out" / "hydro.csv").read_bytes() == \
             (tmp_path / "want.csv").read_bytes()
 
+    def test_window_narrower_than_kernel(self, tmp_path, capsys):
+        # at L = 10 the kernel spans 21 sites, wider than the 15-site
+        # window: the FFT path wraps it around the torus
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"L-list": [10], "W": 1.5, "seeds": [1],
+                                    "steps": 2}))
+        assert run(["hydro", "--config", str(path), "--out-dir",
+                    str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "hydro.csv").read_text().splitlines()
+        assert len(rows) == 2  # header + one row
+
 
 class TestLatticeRunCommand:
     def test_snapshots_and_trace(self, tmp_path, capsys):
@@ -312,15 +326,16 @@ class TestLatticeRunCommand:
 
 class TestIdeRunCommand:
     def test_writes_fields(self, tmp_path, capsys):
-        code = run(["ide-run", "--L", "4", "--W", "3", "--steps", "2",
-                    "--beta", "1.0", "--eta", "0.1",
-                    "--out-dir", str(tmp_path)])
-        assert code == 0
-        capsys.readouterr()
-        assert (tmp_path / "field_00002.csv").exists()
+        # at L = 10 the kernel spans 21 sites, wider than the window
         from helpers import field_from_csv
-        f = field_from_csv(tmp_path / "field_00002.csv")
-        assert f.nx == 12
+        for L, W, side in (("4", "3", 12), ("10", "1", 10)):
+            out = tmp_path / L
+            code = run(["ide-run", "--L", L, "--W", W, "--steps", "2",
+                        "--beta", "1.0", "--eta", "0.1",
+                        "--out-dir", str(out)])
+            assert code == 0
+            capsys.readouterr()
+            assert field_from_csv(out / "field_00002.csv").nx == side
 
 
 class TestCompareCommand:
