@@ -120,7 +120,9 @@ SCHEMA = {
     "ide-run": {**_COMMON, **_U0, **_shared("beta", "eta", "kernel", "W"),
                 "L": (int, 8), "steps": (_count, 10),
                 "taps": (tuple[int, ...] | None, None),
-                "boundary": (str, "periodic"), "clamp": (float, 0.0)},
+                "boundary": (typing.Literal["periodic", "clamped"],
+                             "periodic"),
+                "clamp": (float | None, None)},
     "speed": {**_COMMON, **_OUT, **_shared("beta", "eta", "kernel"),
               "kernel-L": (int, 8), "angle": (float, 0.0),
               "tol": (float, 0.01),
@@ -236,9 +238,10 @@ def _u0_preset(preset: dict) -> tuple[str, dict]:
     return kind, num
 
 
-def _u0_field(preset: dict, L: int, W: float, **kw) -> Field2D:
-    """The u0 preset on the W x W window at spacing 1/L.  A cosine is
-    clipped to [0, 1]; the other presets must lie in it (_u0_preset)."""
+def _u0_field(preset: dict, L: int, W: float, clamp=None) -> Field2D:
+    """The u0 preset on the W x W window at spacing 1/L, on its torus or
+    clamped (see Field2D).  A cosine is clipped to [0, 1]; the other
+    presets must lie in it (_u0_preset)."""
     kind, num = _u0_preset(preset)
     xs = np.arange(lattice.window_side(W, L)) / L
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
@@ -254,7 +257,7 @@ def _u0_field(preset: dict, L: int, W: float, **kw) -> Field2D:
         vals = np.clip(num["mean"] + num["amplitude"]
                        * np.cos(2 * np.pi * gx / period)
                        * np.cos(2 * np.pi * gy / period), 0.0, 1.0)
-    return Field2D(0.0, 0.0, 1.0 / L, vals, **kw)
+    return Field2D(L, vals, clamp)
 
 
 def _cmd_ide_run(cfg) -> int:
@@ -262,15 +265,18 @@ def _cmd_ide_run(cfg) -> int:
     with _invalid():
         p = Params(cfg["beta"], cfg["eta"])
         dk = discretize(cfg["kernel"], L)
-    with _invalid("W", "u0", "boundary", "clamp"):
-        field = _u0_field(cfg["u0"], L, cfg["W"], boundary=cfg["boundary"],
-                          clamp_value=cfg["clamp"])
-    taps = sorted(set((n,) if cfg["taps"] is None else cfg["taps"]))
+    clamp = cfg["clamp"]
+    if cfg["boundary"] == "periodic" and clamp is not None:
+        raise ConfigError("clamp: a periodic boundary reads no clamp value")
+    if cfg["boundary"] == "clamped" and clamp is None:
+        clamp = 0.0
+    with _invalid("W", "u0", "clamp"):
+        field = _u0_field(cfg["u0"], L, cfg["W"], clamp)
     with _invalid("taps", errors=ValueError):  # checks taps first
-        fields = evolve(field, dk, p, n, taps=taps)
+        fields = evolve(field, dk, p, n, taps=cfg["taps"])
     outdir = _out_dir(cfg)
-    outputs = [outdir / f"field_{t:05d}.csv" for t in taps]
-    for f, path in zip(fields, outputs):
+    outputs = [outdir / f"field_{t:05d}.csv" for t in fields]
+    for f, path in zip(fields.values(), outputs):
         f.to_csv(path)
     manifest.write_manifest(outdir / "ide-run.manifest.json", "ide-run",
                             cfg, outputs)

@@ -86,8 +86,9 @@ def _field_values(u0, xs, ys):
     density recursion and lattice.init read it without writing it, so a
     constant start adds no grid to a hydro run's peak."""
     if isinstance(u0, Field2D):
-        fx = np.clip(np.round((xs - u0.x0) / u0.h).astype(int), 0, u0.nx - 1)
-        fy = np.clip(np.round((ys - u0.y0) / u0.h).astype(int), 0, u0.ny - 1)
+        nx, ny = u0.values.shape
+        fx = np.clip(np.round(xs / (1.0 / u0.L)).astype(int), 0, nx - 1)
+        fy = np.clip(np.round(ys / (1.0 / u0.L)).astype(int), 0, ny - 1)
         return u0.values[np.ix_(fx, fy)]
     if callable(u0):
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -110,8 +111,8 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
         dk = discretize(cfg.kernel, L)
         xs = np.arange(side) / L
         vals = _field_values(u0, xs, xs)
-        u_field = Field2D(0.0, 0.0, 1.0 / L, vals, boundary="periodic")
-        u_n = evolve(u_field, dk, p, cfg.steps)[-1]
+        u_field = Field2D(dk.L, vals)
+        u_n = evolve(u_field, dk, p, cfg.steps)[cfg.steps]
 
         def one_seed(seed, L=L, dk=dk, side=side, u_field=u_field, u_n=u_n):
             rng = LatticeRng(seed)

@@ -1,9 +1,11 @@
 """Deterministic density evolution u -> (1-eta)[u + beta(1-u)(k*u^2)].
 
-Fields live on square grids at the kernel's spacing 1/L; the kernel
-convolution is evaluated either by direct summation over the (finite)
-kernel support, which is bit-exactly translation equivariant, or through
-FFTs for large supports (identical to the direct path within 1e-12).
+A field is its values on the lattice of the kernel it is stepped with,
+node (i, j) at (i/L, j/L): a torus, or a window that reads one clamp
+number outside it.  The kernel convolution is evaluated either by
+direct summation over the (finite) kernel support, which is bit-exactly
+translation equivariant, or through FFTs for large supports (identical
+to the direct path within 1e-12).
 Both wrap a kernel wider than a periodic window around its torus, as
 the lattice's parent draw does.  The 1D path evolves plane-wave
 profiles under the same operator via the kernel's line marginal.
@@ -21,8 +23,6 @@ from . import chunks
 from .kernel import DiscreteKernel, Kernel1D
 from .mean_field import Params, mf_step
 
-BOUNDARIES = ("periodic", "clamped")
-
 # direct summation above this support size costs more than FFTs
 _FFT_SUPPORT_THRESHOLD = 400
 
@@ -35,71 +35,51 @@ _evolve_spectrum: ContextVar[list | None] = ContextVar("evolve_spectrum",
 
 @dataclass
 class Field2D:
-    """Density grid: node (i, j) sits at (x0 + i*h, y0 + j*h).
+    """Density values on the lattice of the kernel with index L: node
+    (i, j) sits at (i/L, j/L).  clamp None wraps the window as a torus;
+    a number is what the field reads outside the window."""
 
-    boundary 'periodic' wraps the window; 'clamped' reads clamp_value
-    outside it.
-    """
-
-    x0: float
-    y0: float
-    h: float
+    L: int
     values: np.ndarray
-    boundary: str = "periodic"
-    clamp_value: float = 0.0
+    clamp: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or not self.values.size:
             raise ValueError("values must be a 2D grid with a node")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
-        if not 0.0 < self.h < math.inf:
-            raise ValueError("grid spacing h must be positive and finite")
-        if not all(map(math.isfinite, (self.x0, self.y0, self.clamp_value))):
-            raise ValueError("x0, y0 and clamp_value must be finite")
+        if type(self.L) is not int or self.L < 1:  # a bool is no index
+            raise ValueError(f"L must be a positive integer, got {self.L!r}")
+        if self.clamp is not None and not math.isfinite(self.clamp):
+            raise ValueError(f"clamp must be finite, got {self.clamp!r}")
         # written so that NaN, which fails every comparison, is rejected
         if not (self.values.min() >= -1e-12
                 and self.values.max() <= 1.0 + 1e-12):
             raise ValueError("field values must lie in [0, 1]")
 
-    @property
-    def nx(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.values.shape[1]
-
     def copy(self) -> "Field2D":
-        return Field2D(self.x0, self.y0, self.h, self.values.copy(),
-                       self.boundary, self.clamp_value)
+        return Field2D(self.L, self.values.copy(), self.clamp)
 
     def to_csv(self, path) -> None:
-        header = (f"# x0={float(self.x0)!r} y0={float(self.y0)!r} h={float(self.h)!r} "
-                  f"boundary={self.boundary} clamp={float(self.clamp_value)!r}")
+        boundary = "periodic" if self.clamp is None else "clamped"
+        clamp = 0.0 if self.clamp is None else float(self.clamp)
+        header = (f"# x0=0.0 y0=0.0 h={1.0 / self.L!r} "
+                  f"boundary={boundary} clamp={clamp!r}")
         with open(path, "w") as fh:
             fh.write(header + "\n")
             for row in self.values:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _check_spacing(dk: DiscreteKernel, h: float) -> None:
-    """Rejects a grid whose spacing is not the kernel's 1/dk.L."""
-    if abs(1.0 / (dk.L * h) - 1.0) > 1e-9:
-        raise ValueError(
-            f"kernel spacing 1/{dk.L} incompatible with grid spacing {h}")
-
-
 def _padded(u: Field2D, radius: int) -> np.ndarray:
-    """u's values padded by the kernel radius under u's boundary mode."""
-    if u.boundary == "periodic":
+    """u's values padded by the kernel radius: wrapped on the torus, else
+    with u's clamp."""
+    if u.clamp is None:
         return np.pad(u.values, radius, mode="wrap")
-    return np.pad(u.values, radius, constant_values=u.clamp_value)
+    return np.pad(u.values, radius, constant_values=u.clamp)
 
 
 def _padded_correlate_sq(u: Field2D, dk: DiscreteKernel) -> np.ndarray:
-    """k * u^2 on u's grid under u's boundary mode, summed directly over
+    """k * u^2 on u's grid, on its torus or clamped, summed directly over
     the offsets from the square of _padded, in a fixed order per node (so
     shifts commute with it bit for bit).  The kernel is even, so this
     correlation equals the convolution."""
@@ -189,23 +169,26 @@ def apply_Q_2d(u: Field2D, dk: DiscreteKernel, p: Params,
     _rfft2's three banded passes, which square the field in the first
     and take the image in the last, so no full-grid temporary is made:
     on the torus of the window, or, clamped, on the window padded by
-    the kernel radius with clamp_value, where a node of the window reads
+    the kernel radius with u's clamp, where a node of the window reads
     within the radius and so no read wraps around.  A smaller support
-    goes through _padded_correlate_sq, then _image."""
-    _check_spacing(dk, u.h)
+    goes through _padded_correlate_sq, then _image.  A field on another
+    lattice than the kernel's is a ValueError."""
+    if u.L != dk.L:
+        raise ValueError(f"field lattice L = {u.L} is not the kernel's "
+                         f"L = {dk.L}")
     if len(dk.offsets) <= _FFT_SUPPORT_THRESHOLD:
         conv = _padded_correlate_sq(u, dk)
         vals = _image(u.values, conv, p, out)
     else:
-        crop = 0 if u.boundary == "periodic" else dk.reach
+        crop = 0 if u.clamp is None else dk.reach
         a = u.values if crop == 0 else _padded(u, crop)
         vals = _rfft2(a, _spectrum(dk, a.shape), p, out, crop)
-    return Field2D(u.x0, u.y0, u.h, vals, u.boundary, u.clamp_value)
+    return Field2D(u.L, vals, u.clamp)
 
 
 def evolve(u: Field2D, dk: DiscreteKernel, p: Params, n: int, taps=None):
-    """Iterate the operator n times, returning the fields at ``taps``
-    (default: just the final time).
+    """Iterate the operator n times, returning ``{t: field}`` at the
+    times ``taps`` (default: just the final time), in increasing t.
 
     Every step of one call reuses the kernel spectrum of the first.  A
     step writes over the field before it when that field is neither u
@@ -216,14 +199,14 @@ def evolve(u: Field2D, dk: DiscreteKernel, p: Params, n: int, taps=None):
     taps = [n] if taps is None else sorted(set(int(t) for t in taps))
     if taps and (taps[0] < 0 or taps[-1] > n):
         raise ValueError(f"taps must lie in [0, {n}], got {taps}")
-    out = []
+    out = {}
     cur = u
     token = _evolve_spectrum.set([])
     try:
         for t in range(n + 1):
             kept = t in taps
             if kept:
-                out.append(cur.copy() if cur is u else cur)
+                out[t] = cur.copy() if cur is u else cur
             if t < n:
                 cur = apply_Q_2d(cur, dk, p, out=None if kept or cur is u
                                  else cur.values)
@@ -258,10 +241,6 @@ class Profile1D:
     @property
     def grid(self) -> np.ndarray:
         return self.s0 + np.arange(len(self.values)) * self.delta
-
-    @property
-    def s_max(self) -> float:
-        return self.s0 + (len(self.values) - 1) * self.delta
 
     def evaluate(self, t) -> np.ndarray:
         return np.interp(t, self.grid, self.values,

@@ -539,14 +539,17 @@ def is_monotone(f: Profile1D, slack: float = 1e-12) -> bool:
 
 
 def field_from_csv(path) -> Field2D:
-    """Inverse of Field2D.to_csv."""
+    """Inverse of Field2D.to_csv: L from the spacing h = 1/L, and no
+    clamp on a periodic boundary.  A nonzero origin is a ValueError."""
     with open(path) as fh:
         head = fh.readline().strip().lstrip("# ").split()
         meta = dict(item.split("=", 1) for item in head)
         vals = [[float(v) for v in line.strip().split(",")]
                 for line in fh if line.strip()]
-    return Field2D(float(meta["x0"]), float(meta["y0"]), float(meta["h"]),
-                   np.array(vals), meta["boundary"], float(meta["clamp"]))
+    if float(meta["x0"]) or float(meta["y0"]):
+        raise ValueError(f"a field's origin is (0, 0), got {meta}")
+    clamp = None if meta["boundary"] == "periodic" else float(meta["clamp"])
+    return Field2D(round(1.0 / float(meta["h"])), np.array(vals), clamp)
 
 
 def kernel_spec_json(spec) -> str:

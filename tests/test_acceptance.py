@@ -64,10 +64,9 @@ class TestAcceptance:
         gen = seeded(102)
         for _ in range(100):
             vals = gen.random((20, 20))
-            u = Field2D(0.0, 0.0, 0.125, vals)
-            v = Field2D(0.0, 0.0, 0.125,
-                        np.minimum(1.0, vals + gen.random((20, 20))
-                                   * (1 - vals)))
+            u = Field2D(8, vals)
+            v = Field2D(8, np.minimum(1.0, vals + gen.random((20, 20))
+                                      * (1 - vals)))
             qu = apply_Q_2d(u, dk8, p_main)
             qv = apply_Q_2d(v, dk8, p_main)
             assert np.all(qu.values <= qv.values + 1e-14)
@@ -101,7 +100,7 @@ class TestAcceptance:
             ramp = np.sort(gen.random(n))[::-1].copy()
             f = Profile1D(0.0, h, ramp, ramp[0], ramp[-1])
             g1 = apply_Q_1d(f, k1, p_main)
-            field = Field2D(0.0, 0.0, h, np.tile(ramp[:, None], (1, n)))
+            field = Field2D(L, np.tile(ramp[:, None], (1, n)))
             g2 = apply_Q_2d(field, dk, p_main)
             r = int(dk.offsets[:, 0].max())
             interior = slice(r, n - r)
@@ -233,13 +232,13 @@ class TestAcceptance:
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         vals = np.where((np.abs(gx) <= K) & (np.abs(gy) <= K),
                         eq.rho_u + delta, 0.0)
-        u = Field2D(xs[0], xs[0], h, vals, boundary="clamped",
-                    clamp_value=0.0)
+        # the operator reads no origin: node (i, j) of u is xs[i], xs[j]
+        u = Field2D(L_grid, vals, clamp=0.0)
         N = 300
         # 81 kernel offsets take the direct sum by default; FFTs are
         # faster over this 300-step run
         monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
-        out = evolve(u, dk, p, N)[-1]
+        out = evolve(u, dk, p, N)[N]
         slab = (np.abs(gx) <= 4.0 * K) & (np.abs(gy) <= K)
         low = float(out.values[slab].min())
         assert low > eq.rho_s - delta

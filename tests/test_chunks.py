@@ -103,9 +103,9 @@ def test_periodic_correlate_equals_numpy_fft(chunked, shape, dk10, p_main,
     vals = np.random.default_rng(sum(shape)).random(shape)
     for clamp in (None, 0.0, 0.3):
         if clamp is None:
-            u, r, padded = Field2D(0.0, 0.0, 0.1, vals), 0, vals
+            u, r, padded = Field2D(10, vals), 0, vals
         else:
-            u = Field2D(0.0, 0.0, 0.1, vals, "clamped", clamp)
+            u = Field2D(10, vals, clamp)
             r = dk10.reach
             padded = np.pad(vals, r, constant_values=clamp)
         nx, ny = padded.shape
@@ -123,10 +123,11 @@ def test_periodic_correlate_equals_numpy_fft(chunked, shape, dk10, p_main,
 def test_evolve_reuses_the_chunked_spectrum(chunked, dk10, p_main,
                                             monkeypatch):
     monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
-    u = Field2D(0.0, 0.0, 0.1, np.random.default_rng(3).random((83, 83)))
+    u = Field2D(10, np.random.default_rng(3).random((83, 83)))
     got = ide.evolve(u, dk10, p_main, 3, taps=range(4))
     want = whole(ide.evolve, u, dk10, p_main, 3, range(4))
-    for g, w in zip(got, want):
+    assert list(got) == list(want) == [0, 1, 2, 3]
+    for g, w in zip(got.values(), want.values()):
         assert g.values.tobytes() == w.values.tobytes()
 
 
@@ -138,18 +139,19 @@ def test_evolve_in_place_keeps_inputs_and_taps(chunked, taps, threshold,
     # steps between the taps overwrite the field before them; the
     # caller's field and every returned tap keep the apply_Q_2d chain
     monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", threshold)
-    u = Field2D(0.0, 0.0, 0.1, np.random.default_rng(4).random((83, 83)))
+    u = Field2D(10, np.random.default_rng(4).random((83, 83)))
     before = u.values.tobytes()
     got = ide.evolve(u, dk10, p_main, 5, taps=taps)
     assert u.values.tobytes() == before
     chain = [u]
     for _ in range(5):
         chain.append(ide.apply_Q_2d(chain[-1], dk10, p_main))
-    want = [chain[t] for t in ([5] if taps is None else taps)]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.values.tobytes() == w.values.tobytes()
-    assert len({id(g.values) for g in got} | {id(u.values)}) == len(got) + 1
+    want = {t: chain[t] for t in ([5] if taps is None else taps)}
+    assert list(got) == list(want)
+    for t, g in got.items():
+        assert g.values.tobytes() == want[t].values.tobytes()
+    assert len({id(g.values) for g in got.values()}
+               | {id(u.values)}) == len(got) + 1
 
 
 @pytest.mark.parametrize("chunked", [(2, 1 << 12), (1, 1 << 12)],
@@ -160,7 +162,7 @@ def test_evolve_holds_at_most_four_grids(chunked, dk8, p_main, monkeypatch):
     # of about CHUNK sites per worker
     monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
     n = 512
-    u = Field2D(0.0, 0.0, 1 / 8, np.random.default_rng(5).random((n, n)))
+    u = Field2D(8, np.random.default_rng(5).random((n, n)))
     ide.evolve(u, dk8, p_main, 1)     # starts the pool outside the trace
     tracemalloc.start()
     try:

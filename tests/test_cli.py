@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qcp import experiments
+from qcp import experiments, lattice
 from qcp.cli import run
+from qcp.ide import Field2D, evolve
+from qcp.kernel import KernelSpec, discretize
+from qcp.mean_field import Params
 
 
 def read_data_files(path):
@@ -223,7 +227,9 @@ class TestErrors:
         ["compare", {"u0": {"valeu": 7}}],
         ["error-rate", {"u0": {"valeu": 7}}],
         # a hydro window of 3 sites at L = 8 holds no box of 4 sites
-        ["hydro", "--W", "0.4", "--steps", "1", {"L-list": [8]}]])
+        ["hydro", "--W", "0.4", "--steps", "1", {"L-list": [8]}],
+        # a torus reads no clamp value
+        ["ide-run", {"clamp": 0.3}]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
         # a trailing dict is a config document; the error names its one
@@ -235,6 +241,7 @@ class TestErrors:
 
         monkeypatch.setattr(cli, "build_phi", no_work)
         monkeypatch.setattr(experiments, "evolve", no_work)
+        monkeypatch.setattr(cli, "evolve", no_work)
         if isinstance(argv[-1], dict):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(argv[-1]))
@@ -335,7 +342,29 @@ class TestIdeRunCommand:
                         "--out-dir", str(out)])
             assert code == 0
             capsys.readouterr()
-            assert field_from_csv(out / "field_00002.csv").nx == side
+            assert field_from_csv(
+                out / "field_00002.csv").values.shape == (side, side)
+
+    def test_writes_each_tap_once(self, tmp_path, capsys):
+        # a repeated tap is one file, named from the time evolve keys it by
+        from helpers import field_from_csv
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"taps": [2, 0, 2], "steps": 2,
+                                    "L": 4, "W": 2}))
+        out = tmp_path / "out"
+        assert run(["ide-run", "--config", str(path),
+                    "--out-dir", str(out)]) == 0
+        assert sorted(read_data_files(out)) == ["field_00000.csv",
+                                                "field_00002.csv"]
+        side = lattice.window_side(2.0, 4)
+        want = evolve(Field2D(4, np.full((side, side), 0.5)),
+                      discretize(KernelSpec("uniform-square",
+                                            {"radius": 1.0}), 4),
+                      Params(1.0, 0.05), 2, taps=[0, 2])
+        for t, field in want.items():
+            got = field_from_csv(out / f"field_{t:05d}.csv")
+            assert got.L == 4 and got.clamp is None
+            assert np.array_equal(got.values, field.values)
 
 
 class TestCompareCommand:

@@ -125,7 +125,7 @@ class TestHydro:
         assert not vals.flags.writeable
         cfg = small_cfg(L_list=(10, 20), steps=2, seeds=(1, 2))
         want = repr(hydro_convergence(cfg, 0.37))
-        grid = Field2D(0.0, 0.0, 0.1, np.full((30, 30), 0.37))
+        grid = Field2D(10, np.full((30, 30), 0.37))
         assert repr(hydro_convergence(cfg, grid)) == want
         assert repr(hydro_convergence(
             cfg, lambda x, y: np.full_like(x, 0.37))) == want

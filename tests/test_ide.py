@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,12 @@ from conftest import seeded
 from helpers import field_from_csv, is_monotone
 
 
-def const_field(value, n=32, h=0.125, boundary="periodic"):
-    return Field2D(0.0, 0.0, h, np.full((n, n), float(value)),
-                   boundary=boundary)
+def const_field(value, n=32, L=8):
+    return Field2D(L, np.full((n, n), float(value)))
 
 
-def random_field(gen, n=24, h=0.125):
-    return Field2D(0.0, 0.0, h, gen.random((n, n)))
+def random_field(gen, n=24, L=8):
+    return Field2D(L, gen.random((n, n)))
 
 
 def force_fft(monkeypatch):
@@ -29,12 +30,12 @@ def force_fft(monkeypatch):
 class TestApplyQ2d:
     def test_rho_s_fixed_point(self, dk8, p_main):
         eq = equilibria(p_main)
-        u = const_field(eq.rho_s, h=1.0 / 8.0)
+        u = const_field(eq.rho_s)
         out = apply_Q_2d(u, dk8, p_main)
         assert np.max(np.abs(out.values - eq.rho_s)) < 1e-12
 
     def test_zero_fixed_point(self, dk8, p_main):
-        out = apply_Q_2d(const_field(0.0, h=0.125), dk8, p_main)
+        out = apply_Q_2d(const_field(0.0), dk8, p_main)
         assert np.all(out.values == 0.0)
 
     def test_monotone_in_field(self, dk8, p_main):
@@ -65,8 +66,7 @@ class TestApplyQ2d:
         # bit; at L <= 8 the support has at most 289 offsets, below the
         # FFT threshold
         dk = discretize(square_spec, L)
-        u = Field2D(0.0, 0.0, 1.0 / L,
-                    np.random.default_rng(field_seed).random(shape))
+        u = Field2D(L, np.random.default_rng(field_seed).random(shape))
         rolled = u.copy()
         rolled.values = np.roll(u.values, shift, axis=(0, 1))
         a = apply_Q_2d(rolled, dk, p_main).values
@@ -80,8 +80,7 @@ class TestApplyQ2d:
         # torus both paths wrap it, offsets on one node adding up
         fields = [random_field(seeded(6), n=n) for n in (40, 16, 8, 3)]
         for u in fields:
-            u.boundary = boundary
-            u.clamp_value = 0.3
+            u.clamp = None if boundary == "periodic" else 0.3
         direct = [apply_Q_2d(u, dk8, p_main).values for u in fields]
         force_fft(monkeypatch)
         for u, a in zip(fields, direct):
@@ -89,62 +88,65 @@ class TestApplyQ2d:
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_incompatible_grid_rejected(self, dk8, p_main):
-        # a field's spacing is the kernel's 1/8: a finer grid is rejected
-        for h in (0.3, 1.0 / 16):
-            with pytest.raises(ValueError, match="incompatible"):
-                apply_Q_2d(const_field(0.5, h=h), dk8, p_main)
+        # a field lies on the lattice of the kernel it is stepped with: a
+        # finer or coarser one is rejected
+        for L in (16, 4):
+            with pytest.raises(ValueError, match="lattice"):
+                apply_Q_2d(const_field(0.5, L=L), dk8, p_main)
 
 
 class TestEvolve:
     def test_zero_steps_identity(self, dk8, p_main):
         u = random_field(seeded(7))
         out = evolve(u, dk8, p_main, 0)
+        assert list(out) == [0]
         assert np.array_equal(out[0].values, u.values)
 
     def test_constant_matches_mean_field(self, dk8, p_main):
-        u = const_field(0.37, h=0.125)
+        u = const_field(0.37)
         for n in (1, 3, 7):
-            out = evolve(u, dk8, p_main, n)[-1]
+            out = evolve(u, dk8, p_main, n)[n]
             want = mean_field_trace(p_main, 0.37, n)[-1]
             assert np.max(np.abs(out.values - want)) < 1e-12
 
     def test_taps(self, dk8, p_main):
-        u = const_field(0.5, h=0.125)
-        outs = evolve(u, dk8, p_main, 4, taps=[0, 2, 4])
-        assert len(outs) == 3
+        # each tap once, keyed by its time, in increasing time
+        u = const_field(0.5)
+        outs = evolve(u, dk8, p_main, 4, taps=[4, 0, 2, 2])
+        assert list(outs) == [0, 2, 4]
         assert np.all(outs[0].values == 0.5)
+        assert np.array_equal(outs[4].values,
+                              evolve(u, dk8, p_main, 4)[4].values)
 
     def test_square_expands_when_speed_positive(self, dk8, p_main):
         # indicator of a large square at rho_s, clamped-zero boundary
         eq = equilibria(p_main)
-        n, h = 96, 1.0 / 8.0
+        n = 96
         vals = np.zeros((n, n))
         vals[36:60, 36:60] = eq.rho_s
-        u = Field2D(0.0, 0.0, h, vals, boundary="clamped", clamp_value=0.0)
+        u = Field2D(8, vals, clamp=0.0)
         area0 = int((vals > eq.rho_s / 2).sum())
-        out = evolve(u, dk8, p_main, 20)[-1]
+        out = evolve(u, dk8, p_main, 20)[20]
         area1 = int((out.values > eq.rho_s / 2).sum())
         assert area1 > area0
 
     def test_bad_taps(self, dk8, p_main):
         with pytest.raises(ValueError):
-            evolve(const_field(0.5, h=0.125), dk8, p_main, 2, taps=[3])
+            evolve(const_field(0.5), dk8, p_main, 2, taps=[3])
 
-    @pytest.mark.parametrize("method, h", [
-        ("fft", 0.125), ("direct", 0.125),
-    ])
-    def test_equals_repeated_apply_q_2d(self, dk8, p_main, method, h,
+    @pytest.mark.parametrize("method", ["fft", "direct"])
+    def test_equals_repeated_apply_q_2d(self, dk8, p_main, method,
                                         monkeypatch):
         # evolve computes the kernel spectrum once per call; every step
         # must still give the bits of a lone apply_Q_2d
         if method == "fft":
             force_fft(monkeypatch)
-        u = random_field(seeded(8), n=40, h=h)
+        u = random_field(seeded(8), n=40)
         outs = evolve(u, dk8, p_main, 4, taps=range(5))
         cur = u
-        for got in outs[1:]:
+        for t in range(1, 5):
             cur = apply_Q_2d(cur, dk8, p_main)
-            assert np.array_equal(got.values, cur.values)
+            assert np.array_equal(outs[t].values, cur.values)
 
     def test_kernel_spectrum_once_per_call(self, dk8, p_main, monkeypatch):
         calls = []
@@ -207,8 +209,7 @@ class TestApplyQ1d:
             ramp = np.sort(gen.random(n))[::-1].copy()
             f = Profile1D(0.0, h, ramp, ramp[0], ramp[-1])
             g1 = apply_Q_1d(f, k1, p_main)
-            field = Field2D(0.0, 0.0, h, np.tile(ramp[:, None], (1, n)),
-                            boundary="periodic")
+            field = Field2D(L, np.tile(ramp[:, None], (1, n)))
             g2 = apply_Q_2d(field, dk, p_main)
             interior = slice(dk.offsets[:, 0].max(),
                              n - dk.offsets[:, 0].max())
@@ -226,16 +227,16 @@ class TestProfileAndField:
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
-            Field2D(0, 0, 0.1, np.full((4, 4), 1.5))
-        with pytest.raises(ValueError):
-            Field2D(0, 0, 0.1, np.zeros((4, 4)), boundary="mirror")
+            Field2D(8, np.full((4, 4), 1.5))
+        with pytest.raises(ValueError, match="node"):
+            Field2D(8, np.zeros((0, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
     def test_field_rejects_values_outside_unit_interval(self, bad):
         vals = np.full((4, 4), 0.5)
         vals[2, 1] = bad
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            Field2D(0, 0, 0.1, vals)
+            Field2D(8, vals)
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
     def test_profile_rejects_bad_delta(self, delta):
@@ -249,13 +250,15 @@ class TestProfileAndField:
             Profile1D(0.0, 0.1, np.zeros(3), left, right)
 
     @pytest.mark.parametrize("kw", [
-        {"h": np.nan}, {"h": 0.0}, {"h": -1.0}, {"h": np.inf},
-        {"x0": np.nan}, {"y0": np.nan}, {"x0": -np.inf}, {"y0": np.inf},
-        {"clamp_value": np.nan}, {"clamp_value": np.inf}])
+        {"L": 0}, {"L": -1}, {"L": 2.5}, {"L": True}, {"L": np.nan},
+        {"L": np.inf}, {"L": 8.0}, {"clamp": np.nan}, {"clamp": np.inf},
+        {"clamp": -np.inf}])
     def test_field_rejects_bad_geometry(self, kw):
-        args = {"x0": 0.0, "y0": 0.0, "h": 0.1, "values": np.zeros((4, 4)),
-                "boundary": "clamped", **kw}
-        with pytest.raises(ValueError, match="finite"):
+        # L is the kernel's lattice index, a positive integer; a clamp is
+        # a finite number
+        args = {"L": 8, "values": np.zeros((4, 4)), "clamp": 0.0, **kw}
+        with pytest.raises(ValueError, match="L must be a positive integer"
+                                             "|clamp must be finite"):
             Field2D(**args)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -271,11 +274,19 @@ class TestProfileAndField:
             Profile1D(s0, 0.1, np.zeros(3), 0.0, 0.0)
 
     def test_field_csv_round_trip(self, tmp_path):
-        u = Field2D(-1.0, 2.0, 0.25, seeded(10).random((6, 6)),
-                    boundary="clamped", clamp_value=0.2)
+        # the header bytes ide-run has always written: an origin at 0, the
+        # spacing 1/L and, on a torus, a clamp of 0.0 it never reads
         path = tmp_path / "f.csv"
-        u.to_csv(path)
-        v = field_from_csv(path)
-        assert v.x0 == u.x0 and v.y0 == u.y0 and v.h == u.h
-        assert v.boundary == "clamped" and v.clamp_value == 0.2
-        assert np.array_equal(u.values, v.values)
+        for L, clamp, header in [
+                (4, None, "h=0.25 boundary=periodic clamp=0.0"),
+                (3, 0.2, "h=0.3333333333333333 boundary=clamped clamp=0.2"),
+                (8, -0.0, "h=0.125 boundary=clamped clamp=-0.0")]:
+            u = Field2D(L, seeded(10).random((6, 6)), clamp)
+            u.to_csv(path)
+            with open(path) as fh:
+                assert fh.readline() == f"# x0=0.0 y0=0.0 {header}\n"
+            v = field_from_csv(path)
+            assert v.L == L and v.clamp == clamp
+            if clamp is not None:
+                assert math.copysign(1.0, v.clamp) == math.copysign(1.0, clamp)
+            assert np.array_equal(u.values, v.values)

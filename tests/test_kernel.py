@@ -323,8 +323,7 @@ class TestSamplingTables:
         monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", threshold)
         dk = discretize(square_spec, 8)
         marginal_1d(dk, (0.6, 0.8), 0.05)
-        ide.evolve(Field2D(0.0, 0.0, 1 / 8, seeded(2).random((40, 40))), dk,
-                   p_main, 2)
+        ide.evolve(Field2D(8, seeded(2).random((40, 40))), dk, p_main, 2)
         assert dk._steps is None
         dk.sample_indices(seeded(3).random(10))
         assert dk._steps is not None

@@ -49,7 +49,7 @@ class TestInit:
 
     def test_from_field_density(self):
         L, side = 100, 400
-        u = Field2D(0.0, 0.0, 1.0 / L, np.full((side, side), 0.5))
+        u = Field2D(L, np.full((side, side), 0.5))
         s = init(L, side, u.values, LatticeRng(3))
         sigma = np.sqrt(0.25 / side ** 2)
         assert abs(s.density() - 0.5) < 4 * sigma

@@ -73,17 +73,17 @@ def test_table_kernel_spec(dx, dy, atom, slot, bad):
 
 
 @EXAMPLES
-@given(geometry=st.lists(FINITE, min_size=4, max_size=4),
-       h=st.floats(1e-3, 10.0), fill=st.floats(0.0, 1.0),
-       slot=st.integers(0, 4), bad=NONFINITE)
-def test_field2d(geometry, h, fill, slot, bad):
-    x0, y0, clamp, _ = geometry
-    args = [x0, y0, h, np.full((3, 4), fill), "clamped", clamp]
+@given(L=st.integers(1, 400), clamp=FINITE, fill=st.floats(0.0, 1.0),
+       slot=st.integers(0, 2), bad=NONFINITE,
+       bad_L=st.sampled_from([0, -1, 2.5, True, math.nan]))
+def test_field2d(L, clamp, fill, slot, bad, bad_L):
+    # L is a positive integer, not a number that only compares like one
+    args = [L, np.full((3, 4), fill), clamp]
     Field2D(*args)
-    if slot == 3:  # one grid value
-        args[3][1, 2] = bad
+    if slot == 1:  # one grid value
+        args[1][1, 2] = bad
     else:
-        args[(0, 1, 2, None, 5)[slot]] = bad
+        args[slot] = bad_L if slot == 0 else bad
     with pytest.raises(ValueError):
         Field2D(*args)
 

@@ -319,7 +319,7 @@ class TestWindowedRecursion:
         onset = 4.0 * eta / (1.0 - eta)  # bistable for beta above it
         p = Params(onset + excess * (1.0 - onset), eta)
         psi, k1 = probe_start((math.cos(angle), math.sin(angle)), dk, p)
-        span = psi.s_max - psi.s0
+        span = psi.grid[-1] - psi.s0
         # c in [-d - 1, d + 1], or a shift past the grid end
         c = (math.copysign(span, shift) + shift * span if beyond
              else shift * (dk.support_diameter + 1.0))
@@ -402,7 +402,7 @@ class TestPhi:
 
     def test_recursion_matches_reference(self, phi_main, dk8, p_main):
         phi = phi_main.phi
-        psi = wavespeed._hump(dk8, p_main, s_max=phi.s_max)
+        psi = wavespeed._hump(dk8, p_main, s_max=phi.grid[-1])
         profs = iterate_wave_profiles(phi_main.kernels1d, phi_main.c, p_main,
                                       psi, phi_main.n_iter)
         assert phi.values.tobytes() == \
