@@ -12,6 +12,10 @@ module-level thread pool, created at the first pass of more than one
 chunk; with one they run inline, in order.  Philox draws, the numpy
 ufuncs, ``take`` and pocketfft release the GIL, so the chunks run in
 parallel.
+
+Tasks that hold the GIL, such as the bisections of ``build_phi``, run
+at once through ``map_processes`` instead: on worker processes of the
+default start method, one per core beside the caller's own.
 """
 
 from __future__ import annotations
@@ -74,3 +78,27 @@ def run(body, n: int, width: int = 1) -> list:
     ends = [min(a + lines, n) for a in starts]
     inline = WORKERS < 2 or len(ends) < 2
     return list((map if inline else _executor().map)(body, starts, ends))
+
+
+def map_processes(fn, tasks) -> list:
+    """``[fn(*args) for args in tasks]``, run at once: the first task
+    inline and the rest on ``min(WORKERS, len(tasks)) - 1`` worker
+    processes of the default start method, or every task inline, in
+    order, with one worker.  ``fn`` must be a top-level function, and
+    its arguments and results picklable.  The results come back in task
+    order; the first task (in that order) to raise has its exception
+    re-raised, and every worker is joined before the return."""
+    tasks = list(tasks)
+    processes = min(WORKERS, len(tasks)) - 1
+    if processes < 1:
+        return [fn(*args) for args in tasks]
+    # imported here: it loads multiprocessing, and `import qcp` loads
+    # numpy only
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(processes)
+    try:
+        futures = [pool.submit(fn, *args) for args in tasks[1:]]
+        first = fn(*tasks[0])
+        return [first] + [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)

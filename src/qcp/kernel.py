@@ -251,9 +251,8 @@ def discretize(spec: KernelSpec, L: int) -> DiscreteKernel:
     4x4 midpoint rule per cell; tables bin their atoms to nearest cell.
     """
     spec = build_kernel(spec)
-    if L < 1 or int(L) != L:
-        raise ValueError("L must be a positive integer")
-    L = int(L)
+    if type(L) is not int or L < 1:  # a bool or 8.0 is no lattice index
+        raise ValueError(f"L must be a positive integer, got {L!r}")
     h = 1.0 / L
 
     # each family fills a dense grid over offsets [-imax, imax]^2

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import chunks
 from .ide import Profile1D, _image, apply_Q_1d
 from .kernel import DiscreteKernel, Kernel1D, marginal_1d, unit_direction
 from .mean_field import Params, equilibria, mf_step
@@ -92,7 +93,12 @@ def _budget(dk: DiscreteKernel, tol: float) -> int:
     probe just below c* must still cross the probe interval at front
     speed ~ c* - c, with slack for the slow ramp-up near criticality,
     and a probe can land arbitrarily close to c*, where both criteria
-    are slow: hence the factor 16."""
+    are slow: hence the factor 16.  ValueError unless tol is positive
+    and finite."""
+    # tol <= 0 or NaN would never meet the stall criterion, and the
+    # bisection would never narrow to it
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     s_span = (_PROBE_DIAMETERS + 2.0) * dk.support_diameter
     return 16 * max(20000, int(8.0 * s_span / max(tol, 1e-6)))
 
@@ -190,39 +196,22 @@ class SpeedResult:
         return self.bracket[1]
 
 
-def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01, *,
-                   memo: dict | None = None) -> SpeedResult:
-    """Bisect the trial-speed class over [-d(k)-1, d(k)+1] down to a
-    bracket of width tol; c_star is reported as the bracket's upper end,
-    so c_lo < c* <= c_star.
-
-    The bisection sees xi only through its line marginal.  ``memo`` is
-    a dict owned by the caller, shared only between calls that differ
-    in xi alone: it maps the marginal's mass bytes to the bisection
-    outcome, and a direction whose marginal is already in it gets that
-    trace and bracket back with ``iterations`` 0, the recursion steps
-    actually run.
-    """
-    # tol <= 0 or NaN would never meet the stall criterion, and the
-    # bisection would never narrow to it
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    psi = _hump(dk, p)
-    xi = unit_direction(xi)
-    k1 = marginal_1d(dk, xi, psi.delta)
-    key = k1.masses.tobytes()
-    if memo is not None and key in memo:
-        trace, (lo, hi) = memo[key]
-        return SpeedResult(xi=xi, bracket=(lo, hi), iterations=0,
-                           trace=list(trace))
-    budget, probe_tol = _budget(dk, tol), min(tol, 1e-2)
-    lo, hi = -dk.support_diameter - 1.0, dk.support_diameter + 1.0
-    trace, steps = [], []
+def _bisect(k1: Kernel1D, psi: Profile1D, p: Params, tol: float, d: float,
+            budget: int):
+    """(trace, bracket, steps): the bisection of the trial-speed class
+    of marginal k1 over [-d - 1, d + 1], d the kernel diameter, down to
+    a bracket of width tol, and the recursion steps it ran.  It takes
+    the 1D marginal and the hump, not the 2D kernel, so it pickles small
+    and build_phi can run it on a worker process."""
+    probe_tol = min(tol, 1e-2)
+    lo, hi = -d - 1.0, d + 1.0
+    trace, steps = [], 0
 
     def probe(c):
+        nonlocal steps
         cls, its = _classify(c, psi, k1, p, probe_tol, budget)
         trace.append((c, cls))
-        steps.append(its)
+        steps += its
         return cls
 
     cls_lo, cls_hi = probe(lo), probe(hi)
@@ -236,10 +225,50 @@ def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01, *,
             lo = mid
         else:
             hi = mid
+    return tuple(trace), (lo, hi), steps
+
+
+def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01, *,
+                   memo: dict | None = None) -> SpeedResult:
+    """Bisect the trial-speed class over [-d(k)-1, d(k)+1] down to a
+    bracket of width tol; c_star is reported as the bracket's upper end,
+    so c_lo < c* <= c_star.
+
+    The bisection sees xi only through its line marginal.  ``memo`` is
+    a dict owned by the caller, shared only between calls that differ
+    in xi alone: it maps the marginal's mass bytes to the bisection's
+    (trace, bracket, steps not yet reported).  A direction whose
+    marginal is in it gets that trace and bracket back, with those
+    steps as ``iterations``, and leaves 0 for the next direction, so
+    ``iterations`` counts the steps on a marginal's first direction.
+    """
+    budget, psi = _budget(dk, tol), _hump(dk, p)
+    xi = unit_direction(xi)
+    k1 = marginal_1d(dk, xi, psi.delta)
+    key = k1.masses.tobytes()
+    if memo is not None and key in memo:
+        trace, bracket, steps = memo[key]
+    else:
+        trace, bracket, steps = _bisect(k1, psi, p, tol,
+                                        dk.support_diameter, budget)
     if memo is not None:
-        memo[key] = (tuple(trace), (lo, hi))
-    return SpeedResult(xi=xi, bracket=(lo, hi), iterations=sum(steps),
-                       trace=trace)
+        memo[key] = (trace, bracket, 0)
+    return SpeedResult(xi=xi, bracket=bracket, iterations=steps,
+                       trace=list(trace))
+
+
+def _bisect_at_once(dirs, dk: DiscreteKernel, p: Params, tol: float) -> dict:
+    """An estimate_cstar memo holding the bisection of each distinct line
+    marginal of dirs, the bisections run at once by
+    chunks.map_processes."""
+    budget, psi = _budget(dk, tol), _hump(dk, p)
+    tasks = {}
+    for xi in dirs:
+        # the key estimate_cstar computes, from the same unit vector
+        k1 = marginal_1d(dk, unit_direction(xi), psi.delta)
+        tasks.setdefault(k1.masses.tobytes(),
+                         (k1, psi, p, tol, dk.support_diameter, budget))
+    return dict(zip(tasks, chunks.map_processes(_bisect, tasks.values())))
 
 
 def check_tracking(xi, steps: int) -> np.ndarray:
@@ -342,6 +371,9 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
               speed_tol: float = 0.02) -> PhiData:
     """phi = min_i f_{n,i} at the common speed c = min_i c*(xi_i)/2.
 
+    c*(xi_i) is read from estimate_cstar, called once per direction in
+    order, after the distinct line marginals of the three directions
+    have been bisected at once, one per core (chunks.map_processes).
     Verifies the translation domination phi(s - c) <= Q_i[phi](s) + tol
     with tol = _PHI_TOL on the grid for every direction; if it fails, n
     is raised by 2 and the iteration rerun, at most _PHI_RETRIES times.
@@ -351,7 +383,7 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
     dirs = validate_direction_triple([xi1, xi2, xi3])
     # directions with identical line marginals (reflections of one
     # another for the symmetric kernels) share one bisection
-    memo = {}
+    memo = _bisect_at_once(dirs, dk, p, speed_tol)
     speeds = tuple(estimate_cstar(x, dk, p, tol=speed_tol, memo=memo).c_star
                    for x in dirs)
     if min(speeds) <= 0.0:

@@ -1,6 +1,8 @@
 """Large-grid passes cut into chunks across threads give the bits of
-one whole-grid pass, whatever the worker count and the chunk size."""
+one whole-grid pass, whatever the worker count and the chunk size; the
+process map gives the results of a loop, whatever the worker count."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,11 +14,12 @@ import numpy as np
 import pytest
 
 import qcp
-from qcp import chunks, experiments, ide, lattice
+from qcp import chunks, experiments, ide, lattice, wavespeed
 from qcp.ide import Field2D
-from qcp.kernel import discretize
+from qcp.kernel import discretize, marginal_1d
 from qcp.mean_field import Params
 from qcp.rng import LatticeRng
+from qcp.wavespeed import SpeedIndeterminate
 
 # (workers, sites per chunk): every worker count cuts the same chunks,
 # which 1 worker runs inline and in order
@@ -254,9 +257,12 @@ def test_ranges_tile_the_lines_in_order(chunked, n, width, monkeypatch):
 
 
 def test_import_starts_no_thread():
-    code = ("import threading, qcp, qcp.chunks; "
+    # nor loads the process map's modules
+    code = ("import sys, threading, qcp, qcp.chunks; "
             "assert threading.active_count() == 1; "
-            "assert qcp.chunks._pool is None")
+            "assert qcp.chunks._pool is None; "
+            "assert 'multiprocessing' not in sys.modules; "
+            "assert 'concurrent.futures' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=str(Path(qcp.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
@@ -272,3 +278,34 @@ def test_pool_threads_at_most_the_worker_count(dk10, p_main, monkeypatch):
     assert chunks.WORKERS == min(chunks._cores(), 8)
     assert len(pool) <= chunks.WORKERS
     assert bool(pool) == (chunks.WORKERS > 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_process_map_returns_results_in_task_order(workers, monkeypatch):
+    # the first task runs in the caller, the rest on min(workers, 4) - 1
+    # worker processes, or all inline with one worker
+    monkeypatch.setattr(chunks, "WORKERS", workers)
+    tasks = [(7, 2), (9, 4), (5, 5), (11, 3)]
+    assert chunks.map_processes(divmod, tasks) == [divmod(*t) for t in tasks]
+    pids = chunks.map_processes(os.getpid, [()] * 4)
+    if workers == 1:
+        assert pids == [os.getpid()] * 4
+    else:
+        assert pids[0] == os.getpid() not in pids[1:]
+        assert len(set(pids[1:])) <= min(workers, 4) - 1
+    assert multiprocessing.active_children() == []
+    assert chunks.map_processes(divmod, []) == []
+
+
+def test_process_map_reraises_a_worker_exception(dk8, p_main, monkeypatch):
+    # a probe with a budget of 1 step raises SpeedIndeterminate on the
+    # worker; the caller's own probe, with a budget of 1,000, passes
+    monkeypatch.setattr(chunks, "WORKERS", 2)
+    psi = wavespeed._hump(dk8, p_main)
+    k1 = marginal_1d(dk8, (1.0, 0.0), psi.delta)
+    with pytest.raises(SpeedIndeterminate,
+                       match="no classification for c=0.0 after 1 "):
+        chunks.map_processes(wavespeed._classify, [
+            (0.0, psi, k1, p_main, 0.01, 1000),
+            (0.0, psi, k1, p_main, 0.01, 1)])
+    assert multiprocessing.active_children() == []

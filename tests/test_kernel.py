@@ -69,6 +69,12 @@ class TestBuildKernel:
 
 
 class TestDiscretize:
+    @pytest.mark.parametrize("L", [True, 8.0, 0, -1])
+    def test_lattice_index_is_a_positive_int(self, square_spec, L):
+        # the rule of Field2D: a bool or an integral float is no index
+        with pytest.raises(ValueError, match="positive integer"):
+            discretize(square_spec, L)
+
     def test_uniform_square_l1_cell_areas(self, square_spec):
         # oracle: integrate the density over each half-open unit cell by
         # exact rectangle intersection

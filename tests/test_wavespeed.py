@@ -1,11 +1,19 @@
+import hashlib
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcp import wavespeed
+import qcp
+from qcp import chunks, wavespeed
 from qcp.ide import Profile1D, apply_Q_1d
 from qcp.kernel import Kernel1D, discretize
 from qcp.mean_field import Params, equilibria, mean_field_trace
@@ -442,6 +450,9 @@ class TestPhi:
             raise AssertionError("phi was built at a nonpositive speed")
 
         monkeypatch.setattr(wavespeed, "_front_iterates", refuse)
+        # no bisection: the speeds come from the stub alone
+        monkeypatch.setattr(wavespeed, "_bisect_at_once",
+                            lambda *args: {})
         for c_star in (0.0, -0.05):
             monkeypatch.setattr(
                 wavespeed, "estimate_cstar",
@@ -465,6 +476,8 @@ class TestPhi:
         monkeypatch.setattr(wavespeed, "_hump", spy)
         monkeypatch.setattr(wavespeed, "_check_domination",
                             lambda *args, **kwargs: (False, []))
+        monkeypatch.setattr(wavespeed, "_bisect_at_once",
+                            lambda *args: {})
         monkeypatch.setattr(wavespeed, "estimate_cstar",
                             lambda xi, *args, **kwargs: wavespeed.SpeedResult(
                                 xi=xi, bracket=(0.17, 0.18), iterations=0))
@@ -474,3 +487,124 @@ class TestPhi:
         last_n = round((grids[-1] - 2.0 * d) / (0.5 * d)) - 2
         assert last_n == 4 + 2 * wavespeed._PHI_RETRIES
         assert f"n={last_n};" in str(info.value)
+
+
+def _phi_outputs(phi, results) -> dict:
+    """What a phi_main build must reproduce bit for bit, as JSON data."""
+    return {"traces": [[list(t) for t in r.trace] for r in results],
+            "brackets": [list(r.bracket) for r in results],
+            "iterations": [r.iterations for r in results],
+            "xi": [r.xi.tolist() for r in results],
+            "speeds": list(phi.speeds),
+            "phi": hashlib.sha256(phi.phi.values.tobytes()).hexdigest(),
+            "limits": [phi.phi.left_limit, phi.phi.right_limit],
+            "m": phi.m, "M": phi.M, "n_iter": phi.n_iter,
+            "marginals": [k1.masses.tobytes().hex() for k1 in phi.kernels1d]}
+
+
+# phi_main in a fresh interpreter whose map runs on a worker process
+# whatever the core count: under the spawn start method (the macOS
+# default; its workers start from a fresh import, as those of
+# forkserver, the Python 3.14 Linux default, do), or under the default
+# one after a chunked lattice step has started the chunk thread pool,
+# so that on Linux the worker is forked from a multi-threaded parent
+_PHI_IN_A_PROCESS = """
+import json, sys, threading
+import multiprocessing as mp
+from qcp import KernelSpec, Params, chunks, discretize, lattice, wavespeed
+from qcp.rng import LatticeRng
+sys.path.insert(0, sys.argv[2])
+from test_wavespeed import _phi_outputs
+
+chunks.WORKERS = 2
+p = Params(1.0, 0.05)
+spec = KernelSpec("uniform-square", {"radius": 1.0})
+if sys.argv[1] == "spawn":
+    mp.set_start_method("spawn")
+else:
+    rng = LatticeRng(1)
+    s = lattice.init(2, 300, 0.5, rng)  # 90,000 sites: two chunks
+    lattice.step(s, discretize(spec, 2), p, rng)
+    assert any(t.name.startswith("qcp-chunk") for t in threading.enumerate())
+results = []
+original = wavespeed.estimate_cstar
+
+
+def spy(*args, **kwargs):
+    results.append(original(*args, **kwargs))
+    return results[-1]
+
+
+wavespeed.estimate_cstar = spy
+phi = wavespeed.build_phi(*wavespeed.default_directions(),
+                          discretize(spec, 8), p, n=4, speed_tol=0.02)
+assert mp.active_children() == []
+print(json.dumps(_phi_outputs(phi, results)))
+"""
+
+
+class TestBisectionsAtOnce:
+    """build_phi bisects its distinct line marginals at once, on worker
+    processes, with the bits of one bisection after another."""
+
+    def build(self, dk, p, monkeypatch, workers):
+        results = []
+        original = wavespeed.estimate_cstar
+
+        def spy(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(chunks, "WORKERS", workers)
+            mp.setattr(wavespeed, "estimate_cstar", spy)
+            phi = build_phi(*default_directions(), dk, p, n=4,
+                            speed_tol=0.02)
+        return phi, results
+
+    def test_same_bits_at_one_and_two_workers(self, dk8, p_main,
+                                              phi_main_speeds, monkeypatch):
+        bisections = []
+        original = wavespeed._bisect
+
+        def count(*args):
+            bisections.append(os.getpid())
+            return original(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(wavespeed, "_bisect", count)
+            inline = self.build(dk8, p_main, monkeypatch, 1)
+        # one bisection per distinct marginal, none inside estimate_cstar
+        assert bisections == [os.getpid()] * 2
+        at_once = self.build(dk8, p_main, monkeypatch, 2)
+        assert multiprocessing.active_children() == []
+        want = _phi_outputs(*phi_main_speeds)
+        assert _phi_outputs(*inline) == _phi_outputs(*at_once) == want
+        assert want["iterations"] == GOLDEN_PHI_ITERATIONS
+        assert want["traces"] == [[list(t) for t in tr] for tr in (
+            GOLDEN_PHI_TRACES[0], GOLDEN_PHI_TRACES[1], GOLDEN_PHI_TRACES[1])]
+
+    def test_worker_exception_reaches_the_caller(self, dk8, p_main,
+                                                 monkeypatch):
+        # the 45 degree bisection, inline, needs at most 3,818 steps per
+        # probe and passes; the 165 degree one, on the worker, needs
+        # 22,852 at c = 0.179...
+        monkeypatch.setattr(wavespeed, "_budget", lambda dk, tol: 4000)
+        monkeypatch.setattr(chunks, "WORKERS", 2)
+        with pytest.raises(wavespeed.SpeedIndeterminate,
+                           match=r"c=0\.17945752147247768 after 4000 "):
+            build_phi(*default_directions(), dk8, p_main, n=4,
+                      speed_tol=0.02)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("how", ["spawn", "fork-after-threads"])
+    def test_in_a_fresh_process(self, how, phi_main_speeds):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(qcp.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", _PHI_IN_A_PROCESS, how,
+             str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout.splitlines()[-1])
+        assert got == _phi_outputs(*phi_main_speeds)
