@@ -13,14 +13,16 @@ chunk; with one they run inline, in order.  Philox draws, the numpy
 ufuncs, ``take`` and pocketfft release the GIL, so the chunks run in
 parallel.
 
-Tasks that hold the GIL, such as the bisections of ``build_phi``, run
-at once through ``map_processes`` instead: on worker processes of the
-default start method, one per core beside the caller's own.
+Tasks that hold the GIL, such as the bisections of ``build_phi`` and
+an experiment's seeds, run at once through ``map_processes`` instead,
+on worker processes beside the caller.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import sys
 import threading
 
 # Sites per chunk: a multiple of 4, so that a chunk of a flat site range
@@ -41,6 +43,8 @@ def _cores() -> int:
 
 
 WORKERS = min(_cores(), _MAX_WORKERS)
+# map_processes forks on Linux: a spawned worker imports qcp first, 0.3 s
+START_METHOD = "fork" if sys.platform.startswith("linux") else None
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -80,25 +84,34 @@ def run(body, n: int, width: int = 1) -> list:
     return list((map if inline else _executor().map)(body, starts, ends))
 
 
-def map_processes(fn, tasks) -> list:
-    """``[fn(*args) for args in tasks]``, run at once: the first task
-    inline and the rest on ``min(WORKERS, len(tasks)) - 1`` worker
-    processes of the default start method, or every task inline, in
-    order, with one worker.  ``fn`` must be a top-level function, and
-    its arguments and results picklable.  The results come back in task
-    order; the first task (in that order) to raise has its exception
-    re-raised, and every worker is joined before the return."""
+def _call(payload: bytes):
+    global WORKERS      # the processes fill the cores: chunks run inline
+    WORKERS = 1
+    fn, args = pickle.loads(payload)
+    return fn(*args)
+
+
+def map_processes(fn, tasks, cap: int | None = None) -> list:
+    """``[fn(*args) for args in tasks]``, ``share = min(WORKERS,
+    len(tasks), cap)`` at once: the caller runs tasks 0, share, 2 share,
+    ... and ``share - 1`` worker processes the rest, their chunk passes
+    inline.  ``fn`` must be a top-level function, and its arguments
+    (pickled before the caller's first task, which may fill caches on
+    them) and results picklable.  The caller takes the results in task
+    order, so the first task to raise has its exception re-raised; every
+    worker is joined before the return."""
     tasks = list(tasks)
-    processes = min(WORKERS, len(tasks)) - 1
-    if processes < 1:
+    share = min(WORKERS, len(tasks), cap or WORKERS)
+    if share < 2:
         return [fn(*args) for args in tasks]
-    # imported here: it loads multiprocessing, and `import qcp` loads
-    # numpy only
+    # imported here: `import qcp` loads numpy only
     from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(processes)
+    from multiprocessing import get_context
+    pool = ProcessPoolExecutor(share - 1, get_context(START_METHOD))
     try:
-        futures = [pool.submit(fn, *args) for args in tasks[1:]]
-        first = fn(*tasks[0])
-        return [first] + [f.result() for f in futures]
+        futures = {i: pool.submit(_call, pickle.dumps((fn, args)))
+                   for i, args in enumerate(tasks) if i % share}
+        return [futures[i].result() if i % share else fn(*args)
+                for i, args in enumerate(tasks)]
     finally:
         pool.shutdown(cancel_futures=True)

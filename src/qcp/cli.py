@@ -120,8 +120,6 @@ SCHEMA = {
     "ide-run": {**_COMMON, **_U0, **_shared("beta", "eta", "kernel", "W"),
                 "L": (int, 8), "steps": (_count, 10),
                 "taps": (tuple[int, ...] | None, None),
-                "boundary": (typing.Literal["periodic", "clamped"],
-                             "periodic"),
                 "clamp": (float | None, None)},
     "speed": {**_COMMON, **_OUT, **_shared("beta", "eta", "kernel"),
               "kernel-L": (int, 8), "angle": (float, 0.0),
@@ -265,13 +263,8 @@ def _cmd_ide_run(cfg) -> int:
     with _invalid():
         p = Params(cfg["beta"], cfg["eta"])
         dk = discretize(cfg["kernel"], L)
-    clamp = cfg["clamp"]
-    if cfg["boundary"] == "periodic" and clamp is not None:
-        raise ConfigError("clamp: a periodic boundary reads no clamp value")
-    if cfg["boundary"] == "clamped" and clamp is None:
-        clamp = 0.0
     with _invalid("W", "u0", "clamp"):
-        field = _u0_field(cfg["u0"], L, cfg["W"], clamp)
+        field = _u0_field(cfg["u0"], L, cfg["W"], cfg["clamp"])
     with _invalid("taps", errors=ValueError):  # checks taps first
         fields = evolve(field, dk, p, n, taps=cfg["taps"])
     outdir = _out_dir(cfg)
@@ -442,7 +435,7 @@ def _cmd_compare(cfg) -> int:
 # subcommand -> (handler, keys that also have a flag)
 _COMMANDS = {
     "mean-field": (_cmd_mean_field, "beta eta v0 trace-steps out"),
-    "ide-run": (_cmd_ide_run, "beta eta L W steps boundary"),
+    "ide-run": (_cmd_ide_run, "beta eta L W steps clamp"),
     "speed": (_cmd_speed, "beta eta angle tol kernel-L method track-steps "
                           "out"),
     "lattice-run": (_cmd_lattice_run, "beta eta L W seed steps "
@@ -453,8 +446,8 @@ _COMMANDS = {
     "error-rate": (_cmd_error_rate, "beta eta gamma W steps phi-L threads"),
 }
 _HELP = {"out-dir": "output directory (env QCP_OUT_DIR overrides)",
-         "threads": "seeds run at once; results are independent of it "
-                    "(a large grid uses the cores on its own)"}
+         "threads": "seeds run at once on worker processes, each running "
+                    "its grid passes inline; results are independent of it"}
 
 
 def _build_parser() -> _Parser:

@@ -2,32 +2,22 @@
 
 Every harness is deterministic given (config, seed list): all coins
 come from the counter-based streams keyed by seed and step, so runs at
-different beta on the same seed are automatically monotonically
-coupled, and re-runs are bit-identical at any worker count.
+different beta on the same seed are monotonically coupled, and re-runs
+are bit-identical however many seeds run at once (cfg.threads).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import comparison, lattice
+from . import chunks, comparison, lattice
 from .ide import Field2D, evolve
 from .kernel import KernelSpec, discretize
 from .mean_field import Params, equilibria
 from .rng import LatticeRng, stream
 from .wavespeed import PhiData
-
-
-def parallel_map(fn, items, threads: int = 1):
-    """Order-preserving map; results independent of the worker count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -79,21 +69,22 @@ class ExperimentConfig:
         return Params(self.beta, self.eta)
 
 
-def _field_values(u0, xs, ys):
-    """u0's start density at the nodes xs x ys: a Field2D resampled at
-    its nearest nodes, a callable evaluated there, and a constant as a
-    read-only broadcast view of that number, which holds no grid.  The
-    density recursion and lattice.init read it without writing it, so a
-    constant start adds no grid to a hydro run's peak."""
+def _field_values(u0, side: int, L: int):
+    """u0's start density on side x side nodes at spacing 1/L: a Field2D
+    resampled at its nearest nodes, a callable evaluated there, and a
+    constant as a read-only broadcast view of that number, which holds no
+    grid.  The density recursion and lattice.init read it without writing
+    it, so a constant start adds no grid to a hydro run's peak."""
+    xs = np.arange(side) / L
     if isinstance(u0, Field2D):
         nx, ny = u0.values.shape
         fx = np.clip(np.round(xs / (1.0 / u0.L)).astype(int), 0, nx - 1)
-        fy = np.clip(np.round(ys / (1.0 / u0.L)).astype(int), 0, ny - 1)
+        fy = np.clip(np.round(xs / (1.0 / u0.L)).astype(int), 0, ny - 1)
         return u0.values[np.ix_(fx, fy)]
     if callable(u0):
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        gx, gy = np.meshgrid(xs, xs, indexing="ij")
         return np.asarray(u0(gx, gy), dtype=float)
-    return np.broadcast_to(float(u0), (len(xs), len(ys)))
+    return np.broadcast_to(float(u0), (side, side))
 
 
 def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
@@ -101,35 +92,38 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
     recursion after cfg.steps steps, per L and seed.
 
     u0 may be a constant, a vectorized callable (x, y) -> density, or a
-    Field2D to resample.  Returns rows with sup-box errors for the
-    particle count S/m against u_n and the pair count R/m against
-    u_n^2.
+    Field2D to resample; the seed tasks pickle it when cfg.threads > 1,
+    so a callable must then be a top-level function.  Returns rows with
+    sup-box errors for the particle count S/m against u_n and the pair
+    count R/m against u_n^2.
     """
-    p = cfg.params
     rows = []
     for L, side in zip(cfg.L_list, hydro_sides(cfg)):
         dk = discretize(cfg.kernel, L)
-        xs = np.arange(side) / L
-        vals = _field_values(u0, xs, xs)
-        u_field = Field2D(dk.L, vals)
-        u_n = evolve(u_field, dk, p, cfg.steps)[cfg.steps]
-
-        def one_seed(seed, L=L, dk=dk, side=side, u_field=u_field, u_n=u_n):
-            rng = LatticeRng(seed)
-            state = lattice.init(L, side, u_field.values, rng)
-            for _ in range(cfg.steps):
-                state, _ = lattice.step(state, dk, p, rng)
-            stats = lattice.box_stats(state, cfg.gamma)
-            b, nb = stats.b, stats.nb
-            corners = u_n.values[0:nb * b:b, 0:nb * b:b]
-            s_err = float(np.max(np.abs(stats.density() - corners)))
-            r_err = float(np.max(np.abs(stats.R / stats.m - corners ** 2)))
-            return {"L": L, "seed": seed, "n": cfg.steps,
-                    "sup_S_err": s_err, "sup_R_err": r_err,
-                    "boxes": int(nb * nb), "m": int(stats.m)}
-
-        rows.extend(parallel_map(one_seed, cfg.seeds, cfg.threads))
+        u_n = evolve(Field2D(L, _field_values(u0, side, L)), dk, cfg.params,
+                     cfg.steps)[cfg.steps]
+        # the density at each box's lower corner, which the errors read
+        b = lattice.box_side_sites(L, cfg.gamma)
+        corners = u_n.values[0:side // b * b:b, 0:side // b * b:b]
+        rows.extend(chunks.map_processes(_hydro_seed, [
+            (cfg, dk, side, u0, corners, seed) for seed in cfg.seeds],
+            cfg.threads))
     return rows
+
+
+def _hydro_seed(cfg: ExperimentConfig, dk, side: int, u0, corners, seed):
+    """hydro_convergence's row for seed: the lattice from u0 after
+    cfg.steps steps against the recursion's corners."""
+    p, rng = cfg.params, LatticeRng(seed)
+    state = lattice.init(dk.L, side, _field_values(u0, side, dk.L), rng)
+    for _ in range(cfg.steps):
+        state, _ = lattice.step(state, dk, p, rng)
+    stats = lattice.box_stats(state, cfg.gamma)
+    s_err = float(np.max(np.abs(stats.density() - corners)))
+    r_err = float(np.max(np.abs(stats.R / stats.m - corners ** 2)))
+    return {"L": dk.L, "seed": seed, "n": cfg.steps,
+            "sup_S_err": s_err, "sup_R_err": r_err,
+            "boxes": int(stats.nb ** 2), "m": int(stats.m)}
 
 
 def hydro_sides(cfg: ExperimentConfig) -> list:
@@ -179,18 +173,10 @@ def phase_scan(cfg: ExperimentConfig, init: str = "all_ones",
     elif init != "all_ones":
         raise ValueError(f"unknown init {init!r}")
     dk = discretize(cfg.kernel, cfg.phase_L)
-
-    def final_labels(cell):
-        eta, seed = cell
-        rng, B = LatticeRng(seed), start
-        for n in range(cfg.horizon):
-            if B.min() >= max(betas):  # extinct at every beta: absorbing
-                break
-            B = lattice.label_step(B, n, dk, eta, rng)
-        return B
-
     cells = [(e, s) for e in etas for s in cfg.seeds]
-    finals = dict(zip(cells, parallel_map(final_labels, cells, cfg.threads)))
+    finals = dict(zip(cells, chunks.map_processes(_final_labels, [
+        (start, dk, eta, seed, cfg.horizon, max(betas))
+        for eta, seed in cells], cfg.threads)))
 
     def row(beta, eta, seed):
         dens = float((finals[eta, seed] < beta).mean())
@@ -200,6 +186,17 @@ def phase_scan(cfg: ExperimentConfig, init: str = "all_ones",
                 "final_density": dens, "survived": int(survived)}
 
     return [row(b, e, s) for e in etas for b in betas for s in cfg.seeds]
+
+
+def _final_labels(B, dk, eta: float, seed: int, horizon: int, top: float):
+    """B after horizon label steps of seed at eta, or once every label
+    reaches top: extinct at every beta of the scan, which absorbs."""
+    rng = LatticeRng(seed)
+    for n in range(horizon):
+        if B.min() >= top:
+            break
+        B = lattice.label_step(B, n, dk, eta, rng)
+    return B
 
 
 def survival_table(rows):
@@ -271,12 +268,9 @@ def coupled_runs(cfg: ExperimentConfig, phi: PhiData, L: int):
     dk = discretize(cfg.kernel, L)
     cmp_cfg = comparison.make_comparison_config(phi, dk, L, cfg.gamma)
     side = aligned_side(L, cfg.gamma, cfg.W)
-
-    def one_seed(seed):
-        return run_coupled(cfg.params, dk, cfg.gamma, side, cfg.steps, seed,
-                           phi, cmp_cfg)
-
-    return cmp_cfg, side, parallel_map(one_seed, cfg.seeds, cfg.threads)
+    return cmp_cfg, side, chunks.map_processes(run_coupled, [
+        (cfg.params, dk, cfg.gamma, side, cfg.steps, seed, phi, cmp_cfg)
+        for seed in cfg.seeds], cfg.threads)
 
 
 def error_rate(cfg: ExperimentConfig, phi: PhiData) -> list:

@@ -218,19 +218,23 @@ def test_one_worker_step_makes_no_lattice_of_coins(chunked, dk10, p_main):
     assert peak < side * side * 8
 
 
-@pytest.mark.parametrize("chunked", [(2, 12)], indirect=True)
-def test_seed_threads_share_the_pool(chunked, dk10, p_main):
-    # seeds run at once on their own threads, each cutting its steps
-    # into chunks on the one pool, give the bits of seeds run in turn
-    def run(seed):
-        rng = LatticeRng(seed)
-        s = lattice.init(10, 83, 0.5, rng)
-        for _ in range(3):
-            s, _ = lattice.step(s, dk10, p_main, rng)
-        return s.occ.tobytes()
+def _run_seed(seed, dk, p):
+    # three lattice steps of seed, on whichever process the map picks
+    rng = LatticeRng(seed)
+    s = lattice.init(10, 83, 0.5, rng)
+    for _ in range(3):
+        s, _ = lattice.step(s, dk, p, rng)
+    return s.occ.tobytes()
 
-    got = experiments.parallel_map(run, range(4), threads=2)
-    assert got == whole(lambda: [run(seed) for seed in range(4)])
+
+@pytest.mark.parametrize("chunked", [(2, 12)], indirect=True)
+def test_seed_processes_cut_their_steps(chunked, dk10, p_main):
+    # seeds run at once on the caller and a worker process, each cutting
+    # its steps into chunks of 12 sites (a fork inherits CHUNK), give the
+    # bits of seeds run in turn
+    tasks = [(seed, dk10, p_main) for seed in range(5)]
+    got = chunks.map_processes(_run_seed, tasks)
+    assert got == whole(lambda: [_run_seed(*t) for t in tasks])
 
 
 @pytest.mark.parametrize("chunked", [(1, 4), (2, 4), (3, 12), (3, 1 << 16)],
@@ -282,19 +286,51 @@ def test_pool_threads_at_most_the_worker_count(dk10, p_main, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_process_map_returns_results_in_task_order(workers, monkeypatch):
-    # the first task runs in the caller, the rest on min(workers, 4) - 1
-    # worker processes, or all inline with one worker
+    # with share = min(workers, 5) the caller runs tasks 0, share,
+    # 2 share, ... and at most share - 1 worker processes the rest, or
+    # the caller all of them with one worker
     monkeypatch.setattr(chunks, "WORKERS", workers)
-    tasks = [(7, 2), (9, 4), (5, 5), (11, 3)]
+    tasks = [(7, 2), (9, 4), (5, 5), (11, 3), (8, 3)]
     assert chunks.map_processes(divmod, tasks) == [divmod(*t) for t in tasks]
-    pids = chunks.map_processes(os.getpid, [()] * 4)
-    if workers == 1:
-        assert pids == [os.getpid()] * 4
-    else:
-        assert pids[0] == os.getpid() not in pids[1:]
-        assert len(set(pids[1:])) <= min(workers, 4) - 1
+    pids = chunks.map_processes(os.getpid, [()] * 5)
+    share = min(workers, 5)
+    mine = [i for i, pid in enumerate(pids) if pid == os.getpid()]
+    assert mine == list(range(0, 5, share))
+    assert len(set(pids) - {os.getpid()}) <= share - 1
     assert multiprocessing.active_children() == []
     assert chunks.map_processes(divmod, []) == []
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_process_map_runs_at_most_cap_at_once(cap, monkeypatch):
+    # the cap lowers the share, and a cap of 1 runs every task inline
+    monkeypatch.setattr(chunks, "WORKERS", 3)
+    pids = chunks.map_processes(os.getpid, [()] * 5, cap)
+    mine = [i for i, pid in enumerate(pids) if pid == os.getpid()]
+    assert mine == list(range(0, 5, cap))
+    assert len(set(pids) - {os.getpid()}) <= cap - 1
+
+
+def _workers():
+    return chunks.WORKERS
+
+
+def test_worker_runs_its_chunks_inline(monkeypatch):
+    # the worker processes fill the cores, so none starts a chunk pool
+    monkeypatch.setattr(chunks, "WORKERS", 2)
+    assert chunks.map_processes(_workers, [()] * 2) == [2, 1]
+
+
+def test_process_map_reraises_the_first_failure_in_task_order(
+        monkeypatch):
+    # tasks 0 and 2 run in the caller, 1 and 3 on the worker: the first
+    # failure in task order is raised, whichever process ran it
+    monkeypatch.setattr(chunks, "WORKERS", 2)
+    with pytest.raises(ZeroDivisionError):
+        chunks.map_processes(divmod, [(1, 1), (1, 0), (1, "x")])
+    with pytest.raises(TypeError):
+        chunks.map_processes(divmod, [(1, 1), (1, 1), (1, "x"), (1, 0)])
+    assert multiprocessing.active_children() == []
 
 
 def test_process_map_reraises_a_worker_exception(dk8, p_main, monkeypatch):

@@ -188,7 +188,7 @@ class TestErrors:
         ["lattice-run", {"init": "product:abc"}],
         ["lattice-run", {"init": "product:1.5"}],
         ["speed", {"angle": "x"}], ["speed", {"kernel-L": 0}],
-        ["ide-run", {"boundary": "bogus"}],
+        ["ide-run", {"clamp": "bogus"}],
         ["mean-field", "--out", "t.csv", {"v0": 2}],
         ["compare", {"phi-L": 0}], ["phase-scan", {"beta-grid": [1.5]}],
         ["phase-scan", {"beta_grid": [0.3, 0.9]}],
@@ -228,8 +228,8 @@ class TestErrors:
         ["error-rate", {"u0": {"valeu": 7}}],
         # a hydro window of 3 sites at L = 8 holds no box of 4 sites
         ["hydro", "--W", "0.4", "--steps", "1", {"L-list": [8]}],
-        # a torus reads no clamp value
-        ["ide-run", {"clamp": 0.3}]])
+        # a clamp of null is the torus: no boundary key names it twice
+        ["ide-run", {"boundary": "clamped"}]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
         # a trailing dict is a config document; the error names its one
@@ -366,6 +366,27 @@ class TestIdeRunCommand:
             assert got.L == 4 and got.clamp is None
             assert np.array_equal(got.values, field.values)
 
+    def test_a_clamp_is_the_boundary(self, tmp_path, capsys):
+        # a number clamps the window, and the header says so; null, the
+        # default, is the torus
+        from helpers import field_from_csv
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"clamp": 0.3, "steps": 1, "L": 4,
+                                    "W": 2}))
+        out = tmp_path / "out"
+        assert run(["ide-run", "--config", str(path),
+                    "--out-dir", str(out)]) == 0
+        header = (out / "field_00001.csv").read_text().splitlines()[0]
+        assert header.endswith("boundary=clamped clamp=0.3")
+        side = lattice.window_side(2.0, 4)
+        want = evolve(Field2D(4, np.full((side, side), 0.5), 0.3),
+                      discretize(KernelSpec("uniform-square",
+                                            {"radius": 1.0}), 4),
+                      Params(1.0, 0.05), 1)[1]
+        got = field_from_csv(out / "field_00001.csv")
+        assert got.clamp == 0.3
+        assert np.array_equal(got.values, want.values)
+
 
 class TestCompareCommand:
     def test_small_run_no_violations(self, tmp_path, capsys):
@@ -461,7 +482,7 @@ for argv in (
         ["ide-run", "--L", "4", "--W", "2", "--steps", "2"],
         # 625 kernel offsets: the clamped FFT branch
         ["ide-run", "--L", "12", "--W", "3", "--steps", "1",
-         "--boundary", "clamped"],
+         "--clamp", "0"],
         ["speed", "--kernel-L", "4", "--tol", "0.05", "--out", "speed.csv"],
         ["phase-scan", "--horizon", "5", "--phase-L", "4", "--phase-W", "3"],
         # the binomial tests of properties (5) and (6)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import multiprocessing
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcp import comparison, experiments, ide, kernel, lattice, wavespeed
+from qcp import chunks, comparison, experiments, ide, kernel, lattice, \
+    wavespeed
 from qcp.comparison import ErrorPoint
-from qcp.experiments import (ExperimentConfig, aligned_side, error_rate,
-                             hydro_convergence, parallel_map, phase_scan,
+from qcp.experiments import (ExperimentConfig, aligned_side, coupled_runs,
+                             error_rate, hydro_convergence, phase_scan,
                              property5_check, property6_check, run_coupled,
                              square_bounds, survival_floor, survival_table)
 from qcp.ide import Field2D
@@ -74,11 +76,6 @@ class TestConfig:
         cfg = small_cfg(beta_grid=(0.0, 1.0), eta_grid=(0.0, 1.0))
         assert cfg.beta_grid == (0.0, 1.0)
 
-    def test_parallel_map_order(self):
-        items = list(range(20))
-        assert parallel_map(lambda x: x * x, items, 1) == \
-            parallel_map(lambda x: x * x, items, 4)
-
 
 class TestHydro:
     def test_all_ones_one_step_binomial(self):
@@ -119,8 +116,7 @@ class TestHydro:
         # a read-only view of the number; its rows are those of the same
         # density as a grid to resample and as a callable, bit for bit
         monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", threshold)
-        xs = np.arange(30) / 10
-        vals = experiments._field_values(0.37, xs, xs)
+        vals = experiments._field_values(0.37, 30, 10)
         assert vals.shape == (30, 30) and vals.strides == (0, 0)
         assert not vals.flags.writeable
         cfg = small_cfg(L_list=(10, 20), steps=2, seeds=(1, 2))
@@ -165,7 +161,7 @@ def phase_scan_oracle(cfg, init="all_ones", square_side=2.0):
                 "final_density": dens, "survived": int(survived)}
 
     cells = [(b, e, s) for e in etas for b in betas for s in cfg.seeds]
-    return parallel_map(one, cells, cfg.threads)
+    return [one(cell) for cell in cells]
 
 
 class TestPhaseScan:
@@ -281,6 +277,53 @@ class TestCoupledRuns:
         for L, gamma, W in [(50, 0.3, 4.0), (200, 0.3, 2.0), (25, 0.4, 3.0)]:
             side = aligned_side(L, gamma, W)
             assert side % box_side_sites(L, gamma) == 0
+
+
+class TestSeedsOnProcesses:
+    """The seeds of an experiment run cfg.threads at a time on
+    chunks.map_processes, with the bits of seeds run in turn."""
+
+    @staticmethod
+    def runs(phi, threads):
+        scan = small_cfg(beta_grid=(0.3, 0.9), eta_grid=(0.1,), horizon=30,
+                         phase_L=5, phase_W=4.0, seeds=(3, 11, 12),
+                         threads=threads)
+        coupled = small_cfg(L_list=(20,), W=2.5, steps=5, seeds=(1, 2, 3),
+                            threads=threads)
+        return (phase_scan(scan, init="finite_square"),
+                coupled_runs(coupled, phi, 20),
+                hydro_convergence(coupled, 0.6))
+
+    def test_spawned_workers_give_the_bits_of_one(self, phi_main,
+                                                  monkeypatch):
+        # a spawned worker gets every seed task by pickle, so each task
+        # and its arguments pickle, and its results come back exact
+        want = self.runs(phi_main, 1)
+        monkeypatch.setattr(chunks, "WORKERS", 2)
+        monkeypatch.setattr(chunks, "START_METHOD", "spawn")
+        assert self.runs(phi_main, 2) == want
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_scan(self, monkeypatch):
+        # a forked worker inherits the failing label_step below
+        monkeypatch.setattr(chunks, "WORKERS", 2)
+        monkeypatch.setattr(chunks, "START_METHOD", "fork")
+        cfg = small_cfg(beta_grid=(0.3, 0.9), eta_grid=(0.1,), horizon=10,
+                        phase_L=5, phase_W=4.0, seeds=(3, 11, 12), threads=2)
+        phase_scan(cfg)
+        assert multiprocessing.active_children() == []
+        label_step = lattice.label_step
+
+        def fail_on_11(B, n, dk, eta, rng):
+            # seed 11 is the second task, the worker's
+            if rng.seed == 11:
+                raise RuntimeError("seed 11 failed")
+            return label_step(B, n, dk, eta, rng)
+
+        monkeypatch.setattr(lattice, "label_step", fail_on_11)
+        with pytest.raises(RuntimeError, match="seed 11 failed"):
+            phase_scan(cfg)
+        assert multiprocessing.active_children() == []
 
 
 class TestPointProcessProperties:

@@ -520,7 +520,7 @@ chunks.WORKERS = 2
 p = Params(1.0, 0.05)
 spec = KernelSpec("uniform-square", {"radius": 1.0})
 if sys.argv[1] == "spawn":
-    mp.set_start_method("spawn")
+    chunks.START_METHOD = "spawn"
 else:
     rng = LatticeRng(1)
     s = lattice.init(2, 300, 0.5, rng)  # 90,000 sites: two chunks
