@@ -26,7 +26,7 @@ from . import experiments, lattice, manifest
 from .experiments import ExperimentConfig
 from .ide import Field2D, evolve
 from .kernel import KernelSpec, discretize
-from .mean_field import Params, equilibria, mean_field_trace
+from .mean_field import Params, check_trace, equilibria, mean_field_trace
 from .rng import LatticeRng
 from .wavespeed import (build_phi, check_tracking, default_directions,
                         estimate_cstar, front_speed_tracking)
@@ -129,7 +129,7 @@ SCHEMA = {
               "track-steps": (int, 80)},
     "lattice-run": {**_COMMON, **_shared("beta", "eta", "kernel", "W"),
                     "L": (int, 20), "seed": (int, 0), "steps": (_count, 100),
-                    "snapshot-every": (_count, 0), "init": (str, "all_ones")},
+                    "snapshot-every": (_count, 0), "density": (float, 1.0)},
     **dict.fromkeys(("hydro", "compare", "phase-scan", "error-rate"),
                     {**_COMMON, **_EXPERIMENT, "phi-L": (int, 8),
                      "assert": (bool, False)}),
@@ -194,9 +194,10 @@ def _out_dir(cfg) -> Path:
 def _cmd_mean_field(cfg) -> int:
     with _invalid():
         p = Params(cfg["beta"], cfg["eta"])
+    with _invalid("v0", "trace-steps", errors=ValueError):
+        check_trace(cfg["v0"], cfg["trace-steps"])
     if cfg["out"]:  # the trace is computed only to be written
-        with _invalid("v0", "trace-steps", errors=ValueError):
-            trace = mean_field_trace(p, cfg["v0"], cfg["trace-steps"])
+        trace = mean_field_trace(p, cfg["v0"], cfg["trace-steps"])
         path = _out_dir(cfg) / cfg["out"]
         manifest.write_csv(path, [{"n": i, "v": float(v)}
                                   for i, v in enumerate(trace)])
@@ -283,10 +284,8 @@ def _cmd_speed(cfg) -> int:
         dk = discretize(cfg["kernel"], cfg["kernel-L"])
     angle, method = cfg["angle"], cfg["method"]
     xi = (np.cos(np.deg2rad(angle)), np.sin(np.deg2rad(angle)))
-    tracking = method in ("tracking", "both")
-    if tracking:  # before any bisection work
-        with _invalid("angle", "track-steps", errors=ValueError):
-            check_tracking(xi, cfg["track-steps"])
+    with _invalid("angle", "track-steps", errors=ValueError):  # any method
+        check_tracking(xi, cfg["track-steps"])
     rows = []
     if method in ("bisection", "both"):
         with _invalid(errors=ValueError):  # checks tol first
@@ -295,7 +294,7 @@ def _cmd_speed(cfg) -> int:
                      "bracket_lo": res.bracket[0],
                      "bracket_hi": res.bracket[1],
                      "method": "weinberger-bisection"})
-    if tracking:
+    if method in ("tracking", "both"):
         with _invalid(errors=ValueError):  # checks the kernel first
             c = front_speed_tracking(xi, dk, p, steps=cfg["track-steps"])
         rows.append({"angle": angle, "c_star": c, "bracket_lo": c,
@@ -317,12 +316,9 @@ def _cmd_lattice_run(cfg) -> int:
     with _invalid():
         p = Params(cfg["beta"], cfg["eta"])
         dk = discretize(cfg["kernel"], L)
-    with _invalid("W", "init"):
-        init, side = cfg["init"], lattice.window_side(cfg["W"], L)
-        if init != "all_ones" and not init.startswith("product:"):
-            raise ValueError(f"unknown init {init!r}")
-        density = 1.0 if init == "all_ones" else float(init[len("product:"):])
-        state = lattice.init(L, side, density, rng)
+    with _invalid("W", "density"):
+        state = lattice.init(L, lattice.window_side(cfg["W"], L),
+                             cfg["density"], rng)
     outdir = _out_dir(cfg)
     outputs = []
     trace = [{"n": 0, "density": state.density()}]
@@ -439,7 +435,7 @@ _COMMANDS = {
     "speed": (_cmd_speed, "beta eta angle tol kernel-L method track-steps "
                           "out"),
     "lattice-run": (_cmd_lattice_run, "beta eta L W seed steps "
-                                      "snapshot-every init"),
+                                      "snapshot-every density"),
     "hydro": (_cmd_hydro, "beta eta gamma W steps threads"),
     "compare": (_cmd_compare, "beta eta gamma W steps phi-L assert threads"),
     "phase-scan": (_cmd_phase_scan, "horizon phase-L phase-W threads"),

@@ -122,7 +122,8 @@ class DiscreteKernel:
 
     A kernel holds its offsets and masses; the sampling tables of
     ``sample_indices`` (the CDF and the bucket table: 9 MB at L = 400,
-    beside 15 MB of offsets and masses) are built at the first draw or
+    beside 15 MB of offsets and masses) are built by ``build_tables``,
+    which a lattice step calls before its pass, or at the first draw or
     ``cdf`` read, so the density recursion and the speed layer, which
     read only offsets and masses, never hold them.
     """
@@ -138,11 +139,14 @@ class DiscreteKernel:
         self.support_diameter = 2.0 * float(norms.max(initial=0.0))
         self._steps = None      # no sampling tables yet
 
-    def _build_tables(self) -> None:
-        """Build _cdf, _guide and _steps, once.  A lattice step's first
-        draws run on the chunk workers at once, so the build is under a
-        lock; _steps is assigned last, so a kernel whose _steps is set
-        holds all three."""
+    def build_tables(self) -> None:
+        """Build _cdf, _guide and _steps, once.  A lattice step calls
+        this in its own thread before its pass: a pass's threads are new
+        at every pass, and a build on one of them (35 MB at its peak at
+        L = 400) would stay in whichever malloc arena that thread drew.
+        Any threads may still draw at once, so the build is under a lock;
+        _steps is assigned last, so a kernel whose _steps is set holds
+        all three."""
         if self._steps is None:
             with _TABLES_LOCK:
                 if self._steps is None:
@@ -151,7 +155,7 @@ class DiscreteKernel:
 
     @property
     def cdf(self) -> np.ndarray:
-        self._build_tables()
+        self.build_tables()
         return self._cdf
 
     def sample_indices(self, u: np.ndarray) -> np.ndarray:
@@ -167,7 +171,7 @@ class DiscreteKernel:
         no entry compares above it, so it ends past the last row, as in
         the plain search.
         """
-        self._build_tables()
+        self.build_tables()
         u = np.asarray(u, dtype=np.float64)
         flat = u.ravel()
         m = len(self._guide) - 1

@@ -168,6 +168,7 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     occ = s.occ.astype(bool).ravel()
     padded = _padded(occ.reshape(side, side), dk)
     steps = _flat_steps(dk, side)
+    dk.build_tables()
     new = np.empty(side * side, bool)
 
     def chunk(a, b):
@@ -212,6 +213,7 @@ def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
     lab = B.astype(np.float64, order="C")
     padded = _padded(lab, dk)
     steps = _flat_steps(dk, side)
+    dk.build_tables()
     flat = lab.ravel()
 
     def chunk(a, b):

@@ -90,12 +90,17 @@ def equilibria(p: Params) -> Equilibria:
                       rho_u=rho_u, rho_s=rho_s)
 
 
-def mean_field_trace(p: Params, v0: float, n: int) -> np.ndarray:
-    """Values v_0 .. v_n."""
+def check_trace(v0: float, n: int) -> None:
+    """ValueError unless mean_field_trace can run n steps from v0."""
     if not 0.0 <= v0 <= 1.0:
         raise ValueError("v0 must be a density in [0, 1]")
     if n < 0:
         raise ValueError("n must be nonnegative")
+
+
+def mean_field_trace(p: Params, v0: float, n: int) -> np.ndarray:
+    """Values v_0 .. v_n."""
+    check_trace(v0, n)
     out = np.empty(n + 1)
     out[0] = v0
     for k in range(n):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qcp
-from qcp import chunks, experiments, ide, lattice, wavespeed
+from qcp import chunks, experiments, ide, kernel, lattice, wavespeed
 from qcp.ide import Field2D
 from qcp.kernel import discretize, marginal_1d
 from qcp.mean_field import Params
@@ -32,15 +32,11 @@ SIDES = (83, 150)
 
 @pytest.fixture
 def chunked(monkeypatch, request):
-    """Run with the (workers, chunk) of the test's parameter, on a pool
-    of its own that is shut down afterwards."""
+    """Run with the (workers, chunk) of the test's parameter."""
     workers, size = request.param
     monkeypatch.setattr(chunks, "WORKERS", workers)
     monkeypatch.setattr(chunks, "CHUNK", size)
-    monkeypatch.setattr(chunks, "_pool", None)
-    yield workers, size
-    if chunks._pool is not None:
-        chunks._pool.shutdown()
+    return workers, size
 
 
 def whole(fn, *args):
@@ -166,7 +162,7 @@ def test_evolve_holds_at_most_four_grids(chunked, dk8, p_main, monkeypatch):
     monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
     n = 512
     u = Field2D(8, np.random.default_rng(5).random((n, n)))
-    ide.evolve(u, dk8, p_main, 1)     # starts the pool outside the trace
+    ide.evolve(u, dk8, p_main, 1)     # warms the caches outside the trace
     tracemalloc.start()
     try:
         ide.evolve(u, dk8, p_main, 4)
@@ -188,7 +184,7 @@ def test_hydro_from_a_constant_holds_three_grids(chunked, square_spec,
     n = 512
     cfg = experiments.ExperimentConfig(L_list=(8,), W=n / 8, steps=2,
                                        seeds=(1,), kernel=square_spec)
-    experiments.hydro_convergence(cfg, 0.5)     # starts the pool
+    experiments.hydro_convergence(cfg, 0.5)     # warms the caches
     tracemalloc.start()
     try:
         experiments.hydro_convergence(cfg, 0.5)
@@ -229,9 +225,9 @@ def _run_seed(seed, dk, p):
 
 @pytest.mark.parametrize("chunked", [(2, 12)], indirect=True)
 def test_seed_processes_cut_their_steps(chunked, dk10, p_main):
-    # seeds run at once on the caller and a worker process, each cutting
-    # its steps into chunks of 12 sites (a fork inherits CHUNK), give the
-    # bits of seeds run in turn
+    # seeds run at once on two worker processes, each cutting its steps
+    # into chunks of 12 sites (a fork inherits CHUNK), give the bits of
+    # seeds run in turn
     tasks = [(seed, dk10, p_main) for seed in range(5)]
     got = chunks.map_processes(_run_seed, tasks)
     assert got == whole(lambda: [_run_seed(*t) for t in tasks])
@@ -242,7 +238,7 @@ def test_seed_processes_cut_their_steps(chunked, dk10, p_main):
 @pytest.mark.parametrize("n,width", [(0, 1), (1, 1), (83 * 83, 1),
                                      (150, 150), (76, 83), (42, 1 << 20)])
 def test_ranges_tile_the_lines_in_order(chunked, n, width, monkeypatch):
-    # the layout depends on the chunk size only: the pool's workers cut
+    # the layout depends on the chunk size only: a pass's threads cut
     # the lines as one worker does inline
     _, size = chunked
     ranges = chunks.run(lambda a, b: (a, b), n, width)
@@ -264,39 +260,130 @@ def test_import_starts_no_thread():
     # nor loads the process map's modules
     code = ("import sys, threading, qcp, qcp.chunks; "
             "assert threading.active_count() == 1; "
-            "assert qcp.chunks._pool is None; "
             "assert 'multiprocessing' not in sys.modules; "
             "assert 'concurrent.futures' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=str(Path(qcp.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def _chunk_threads() -> int:
+    return sum(t.name.startswith("qcp-chunk") for t in threading.enumerate())
+
+
 def test_pool_threads_at_most_the_worker_count(dk10, p_main, monkeypatch):
-    # the module's own pool, at its own worker count, given many chunks
+    # a pass at the module's own worker count, given many chunks, runs on
+    # at most that many threads of its own, and none is left after it
     monkeypatch.setattr(chunks, "CHUNK", 4)
-    rng = LatticeRng(2)
-    s = lattice.init(10, 83, 0.5, rng)
-    lattice.step(s, dk10, p_main, rng)
-    pool = [t for t in threading.enumerate()
-            if t.name.startswith("qcp-chunk")]
+    during = []
+    chunks.run(lambda a, b: during.append(_chunk_threads()), 83 * 83)
     assert chunks.WORKERS == min(chunks._cores(), 8)
-    assert len(pool) <= chunks.WORKERS
-    assert bool(pool) == (chunks.WORKERS > 1)
+    assert max(during) <= chunks.WORKERS
+    assert (max(during) > 0) == (chunks.WORKERS > 1)
+    assert _chunk_threads() == 0
+    rng = LatticeRng(2)
+    lattice.step(lattice.init(10, 83, 0.5, rng), dk10, p_main, rng)
+    assert _chunk_threads() == 0
+
+
+@pytest.mark.parametrize("chunked", [(2, 12)], indirect=True)
+def test_steps_build_the_sampling_tables_in_the_caller(chunked, square_spec,
+                                                       p_main, monkeypatch):
+    # a pass's threads are new at every pass: a build on one of them
+    # would leave its transient in whichever malloc arena it drew
+    builders = []
+    original = kernel._sampling_tables
+
+    def spy(masses):
+        builders.append(threading.current_thread())
+        return original(masses)
+
+    monkeypatch.setattr(kernel, "_sampling_tables", spy)
+    s = lattice.init(10, 83, 0.5, LatticeRng(1))
+    lattice.step(s, discretize(square_spec, 10), p_main, LatticeRng(1))
+    lattice.label_step(np.zeros((83, 83)), 0, discretize(square_spec, 10),
+                       0.1, LatticeRng(1))
+    assert builders == [threading.main_thread()] * 2
+
+
+# one call of each kind that cuts its grids into chunks or maps its
+# tasks on processes, at 2 workers and chunks of 12 sites
+_SEEDS = experiments.ExperimentConfig(
+    L_list=(20,), W=2.5, steps=3, seeds=(1, 2, 3), horizon=10, phase_L=5,
+    phase_W=4.0, beta_grid=(0.3, 0.9), eta_grid=(0.1,), threads=2)
+_CALLS = {
+    "init": lambda dk, p, phi: lattice.init(10, 83, 0.5, LatticeRng(1)),
+    "step": lambda dk, p, phi: lattice.step(
+        lattice.init(10, 83, 0.5, LatticeRng(1)), dk, p, LatticeRng(1)),
+    "label_step": lambda dk, p, phi: lattice.label_step(
+        np.zeros((83, 83)), 0, dk, 0.1, LatticeRng(1)),
+    "fft-evolve": lambda dk, p, phi: ide.evolve(
+        Field2D(10, np.full((83, 83), 0.5)), dk, p, 2),
+    "build_phi": lambda dk, p, phi: wavespeed.build_phi(
+        *wavespeed.default_directions(), discretize(_SEEDS.kernel, 4), p,
+        n=4, speed_tol=0.05),
+    "hydro_convergence": lambda dk, p, phi: experiments.hydro_convergence(
+        _SEEDS, 0.6),
+    "phase_scan": lambda dk, p, phi: experiments.phase_scan(_SEEDS),
+    "coupled_runs": lambda dk, p, phi: experiments.coupled_runs(
+        _SEEDS, phi, 20),
+}
+
+
+@pytest.mark.parametrize("chunked", [(2, 12)], indirect=True)
+@pytest.mark.parametrize("call", list(_CALLS))
+def test_no_thread_or_process_outlives_its_call(chunked, call, dk10, p_main,
+                                                phi_main, monkeypatch):
+    monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
+    before = threading.active_count()
+    _CALLS[call](dk10, p_main, phi_main)
+    assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
+
+
+# hydro_convergence with a lambda start at threads=2, in a fresh
+# interpreter, so that a hang fails the test rather than stalling the run
+_LAMBDA_U0 = """
+import multiprocessing, pickle
+from qcp import chunks, experiments
+chunks.WORKERS = 2
+cfg = experiments.ExperimentConfig(L_list=(10,), W=3.0, steps=1,
+                                   seeds=(1, 2), threads=2)
+try:
+    experiments.hydro_convergence(cfg, lambda x, y: 0.5 + 0.0 * x)
+except pickle.PicklingError:
+    print("PicklingError")
+assert multiprocessing.active_children() == []
+"""
+
+
+def test_unpicklable_task_raises_in_the_caller():
+    # every task is pickled in the caller before any worker starts
+    env = dict(os.environ, PYTHONPATH=str(Path(qcp.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _LAMBDA_U0], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["PicklingError"]
+
+
+def _assert_ran_on(pids, share):
+    # none in the caller and at most share workers, or all in the caller
+    if share < 2:
+        assert pids == [os.getpid()] * len(pids)
+    else:
+        assert os.getpid() not in pids
+        assert len(set(pids)) <= share
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_process_map_returns_results_in_task_order(workers, monkeypatch):
-    # with share = min(workers, 5) the caller runs tasks 0, share,
-    # 2 share, ... and at most share - 1 worker processes the rest, or
-    # the caller all of them with one worker
+    # with share = min(workers, 5) at least 2, at most share worker
+    # processes run every task while the caller waits; with one worker
+    # the caller runs them all
     monkeypatch.setattr(chunks, "WORKERS", workers)
     tasks = [(7, 2), (9, 4), (5, 5), (11, 3), (8, 3)]
     assert chunks.map_processes(divmod, tasks) == [divmod(*t) for t in tasks]
     pids = chunks.map_processes(os.getpid, [()] * 5)
-    share = min(workers, 5)
-    mine = [i for i, pid in enumerate(pids) if pid == os.getpid()]
-    assert mine == list(range(0, 5, share))
-    assert len(set(pids) - {os.getpid()}) <= share - 1
+    _assert_ran_on(pids, min(workers, 5))
     assert multiprocessing.active_children() == []
     assert chunks.map_processes(divmod, []) == []
 
@@ -305,10 +392,7 @@ def test_process_map_returns_results_in_task_order(workers, monkeypatch):
 def test_process_map_runs_at_most_cap_at_once(cap, monkeypatch):
     # the cap lowers the share, and a cap of 1 runs every task inline
     monkeypatch.setattr(chunks, "WORKERS", 3)
-    pids = chunks.map_processes(os.getpid, [()] * 5, cap)
-    mine = [i for i, pid in enumerate(pids) if pid == os.getpid()]
-    assert mine == list(range(0, 5, cap))
-    assert len(set(pids) - {os.getpid()}) <= cap - 1
+    _assert_ran_on(chunks.map_processes(os.getpid, [()] * 5, cap), cap)
 
 
 def _workers():
@@ -318,13 +402,13 @@ def _workers():
 def test_worker_runs_its_chunks_inline(monkeypatch):
     # the worker processes fill the cores, so none starts a chunk pool
     monkeypatch.setattr(chunks, "WORKERS", 2)
-    assert chunks.map_processes(_workers, [()] * 2) == [2, 1]
+    assert chunks.map_processes(_workers, [()] * 2) == [1, 1]
 
 
 def test_process_map_reraises_the_first_failure_in_task_order(
         monkeypatch):
-    # tasks 0 and 2 run in the caller, 1 and 3 on the worker: the first
-    # failure in task order is raised, whichever process ran it
+    # every task runs on one of two workers: the first failure in task
+    # order is raised, whichever worker ran it and whenever it ended
     monkeypatch.setattr(chunks, "WORKERS", 2)
     with pytest.raises(ZeroDivisionError):
         chunks.map_processes(divmod, [(1, 1), (1, 0), (1, "x")])
@@ -334,8 +418,8 @@ def test_process_map_reraises_the_first_failure_in_task_order(
 
 
 def test_process_map_reraises_a_worker_exception(dk8, p_main, monkeypatch):
-    # a probe with a budget of 1 step raises SpeedIndeterminate on the
-    # worker; the caller's own probe, with a budget of 1,000, passes
+    # a probe with a budget of 1 step raises SpeedIndeterminate on a
+    # worker; the other probe, with a budget of 1,000, passes
     monkeypatch.setattr(chunks, "WORKERS", 2)
     psi = wavespeed._hump(dk8, p_main)
     k1 = marginal_1d(dk8, (1.0, 0.0), psi.delta)

@@ -12,6 +12,7 @@ from qcp.cli import run
 from qcp.ide import Field2D, evolve
 from qcp.kernel import KernelSpec, discretize
 from qcp.mean_field import Params
+from qcp.rng import LatticeRng
 
 
 def read_data_files(path):
@@ -163,9 +164,9 @@ class TestErrors:
                "beta-grid": [0.5], "eta-grid": [0.1], "seeds": [1]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code = run(["lattice-run", "--init", "bogus",
+        code = run(["lattice-run", "--density", "bogus",
                     "--out-dir", str(tmp_path)])
-        assert code == 1  # unknown init is a config error
+        assert code == 1  # a density that is no number is a config error
 
         # a ValueError raised once the run has started is no config error
         def fail(*args, **kwargs):
@@ -185,8 +186,8 @@ class TestErrors:
         ["hydro", {"beta": "x"}], ["hydro", {"L-list": 5}],
         ["hydro", {"seeds": [1.7]}], ["hydro", {"kernel": "{bad"}],
         ["lattice-run", {"L": "abc"}], ["lattice-run", {"snapshot-every": -1}],
-        ["lattice-run", {"init": "product:abc"}],
-        ["lattice-run", {"init": "product:1.5"}],
+        ["lattice-run", {"density": "abc"}],
+        ["lattice-run", {"density": 1.5}],
         ["speed", {"angle": "x"}], ["speed", {"kernel-L": 0}],
         ["ide-run", {"clamp": "bogus"}],
         ["mean-field", "--out", "t.csv", {"v0": 2}],
@@ -229,7 +230,15 @@ class TestErrors:
         # a hydro window of 3 sites at L = 8 holds no box of 4 sites
         ["hydro", "--W", "0.4", "--steps", "1", {"L-list": [8]}],
         # a clamp of null is the torus: no boundary key names it twice
-        ["ide-run", {"boundary": "clamped"}]])
+        ["ide-run", {"boundary": "clamped"}],
+        # a value is checked whether or not the mode reads it: a trace
+        # not written, a tracking length beside a bisection
+        ["mean-field", {"v0": 7}], ["mean-field", "--trace-steps", "-3"],
+        ["speed", "--track-steps", "1"],
+        # lattice-run's start density is a number in [0, 1]
+        ["lattice-run", "--density", "nan"],
+        ["lattice-run", {"density": -0.1}],
+        ["lattice-run", {"init": "all_ones"}]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
         # a trailing dict is a config document; the error names its one
@@ -329,6 +338,18 @@ class TestLatticeRunCommand:
         capsys.readouterr()
         s = load_snapshot(tmp_path / "snapshot_00002.json")
         assert s.time == 2 and s.side == 16
+
+    @pytest.mark.parametrize("density", [None, 0.3])
+    def test_density_is_the_start_density(self, density, tmp_path, capsys):
+        # the start is lattice.init at the density, 1 by default
+        flags = [] if density is None else ["--density", str(density)]
+        run(["lattice-run", "--L", "8", "--W", "2", "--seed", "5", "--steps",
+             "0", "--out-dir", str(tmp_path)] + flags)
+        capsys.readouterr()
+        want = lattice.init(8, 16, 1.0 if density is None else density,
+                            LatticeRng(5)).density()
+        trace = (tmp_path / "density.csv").read_text().splitlines()
+        assert trace[1] == f"0,{want!r}"
 
 
 class TestIdeRunCommand:

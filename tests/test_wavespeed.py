@@ -502,12 +502,13 @@ def _phi_outputs(phi, results) -> dict:
             "marginals": [k1.masses.tobytes().hex() for k1 in phi.kernels1d]}
 
 
-# phi_main in a fresh interpreter whose map runs on a worker process
+# phi_main in a fresh interpreter whose map runs on worker processes
 # whatever the core count: under the spawn start method (the macOS
 # default; its workers start from a fresh import, as those of
 # forkserver, the Python 3.14 Linux default, do), or under the default
-# one after a chunked lattice step has started the chunk thread pool,
-# so that on Linux the worker is forked from a multi-threaded parent
+# one after a chunked lattice step, whose pass closes its threads, so
+# that on Linux the workers are forked from a parent with no chunk
+# thread left
 _PHI_IN_A_PROCESS = """
 import json, sys, threading
 import multiprocessing as mp
@@ -525,7 +526,8 @@ else:
     rng = LatticeRng(1)
     s = lattice.init(2, 300, 0.5, rng)  # 90,000 sites: two chunks
     lattice.step(s, discretize(spec, 2), p, rng)
-    assert any(t.name.startswith("qcp-chunk") for t in threading.enumerate())
+    assert not any(t.name.startswith("qcp-chunk")
+                   for t in threading.enumerate())
 results = []
 original = wavespeed.estimate_cstar
 
@@ -586,9 +588,9 @@ class TestBisectionsAtOnce:
 
     def test_worker_exception_reaches_the_caller(self, dk8, p_main,
                                                  monkeypatch):
-        # the 45 degree bisection, inline, needs at most 3,818 steps per
-        # probe and passes; the 165 degree one, on the worker, needs
-        # 22,852 at c = 0.179...
+        # the 45 degree bisection needs at most 3,818 steps per probe and
+        # passes; the 165 degree one needs 22,852 at c = 0.179...; each
+        # runs on a worker
         monkeypatch.setattr(wavespeed, "_budget", lambda dk, tol: 4000)
         monkeypatch.setattr(chunks, "WORKERS", 2)
         with pytest.raises(wavespeed.SpeedIndeterminate,
