@@ -26,7 +26,7 @@ import pickle
 import sys
 
 # Sites per chunk: a multiple of 4, so that a chunk of a flat site range
-# starts on a Philox block (see rng.uniforms).  Chunks this small keep
+# starts on a Philox block (see rng.words).  Chunks this small keep
 # each worker's temporaries small: full-grid arrays made on the workers
 # raise the peak resident set through their per-thread malloc arenas.
 CHUNK = 1 << 16

@@ -137,15 +137,15 @@ def _flat_steps(dk: DiscreteKernel, side: int):
             np.array([width, -width, 1, -1]))
 
 
-def _parents(dk: DiscreteKernel, steps, base, u_off, u_nbr):
+def _parents(dk: DiscreteKernel, steps, base, u_off, nbr):
     """Parents y, through the kernel around the base sites, and z, the
-    neighbour of y that u_nbr (< 1) picks, as indices in _padded's flat
+    neighbour of y that nbr (in 0..3) picks, as indices in _padded's flat
     array, as base is; steps is _flat_steps of the torus.  Offsets reach
     dk.reach, so both stay in padding.  Element-wise, so any subset of
     sites draws the same parents."""
     kernel_steps, nbr_steps = steps
     y = kernel_steps[dk.sample_indices(u_off)] + base
-    return y, y + nbr_steps[(u_nbr * 4).astype(np.intp)]
+    return y, y + nbr_steps[nbr]
 
 
 def step(s: LatticeState, dk: DiscreteKernel, p: Params,
@@ -155,16 +155,18 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     Coins are drawn for every site regardless of occupancy so that
     coupled runs stay coupled; at beta = 1 the attempt coins are not
     drawn, as every coin lies below it (each phase has its own counter,
-    so the other coins do not move).  The update runs in flat site chunks
-    (see chunks): each chunk draws its own sites' four coin ranges
-    (see rng.uniforms), reads its parents from one padded copy of the
-    old occupancy and writes its own slice of the new one, and the
-    counters are summed over the chunks.  So neither the occupancy nor
-    the counters depend on the chunks, and no full-lattice coin array is
-    made.
+    so the other coins do not move).  Each coin is decided on its Philox
+    word (see rng.words); only the offset words of attempting sites
+    become coins.  The update runs in flat site chunks (see chunks):
+    each chunk draws its own sites' four word ranges, reads its parents
+    from one padded copy of the old occupancy and writes its own slice
+    of the new one, and the counters are summed over the chunks.  So
+    neither the occupancy nor the counters depend on the chunks, and no
+    full-lattice coin array is made.
     """
     side, n = s.side, s.time + 1
-    coins = functools.partial(_rng.uniforms, rng.seed, n)
+    words = functools.partial(_rng.words, rng.seed, n)
+    below_beta, below_eta = _rng.below(p.beta), _rng.below(p.eta)
     occ = s.occ.astype(bool).ravel()
     padded = _padded(occ.reshape(side, side), dk)
     steps = _flat_steps(dk, side)
@@ -175,11 +177,11 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
         # vacant, coin < beta (every coin in [0, 1) is below beta = 1)
         f = ~occ[a:b]
         if p.beta < 1.0:
-            f &= coins(_rng.PHASE_ATTEMPT, a, b) < p.beta
+            f &= words(_rng.PHASE_ATTEMPT, a, b) < below_beta
         f = np.flatnonzero(f)
         y, z = _parents(dk, steps, _padded_index(f + a, side, dk),
-                        coins(_rng.PHASE_OFFSET, a, b)[f],
-                        coins(_rng.PHASE_NEIGHBOR, a, b)[f])
+                        _rng.unit(words(_rng.PHASE_OFFSET, a, b)[f]),
+                        words(_rng.PHASE_NEIGHBOR, a, b)[f] >> 62)
         born = padded[y]
         born &= padded[z]
         out = new[a:b]
@@ -187,7 +189,7 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
         out[f[born]] = True             # the occupancy after births
         alive = np.count_nonzero(out)
         # occupied and not dying
-        np.greater(out, coins(_rng.PHASE_DEATH, a, b) < p.eta, out=out)
+        np.greater(out, words(_rng.PHASE_DEATH, a, b) < below_eta, out=out)
         return len(f), np.count_nonzero(born), alive - np.count_nonzero(out)
 
     attempted, births, deaths = map(sum, zip(*chunks.run(chunk, side * side)))
@@ -206,10 +208,12 @@ def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
     The new label is min(B, max(u_att, B(y), B(z))) for parents y, z, or
     +inf where the site dies.  Where u_att >= B it is B itself, so the
     parents are drawn only at the sites with u_att < B that survive.
-    Runs in flat site chunks, as step does.
+    Decides its coins on their words and runs in flat site chunks, as
+    step does; the attempt words all become coins, to compare with B.
     """
     side = B.shape[0]
-    coins = functools.partial(_rng.uniforms, rng.seed, time + 1)
+    words = functools.partial(_rng.words, rng.seed, time + 1)
+    below_eta = _rng.below(eta)
     lab = B.astype(np.float64, order="C")
     padded = _padded(lab, dk)
     steps = _flat_steps(dk, side)
@@ -218,13 +222,13 @@ def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
 
     def chunk(a, b):
         out = flat[a:b]
-        dead = coins(_rng.PHASE_DEATH, a, b) < eta
-        u_att = coins(_rng.PHASE_ATTEMPT, a, b)
+        dead = words(_rng.PHASE_DEATH, a, b) < below_eta
+        u_att = _rng.unit(words(_rng.PHASE_ATTEMPT, a, b))
         f = np.flatnonzero((u_att < out) > dead)
         u_att = u_att[f]
         y, z = _parents(dk, steps, _padded_index(f + a, side, dk),
-                        coins(_rng.PHASE_OFFSET, a, b)[f],
-                        coins(_rng.PHASE_NEIGHBOR, a, b)[f])
+                        _rng.unit(words(_rng.PHASE_OFFSET, a, b)[f]),
+                        words(_rng.PHASE_NEIGHBOR, a, b)[f] >> 62)
         born = np.maximum(padded[y], padded[z])
         np.maximum(born, u_att, out=born)
         np.minimum(born, out[f], out=born)
@@ -273,18 +277,20 @@ def box_stats(s: LatticeState, gamma: float) -> BoxStats:
     nb = s.side // b
     if nb < 1:
         raise ValueError("window smaller than one box")
-    trim = nb * b
-    blk = s.occ[:trim, :trim].reshape(nb, b, nb, b).transpose(0, 2, 1, 3)
-    S = blk.sum(axis=(2, 3)).astype(np.int64)
-    if b > 1:
-        # exact counts of occupied pairs, so R has the bits of a float sum
-        core = blk[:, :, : b - 1, : b - 1]
-        n1 = (core & blk[:, :, 1:, : b - 1]).sum(axis=(2, 3), dtype=np.int64)
-        n2 = (core & blk[:, :, : b - 1, 1:]).sum(axis=(2, 3), dtype=np.int64)
-        R = 0.5 * (n1 + n2)
-    else:
-        R = np.zeros((nb, nb))
-    return BoxStats(gamma=gamma, L=s.L, side=s.side, time=s.time, S=S, R=R)
+    occ = s.occ[:nb * b, :nb * b]
+    # the occupied pairs (y, y + e1) and (y, y + e2) at each site y, none
+    # on a box's last row or column: exact counts, so R has the bits of
+    # a float sum
+    pairs = np.zeros_like(occ)
+    core = occ[:-1, :-1]
+    np.add(core & occ[1:, :-1], core & occ[:-1, 1:], out=pairs[:-1, :-1])
+    pairs[b - 1::b] = 0
+    pairs[:, b - 1::b] = 0
+    starts = np.arange(0, nb * b, b)    # the boxes' first rows and columns
+    S, n = (np.add.reduceat(np.add.reduceat(a, starts, axis=1, dtype=np.int64),
+                            starts, axis=0) for a in (occ, pairs))
+    return BoxStats(gamma=gamma, L=s.L, side=s.side, time=s.time, S=S,
+                    R=0.5 * n)
 
 
 def save_snapshot(s: LatticeState, path, seed: int, params: Params):

@@ -6,12 +6,13 @@ order.  A draw is therefore a pure function of (seed, n, site index,
 phase): two runs with the same seed see identical coins site by site,
 independent of lattice contents or how work is scheduled, and any range
 of sites starting on a Philox block of four can be drawn on its own
-(uniforms).  The monotone couplings and the reproducibility guarantees
+(words).  The monotone couplings and the reproducibility guarantees
 all rest on this.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -48,26 +49,26 @@ def stream(seed: int, time: int, phase: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, time, phase)))
 
 
-_local = threading.local()      # per thread: one Philox Generator, one buffer
+_local = threading.local()      # per thread: one Philox, one state dict
 
 
-def uniforms(seed: int, time: int, phase: int, a: int, b: int) -> np.ndarray:
-    """Sites [a, b) of ``stream(seed, time, phase).random(n)``, for any
-    n >= b, bit for bit; a must be a multiple of 4.
+def words(seed: int, time: int, phase: int, a: int, b: int) -> np.ndarray:
+    """Sites [a, b) of ``stream(seed, time, phase).bit_generator
+    .random_raw(n)``, for any n >= b, bit for bit; a must be a multiple
+    of 4.
 
-    Philox makes its draws in blocks of four, and one at counter c with
-    an empty buffer next draws values 4c, 4c + 1, ... of its stream.  So
+    Philox makes its words in blocks of four, and one at counter c with
+    an empty buffer next makes words 4c, 4c + 1, ... of its stream.  So
     the calling thread's Philox, re-keyed and set to counter a / 4 with
-    an empty buffer, draws exactly these sites, and no generator is built
-    (nor OS entropy read) per call.  The draw fills the thread's buffer:
-    the result is a view of it, valid until the thread's next draw.  The
-    buffer keeps the size of the largest range the thread has drawn."""
+    an empty buffer, makes exactly these sites, and no generator is
+    built (nor OS entropy read) per call.  A word w's coin, its site's
+    ``stream(...).random(n)``, is unit(w): coin < p exactly when
+    w < below(p), and floor(4 coin) is w >> 62."""
     if a % 4 or not 0 <= a <= b:
         raise ValueError(f"need 0 <= a <= b with a a multiple of 4, "
                          f"got [{a}, {b})")
-    if not hasattr(_local, "gen"):  # seeded, not keyed: no OS entropy
-        _local.gen = np.random.Generator(np.random.Philox(0))
-        _local.buf = np.empty(0)
+    if not hasattr(_local, "bitgen"):   # seeded, not keyed: no OS entropy
+        _local.bitgen = np.random.Philox(0)
         # setting a state copies its values, so one dict serves every
         # call; only the counter's first word and the key change
         _local.state = {
@@ -78,10 +79,21 @@ def uniforms(seed: int, time: int, phase: int, a: int, b: int) -> np.ndarray:
     state = _local.state
     state["state"]["counter"][0] = a // 4
     state["state"]["key"] = _key(seed, time, phase)
-    _local.gen.bit_generator.state = state
-    if len(_local.buf) < b - a:
-        _local.buf = np.empty(b - a)
-    return _local.gen.random(out=_local.buf[:b - a])
+    _local.bitgen.state = state
+    return _local.bitgen.random_raw(b - a)
+
+
+def unit(w: np.ndarray) -> np.ndarray:
+    """The coins in [0, 1) of the words w: (w >> 11) 2^-53, the bits of
+    the Generator's ``random``."""
+    return (w >> 11) * 2.0 ** -53
+
+
+def below(p: float) -> int:
+    """The bound with w < below(p) exactly when unit(w) < p: the coin
+    k 2^-53 lies below p iff k < ceil(p 2^53).  A Python int, 2^64 at
+    p = 1."""
+    return math.ceil(p * 2.0 ** 53) << 11
 
 
 class LatticeRng:

@@ -43,10 +43,9 @@ NBR_DJ = np.array([0, 0, 1, -1])
 
 def step_coins(rng, n: int, side: int) -> list:
     """The attempt, offset, neighbour and death coins of step n at every
-    site of the side x side torus, as (side, side) arrays: one ranged
-    draw over all the sites per phase, copied out of the draw buffer."""
-    return [_rng.uniforms(rng.seed, n, phase, 0, side * side)
-            .reshape(side, side).copy()
+    site of the side x side torus, as (side, side) arrays: each drawn by
+    a fresh Generator of its (step, phase), not through rng.words."""
+    return [rng.stream(n, phase).random(side * side).reshape(side, side)
             for phase in (PHASE_ATTEMPT, PHASE_OFFSET, PHASE_NEIGHBOR,
                           PHASE_DEATH)]
 
@@ -65,7 +64,8 @@ def corner_step(s, dk, p, rng, gamma):
     corner = (i - i % b) * side + (j - j % b)
     y, z = lattice._parents(dk, lattice._flat_steps(dk, side),
                             lattice._padded_index(corner, side, dk),
-                            u_off.ravel()[f], u_nbr.ravel()[f])
+                            u_off.ravel()[f],
+                            (u_nbr.ravel()[f] * 4).astype(np.intp))
     padded = lattice._padded(occ0, dk)
     born = padded[y] & padded[z]
     after_births = occ0.copy()

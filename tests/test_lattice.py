@@ -17,7 +17,7 @@ from qcp.lattice import (BoxStats, LatticeState, _flat_steps, _padded,
                          init, label_step, save_snapshot, step, window_side)
 from qcp.mean_field import Params
 from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
-                     PHASE_OFFSET, LatticeRng, uniforms)
+                     PHASE_OFFSET, LatticeRng, below, unit, words)
 
 from helpers import (NBR_DI, NBR_DJ, corner_expectation, corner_step,
                      coupling_discrepancy, load_snapshot, step_coins)
@@ -224,9 +224,10 @@ class TestCoins:
     @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 2 ** 40),
            side=st.integers(1, 20), order_seed=st.integers(0, 2 ** 32 - 1))
     def test_equal_fresh_streams(self, seed, n, side, order_seed):
-        # the coins of three steps, over every site and over a random
+        # the words of three steps, over every site and over a random
         # range of sites, taken in a random interleaving, each have the
-        # bits of those sites of a fresh stream of their (step, phase)
+        # bits of those sites of a fresh stream of their (step, phase),
+        # and their units the bits of its coins
         rng = LatticeRng(seed)
         sites = side * side
         gen = np.random.default_rng(order_seed)
@@ -237,10 +238,12 @@ class TestCoins:
             t, ph, whole = draws[k]
             a = 0 if whole else 4 * int(gen.integers(0, sites // 4 + 1))
             b = sites if whole else int(gen.integers(a, sites + 1))
-            want = rng.stream(t, ph).random((side, side)).ravel()[a:b]
-            got = uniforms(seed, t, ph, a, b)
-            assert got.shape == (b - a,)
+            want = rng.stream(t, ph).bit_generator.random_raw(sites)[a:b]
+            coins = rng.stream(t, ph).random(sites)[a:b]
+            got = words(seed, t, ph, a, b)
+            assert got.shape == (b - a,) and got.dtype == np.uint64
             assert got.tobytes() == want.tobytes()
+            assert unit(got).tobytes() == coins.tobytes()
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 2 ** 40),
@@ -249,7 +252,8 @@ class TestCoins:
                                                 range_seed):
         # two threads draw at once, each a range of every (step, phase)
         # in turn, and read their draw only after the other thread has
-        # drawn: each has the bits of its sites of a fresh stream
+        # drawn: each has the bits of its sites of a fresh stream, as
+        # words and as coins
         rng = LatticeRng(seed)
         sites = side * side
         gen = np.random.default_rng(range_seed)
@@ -260,16 +264,18 @@ class TestCoins:
                 for me in (0, 1):
                     a = 4 * int(gen.integers(0, sites // 4 + 1))
                     b = int(gen.integers(a, sites + 1))
-                    want = rng.stream(t, ph).random(sites)[a:b].tobytes()
+                    want = (rng.stream(t, ph).bit_generator
+                            .random_raw(sites)[a:b].tobytes(),
+                            rng.stream(t, ph).random(sites)[a:b].tobytes())
                     jobs[me].append((t, ph, a, b, want))
         barrier = threading.Barrier(2, timeout=30)
         mismatches, done = [], []
 
         def worker(me):
             for t, ph, a, b, want in jobs[me]:
-                got = uniforms(seed, t, ph, a, b)
+                got = words(seed, t, ph, a, b)
                 barrier.wait()
-                if got.tobytes() != want:
+                if (got.tobytes(), unit(got).tobytes()) != want:
                     mismatches.append((me, t, ph, a, b))
                 barrier.wait()
             done.append(me)
@@ -295,13 +301,37 @@ class TestCoins:
         a = 4 * (2 ** 40 + 3)
         gen = LatticeRng(5).stream(0, PHASE_INIT)
         gen.bit_generator.advance(a // 4)
-        assert (uniforms(5, 0, PHASE_INIT, a, a + 9).tobytes()
+        assert (unit(words(5, 0, PHASE_INIT, a, a + 9)).tobytes()
                 == gen.random(9).tobytes())
 
     @pytest.mark.parametrize("a,b", [(1, 8), (6, 8), (-4, 8), (8, 4)])
     def test_range_must_start_on_a_block(self, a, b):
         with pytest.raises(ValueError, match="multiple of 4"):
-            uniforms(1, 1, PHASE_ATTEMPT, a, b)
+            words(1, 1, PHASE_ATTEMPT, a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(0.0, 1.0), key=st.integers(0, 2 ** 64 - 1))
+    @example(p=0.0, key=1)
+    @example(p=5e-324, key=2)
+    @example(p=1e-300, key=3)
+    @example(p=2.0 ** -53, key=4)
+    @example(p=0.05, key=5)
+    @example(p=0.5, key=6)
+    @example(p=1.0 - 2.0 ** -53, key=7)
+    @example(p=1.0, key=8)
+    def test_decided_on_words(self, p, key):
+        # a coin lies below p exactly when its word lies below below(p),
+        # and its neighbour index floor(4 coin) is the word's top two
+        # bits: on 10^4 words of a stream, the extreme words and the
+        # words at the bound and beside it
+        w = words(key, 3, PHASE_DEATH, 0, 10 ** 4)
+        bound = below(p)
+        edges = [0, 2 ** 64 - 1] + [min(max(bound + d, 0), 2 ** 64 - 1)
+                                    for d in (-2049, -2048, -1, 0, 1, 2047)]
+        w = np.concatenate([w, np.array(edges, np.uint64)])
+        coin = unit(w)
+        assert np.array_equal(w < bound, coin < p)
+        assert np.array_equal(w >> 62, np.floor(4 * coin).astype(np.uint64))
 
 
 class TestCoinGenerator:
@@ -354,19 +384,18 @@ class TestParents:
         # %-wrapping the offset and the neighbour step reaches, also
         # where the kernel reaches past the whole torus
         dk = discretize(square_spec, L)
-        u_off, u_nbr = np.random.default_rng(coin_seed).random(
-            (2, side * side))
+        gen = np.random.default_rng(coin_seed)
+        u_off, nbr = gen.random(side * side), gen.integers(0, 4, side * side)
         i, j = np.indices((side, side)).reshape(2, -1)
         if anchor == "box_corner":
             b = box_side_sites(L, 0.3)
             i, j = i - i % b, j - j % b
         y, z = _parents(dk, _flat_steps(dk, side),
-                        _padded_index(i * side + j, side, dk), u_off, u_nbr)
+                        _padded_index(i * side + j, side, dk), u_off, nbr)
         sites = _padded(np.arange(side * side).reshape(side, side), dk)
         off = dk.offsets[dk.sample_indices(u_off)]
         yi, yj = (i + off[:, 0]) % side, (j + off[:, 1]) % side
-        nsel = np.minimum((u_nbr * 4.0).astype(np.int64), 3)
-        zi, zj = (yi + NBR_DI[nsel]) % side, (yj + NBR_DJ[nsel]) % side
+        zi, zj = (yi + NBR_DI[nbr]) % side, (yj + NBR_DJ[nbr]) % side
         assert np.array_equal(sites[y], yi * side + yj)
         assert np.array_equal(sites[z], zi * side + zj)
 
@@ -561,6 +590,45 @@ class TestBoxStats:
         for g in (0.0, 0.5, 0.7):
             with pytest.raises(ValueError):
                 box_stats(s, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(1, 40), side=st.integers(1, 60),
+           gamma=st.floats(0.05, 0.45),
+           fill=st.sampled_from(["random", "ones", "empty"]),
+           occ_seed=st.integers(0, 2 ** 32 - 1))
+    @example(L=16, side=37, gamma=0.3, fill="random", occ_seed=1)
+    @example(L=1, side=9, gamma=0.3, fill="random", occ_seed=2)
+    @example(L=16, side=40, gamma=0.3, fill="ones", occ_seed=3)
+    @example(L=16, side=40, gamma=0.3, fill="empty", occ_seed=4)
+    def test_equals_box_loop(self, L, side, gamma, fill, occ_seed):
+        # oracle: every box's sites and interior pairs, one at a time,
+        # also with a remainder strip and at b = 1
+        b = box_side_sites(L, gamma)
+        occ = {"random": np.random.default_rng(occ_seed).random(
+                   (side, side)) < 0.5,
+               "ones": np.ones((side, side)),
+               "empty": np.zeros((side, side))}[fill].astype(np.uint8)
+        s = LatticeState(L, occ, time=3)
+        nb = side // b
+        if nb < 1:
+            with pytest.raises(ValueError, match="smaller than one box"):
+                box_stats(s, gamma)
+            return
+        S = np.zeros((nb, nb), np.int64)
+        R = np.zeros((nb, nb))
+        for bi in range(nb):
+            for bj in range(nb):
+                for i in range(bi * b, bi * b + b):
+                    for j in range(bj * b, bj * b + b):
+                        S[bi, bj] += occ[i, j]
+                        if i % b < b - 1 and j % b < b - 1:
+                            R[bi, bj] += 0.5 * occ[i, j] * (
+                                int(occ[i + 1, j]) + int(occ[i, j + 1]))
+        st = box_stats(s, gamma)
+        assert (st.b, st.nb, st.time) == (b, nb, 3)
+        for got, want in ((st.S, S), (st.R, R)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_r_at_most_s(self):
         s = init(20, 60, 0.6, LatticeRng(8))
