@@ -203,7 +203,7 @@ def _cmd_mean_field(cfg) -> int:
                                   for i, v in enumerate(trace)])
         manifest.write_manifest(path.with_suffix(".manifest.json"),
                                 "mean-field", cfg, [path])
-    print(",".join(repr(r.value) for r in equilibria(p).roots))
+    print(",".join(map(repr, equilibria(p).roots)))
     return 0
 
 

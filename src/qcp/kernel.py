@@ -68,6 +68,8 @@ def build_kernel(spec: KernelSpec) -> KernelSpec:
         entries = p.get("entries")
         if not entries:
             raise ValueError("table kernel needs at least one entry")
+        if any(isinstance(v, bool) for e in entries for v in e):
+            raise ValueError("table offsets and masses must be numbers")
         entries = [(float(dx), float(dy), float(m)) for dx, dy, m in entries]
         if not all(math.isfinite(v) for e in entries for v in e):
             raise ValueError("table offsets and masses must be finite")
@@ -87,7 +89,7 @@ def build_kernel(spec: KernelSpec) -> KernelSpec:
 
 
 def _require_positive(name, value):
-    if value is None or not math.isfinite(value) or value <= 0:
+    if value is None or isinstance(value, bool) or not 0 < value < math.inf:
         raise ValueError(f"kernel parameter {name!r} must be positive and finite")
 
 
@@ -121,10 +123,10 @@ class DiscreteKernel:
     symmetry of the support, 2 max |w|, and 0 with no offsets.
 
     A kernel holds its offsets and masses; the sampling tables of
-    ``sample_indices`` (the CDF and the bucket table: 9 MB at L = 400,
-    beside 15 MB of offsets and masses) are built by ``build_tables``,
-    which a lattice step calls before its pass, or at the first draw or
-    ``cdf`` read, so the density recursion and the speed layer, which
+    ``sample_indices`` (the CDF, cumsum(masses), and the bucket table:
+    9 MB at L = 400, beside 15 MB of offsets and masses) are built by
+    ``build_tables``, which a lattice pass calls before it runs, or at
+    the first draw, so the density recursion and the speed layer, which
     read only offsets and masses, never hold them.
     """
 
@@ -152,11 +154,6 @@ class DiscreteKernel:
                 if self._steps is None:
                     self._cdf, self._guide, self._steps = _sampling_tables(
                         self.masses)
-
-    @property
-    def cdf(self) -> np.ndarray:
-        self.build_tables()
-        return self._cdf
 
     def sample_indices(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0,1) to rows of ``offsets`` by inverse CDF.

@@ -13,7 +13,6 @@ for a fixed seed.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -123,29 +122,34 @@ def _padded(a: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
     return out.ravel()
 
 
-def _padded_index(f, side: int, dk: DiscreteKernel):
-    """Indices in _padded's flat array of the flat sites f."""
-    r = dk.reach + 1
-    return f + f // side * (2 * r) + r * (side + 2 * r + 1)
+def _pass(grid: np.ndarray, dk: DiscreteKernel, seed: int, n: int, body):
+    """body(lo, hi, words, parents) on each flat site chunk [lo, hi) of
+    the torus grid (see chunks), in a list.  words(phase) gives the
+    chunk's step-n words of that phase; parents(f) the values of grid at
+    the parents y, z of sites lo + f, from a copy padded before any
+    chunk writes grid.  The sampling tables are built in the calling
+    thread (see build_tables)."""
+    side, r = grid.shape[0], dk.reach + 1
+    width = side + 2 * r
+    padded = _padded(grid, dk)
+    kernel_steps = dk.offsets[:, 0] * width + dk.offsets[:, 1]
+    nbr_steps = np.array([width, -width, 1, -1])
+    dk.build_tables()
 
+    def chunk(lo, hi):
+        def words(phase):
+            return _rng.words(seed, n, phase, lo, hi)
 
-def _flat_steps(dk: DiscreteKernel, side: int):
-    """The kernel offsets and the neighbour steps +e1, -e1, +e2, -e2 as
-    steps in _padded's flat array of a side x side torus."""
-    width = side + 2 * (dk.reach + 1)
-    return (dk.offsets[:, 0] * width + dk.offsets[:, 1],
-            np.array([width, -width, 1, -1]))
+        def parents(f):
+            y = kernel_steps[dk.sample_indices(
+                _rng.unit(words(_rng.PHASE_OFFSET)[f]))]
+            y += f + lo + (f + lo) // side * (2 * r) + r * (width + 1)
+            z = y + nbr_steps[words(_rng.PHASE_NEIGHBOR)[f] >> 62]
+            return padded[y], padded[z]
 
+        return body(lo, hi, words, parents)
 
-def _parents(dk: DiscreteKernel, steps, base, u_off, nbr):
-    """Parents y, through the kernel around the base sites, and z, the
-    neighbour of y that nbr (in 0..3) picks, as indices in _padded's flat
-    array, as base is; steps is _flat_steps of the torus.  Offsets reach
-    dk.reach, so both stay in padding.  Element-wise, so any subset of
-    sites draws the same parents."""
-    kernel_steps, nbr_steps = steps
-    y = kernel_steps[dk.sample_indices(u_off)] + base
-    return y, y + nbr_steps[nbr]
+    return chunks.run(chunk, side * side)
 
 
 def step(s: LatticeState, dk: DiscreteKernel, p: Params,
@@ -157,42 +161,36 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
     drawn, as every coin lies below it (each phase has its own counter,
     so the other coins do not move).  Each coin is decided on its Philox
     word (see rng.words); only the offset words of attempting sites
-    become coins.  The update runs in flat site chunks (see chunks):
-    each chunk draws its own sites' four word ranges, reads its parents
+    become coins.  The update runs in flat site chunks (_pass): each
+    chunk draws its own sites' four word ranges, reads its parents
     from one padded copy of the old occupancy and writes its own slice
     of the new one, and the counters are summed over the chunks.  So
     neither the occupancy nor the counters depend on the chunks, and no
     full-lattice coin array is made.
     """
     side, n = s.side, s.time + 1
-    words = functools.partial(_rng.words, rng.seed, n)
     below_beta, below_eta = _rng.below(p.beta), _rng.below(p.eta)
     occ = s.occ.astype(bool).ravel()
-    padded = _padded(occ.reshape(side, side), dk)
-    steps = _flat_steps(dk, side)
-    dk.build_tables()
     new = np.empty(side * side, bool)
 
-    def chunk(a, b):
+    def body(a, b, words, parents):
         # vacant, coin < beta (every coin in [0, 1) is below beta = 1)
         f = ~occ[a:b]
         if p.beta < 1.0:
-            f &= words(_rng.PHASE_ATTEMPT, a, b) < below_beta
+            f &= words(_rng.PHASE_ATTEMPT) < below_beta
         f = np.flatnonzero(f)
-        y, z = _parents(dk, steps, _padded_index(f + a, side, dk),
-                        _rng.unit(words(_rng.PHASE_OFFSET, a, b)[f]),
-                        words(_rng.PHASE_NEIGHBOR, a, b)[f] >> 62)
-        born = padded[y]
-        born &= padded[z]
+        born, z = parents(f)
+        born &= z
         out = new[a:b]
         out[:] = occ[a:b]
         out[f[born]] = True             # the occupancy after births
         alive = np.count_nonzero(out)
         # occupied and not dying
-        np.greater(out, words(_rng.PHASE_DEATH, a, b) < below_eta, out=out)
+        np.greater(out, words(_rng.PHASE_DEATH) < below_eta, out=out)
         return len(f), np.count_nonzero(born), alive - np.count_nonzero(out)
 
-    attempted, births, deaths = map(sum, zip(*chunks.run(chunk, side * side)))
+    counts = _pass(occ.reshape(side, side), dk, rng.seed, n, body)
+    attempted, births, deaths = map(sum, zip(*counts))
     return (LatticeState(L=s.L, time=n,
                          occ=new.reshape(side, side).view(np.uint8)),
             StepReport(births_attempted=int(attempted), births=int(births),
@@ -211,31 +209,23 @@ def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
     Decides its coins on their words and runs in flat site chunks, as
     step does; the attempt words all become coins, to compare with B.
     """
-    side = B.shape[0]
-    words = functools.partial(_rng.words, rng.seed, time + 1)
     below_eta = _rng.below(eta)
     lab = B.astype(np.float64, order="C")
-    padded = _padded(lab, dk)
-    steps = _flat_steps(dk, side)
-    dk.build_tables()
     flat = lab.ravel()
 
-    def chunk(a, b):
+    def body(a, b, words, parents):
         out = flat[a:b]
-        dead = words(_rng.PHASE_DEATH, a, b) < below_eta
-        u_att = _rng.unit(words(_rng.PHASE_ATTEMPT, a, b))
+        dead = words(_rng.PHASE_DEATH) < below_eta
+        u_att = _rng.unit(words(_rng.PHASE_ATTEMPT))
         f = np.flatnonzero((u_att < out) > dead)
-        u_att = u_att[f]
-        y, z = _parents(dk, steps, _padded_index(f + a, side, dk),
-                        _rng.unit(words(_rng.PHASE_OFFSET, a, b)[f]),
-                        words(_rng.PHASE_NEIGHBOR, a, b)[f] >> 62)
-        born = np.maximum(padded[y], padded[z])
-        np.maximum(born, u_att, out=born)
+        born, z = parents(f)
+        np.maximum(born, z, out=born)
+        np.maximum(born, u_att[f], out=born)
         np.minimum(born, out[f], out=born)
         out[f] = born
         np.copyto(out, np.inf, where=dead)
 
-    chunks.run(chunk, side * side)
+    _pass(lab, dk, rng.seed, time + 1, body)
     return lab
 
 

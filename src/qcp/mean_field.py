@@ -16,7 +16,6 @@ import numpy as np
 
 # snap tolerance for the tangent (double-root) case
 _DISC_EPS = 1e-13
-_STAB_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,8 @@ class Params:
 
     def __post_init__(self):
         for name, v in (("beta", self.beta), ("eta", self.eta)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if isinstance(v, bool) or not (isinstance(v, (int, float))
+                                           and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -39,55 +39,36 @@ def mf_step(p: Params, v):
     return (1.0 - p.eta) * (v + p.beta * (1.0 - v) * v * v)
 
 
-def mf_derivative(p: Params, v):
-    return (1.0 - p.eta) * (1.0 + p.beta * (2.0 * v - 3.0 * v * v))
-
-
-@dataclass(frozen=True)
-class Root:
-    value: float
-    stability: str  # 'stable' | 'unstable'
-
-
 @dataclass(frozen=True)
 class Equilibria:
-    roots: tuple
+    roots: tuple                # floats, in increasing order
     rho_u: float | None = None  # None below threshold
     rho_s: float | None = None
 
-    @property
-    def values(self):
-        return tuple(r.value for r in self.roots)
-
-
-def _label(p: Params, v: float) -> str:
-    return "stable" if abs(mf_derivative(p, v)) < 1.0 - _STAB_EPS else "unstable"
-
 
 def equilibria(p: Params) -> Equilibria:
-    """Fixed points of the map in [0, 1] with stability labels.
+    """Fixed points of the map in [0, 1], in increasing order.
 
     0 is always a root.  Above threshold the interior roots are
     (1 -+ sqrt(1 - 4 eta / (beta (1 - eta)))) / 2; the minus root is
     computed in the cancellation-free form x / (2 (1 + sqrt(1 - x))).
     """
-    roots = [Root(0.0, _label(p, 0.0))]
+    roots = [0.0]
     rho_u = rho_s = None
     if p.beta > 0.0 and p.eta < 1.0:
         x = 4.0 * p.eta / (p.beta * (1.0 - p.eta))
         disc = 1.0 - x
         if abs(disc) <= _DISC_EPS:
-            roots.append(Root(0.5, _label(p, 0.5)))
+            roots.append(0.5)
         elif disc > 0.0:
             s = math.sqrt(disc)
             rho_u = x / (2.0 * (1.0 + s))
             rho_s = (1.0 + s) / 2.0
             # at eta = 0 the unstable root collapses onto the root at 0
             if rho_u > 0.0:
-                roots.append(Root(rho_u, _label(p, rho_u)))
-            roots.append(Root(rho_s, _label(p, rho_s)))
-    return Equilibria(tuple(sorted(roots, key=lambda r: r.value)),
-                      rho_u=rho_u, rho_s=rho_s)
+                roots.append(rho_u)
+            roots.append(rho_s)
+    return Equilibria(tuple(roots), rho_u=rho_u, rho_s=rho_s)
 
 
 def check_trace(v0: float, n: int) -> None:

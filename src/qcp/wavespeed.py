@@ -8,9 +8,9 @@ from a compactly based hump psi.  The iterates are nondecreasing in n,
 nonincreasing in s and bounded by rho_s; if they climb to rho_s at the
 far right of the probe interval the trial speed is below the spreading
 speed c*(xi), and if they stall the trial speed is at or above it.
-Bisection over c then brackets c*.  The same machinery builds the
-recovery profile phi = min_i f_{n,i} over three directions, together
-with the constants (alpha, m, M, l, c) the comparison process needs.
+Bisection over c then brackets c*, each probe windowed.  The recovery
+profile phi = min_i f_{n,i} takes n plain steps per direction, and
+gives the constants (alpha, m, M, l, c) the comparison process needs.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def weinberger_step(f: Profile1D, c: float, k1: Kernel1D, p: Params,
                     psi: Profile1D) -> Profile1D:
     """One recursion step: max of psi with the Q image read at s + c
     (linear interpolation for off-grid shifts, which preserves
-    monotonicity).  The reference for the probe loop, which runs the
-    same step on bare arrays."""
+    monotonicity).  build_phi's step, and the reference for the probe
+    loop, which runs the same step on bare arrays."""
     if (abs(f.s0 - psi.s0) > 1e-9 or len(f.values) != len(psi.values)
             or abs(f.delta - psi.delta) > 1e-12):
         raise ValueError("profile and psi must share one grid")
@@ -106,7 +106,8 @@ def _budget(dk: DiscreteKernel, tol: float) -> int:
 def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
     """The iterates f_1, f_2, ... of weinberger_step from psi at trial
     speed c, as (values, left_limit, right_limit, span, sup): f_n equals
-    f_{n-1} bit for bit outside values[span], and sup = max |f_n - f_{n-1}|.
+    f_{n-1} bit for bit outside values[span], and sup = max |f_n - f_{n-1}|,
+    up to the first fixed point, whose sup is 0.
 
     Each step recomputes only the points whose inputs changed at the
     last step: the image Q[f] within the kernel half-width of a change
@@ -162,8 +163,6 @@ def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
             lo, hi = min(lo, n), n + 1
         values, left, right = nxt, nxt_left, nxt_right
         yield values, left, right, slice(max(lo, 0), min(hi, n)), sup
-    while True:  # nothing changed: a fixed point
-        yield values, left, right, slice(0, 0), 0.0
 
 
 def _classify(c, psi: Profile1D, k1: Kernel1D, p: Params, tol: float,
@@ -396,16 +395,15 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
     for n in range(n, n + 2 * _PHI_RETRIES + 1, 2):
         psi = _hump(dk, p, s_max=(n + 2) * 0.5 * d + 2.0 * d)
         k1s = [marginal_1d(dk, x, psi.delta) for x in dirs]
-        fronts = []  # (values, left limit) of f_n per direction
+        fronts = []  # f_n per direction
         for k1 in k1s:
-            iterates = _front_iterates(c, psi, k1, p)
-            values, left = psi.values, psi.left_limit
+            f = psi
             for _ in range(n):
-                values, left, *_ = next(iterates)
-            fronts.append((values, left))
+                f = weinberger_step(f, c, k1, p, psi)
+            fronts.append(f)
         phi = Profile1D(psi.s0, psi.delta,
-                        np.min([v for v, _ in fronts], axis=0),
-                        left_limit=min(left for _, left in fronts),
+                        np.min([f.values for f in fronts], axis=0),
+                        left_limit=min(f.left_limit for f in fronts),
                         right_limit=0.0)
         # below the unstable root the map contracts toward 0, so the
         # translate inequality is unattainable there at finite n (and

@@ -1,14 +1,14 @@
 """Reference code that only the tests use: a step's coins at every
-site, the box-corner-anchored lattice step and its one-step closed
-form, the maximal coupling of the site- and corner-anchored steps, a
-single trial-speed classification, scalar region queries, the box
-rectangles, a region-set snapshot, uncached oracles of the region
-set's event loop and of the containment audit, probe-by-probe
-references of the point-process checks, the phase-scan threshold
-read-off, the bistability test, and the readers and writers of the
-library's files and values that no subcommand calls.  No subcommand
-writes any of their numbers, so they live here and not in the
-library."""
+site, its parents wrapped by %, the box-corner-anchored lattice step
+and its one-step closed form, the maximal coupling of the site- and
+corner-anchored steps, a single trial-speed classification, scalar
+region queries, the box rectangles, a region-set snapshot, uncached
+oracles of the region set's event loop and of the containment audit,
+probe-by-probe references of the point-process checks, the phase-scan
+threshold read-off, the bistability test, the density map's
+derivative, and the readers and writers of the library's files and
+values that no subcommand calls.  No subcommand writes any of their
+numbers, so they live here and not in the library."""
 
 import json
 import math
@@ -36,7 +36,7 @@ from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
 PHASE_COUPLED_PARENT = 6
 PHASE_RESIDUAL_PARENT = 7
 PHASE_SECOND_NEIGHBOR = PHASE_INIT
-# the neighbour order of lattice._parents: +e1, -e1, +e2, -e2
+# the neighbour order of a lattice step's parents: +e1, -e1, +e2, -e2
 NBR_DI = np.array([1, -1, 0, 0])
 NBR_DJ = np.array([0, 0, 1, -1])
 
@@ -50,6 +50,17 @@ def step_coins(rng, n: int, side: int) -> list:
                           PHASE_DEATH)]
 
 
+def wrapped_parents(dk, side: int, i, j, u_off, u_nbr):
+    """Parents y, through the kernel around the sites (i, j) by the offset
+    coins u_off, and z, the neighbour of y that floor(4 u_nbr) picks, as
+    flat sites of the side x side torus: the coordinates wrapped by %."""
+    off = dk.offsets[dk.sample_indices(u_off)]
+    nbr = (u_nbr * 4.0).astype(np.intp)
+    yi, yj = (i + off[:, 0]) % side, (j + off[:, 1]) % side
+    zi, zj = (yi + NBR_DI[nbr]) % side, (yj + NBR_DJ[nbr]) % side
+    return yi * side + yj, zi * side + zj
+
+
 def corner_step(s, dk, p, rng, gamma):
     """lattice.step with every first parent drawn around the corner of
     its site's box (box_side_sites(L, gamma) sites a side) instead of
@@ -61,13 +72,9 @@ def corner_step(s, dk, p, rng, gamma):
     f = np.flatnonzero(~occ0 & (u_att < p.beta))
     b = box_side_sites(s.L, gamma)
     i, j = np.divmod(f, side)
-    corner = (i - i % b) * side + (j - j % b)
-    y, z = lattice._parents(dk, lattice._flat_steps(dk, side),
-                            lattice._padded_index(corner, side, dk),
-                            u_off.ravel()[f],
-                            (u_nbr.ravel()[f] * 4).astype(np.intp))
-    padded = lattice._padded(occ0, dk)
-    born = padded[y] & padded[z]
+    y, z = wrapped_parents(dk, side, i - i % b, j - j % b,
+                           u_off.ravel()[f], u_nbr.ravel()[f])
+    born = occ0.ravel()[y] & occ0.ravel()[z]
     after_births = occ0.copy()
     after_births.ravel()[f[born]] = True
     dies = u_die < p.eta
@@ -531,6 +538,11 @@ def threshold_estimate(freqs: dict, eta: float) -> float | None:
 def bistable(p) -> bool:
     """Whether p has an unstable interior equilibrium rho_u."""
     return equilibria(p).rho_u is not None
+
+
+def mf_derivative(p, v):
+    """The derivative in v of mean_field.mf_step, in closed form."""
+    return (1.0 - p.eta) * (1.0 + p.beta * (2.0 * v - 3.0 * v * v))
 
 
 def is_monotone(f: Profile1D, slack: float = 1e-12) -> bool:

@@ -50,10 +50,10 @@ class TestAcceptance:
             assert eq.rho_u is not None and eq.rho_s is not None
             assert eq.rho_u < 0.5 < eq.rho_s
             for r in eq.roots:
-                assert abs(mf_step(p, r.value) - r.value) < 1e-12
+                assert abs(mf_step(p, r) - r) < 1e-12
         # beta (1 - eta) = 4 eta exactly representable at eta = 0.2
         eq = equilibria(Params(1.0, 0.2))
-        assert eq.values == (0.0, 0.5)
+        assert eq.roots == (0.0, 0.5)
         elapsed = time.time() - t0
         assert elapsed < 1.0
         report(1, f"20 bistable parameter pairs, residuals < 1e-12, "

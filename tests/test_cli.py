@@ -26,12 +26,16 @@ def read_data_files(path):
 
 class TestMeanFieldCommand:
     def test_prints_roots(self, capsys):
-        assert run(["mean-field", "--beta", "1.0", "--eta", "0.1"]) == 0
-        line = capsys.readouterr().out.strip()
-        vals = [float(x) for x in line.split(",")]
-        assert vals[0] == 0.0
-        assert vals[1] == pytest.approx(0.127322, abs=5e-7)
-        assert vals[2] == pytest.approx(0.872678, abs=5e-7)
+        for argv, line in [
+                # v(1 - v) = 1/9: the roots near 0.127322 and 0.872678
+                (["--beta", "1", "--eta", "0.1"],
+                 "0.0,0.12732200375003508,0.8726779962499649"),
+                # beta (1 - eta) = 4 eta at the default beta 1: the tangent
+                (["--eta", "0.2"], "0.0,0.5"),
+                # below threshold only 0 is a root
+                (["--beta", "0.3", "--eta", "0.2"], "0.0")]:
+            assert run(["mean-field", *argv]) == 0
+            assert capsys.readouterr().out == line + "\n"
 
     def test_trace_output(self, tmp_path, capsys):
         code = run(["mean-field", "--beta", "1.0", "--eta", "0.1",
@@ -238,7 +242,16 @@ class TestErrors:
         # lattice-run's start density is a number in [0, 1]
         ["lattice-run", "--density", "nan"],
         ["lattice-run", {"density": -0.1}],
-        ["lattice-run", {"init": "all_ones"}]])
+        ["lattice-run", {"init": "all_ones"}],
+        # a JSON true is no kernel parameter, nor a table entry
+        *(["speed", "--method", "tracking", {"kernel": kernel}] for kernel in (
+            {"family": "uniform-square", "params": {"radius": True}},
+            {"family": "truncated-gaussian",
+             "params": {"sigma": True, "cutoff": 1.0}},
+            {"family": "truncated-gaussian",
+             "params": {"sigma": 0.5, "cutoff": True}},
+            {"family": "table",
+             "params": {"entries": [[True, 0, 0.5], [-1, 0, 0.5]]}}))])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
         # a trailing dict is a config document; the error names its one

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from qcp.ide import Field2D
 from qcp.kernel import KernelSpec, discretize
-from qcp.lattice import (BoxStats, LatticeState, _flat_steps, _padded,
-                         _padded_index, _parents, box_side_sites, box_stats,
-                         init, label_step, save_snapshot, step, window_side)
+from qcp.lattice import (BoxStats, LatticeState, _pass, box_side_sites,
+                         box_stats, init, label_step, save_snapshot, step,
+                         window_side)
 from qcp.mean_field import Params
 from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
                      PHASE_OFFSET, LatticeRng, below, unit, words)
 
-from helpers import (NBR_DI, NBR_DJ, corner_expectation, corner_step,
-                     coupling_discrepancy, load_snapshot, step_coins)
+from helpers import (corner_expectation, corner_step, coupling_discrepancy,
+                     load_snapshot, step_coins, wrapped_parents)
 
 
 def anchored_step(anchor, s, dk, p, rng):
@@ -376,28 +376,24 @@ class TestCoinGenerator:
 class TestParents:
     @settings(max_examples=60, deadline=None)
     @given(side=st.integers(1, 12), L=st.integers(1, 6),
-           anchor=st.sampled_from(["site", "box_corner"]),
-           coin_seed=st.integers(0, 2 ** 32 - 1))
-    def test_equal_wrapped_reference(self, square_spec, side, L, anchor,
-                                     coin_seed):
-        # parents read through the padded torus are the sites that
-        # %-wrapping the offset and the neighbour step reaches, also
-        # where the kernel reaches past the whole torus
+           seed=st.integers(0, 2 ** 63 - 1), time=st.integers(0, 10 ** 6))
+    def test_equal_wrapped_reference(self, square_spec, side, L, seed, time):
+        # a pass over a grid of site numbers reads, at every site, the
+        # parents that %-wrapping the offset and the neighbour step on
+        # fresh streams' coins reaches, also where the kernel reaches
+        # past the whole torus
         dk = discretize(square_spec, L)
-        gen = np.random.default_rng(coin_seed)
-        u_off, nbr = gen.random(side * side), gen.integers(0, 4, side * side)
+        rng = LatticeRng(seed)
+        sites = np.arange(side * side).reshape(side, side)
+        got = _pass(sites, dk, seed, time + 1,
+                    lambda lo, hi, words, parents:
+                    parents(np.arange(hi - lo)))
+        y, z = (np.concatenate(a) for a in zip(*got))
+        _, u_off, u_nbr, _ = step_coins(rng, time + 1, side)
         i, j = np.indices((side, side)).reshape(2, -1)
-        if anchor == "box_corner":
-            b = box_side_sites(L, 0.3)
-            i, j = i - i % b, j - j % b
-        y, z = _parents(dk, _flat_steps(dk, side),
-                        _padded_index(i * side + j, side, dk), u_off, nbr)
-        sites = _padded(np.arange(side * side).reshape(side, side), dk)
-        off = dk.offsets[dk.sample_indices(u_off)]
-        yi, yj = (i + off[:, 0]) % side, (j + off[:, 1]) % side
-        zi, zj = (yi + NBR_DI[nbr]) % side, (yj + NBR_DJ[nbr]) % side
-        assert np.array_equal(sites[y], yi * side + yj)
-        assert np.array_equal(sites[z], zi * side + zj)
+        want = wrapped_parents(dk, side, i, j, u_off.ravel(), u_nbr.ravel())
+        assert np.array_equal(y, want[0])
+        assert np.array_equal(z, want[1])
 
 
 class TestGoldenTrajectories:
@@ -429,14 +425,10 @@ def full_site_label_step(B, time, dk, eta, rng):
     """label_step with parents drawn at every site and wrapped by %."""
     side = B.shape[0]
     u_att, u_off, u_nbr, u_die = step_coins(rng, time + 1, side)
-    ii, jj = np.indices((side, side)).reshape(2, -1)
-    idx = dk.sample_indices(u_off.ravel())
-    yi = (ii + dk.offsets[idx, 0]) % side
-    yj = (jj + dk.offsets[idx, 1]) % side
-    nbr = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])[
-        np.minimum((u_nbr.ravel() * 4.0).astype(np.int64), 3)]
-    zi, zj = (yi + nbr[:, 0]) % side, (yj + nbr[:, 1]) % side
-    born = np.maximum(B[yi, yj], B[zi, zj]).reshape(side, side)
+    i, j = np.indices((side, side)).reshape(2, -1)
+    y, z = wrapped_parents(dk, side, i, j, u_off.ravel(), u_nbr.ravel())
+    flat = B.ravel()
+    born = np.maximum(flat[y], flat[z]).reshape(side, side)
     out = np.minimum(B, np.maximum(u_att, born))
     out[u_die < eta] = np.inf
     return out

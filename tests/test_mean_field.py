@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qcp.mean_field import (Params, equilibria, mean_field_trace,
-                            mf_derivative, mf_step)
+from qcp.mean_field import Params, equilibria, mean_field_trace, mf_step
 
 from conftest import seeded
-from helpers import bistable
+from helpers import bistable, mf_derivative
 
 
 class TestParams:
     @pytest.mark.parametrize("beta,eta", [(-0.1, 0.5), (1.1, 0.5),
                                           (0.5, -0.1), (0.5, 2.0),
-                                          (float("nan"), 0.1)])
+                                          (float("nan"), 0.1),
+                                          (True, 0.1), (0.5, False)])
     def test_rejects_bad_probabilities(self, beta, eta):
         with pytest.raises(ValueError):
             Params(beta, eta)
@@ -36,23 +36,16 @@ class TestEquilibria:
         assert eq.rho_u * (1 - eq.rho_u) == pytest.approx(1.0 / 9.0, abs=1e-14)
         p = Params(1.0, 0.1)
         for r in eq.roots:
-            assert abs(mf_step(p, r.value) - r.value) < 1e-12
+            assert abs(mf_step(p, r) - r) < 1e-12
 
     def test_double_root_exact(self):
         eq = equilibria(Params(1.0, 0.2))
-        assert eq.values == (0.0, 0.5)
+        assert eq.roots == (0.0, 0.5)
 
     def test_below_threshold_only_zero(self):
         eq = equilibria(Params(0.3, 0.2))
-        assert eq.values == (0.0,)
+        assert eq.roots == (0.0,)
         assert eq.rho_u is None and eq.rho_s is None
-
-    def test_stability_labels(self):
-        eq = equilibria(Params(1.0, 0.05))
-        labels = {round(r.value, 6): r.stability for r in eq.roots}
-        assert labels[0.0] == "stable"
-        assert labels[round(eq.rho_u, 6)] == "unstable"
-        assert labels[round(eq.rho_s, 6)] == "stable"
 
     def test_random_bistable_residuals(self):
         gen = seeded(11)
@@ -68,7 +61,7 @@ class TestEquilibria:
             assert len(eq.roots) == 3
             assert 0.0 < eq.rho_u < 0.5 < eq.rho_s
             for r in eq.roots:
-                assert abs(mf_step(p, r.value) - r.value) < 1e-12
+                assert abs(mf_step(p, r) - r) < 1e-12
 
     def test_matches_independent_root_finder(self):
         # oracle: solve v(1-v) = eta/(beta(1-eta)) by bracketed bisection

@@ -79,16 +79,16 @@ def iterate_wave_profiles(k1s, c, p, psi, n):
 
 
 def assert_iterates_match(c, psi, k1, p, steps):
-    """The windowed iterates equal repeated weinberger_step bit for bit,
-    each one equals its predecessor outside the span it names, and the
-    sup it yields is the sup change over the whole grid.  Returns the
-    spans and the limits from psi's on."""
+    """The first steps windowed iterates, or all of them where they end
+    sooner, equal repeated weinberger_step bit for bit, each one equals
+    its predecessor outside the span it names, and the sup it yields is
+    the sup change over the whole grid.  Returns the spans and the limits
+    from psi's on, and the last weinberger_step iterate."""
     iterates = wavespeed._front_iterates(c, psi, k1, p)
     f, spans, limits = psi, [], [(psi.left_limit, psi.right_limit)]
-    for _ in range(steps):
+    for _, (values, left, right, span, sup) in zip(range(steps), iterates):
         prev = f.values
         f = weinberger_step(f, c, k1, p, psi)
-        values, left, right, span, sup = next(iterates)
         assert values.tobytes() == f.values.tobytes()
         assert (left, right) == (f.left_limit, f.right_limit)
         outside = np.ones(len(values), dtype=bool)
@@ -97,7 +97,7 @@ def assert_iterates_match(c, psi, k1, p, steps):
         assert sup == np.abs(values - prev).max(initial=0.0)
         spans.append(span)
         limits.append((left, right))
-    return spans, limits
+    return spans, limits, f
 
 
 class TestPsi:
@@ -337,7 +337,7 @@ class TestWindowedRecursion:
         # near the bistability onset the plateau converges slowly
         p = Params(0.25, 0.05)
         psi, k1 = probe_start((1.0, 0.0), dk8, p)
-        spans, limits = assert_iterates_match(0.05, psi, k1, p, 300)
+        spans, limits, _ = assert_iterates_match(0.05, psi, k1, p, 300)
         assert limits[-1][0] != limits[-2][0]
         assert all(sp.start == 0 for sp in spans)
 
@@ -348,23 +348,28 @@ class TestWindowedRecursion:
         right = eq.rho_u + 1e-3 * (eq.rho_s - eq.rho_u)
         psi = Profile1D(psi.s0, psi.delta, np.maximum(psi.values, right),
                         psi.left_limit, right)
-        spans, limits = assert_iterates_match(-0.2, psi, k1, p_main, 100)
+        spans, limits, _ = assert_iterates_match(-0.2, psi, k1, p_main, 100)
         assert limits[-1][1] != limits[-2][1]
         assert all(sp.stop == len(psi.values) for sp in spans)
 
     def test_fixed_point_tail(self, dk8, p_main):
         # at the bisection's upper end the plateau settles within 27
-        # steps and nothing changes after that
+        # steps: the iterates end there, at a fixed point
         psi, k1 = probe_start((1.0, 0.0), dk8, p_main)
         c = dk8.support_diameter + 1.0
-        spans, limits = assert_iterates_match(c, psi, k1, p_main, 40)
-        assert spans[-1] == slice(0, 0) and limits[-1] == limits[-10]
+        iterates = list(wavespeed._front_iterates(c, psi, k1, p_main))
+        assert len(iterates) <= 27 and iterates[-1][-1] == 0.0
+        spans, limits, f = assert_iterates_match(c, psi, k1, p_main, 40)
+        assert len(spans) == len(iterates) and f.values[spans[-1]].size == 0
+        again = weinberger_step(f, c, k1, p_main, psi)
+        assert again.values.tobytes() == f.values.tobytes()
+        assert (again.left_limit, again.right_limit) == limits[-1]
 
     def test_off_grid_shift(self, dk8, p_main):
         psi, k1 = probe_start((0.6, 0.8), dk8, p_main)
         c = 0.3
         assert c / psi.delta != round(c / psi.delta)
-        spans, _ = assert_iterates_match(c, psi, k1, p_main, 300)
+        spans, *_ = assert_iterates_match(c, psi, k1, p_main, 300)
         # the window is narrower than the grid once the plateau settles
         assert min(sp.stop - sp.start for sp in spans) < len(psi.values) // 2
 
@@ -449,7 +454,7 @@ class TestPhi:
         def refuse(*args, **kwargs):
             raise AssertionError("phi was built at a nonpositive speed")
 
-        monkeypatch.setattr(wavespeed, "_front_iterates", refuse)
+        monkeypatch.setattr(wavespeed, "weinberger_step", refuse)
         # no bisection: the speeds come from the stub alone
         monkeypatch.setattr(wavespeed, "_bisect_at_once",
                             lambda *args: {})
