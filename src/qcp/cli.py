@@ -312,7 +312,8 @@ def _cmd_speed(cfg) -> int:
 
 def _cmd_lattice_run(cfg) -> int:
     L, seed = cfg["L"], cfg["seed"]
-    rng = LatticeRng(seed)
+    with _invalid("seed"):
+        rng = LatticeRng(seed)
     with _invalid():
         p = Params(cfg["beta"], cfg["eta"])
         dk = discretize(cfg["kernel"], L)

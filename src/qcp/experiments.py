@@ -16,7 +16,7 @@ from . import chunks, comparison, lattice
 from .ide import Field2D, evolve
 from .kernel import KernelSpec, discretize
 from .mean_field import Params, equilibria
-from .rng import LatticeRng, stream
+from .rng import LatticeRng, check_seed, stream
 from .wavespeed import PhiData
 
 
@@ -51,7 +51,7 @@ class ExperimentConfig:
         if not self.seeds or not self.L_list:
             raise ValueError("L_list and seeds must each hold at least one "
                              "value")
-        if len(set(self.seeds)) != len(self.seeds):
+        if len(set(map(check_seed, self.seeds))) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         if self.steps < 0 or self.horizon < 0:
             raise ValueError("steps and horizon must be nonnegative")
@@ -71,31 +71,26 @@ class ExperimentConfig:
 
 def _field_values(u0, side: int, L: int):
     """u0's start density on side x side nodes at spacing 1/L: a Field2D
-    resampled at its nearest nodes, a callable evaluated there, and a
-    constant as a read-only broadcast view of that number, which holds no
-    grid.  The density recursion and lattice.init read it without writing
-    it, so a constant start adds no grid to a hydro run's peak."""
+    resampled at its nearest nodes, and a number as a read-only broadcast
+    view of it, which holds no grid.  The density recursion and
+    lattice.init read it without writing it, so a constant start adds no
+    grid to a hydro run's peak."""
+    if not isinstance(u0, Field2D):
+        return np.broadcast_to(float(u0), (side, side))
     xs = np.arange(side) / L
-    if isinstance(u0, Field2D):
-        nx, ny = u0.values.shape
-        fx = np.clip(np.round(xs / (1.0 / u0.L)).astype(int), 0, nx - 1)
-        fy = np.clip(np.round(xs / (1.0 / u0.L)).astype(int), 0, ny - 1)
-        return u0.values[np.ix_(fx, fy)]
-    if callable(u0):
-        gx, gy = np.meshgrid(xs, xs, indexing="ij")
-        return np.asarray(u0(gx, gy), dtype=float)
-    return np.broadcast_to(float(u0), (side, side))
+    nx, ny = u0.values.shape
+    fx = np.clip(np.round(xs / (1.0 / u0.L)).astype(int), 0, nx - 1)
+    fy = np.clip(np.round(xs / (1.0 / u0.L)).astype(int), 0, ny - 1)
+    return u0.values[np.ix_(fx, fy)]
 
 
 def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
     """Box-density error between the particle system and the density
     recursion after cfg.steps steps, per L and seed.
 
-    u0 may be a constant, a vectorized callable (x, y) -> density, or a
-    Field2D to resample; the seed tasks pickle it when cfg.threads > 1,
-    so a callable must then be a top-level function.  Returns rows with
-    sup-box errors for the particle count S/m against u_n and the pair
-    count R/m against u_n^2.
+    u0 is a number or a Field2D to resample.  Returns rows with sup-box
+    errors for the particle count S/m against u_n and the pair count R/m
+    against u_n^2.
     """
     rows = []
     for L, side in zip(cfg.L_list, hydro_sides(cfg)):

@@ -32,6 +32,15 @@ _PHASE_COUNT = 8
 _MASK64 = (1 << 64) - 1
 
 
+def check_seed(seed: int) -> int:
+    """seed as an int; ValueError unless it lies in [0, 2**64), where
+    each seed is its own key word, so no two seeds share a trajectory."""
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seeds must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _key(seed: int, time: int, phase: int) -> np.ndarray:
     """Philox key of one (seed, time, phase) triple."""
     if not 0 <= phase < _PHASE_COUNT:
@@ -39,7 +48,7 @@ def _key(seed: int, time: int, phase: int) -> np.ndarray:
     if time < 0:
         raise ValueError("time must be nonnegative")
     return np.array(
-        [int(seed) & _MASK64, (int(time) * _PHASE_COUNT + phase) & _MASK64],
+        [check_seed(seed), (int(time) * _PHASE_COUNT + phase) & _MASK64],
         dtype=np.uint64,
     )
 
@@ -100,7 +109,7 @@ class LatticeRng:
     """Stream factory bound to one base seed."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
 
     def stream(self, time: int, phase: int) -> np.random.Generator:
         return stream(self.seed, time, phase)

@@ -37,6 +37,8 @@ _PROBE_DIAMETERS = 20.0
 # when the check fails
 _PHI_TOL = 1e-6
 _PHI_RETRIES = 5
+# the least bracket width a bisection takes
+_MIN_TOL = 1e-6
 
 
 class SpeedIndeterminate(RuntimeError):
@@ -93,14 +95,16 @@ def _budget(dk: DiscreteKernel, tol: float) -> int:
     probe just below c* must still cross the probe interval at front
     speed ~ c* - c, with slack for the slow ramp-up near criticality,
     and a probe can land arbitrarily close to c*, where both criteria
-    are slow: hence the factor 16.  ValueError unless tol is positive
-    and finite."""
+    are slow: hence the factor 16.  ValueError unless tol is finite and
+    at least _MIN_TOL."""
     # tol <= 0 or NaN would never meet the stall criterion, and the
-    # bisection would never narrow to it
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    # bisection would never narrow to it; below _MIN_TOL the budget runs
+    # to billions of steps, and near 1e-320 no probe can classify
+    if not _MIN_TOL <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least {_MIN_TOL}, "
+                         f"got {tol}")
     s_span = (_PROBE_DIAMETERS + 2.0) * dk.support_diameter
-    return 16 * max(20000, int(8.0 * s_span / max(tol, 1e-6)))
+    return 16 * max(20000, int(8.0 * s_span / tol))
 
 
 def _front_iterates(c, psi: Profile1D, k1: Kernel1D, p: Params):
@@ -201,7 +205,7 @@ def _bisect(k1: Kernel1D, psi: Profile1D, p: Params, tol: float, d: float,
     of marginal k1 over [-d - 1, d + 1], d the kernel diameter, down to
     a bracket of width tol, and the recursion steps it ran.  It takes
     the 1D marginal and the hump, not the 2D kernel, so it pickles small
-    and build_phi can run it on a worker process."""
+    and _bisect_at_once can run it on a worker process."""
     probe_tol = min(tol, 1e-2)
     lo, hi = -d - 1.0, d + 1.0
     trace, steps = [], 0
@@ -227,47 +231,35 @@ def _bisect(k1: Kernel1D, psi: Profile1D, p: Params, tol: float, d: float,
     return tuple(trace), (lo, hi), steps
 
 
+def _bisect_at_once(dirs, dk: DiscreteKernel, p: Params, tol: float) -> list:
+    """The (trace, bracket, steps) of the bisection of each direction of
+    dirs, in order.  The bisection sees a direction only through its
+    line marginal, and the distinct marginals are bisected at once by
+    chunks.map_processes; a direction whose marginal equals an earlier
+    one's gets that trace and bracket with 0 steps, so the steps add up
+    to those run."""
+    budget, psi = _budget(dk, tol), _hump(dk, p)
+    keys, tasks = [], {}
+    for xi in dirs:
+        k1 = marginal_1d(dk, unit_direction(xi), psi.delta)
+        keys.append(k1.masses.tobytes())
+        tasks.setdefault(keys[-1],
+                         (k1, psi, p, tol, dk.support_diameter, budget))
+    runs = dict(zip(tasks, chunks.map_processes(_bisect, tasks.values())))
+    return [runs[key] if keys.index(key) == i else runs[key][:2] + (0,)
+            for i, key in enumerate(keys)]
+
+
 def estimate_cstar(xi, dk: DiscreteKernel, p: Params, tol: float = 0.01, *,
-                   memo: dict | None = None) -> SpeedResult:
+                   bisection: tuple | None = None) -> SpeedResult:
     """Bisect the trial-speed class over [-d(k)-1, d(k)+1] down to a
     bracket of width tol; c_star is reported as the bracket's upper end,
-    so c_lo < c* <= c_star.
-
-    The bisection sees xi only through its line marginal.  ``memo`` is
-    a dict owned by the caller, shared only between calls that differ
-    in xi alone: it maps the marginal's mass bytes to the bisection's
-    (trace, bracket, steps not yet reported).  A direction whose
-    marginal is in it gets that trace and bracket back, with those
-    steps as ``iterations``, and leaves 0 for the next direction, so
-    ``iterations`` counts the steps on a marginal's first direction.
-    """
-    budget, psi = _budget(dk, tol), _hump(dk, p)
-    xi = unit_direction(xi)
-    k1 = marginal_1d(dk, xi, psi.delta)
-    key = k1.masses.tobytes()
-    if memo is not None and key in memo:
-        trace, bracket, steps = memo[key]
-    else:
-        trace, bracket, steps = _bisect(k1, psi, p, tol,
-                                        dk.support_diameter, budget)
-    if memo is not None:
-        memo[key] = (trace, bracket, 0)
-    return SpeedResult(xi=xi, bracket=bracket, iterations=steps,
-                       trace=list(trace))
-
-
-def _bisect_at_once(dirs, dk: DiscreteKernel, p: Params, tol: float) -> dict:
-    """An estimate_cstar memo holding the bisection of each distinct line
-    marginal of dirs, the bisections run at once by
-    chunks.map_processes."""
-    budget, psi = _budget(dk, tol), _hump(dk, p)
-    tasks = {}
-    for xi in dirs:
-        # the key estimate_cstar computes, from the same unit vector
-        k1 = marginal_1d(dk, unit_direction(xi), psi.delta)
-        tasks.setdefault(k1.masses.tobytes(),
-                         (k1, psi, p, tol, dk.support_diameter, budget))
-    return dict(zip(tasks, chunks.map_processes(_bisect, tasks.values())))
+    so c_lo < c* <= c_star.  ``bisection`` is xi's (trace, bracket,
+    steps) from _bisect_at_once when the caller has run it, and is then
+    only wrapped."""
+    trace, bracket, steps = bisection or _bisect_at_once([xi], dk, p, tol)[0]
+    return SpeedResult(xi=unit_direction(xi), bracket=bracket,
+                       iterations=steps, trace=list(trace))
 
 
 def check_tracking(xi, steps: int) -> np.ndarray:
@@ -382,9 +374,10 @@ def build_phi(xi1, xi2, xi3, dk: DiscreteKernel, p: Params, n: int = 4,
     dirs = validate_direction_triple([xi1, xi2, xi3])
     # directions with identical line marginals (reflections of one
     # another for the symmetric kernels) share one bisection
-    memo = _bisect_at_once(dirs, dk, p, speed_tol)
-    speeds = tuple(estimate_cstar(x, dk, p, tol=speed_tol, memo=memo).c_star
-                   for x in dirs)
+    runs = _bisect_at_once(dirs, dk, p, speed_tol)
+    speeds = tuple(
+        estimate_cstar(x, dk, p, tol=speed_tol, bisection=run).c_star
+        for x, run in zip(dirs, runs))
     if min(speeds) <= 0.0:
         raise ValueError(f"all three directions need positive speed, "
                          f"got {speeds}")

@@ -6,8 +6,8 @@ region queries, the box rectangles, a region-set snapshot, uncached
 oracles of the region set's event loop and of the containment audit,
 probe-by-probe references of the point-process checks, the phase-scan
 threshold read-off, the bistability test, the density map's
-derivative, and the readers and writers of the library's files and
-values that no subcommand calls.  No subcommand writes any of their
+derivative, a hydro start from a formula, and the readers and writers
+of the library's files and values that no subcommand calls.  No subcommand writes any of their
 numbers, so they live here and not in the library."""
 
 import json
@@ -243,13 +243,20 @@ def probe_start(xi, dk, p):
 def classify_speed(c: float, xi, dk, p, tol: float = 1e-3) -> str:
     """Decide whether the trial speed c lies below c*(xi): one probe of
     the bisection in wavespeed.estimate_cstar, with its step budget."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not math.isfinite(c):  # the shift must reach a finite distance
         raise ValueError(f"trial speed c must be finite, got {c}")
     psi, k1 = probe_start(xi, dk, p)
     return wavespeed._classify(c, psi, k1, p, tol,
                                wavespeed._budget(dk, tol))[0]
+
+
+def field_start(fn, W: float, L: int) -> Field2D:
+    """fn(x, y) on the nodes of the (W, L) window as a hydro start.
+    hydro_convergence resamples it at each L of its list; at an L that
+    divides this one, the nearest node of x = i/L is the node at x."""
+    xs = np.arange(lattice.window_side(W, L)) / L
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    return Field2D(L, fn(gx, gy))
 
 
 def holders(rs, points, t: float):

@@ -26,7 +26,8 @@ from qcp.wavespeed import (AT_OR_ABOVE, BELOW, estimate_cstar,
 
 from conftest import seeded
 from helpers import (bistable, classify_speed, corner_expectation,
-                     corner_step, is_monotone, threshold_estimate)
+                     corner_step, field_start, is_monotone,
+                     threshold_estimate)
 from test_comparison import FineStepOracle, random_acute_normals, small_cfg
 
 
@@ -198,8 +199,9 @@ class TestAcceptance:
                                L_list=(50, 100, 200, 400), gamma=0.3,
                                W=4.0, steps=5,
                                seeds=tuple(range(201, 211)))
-        u0 = lambda x, y: 0.55 + 0.12 * np.cos(2 * np.pi * x / 4.0) \
-            * np.cos(2 * np.pi * y / 4.0)
+        u0 = field_start(lambda x, y: 0.55 + 0.12
+                         * np.cos(2 * np.pi * x / 4.0)
+                         * np.cos(2 * np.pi * y / 4.0), cfg.W, 400)
         rows = hydro_convergence(cfg, u0)
         by_seed = {}
         for r in rows:

@@ -340,16 +340,14 @@ def test_no_thread_or_process_outlives_its_call(chunked, call, dk10, p_main,
     assert multiprocessing.active_children() == []
 
 
-# hydro_convergence with a lambda start at threads=2, in a fresh
+# a process map over a task whose argument is a lambda, in a fresh
 # interpreter, so that a hang fails the test rather than stalling the run
-_LAMBDA_U0 = """
+_UNPICKLABLE = """
 import multiprocessing, pickle
-from qcp import chunks, experiments
+from qcp import chunks
 chunks.WORKERS = 2
-cfg = experiments.ExperimentConfig(L_list=(10,), W=3.0, steps=1,
-                                   seeds=(1, 2), threads=2)
 try:
-    experiments.hydro_convergence(cfg, lambda x, y: 0.5 + 0.0 * x)
+    chunks.map_processes(divmod, [(7, 2), (lambda: 0, 1)])
 except pickle.PicklingError:
     print("PicklingError")
 assert multiprocessing.active_children() == []
@@ -359,7 +357,7 @@ assert multiprocessing.active_children() == []
 def test_unpicklable_task_raises_in_the_caller():
     # every task is pickled in the caller before any worker starts
     env = dict(os.environ, PYTHONPATH=str(Path(qcp.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _LAMBDA_U0], env=env,
+    done = subprocess.run([sys.executable, "-c", _UNPICKLABLE], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["PicklingError"]

@@ -251,7 +251,16 @@ class TestErrors:
             {"family": "truncated-gaussian",
              "params": {"sigma": 0.5, "cutoff": True}},
             {"family": "table",
-             "params": {"entries": [[True, 0, 0.5], [-1, 0, 0.5]]}}))])
+             "params": {"entries": [[True, 0, 0.5], [-1, 0, 0.5]]}})),
+        # a bracket narrower than 1e-6: at 5e-324 and 1e-320 no probe
+        # can classify
+        ["speed", "--tol", "5e-324"], ["speed", "--tol", "1e-320"],
+        ["speed", "--tol", "1e-7"],
+        # a seed is one 64-bit key word: outside [0, 2**64) it would run
+        # the trajectory of another seed
+        ["lattice-run", "--seed", "-1"], ["lattice-run", {"seed": 2 ** 64}],
+        ["phase-scan", {"seeds": [1, 2 ** 64 + 1]}],
+        ["hydro", {"seeds": [-1]}]])
     def test_invalid_value_is_config_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
         # a trailing dict is a config document; the error names its one

@@ -20,7 +20,7 @@ from qcp.kernel import discretize
 from qcp.mean_field import Params, equilibria
 from qcp.rng import LatticeRng, stream
 
-from helpers import (property5_reference, property6_reference,
+from helpers import (field_start, property5_reference, property6_reference,
                      threshold_estimate, window_counts_reference)
 
 
@@ -96,8 +96,8 @@ class TestHydro:
 
     def test_errors_shrink_with_l(self):
         cfg = small_cfg(L_list=(10, 40), steps=3, seeds=(5,))
-        u0 = lambda x, y: 0.55 + 0.12 * np.cos(np.pi * x / 1.5) \
-            * np.cos(np.pi * y / 1.5)
+        u0 = field_start(lambda x, y: 0.55 + 0.12 * np.cos(np.pi * x / 1.5)
+                         * np.cos(np.pi * y / 1.5), cfg.W, 40)
         rows = hydro_convergence(cfg, u0)
         assert rows[0]["sup_S_err"] > rows[1]["sup_S_err"]
 
@@ -114,7 +114,7 @@ class TestHydro:
     @pytest.mark.parametrize("threshold", [0, 10 ** 9], ids=["fft", "direct"])
     def test_constant_start_holds_no_grid(self, threshold, monkeypatch):
         # a read-only view of the number; its rows are those of the same
-        # density as a grid to resample and as a callable, bit for bit
+        # density as a grid to resample, bit for bit
         monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", threshold)
         vals = experiments._field_values(0.37, 30, 10)
         assert vals.shape == (30, 30) and vals.strides == (0, 0)
@@ -123,8 +123,6 @@ class TestHydro:
         want = repr(hydro_convergence(cfg, 0.37))
         grid = Field2D(10, np.full((30, 30), 0.37))
         assert repr(hydro_convergence(cfg, grid)) == want
-        assert repr(hydro_convergence(
-            cfg, lambda x, y: np.full_like(x, 0.37))) == want
 
 
 def phase_scan_oracle(cfg, init="all_ones", square_side=2.0):

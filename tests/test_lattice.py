@@ -17,7 +17,7 @@ from qcp.lattice import (BoxStats, LatticeState, _pass, box_side_sites,
                          window_side)
 from qcp.mean_field import Params
 from qcp.rng import (PHASE_ATTEMPT, PHASE_DEATH, PHASE_INIT, PHASE_NEIGHBOR,
-                     PHASE_OFFSET, LatticeRng, below, unit, words)
+                     PHASE_OFFSET, LatticeRng, below, stream, unit, words)
 
 from helpers import (corner_expectation, corner_step, coupling_discrepancy,
                      load_snapshot, step_coins, wrapped_parents)
@@ -332,6 +332,17 @@ class TestCoins:
         coin = unit(w)
         assert np.array_equal(w < bound, coin < p)
         assert np.array_equal(w >> 62, np.floor(4 * coin).astype(np.uint64))
+
+    # a seed is one 64-bit key word: masked, 2**64 + 1 would run seed 1
+    # and -1 would run 2**64 - 1
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seeds"):
+            LatticeRng(seed)
+        with pytest.raises(ValueError, match="seeds"):
+            stream(seed, 0, PHASE_ATTEMPT)
+        with pytest.raises(ValueError, match="seeds"):
+            words(seed, 0, PHASE_ATTEMPT, 0, 4)
 
 
 class TestCoinGenerator:

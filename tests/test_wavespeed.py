@@ -218,7 +218,10 @@ class TestSettings:
 
         monkeypatch.setattr(wavespeed, "_classify", refuse)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    # below 1e-6 the budget runs to billions of steps (7,964,850,768 at
+    # 1e-7), and near 1e-320 no probe can classify
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 5e-324,
+                                     1e-320, 1e-7])
     def test_bad_tol_rejected(self, dk8, p_main, tol):
         with pytest.raises(ValueError, match="tol"):
             estimate_cstar((1.0, 0.0), dk8, p_main, tol=tol)
@@ -288,28 +291,28 @@ class TestBitIdentical:
             estimate_cstar((1.0, 0.0), dk8, p_main, tol=0.01)
 
     # the budget when it was 16 times the max_iter option's default:
-    # tol 0.05 takes the 20,000 floor and 1e-7 the 1e-6 clamp
+    # tol 0.05 takes the 20,000 floor
     @pytest.mark.parametrize("tol, steps", [
-        (0.05, 320000), (0.01, 796480), (1e-3, 7964848),
-        (1e-7, 7964850768)])
+        (0.05, 320000), (0.01, 796480), (1e-3, 7964848)])
     def test_budget_unchanged(self, dk8, tol, steps):
         assert wavespeed._budget(dk8, tol) == steps
 
-    def test_memo_keeps_directions_apart(self, dk8, p_main):
+    def test_repeated_marginal_bisected_once(self, dk8, p_main):
+        # 165 and 285 degrees have one line marginal: the later direction
+        # gets the earlier one's trace and bracket, with 0 steps
         dirs = default_directions()
-        memo = {}
-        estimate_cstar(dirs[0], dk8, p_main, tol=0.05, memo=memo)
-        shared = estimate_cstar(dirs[1], dk8, p_main, tol=0.05, memo=memo)
-        fresh = estimate_cstar(dirs[1], dk8, p_main, tol=0.05)
-        assert len(memo) == 2
-        assert shared.trace == fresh.trace
-        assert shared.bracket == fresh.bracket
-        assert shared.c_star == fresh.c_star
-        assert shared.iterations == fresh.iterations > 0
-        hit = estimate_cstar(dirs[2], dk8, p_main, tol=0.05, memo=memo)
-        assert hit.iterations == 0
-        assert hit.trace == fresh.trace and hit.bracket == fresh.bracket
-        assert np.array_equal(hit.xi, dirs[2])
+        runs = wavespeed._bisect_at_once(dirs, dk8, p_main, 0.05)
+        assert runs[2] == runs[1][:2] + (0,)
+        fresh = [estimate_cstar(xi, dk8, p_main, tol=0.05) for xi in dirs]
+        wrapped = [estimate_cstar(xi, dk8, p_main, tol=0.05, bisection=run)
+                   for xi, run in zip(dirs, runs)]
+        assert fresh[2].iterations == fresh[1].iterations > 0
+        assert [w.iterations for w in wrapped] == [
+            fresh[0].iterations, fresh[1].iterations, 0]
+        for w, f in zip(wrapped, fresh):
+            assert (w.trace, w.bracket, w.c_star) == (f.trace, f.bracket,
+                                                      f.c_star)
+            assert np.array_equal(w.xi, f.xi)
 
 
 class TestWindowedRecursion:
@@ -457,7 +460,7 @@ class TestPhi:
         monkeypatch.setattr(wavespeed, "weinberger_step", refuse)
         # no bisection: the speeds come from the stub alone
         monkeypatch.setattr(wavespeed, "_bisect_at_once",
-                            lambda *args: {})
+                            lambda *args: [None] * 3)
         for c_star in (0.0, -0.05):
             monkeypatch.setattr(
                 wavespeed, "estimate_cstar",
@@ -482,7 +485,7 @@ class TestPhi:
         monkeypatch.setattr(wavespeed, "_check_domination",
                             lambda *args, **kwargs: (False, []))
         monkeypatch.setattr(wavespeed, "_bisect_at_once",
-                            lambda *args: {})
+                            lambda *args: [None] * 3)
         monkeypatch.setattr(wavespeed, "estimate_cstar",
                             lambda xi, *args, **kwargs: wavespeed.SpeedResult(
                                 xi=xi, bracket=(0.17, 0.18), iterations=0))
