@@ -47,15 +47,21 @@ WORKERS = min(_cores(), _MAX_WORKERS)
 START_METHOD = "fork" if sys.platform.startswith("linux") else None
 
 
-def run(body, n: int, width: int = 1) -> list:
-    """``[body(a, b), ...]`` over ranges [a, b) that tile range(n) in
-    order, each of about CHUNK sites at ``width`` sites per line (one
-    ``body(0, n)`` when the grid holds at most CHUNK sites): on a pool
-    of WORKERS threads, open for this pass only, when there are two or
-    more of both, else inline."""
+def spans(n: int, width: int = 1) -> list:
+    """The ranges (a, b) that tile range(n) in order, each of about
+    CHUNK sites at ``width`` sites per line: one (0, n) when the grid
+    holds at most CHUNK sites.  A call that builds a large array it
+    does not keep may build it over these, inline, so that its
+    temporaries stay of this size."""
     lines = max(1, CHUNK // width)
-    starts = range(0, max(n, 1), lines)
-    ends = [min(a + lines, n) for a in starts]
+    return [(a, min(a + lines, n)) for a in range(0, max(n, 1), lines)]
+
+
+def run(body, n: int, width: int = 1) -> list:
+    """``[body(a, b), ...]`` over ``spans(n, width)``: on a pool of
+    WORKERS threads, open for this pass only, when there are two or
+    more of both, else inline."""
+    starts, ends = zip(*spans(n, width))
     if WORKERS < 2 or len(ends) < 2:
         return list(map(body, starts, ends))
     # imported here: it loads logging, and most runs never cut a grid

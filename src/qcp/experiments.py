@@ -96,10 +96,12 @@ def hydro_convergence(cfg: ExperimentConfig, u0) -> list:
     for L, side in zip(cfg.L_list, hydro_sides(cfg)):
         dk = discretize(cfg.kernel, L)
         u_n = evolve(Field2D(L, _field_values(u0, side, L)), dk, cfg.params,
-                     cfg.steps)[cfg.steps]
-        # the density at each box's lower corner, which the errors read
+                     cfg.steps)[cfg.steps].values
+        # the density at each box's lower corner, which the errors read:
+        # a copy, so the recursion's field is freed before the seeds run
         b = lattice.box_side_sites(L, cfg.gamma)
-        corners = u_n.values[0:side // b * b:b, 0:side // b * b:b]
+        corners = u_n[0:side // b * b:b, 0:side // b * b:b].copy()
+        del u_n
         rows.extend(chunks.map_processes(_hydro_seed, [
             (cfg, dk, side, u0, corners, seed) for seed in cfg.seeds],
             cfg.threads))

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import chunks
+
 FAMILIES = ("uniform-square", "truncated-gaussian", "table")
 
 # 1e-9: continuum normalisation check; 1e-12: discrete mass-sum invariant.
@@ -124,8 +126,8 @@ class DiscreteKernel:
 
     A kernel holds its offsets and masses; the sampling tables of
     ``sample_indices`` (the CDF, cumsum(masses), and the bucket table:
-    9 MB at L = 400, beside 15 MB of offsets and masses) are built by
-    ``build_tables``, which a lattice pass calls before it runs, or at
+    8.9 MiB at L = 400, beside 14.7 MiB of offsets and masses) are built
+    by ``build_tables``, which a lattice pass calls before it runs, or at
     the first draw, so the density recursion and the speed layer, which
     read only offsets and masses, never hold them.
     """
@@ -144,7 +146,7 @@ class DiscreteKernel:
     def build_tables(self) -> None:
         """Build _cdf, _guide and _steps, once.  A lattice step calls
         this in its own thread before its pass: a pass's threads are new
-        at every pass, and a build on one of them (35 MB at its peak at
+        at every pass, and a build on one of them (10.7 MiB at its peak at
         L = 400) would stay in whichever malloc arena that thread drew.
         Any threads may still draw at once, so the build is under a lock;
         _steps is assigned last, so a kernel whose _steps is set holds
@@ -192,17 +194,27 @@ def _sampling_tables(masses: np.ndarray):
     table ``guide`` and the halvings ``steps`` a search takes past it.
 
     m is the smallest power of two >= n, and guide[k] counts the entries
-    with floor(cdf * m) < k, so it is i for k in (bucket[i-1], bucket[i]].
-    Built by repeats and held as int32, it needs no int64 array of m
-    entries."""
+    with floor(cdf * m) < k, held as int32.  As m is a power of two,
+    cdf * m is exact: the entries in buckets [p, q) are the rows with
+    p / m <= cdf < q / m, which two searches find.  guide is built over
+    spans of buckets, each counting its rows by bucket over spans of
+    rows (see chunks.spans), so no array of n or m entries is made but
+    the two tables."""
     cdf = np.cumsum(masses)
     n = len(cdf)
     m = 1 << max(n - 1, 0).bit_length()
-    bucket = np.minimum(cdf * m, m).astype(np.int64)
-    runs = np.diff(bucket, prepend=-1, append=m)
-    guide = np.repeat(np.arange(n + 1, dtype=np.int32), runs)
-    # most entries in one bucket, the entries at or above 1 included
-    fill = int(np.diff(guide, append=n).max())
+    guide = np.empty(m + 1, np.int32)
+    guide[m] = below = int(np.searchsorted(cdf, 1.0))
+    # the most entries in one bucket, from bucket m: those at or above 1
+    fill = n - below
+    for p, q in chunks.spans(m):
+        lo, hi = np.searchsorted(cdf, (p / m, q / m))
+        counts = np.zeros(q - p, np.intp)
+        for a, b in chunks.spans(hi - lo):
+            bucket = (cdf[lo + a:lo + b] * m).astype(np.intp)
+            counts += np.bincount(bucket - p, minlength=q - p)
+        fill = max(fill, int(counts.max()))
+        guide[p:q] = lo + np.cumsum(counts) - counts
     return cdf, guide, fill.bit_length()
 
 
@@ -219,27 +231,30 @@ def _symmetrise(grid: np.ndarray, imax: int):
     fsum(4x) / 4 == x, so only the other cells go through fsum.  The
     support is the union of the reflection orbits of positive cells.
     Both are reflection-invariant, so they are worked out on the quadrant
-    i, j >= 0 and mirrored.
+    i, j >= 0 and read back at (|i|, |j|), over spans of the grid's rows
+    (see chunks.spans).
     """
     halves = (slice(imax, None), slice(imax, None, -1))
-    views = [(rows, cols) for rows in halves for cols in halves]
-    refl = [grid[v] for v in views]
+    refl = [grid[rows, cols] for rows in halves for cols in halves]
     quad = refl[0].copy()
     odd = (quad != refl[1]) | (quad != refl[2]) | (quad != refl[3])
     rows = zip(*(r[odd].tolist() for r in refl))
     quad[odd] = np.fromiter(map(math.fsum, rows), float,
                             count=int(odd.sum())) / 4.0
     live = np.maximum.reduce(refl) > 0
-    sym = np.empty_like(grid)
-    keep = np.empty(grid.shape, dtype=bool)
-    for v in views:
-        sym[v] = quad
-        keep[v] = live
-    # nonzero() walks the grid in row-major order, which is the
-    # lexicographic order of offsets
-    ii, jj = np.nonzero(keep)
-    offsets = np.stack([ii - imax, jj - imax], axis=1).astype(np.int64)
-    return offsets, sym[ii, jj]
+    fold = np.abs(np.arange(-imax, imax + 1))   # a grid index's quadrant one
+    n = np.count_nonzero(live[np.ix_(fold, fold)])
+    offsets, masses, at = np.empty((n, 2), np.int64), np.empty(n), 0
+    for a, b in chunks.spans(len(fold), len(fold)):
+        # nonzero() walks the rows in row-major order, which is the
+        # lexicographic order of offsets
+        ii, jj = np.nonzero(live[np.ix_(fold[a:b], fold)])
+        ii += a
+        k = at + len(ii)
+        offsets[at:k, 0], offsets[at:k, 1] = ii - imax, jj - imax
+        masses[at:k] = quad[fold[ii], fold[jj]]
+        at = k
+    return offsets, masses
 
 
 def discretize(spec: KernelSpec, L: int) -> DiscreteKernel:
@@ -284,7 +299,7 @@ def discretize(spec: KernelSpec, L: int) -> DiscreteKernel:
         np.add.at(grid, (ii + imax, jj + imax), m)
 
     offsets, masses = _symmetrise(grid, imax)
-    masses = masses / masses.sum()
+    masses /= masses.sum()
     return DiscreteKernel(L=L, offsets=offsets, masses=masses)
 
 

@@ -6,7 +6,8 @@ region queries, the box rectangles, a region-set snapshot, uncached
 oracles of the region set's event loop and of the containment audit,
 probe-by-probe references of the point-process checks, the phase-scan
 threshold read-off, the bistability test, the density map's
-derivative, a hydro start from a formula, and the readers and writers
+derivative, a hydro start from a formula, the sampling tables built at
+once, and the readers and writers
 of the library's files and values that no subcommand calls.  No subcommand writes any of their
 numbers, so they live here and not in the library."""
 
@@ -39,6 +40,20 @@ PHASE_SECOND_NEIGHBOR = PHASE_INIT
 # the neighbour order of a lattice step's parents: +e1, -e1, +e2, -e2
 NBR_DI = np.array([1, -1, 0, 0])
 NBR_DJ = np.array([0, 0, 1, -1])
+
+
+def sampling_tables_reference(masses):
+    """kernel._sampling_tables built at once: the CDF, the bucket table
+    by repeats of each entry over its run of buckets, and the halvings
+    past it, from the most entries in one bucket."""
+    cdf = np.cumsum(masses)
+    n = len(cdf)
+    m = 1 << max(n - 1, 0).bit_length()
+    bucket = np.minimum(cdf * m, m).astype(np.int64)
+    runs = np.diff(bucket, prepend=-1, append=m)
+    guide = np.repeat(np.arange(n + 1, dtype=np.int32), runs)
+    fill = int(np.diff(guide, append=n).max())
+    return cdf, guide, fill.bit_length()
 
 
 def step_coins(rng, n: int, side: int) -> list:

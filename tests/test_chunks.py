@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,54 @@ def test_hydro_from_a_constant_holds_three_grids(chunked, square_spec,
     bands = 8 * chunks.CHUNK * 16
     assert peak <= 3 * n * n * 8 + dk.offsets.nbytes + dk.masses.nbytes \
         + bands
+
+
+def test_kernel_temporaries_are_chunk_sized(square_spec):
+    # beside what each keeps, the symmetrised kernel holds its quadrant
+    # and the tables nothing, plus temporaries over spans of CHUNK
+    # entries: 0.82 grids above the offsets and masses of a symmetric
+    # 801^2 grid (4.44 when built at once), and 1.8 MiB above the
+    # tables at L = 200 (6.45 MiB)
+    w = 1.0 - np.abs(np.arange(-400, 401)) / 401
+    grid = np.outer(w, w)
+    dk = discretize(square_spec, 200)
+    tracemalloc.start()
+    try:
+        offsets, masses = kernel._symmetrise(grid, 400)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dk.build_tables()
+        tables = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert built - offsets.nbytes - masses.nbytes < grid.nbytes
+    assert tables - dk._cdf.nbytes - dk._guide.nbytes < 3 << 20
+
+
+def test_hydro_frees_the_recursion_field_before_the_seeds(square_spec,
+                                                          monkeypatch):
+    # the seeds read a copy of the box-corner values, so no view keeps
+    # the recursion's last field alive through the lattice runs
+    fields, alive = [], []
+    evolve, seed = experiments.evolve, experiments._hydro_seed
+
+    def spy_evolve(*args):
+        out = evolve(*args)
+        fields.extend(weakref.ref(u.values) for u in out.values())
+        return out
+
+    def spy_seed(*args):
+        alive.append([ref() is not None for ref in fields])
+        return seed(*args)
+
+    monkeypatch.setattr(experiments, "evolve", spy_evolve)
+    monkeypatch.setattr(experiments, "_hydro_seed", spy_seed)
+    cfg = experiments.ExperimentConfig(L_list=(8,), W=8.0, steps=2,
+                                       seeds=(1, 2), kernel=square_spec,
+                                       threads=1)
+    experiments.hydro_convergence(cfg, 0.5)
+    assert alive == [[False], [False]]
 
 
 @pytest.mark.parametrize("chunked", [(1, 1 << 12)], indirect=True)

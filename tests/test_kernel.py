@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcp import ide, kernel
+from qcp import chunks, ide, kernel
 from qcp.ide import Field2D
 from qcp.kernel import (DiscreteKernel, Kernel1D, KernelSpec, _symmetrise,
                         build_kernel, density, discretize, marginal_1d)
 
 from conftest import seeded
-from helpers import kernel_spec_json, kernel_to_csv
+from helpers import kernel_spec_json, kernel_to_csv, sampling_tables_reference
 
 
 def overlap_area(cell, square):
@@ -332,7 +332,34 @@ class TestMarginal:
         assert masses.tobytes() == masses[::-1].tobytes()
 
 
+def _table_masses(kind: str, n: int) -> np.ndarray:
+    """Masses of n entries: a fifth of them zero; scaled so the cumsum
+    ends at 1.25, a fifth of the entries at or above 1; or one mass of
+    0.3 and then n - 2 of 1e-9, all in one bucket."""
+    gen = seeded(n)
+    if kind == "one bucket":
+        masses = np.full(n, 1e-9)
+        masses[0] = 0.3
+        masses[-1] = 1.0 - masses[:-1].sum()
+        return masses
+    masses = gen.random(n)
+    masses[gen.random(n) < 0.2] = 0.0
+    return masses / masses.sum() * (1.25 if kind == "above one" else 1.0)
+
+
 class TestSamplingTables:
+    @pytest.mark.parametrize("kind", ["zeros", "above one", "one bucket"])
+    @pytest.mark.parametrize("n", [1, chunks.CHUNK - 1, chunks.CHUNK,
+                                   chunks.CHUNK + 1, 3 * chunks.CHUNK + 5])
+    def test_spans_match_the_one_shot_build(self, kind, n):
+        masses = _table_masses(kind, n)
+        cdf, guide, steps = kernel._sampling_tables(masses)
+        want = sampling_tables_reference(masses)
+        assert cdf.tobytes() == want[0].tobytes()
+        assert guide.dtype == want[1].dtype
+        assert guide.tobytes() == want[1].tobytes()
+        assert steps == want[2]
+
     @pytest.mark.parametrize("threshold", [0, 10 ** 9], ids=["fft", "direct"])
     def test_only_draws_build_them(self, threshold, square_spec, p_main,
                                    monkeypatch):

@@ -396,6 +396,16 @@ class TestTracking:
         c = front_speed_tracking((1.0, 0.0), dk8, Params(1.0, 0.0), steps=40)
         assert c >= 0.0
 
+    @pytest.mark.xfail(strict=True, reason="the bisection bracket lies "
+                       "below the tracked speed (ROADMAP item 1)")
+    def test_fine_bracket_holds_the_tracked_speed(self, dk8):
+        # the bisection returns (0.177588, 0.179458], and tracking puts
+        # c* at 0.182544, above it
+        p = Params(1.0, 0.05)
+        res = estimate_cstar((1.0, 0.0), dk8, p, tol=0.002)
+        c = front_speed_tracking((1.0, 0.0), dk8, p, steps=400)
+        assert res.bracket[0] < c <= res.bracket[1]
+
 
 
 class TestPhi:
