@@ -5,7 +5,10 @@ node (i, j) at (i/L, j/L): a torus, or a window that reads one clamp
 number outside it.  The kernel convolution is evaluated either by
 direct summation over the (finite) kernel support, which is bit-exactly
 translation equivariant, or through FFTs for large supports (identical
-to the direct path within 1e-12).
+to the direct path within 1e-12).  The FFT path keeps the kernel as the
+transforms of its grid's distinct rows and builds its half spectrum one
+band at a time, so a step holds two grids: the field and its own half
+spectrum.
 Both wrap a kernel wider than a periodic window around its torus, as
 the lattice's parent draw does.  The 1D path evolves plane-wave
 profiles under the same operator via the kernel's line marginal.
@@ -26,9 +29,10 @@ from .mean_field import Params, mf_step
 # direct summation above this support size costs more than FFTs
 _FFT_SUPPORT_THRESHOLD = 400
 
-# Inside an evolve call: a list holding the kernel spectrum once the
-# first step has computed it; None elsewhere.  Every step of one call
-# correlates the same kernel on the same grid, so later steps reuse it.
+# Inside an evolve call: a list holding the kernel's spectrum pair (see
+# _spectrum) once the first step has computed it; None elsewhere.
+# Every step of one call correlates the same kernel on the same grid,
+# so later steps reuse it.
 _evolve_spectrum: ContextVar[list | None] = ContextVar("evolve_spectrum",
                                                        default=None)
 
@@ -94,10 +98,17 @@ def _padded_correlate_sq(u: Field2D, dk: DiscreteKernel) -> np.ndarray:
     return acc
 
 
-def _spectrum(dk: DiscreteKernel, shape) -> np.ndarray:
-    """The kernel's half spectrum on the torus of this shape; inside an
-    evolve call, the one its first step computed.  The kernel grid
-    lives only in here, so it is gone before a field's arrays exist."""
+def _spectrum(dk: DiscreteKernel, shape) -> tuple:
+    """The kernel's transform on the torus of this shape, as the pair
+    ``(rows, rowmap)``: ``rows`` holds the ``rfft`` of each distinct row
+    of the kernel grid, and grid row i is the one at ``rowmap[i]``.
+    Rows are compared by their bytes, and equal bytes have equal
+    transforms, so _rfft2 builds any band of the half spectrum from the
+    pair.  A discretised kernel has few distinct rows (9 of 1,600 for
+    a uniform square at L = 400), so the pair is far smaller than a
+    grid.  Inside an evolve call, the pair its first step computed.  The
+    kernel grid lives only in here, so it is gone before a field's
+    arrays exist."""
     memo = _evolve_spectrum.get()
     if memo:
         return memo[0]
@@ -107,53 +118,61 @@ def _spectrum(dk: DiscreteKernel, shape) -> np.ndarray:
     nodes = dk.offsets[:, 0] % nx * ny + dk.offsets[:, 1] % ny
     kern = np.bincount(nodes, weights=dk.masses,
                        minlength=nx * ny).reshape(shape)
-    spectrum = _rfft2(kern)
+    first = {}     # a row's bytes -> the first row with them
+    firsts, rowmap = np.unique([first.setdefault(row.tobytes(), i)
+                                for i, row in enumerate(kern)],
+                               return_inverse=True)
+    spectrum = np.fft.rfft(kern[firsts], axis=1), rowmap
     if memo is not None:
         memo.append(spectrum)
     return spectrum
 
 
-def _rfft2(a: np.ndarray, spectrum=None, p: Params | None = None,
-           out=None, crop: int = 0) -> np.ndarray:
-    """The half spectrum ``rfft2(a)``; given a kernel ``spectrum`` and
-    p, one operator step on the torus of a's shape instead.  Three
-    passes in bands across the cores (see chunks), with numpy's bits for
-    the whole grid:
+def _rfft2(a: np.ndarray, spectrum: tuple, p: Params, out=None,
+           crop: int = 0) -> np.ndarray:
+    """One operator step on the torus of a's shape, given the kernel's
+    ``spectrum`` pair from _spectrum.  Three passes in bands across the
+    cores (see chunks), with numpy's bits for the whole grid:
 
-    1. bands of rows: ``rfft`` of a's rows (of a * a, given p);
-    2. bands of columns: ``fft``; given a spectrum, each band is then
-       multiplied by it and taken back through ``ifft``;
-    3. given a spectrum, bands of rows: ``irfft``, which leaves the
-       correlation ``irfft2(rfft2(a * a) * spectrum)``, cropped by
+    1. bands of rows: ``rfft`` of the rows of a * a, into the half
+       spectrum;
+    2. bands of columns: ``fft``; the product with the kernel's half
+       spectrum on the band, which is the ``fft`` of the band's columns
+       of ``rows[rowmap]``; then ``ifft``;
+    3. bands of rows: ``irfft``, which leaves the correlation
+       ``irfft2(rfft2(a * a) * rfft2(kernel grid))``, cropped by
        ``crop`` nodes at every edge, then ``_image`` at the same nodes
        of a, written into ``out`` (a new grid if None).
 
     Pass 1 reads every row of a before pass 3 writes any, so out may be
-    a itself.  The buffers made in the bands are band-sized."""
+    a itself.  The half spectrum is the one grid made beside a and out;
+    the buffers made in the bands, the kernel's among them, are
+    band-sized."""
     nx, ny = a.shape
+    rows, rowmap = spectrum
     half = np.empty((nx, ny // 2 + 1), complex)
 
     def rows_in(i, j):
         band = a[i:j]
-        np.fft.rfft(band if p is None else band * band, axis=1,
-                    out=half[i:j])
+        np.fft.rfft(band * band, axis=1, out=half[i:j])
 
     def columns(i, j):
         band = half[:, i:j]
         np.fft.fft(band, axis=0, out=band)
-        if spectrum is not None:
-            band *= spectrum[:, i:j]
-            np.fft.ifft(band, axis=0, out=band)
+        kernel = rows[rowmap, i:j]
+        np.fft.fft(kernel, axis=0, out=kernel)
+        # the product lands in the kernel's band: in the strided band
+        # it would need a second buffer of the band's size
+        np.multiply(band, kernel, out=kernel)
+        np.fft.ifft(kernel, axis=0, out=band)
 
     def rows_out(i, j):
-        rows = slice(i + crop, j + crop)
-        conv = np.fft.irfft(half[rows], n=ny, axis=1)[:, crop:ny - crop]
-        _image(a[rows, crop:ny - crop], conv, p, out=out[i:j])
+        band = slice(i + crop, j + crop)
+        conv = np.fft.irfft(half[band], n=ny, axis=1)[:, crop:ny - crop]
+        _image(a[band, crop:ny - crop], conv, p, out=out[i:j])
 
     chunks.run(rows_in, nx, ny)
     chunks.run(columns, half.shape[1], nx)
-    if spectrum is None:
-        return half
     if out is None:
         out = np.empty((nx - 2 * crop, ny - 2 * crop))
     chunks.run(rows_out, nx - 2 * crop, ny)

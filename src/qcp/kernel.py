@@ -282,14 +282,17 @@ def discretize(spec: KernelSpec, L: int) -> DiscreteKernel:
         cut = spec.params["cutoff"]
         imax = int(math.floor(cut * L + 0.5))
         idx = np.arange(-imax, imax + 1)
-        # midpoint rule, 4x4 subcells
+        # midpoint rule, 4x4 subcells, over spans of the grid's rows
         sub = (np.arange(4) + 0.5) / 4.0 - 0.5
         xs = idx[:, None] * h + sub[None, :] * h
         pts = xs.reshape(-1)
-        px, py = np.meshgrid(pts, pts, indexing="ij")
-        vals = density(spec, px, py)
         n = len(idx)
-        grid = vals.reshape(n, 4, n, 4).sum(axis=(1, 3)) * (h / 4.0) ** 2
+        grid = np.empty((n, n))
+        for a, b in chunks.spans(n, 16 * n):
+            px, py = np.meshgrid(pts[4 * a:4 * b], pts, indexing="ij")
+            vals = density(spec, px, py)
+            grid[a:b] = vals.reshape(b - a, 4, n, 4).sum(axis=(1, 3))
+        grid *= (h / 4.0) ** 2
     else:
         dx, dy, m = np.array(spec.params["entries"], dtype=float).T
         ii = np.floor(dx * L + 0.5).astype(np.int64)

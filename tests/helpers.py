@@ -7,16 +7,17 @@ oracles of the region set's event loop and of the containment audit,
 probe-by-probe references of the point-process checks, the phase-scan
 threshold read-off, the bistability test, the density map's
 derivative, a hydro start from a formula, the sampling tables built at
-once, and the readers and writers
-of the library's files and values that no subcommand calls.  No subcommand writes any of their
-numbers, so they live here and not in the library."""
+once, an operator step on the kernel's whole half spectrum, and the
+readers and writers of the library's files and values that no
+subcommand calls.  No subcommand writes any of their numbers, so they
+live here and not in the library."""
 
 import json
 import math
 
 import numpy as np
 
-from qcp import lattice, wavespeed
+from qcp import chunks, ide, lattice, wavespeed
 from qcp import rng as _rng
 from qcp.comparison import (_SLACK, ErrorPoint, ProfileCache, RegionSet,
                             _corner_coords, _edge_coords, _rect_in_union,
@@ -54,6 +55,44 @@ def sampling_tables_reference(masses):
     guide = np.repeat(np.arange(n + 1, dtype=np.int32), runs)
     fill = int(np.diff(guide, append=n).max())
     return cdf, guide, fill.bit_length()
+
+
+def kernel_half_spectrum(dk, shape) -> np.ndarray:
+    """The kernel's whole half spectrum ``rfft2`` on the torus of this
+    shape: the kernel grid, offsets that wrap onto one node summed, then
+    ``rfft`` of its rows and ``fft`` of its columns, in bands (see
+    chunks)."""
+    nx, ny = shape
+    nodes = dk.offsets[:, 0] % nx * ny + dk.offsets[:, 1] % ny
+    kern = np.bincount(nodes, weights=dk.masses,
+                       minlength=nx * ny).reshape(shape)
+    half = np.empty((nx, ny // 2 + 1), complex)
+
+    def rows(i, j):
+        np.fft.rfft(kern[i:j], axis=1, out=half[i:j])
+
+    def columns(i, j):
+        band = half[:, i:j]
+        np.fft.fft(band, axis=0, out=band)
+
+    chunks.run(rows, nx, ny)
+    chunks.run(columns, half.shape[1], nx)
+    return half
+
+
+def full_spectrum_step(u: Field2D, dk, p) -> np.ndarray:
+    """The values of ide.apply_Q_2d's FFT step through the kernel's
+    whole half spectrum: on u's torus, or clamped, on u padded by the
+    kernel radius with its clamp, the correlation
+    ``irfft2(rfft2(a * a) * kernel_half_spectrum)`` cropped to the
+    window, then the image."""
+    crop = 0 if u.clamp is None else dk.reach
+    a = u.values if crop == 0 else ide._padded(u, crop)
+    nx, ny = a.shape
+    half = np.fft.fft(np.fft.rfft(a * a, axis=1), axis=0)
+    half *= kernel_half_spectrum(dk, a.shape)
+    conv = np.fft.irfft(np.fft.ifft(half, axis=0), n=ny, axis=1)
+    return ide._image(u.values, conv[crop:nx - crop, crop:ny - crop], p)
 
 
 def step_coins(rng, n: int, side: int) -> list:

@@ -17,10 +17,12 @@ import pytest
 import qcp
 from qcp import chunks, experiments, ide, kernel, lattice, wavespeed
 from qcp.ide import Field2D
-from qcp.kernel import discretize, marginal_1d
+from qcp.kernel import KernelSpec, discretize, marginal_1d
 from qcp.mean_field import Params
 from qcp.rng import LatticeRng
 from qcp.wavespeed import SpeedIndeterminate
+
+from helpers import full_spectrum_step
 
 # (workers, sites per chunk): every worker count cuts the same chunks,
 # which 1 worker runs inline and in order
@@ -119,6 +121,41 @@ def test_periodic_correlate_equals_numpy_fft(chunked, shape, dk10, p_main,
         assert got.values.tobytes() == want.tobytes()
 
 
+# each at L = 10, reach 10 or 7: a uniform square, a truncated
+# gaussian and a table with atoms on rows 0, +-3 and +-7
+_ORACLE_SPECS = {
+    "square": KernelSpec("uniform-square", {"radius": 1.0}),
+    "gauss": KernelSpec("truncated-gaussian",
+                        {"sigma": 0.5, "cutoff": 1.0}),
+    "table": KernelSpec("table", {"entries": [
+        (0.0, 0.0, 0.4), (0.3, 0.2, 0.1), (-0.3, 0.2, 0.1),
+        (0.3, -0.2, 0.1), (-0.3, -0.2, 0.1), (0.7, 0.0, 0.1),
+        (-0.7, 0.0, 0.1)]}),
+}
+
+
+@pytest.mark.parametrize("chunked", [(w, c) for w in (1, 2)
+                                     for c in (12, 1 << 16)],
+                         indirect=True, ids=lambda wc: f"{wc[0]}w-{wc[1]}")
+@pytest.mark.parametrize("name", list(_ORACLE_SPECS))
+def test_distinct_rows_step_equals_the_half_spectrum_step(chunked, name,
+                                                          p_main,
+                                                          monkeypatch):
+    # the kernel's transforms of its distinct rows give the bits of a
+    # step through its whole half spectrum: on a torus, on a torus of 10
+    # rows, where rows 10 apart (square, gaussian) or -3 and 7 (table)
+    # sum into one, and on a clamped window padded by the reach
+    monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
+    dk = discretize(_ORACLE_SPECS[name], 10)
+    gen = np.random.default_rng(8)
+    for shape, clamp in (((83, 150), None), ((10, 12), None),
+                         ((40, 33), 0.3)):
+        u = Field2D(10, gen.random(shape), clamp)
+        want = whole(full_spectrum_step, u, dk, p_main)
+        got = ide.apply_Q_2d(u, dk, p_main)
+        assert got.values.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("chunked", [(3, 12)], indirect=True)
 def test_evolve_reuses_the_chunked_spectrum(chunked, dk10, p_main,
                                             monkeypatch):
@@ -157,9 +194,10 @@ def test_evolve_in_place_keeps_inputs_and_taps(chunked, taps, threshold,
 @pytest.mark.parametrize("chunked", [(2, 1 << 12), (1, 1 << 12)],
                          indirect=True)
 def test_evolve_holds_at_most_four_grids(chunked, dk8, p_main, monkeypatch):
-    # the field in progress, its half spectrum and the kernel's: three
-    # grids above the input (3.2 measured at 512^2), plus band buffers
-    # of about CHUNK sites per worker
+    # the field in progress and its half spectrum: two grids above the
+    # input, plus the kernel's transforms of its distinct rows and band
+    # buffers of about CHUNK sites per worker (2.08-2.17 grids measured
+    # at 512^2)
     monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
     n = 512
     u = Field2D(8, np.random.default_rng(5).random((n, n)))
@@ -170,7 +208,7 @@ def test_evolve_holds_at_most_four_grids(chunked, dk8, p_main, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * n * n * 8
+    assert peak <= 2.5 * n * n * 8
 
 
 @pytest.mark.parametrize("chunked", [(2, 1 << 12), (1, 1 << 12)],
@@ -179,8 +217,9 @@ def test_hydro_from_a_constant_holds_three_grids(chunked, square_spec,
                                                  monkeypatch):
     # a constant start is a broadcast view and the sampling tables wait
     # for the first lattice step, so the FFT steps hold the field in
-    # progress, its half spectrum and the kernel's (3.1 grids measured
-    # at 512^2): no start grid, plus band buffers of CHUNK sites
+    # progress and its half spectrum (2.08-2.17 grids measured at
+    # 512^2): no start grid, plus the kernel and band buffers of CHUNK
+    # sites
     monkeypatch.setattr(ide, "_FFT_SUPPORT_THRESHOLD", 0)
     n = 512
     cfg = experiments.ExperimentConfig(L_list=(8,), W=n / 8, steps=2,
@@ -194,7 +233,7 @@ def test_hydro_from_a_constant_holds_three_grids(chunked, square_spec,
         tracemalloc.stop()
     dk = discretize(square_spec, 8)
     bands = 8 * chunks.CHUNK * 16
-    assert peak <= 3 * n * n * 8 + dk.offsets.nbytes + dk.masses.nbytes \
+    assert peak <= 2 * n * n * 8 + dk.offsets.nbytes + dk.masses.nbytes \
         + bands
 
 
@@ -219,6 +258,30 @@ def test_kernel_temporaries_are_chunk_sized(square_spec):
         tracemalloc.stop()
     assert built - offsets.nbytes - masses.nbytes < grid.nbytes
     assert tables - dk._cdf.nbytes - dk._guide.nbytes < 3 << 20
+
+
+@pytest.mark.parametrize("chunked", [(1, 4), (1, 1 << 12)], indirect=True)
+def test_gaussian_subcells_per_span_of_rows(chunked):
+    # the 4x4 midpoint subcells of one grid row at a time, or of two, give
+    # the bits of one span of all 101 rows
+    spec = _ORACLE_SPECS["gauss"]
+    got = discretize(spec, 50)
+    want = whole(discretize, spec, 50)
+    assert got.offsets.tobytes() == want.offsets.tobytes()
+    assert got.masses.tobytes() == want.masses.tobytes()
+
+
+def test_gaussian_discretize_is_chunk_sized():
+    # the gaussian's 4x4 subcells are evaluated about CHUNK at a time,
+    # so discretize peaks at 8.7 MiB at L = 200, to keep 2.9 MiB
+    discretize(_ORACLE_SPECS["gauss"], 10)
+    tracemalloc.start()
+    try:
+        discretize(_ORACLE_SPECS["gauss"], 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_hydro_frees_the_recursion_field_before_the_seeds(square_spec,

@@ -149,22 +149,27 @@ class TestEvolve:
             assert np.array_equal(outs[t].values, cur.values)
 
     def test_kernel_spectrum_once_per_call(self, dk8, p_main, monkeypatch):
-        calls = []
-        rfft2 = ide._rfft2
+        # every step asks _spectrum for the kernel's pair: the first
+        # step builds it, the rest get that pair, and the next call
+        # builds its own
+        pairs = []
+        spectrum = ide._spectrum
 
-        def spy(a, *args, **kwargs):
-            calls.append(a.shape)
-            return rfft2(a, *args, **kwargs)
+        def spy(*args):
+            pairs.append(spectrum(*args))
+            return pairs[-1]
 
-        monkeypatch.setattr(ide, "_rfft2", spy)
+        monkeypatch.setattr(ide, "_spectrum", spy)
         force_fft(monkeypatch)
         u = random_field(seeded(9), n=40)
         for _ in range(2):
-            calls.clear()
             evolve(u, dk8, p_main, 5)
-            # one transform per step for the field, one for the kernel
-            assert len(calls) == 5 + 1
             assert ide._evolve_spectrum.get() is None
+        assert len(pairs) == 2 * 5
+        first, second = pairs[:5], pairs[5:]
+        assert all(pair is first[0] for pair in first)
+        assert all(pair is second[0] for pair in second)
+        assert first[0] is not second[0]
 
 
 class TestApplyQ1d:
