@@ -14,9 +14,11 @@ one they run inline, in order.  Philox draws, the numpy ufuncs,
 
 Tasks that hold the GIL, such as the bisections of ``build_phi`` and
 an experiment's seeds, run at once through ``map_processes`` instead,
-on worker processes of that call while the caller waits.  No thread or
-process outlives the call that started it, so a fork happens from a
-caller with no chunk threads.
+on worker processes of that call while the caller waits.  A one-chunk
+lattice run, whose steps run inline, draws its words ahead on a forked
+process instead (rng.producer).  No thread or process outlives the call
+or block that started it, so a fork happens from a caller with no chunk
+threads.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .experiments import ExperimentConfig
 from .ide import Field2D, evolve
 from .kernel import KernelSpec, discretize
 from .mean_field import Params, check_trace, equilibria, mean_field_trace
-from .rng import LatticeRng
+from .rng import LatticeRng, producer
 from .wavespeed import (build_phi, check_tracking, default_directions,
                         estimate_cstar, front_speed_tracking)
 
@@ -323,13 +323,14 @@ def _cmd_lattice_run(cfg) -> int:
     outdir = _out_dir(cfg)
     outputs = []
     trace = [{"n": 0, "density": state.density()}]
-    for n in range(1, cfg["steps"] + 1):
-        state, _ = lattice.step(state, dk, p, rng)
-        trace.append({"n": n, "density": state.density()})
-        if cfg["snapshot-every"] and n % cfg["snapshot-every"] == 0:
-            path = outdir / f"snapshot_{n:05d}.json"
-            lattice.save_snapshot(state, path, seed=seed, params=p)
-            outputs.append(path)
+    with producer(rng, state.occ.size, 1, cfg["steps"], p.beta < 1.0):
+        for n in range(1, cfg["steps"] + 1):
+            state, _ = lattice.step(state, dk, p, rng)
+            trace.append({"n": n, "density": state.density()})
+            if cfg["snapshot-every"] and n % cfg["snapshot-every"] == 0:
+                path = outdir / f"snapshot_{n:05d}.json"
+                lattice.save_snapshot(state, path, seed=seed, params=p)
+                outputs.append(path)
     trace_path = outdir / "density.csv"
     manifest.write_csv(trace_path, trace, ["n", "density"])
     outputs.append(trace_path)

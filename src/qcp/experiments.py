@@ -16,7 +16,7 @@ from . import chunks, comparison, lattice
 from .ide import Field2D, evolve
 from .kernel import KernelSpec, discretize
 from .mean_field import Params, equilibria
-from .rng import LatticeRng, check_seed, stream
+from .rng import LatticeRng, check_seed, producer, stream
 from .wavespeed import PhiData
 
 
@@ -113,8 +113,9 @@ def _hydro_seed(cfg: ExperimentConfig, dk, side: int, u0, corners, seed):
     cfg.steps steps against the recursion's corners."""
     p, rng = cfg.params, LatticeRng(seed)
     state = lattice.init(dk.L, side, _field_values(u0, side, dk.L), rng)
-    for _ in range(cfg.steps):
-        state, _ = lattice.step(state, dk, p, rng)
+    with producer(rng, side * side, 1, cfg.steps, p.beta < 1.0):
+        for _ in range(cfg.steps):
+            state, _ = lattice.step(state, dk, p, rng)
     stats = lattice.box_stats(state, cfg.gamma)
     s_err = float(np.max(np.abs(stats.density() - corners)))
     r_err = float(np.max(np.abs(stats.R / stats.m - corners ** 2)))
@@ -189,10 +190,11 @@ def _final_labels(B, dk, eta: float, seed: int, horizon: int, top: float):
     """B after horizon label steps of seed at eta, or once every label
     reaches top: extinct at every beta of the scan, which absorbs."""
     rng = LatticeRng(seed)
-    for n in range(horizon):
-        if B.min() >= top:
-            break
-        B = lattice.label_step(B, n, dk, eta, rng)
+    with producer(rng, B.size, 1, horizon):
+        for n in range(horizon):
+            if B.min() >= top:
+                break
+            B = lattice.label_step(B, n, dk, eta, rng)
     return B
 
 
@@ -247,13 +249,14 @@ def run_coupled(p: Params, dk, gamma: float, side: int, steps: int,
     rs = comparison.RegionSet(cfg)
     cache = comparison.ProfileCache(phi)
     points, reports = [], []
-    for n in range(1, steps + 1):
-        state, _ = lattice.step(state, dk, p, rng)
-        prev, stats = stats, lattice.box_stats(state, gamma)
-        errs = comparison.detect_errors(prev, stats, rs, cache, rng)
-        points.extend(errs)
-        rs.evolve_to(n, spawns=errs)
-        reports.append(comparison.check_containment(stats, rs))
+    with producer(rng, side * side, 1, steps, p.beta < 1.0):
+        for n in range(1, steps + 1):
+            state, _ = lattice.step(state, dk, p, rng)
+            prev, stats = stats, lattice.box_stats(state, gamma)
+            errs = comparison.detect_errors(prev, stats, rs, cache, rng)
+            points.extend(errs)
+            rs.evolve_to(n, spawns=errs)
+            reports.append(comparison.check_containment(stats, rs))
     return CoupledRunResult(seed=seed, L=dk.L, boxes=int(stats.nb ** 2),
                             points=points, reports=reports,
                             n_regions=len(rs.regions))

@@ -8,7 +8,10 @@ occupied.
 Afterwards every particle, newborns included, dies with probability
 eta.  All coins come from counter-based streams (see rng), so coupled
 runs share randomness site by site and trajectories are bit-identical
-for a fixed seed.
+for a fixed seed, whichever thread or process draws them: a pass's
+chunk threads on a large grid, or a run's coin producer on a one-chunk
+one (rng.producer).  No thread or process outlives the pass or the run
+that started it.
 """
 
 from __future__ import annotations
@@ -122,10 +125,12 @@ def _padded(a: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
     return out.ravel()
 
 
-def _pass(grid: np.ndarray, dk: DiscreteKernel, seed: int, n: int, body):
+def _pass(grid: np.ndarray, dk: DiscreteKernel, rng: _rng.LatticeRng,
+          n: int, body):
     """body(lo, hi, words, parents) on each flat site chunk [lo, hi) of
     the torus grid (see chunks), in a list.  words(phase) gives the
-    chunk's step-n words of that phase; parents(f) the values of grid at
+    chunk's step-n words of that phase, from rng.words (a view of the
+    run's coin producer, when one runs); parents(f) the values of grid at
     the parents y, z of sites lo + f, from a copy padded before any
     chunk writes grid.  The sampling tables are built in the calling
     thread (see build_tables)."""
@@ -138,7 +143,7 @@ def _pass(grid: np.ndarray, dk: DiscreteKernel, seed: int, n: int, body):
 
     def chunk(lo, hi):
         def words(phase):
-            return _rng.words(seed, n, phase, lo, hi)
+            return rng.words(n, phase, lo, hi)
 
         def parents(f):
             y = kernel_steps[dk.sample_indices(
@@ -189,7 +194,7 @@ def step(s: LatticeState, dk: DiscreteKernel, p: Params,
         np.greater(out, words(_rng.PHASE_DEATH) < below_eta, out=out)
         return len(f), np.count_nonzero(born), alive - np.count_nonzero(out)
 
-    counts = _pass(occ.reshape(side, side), dk, rng.seed, n, body)
+    counts = _pass(occ.reshape(side, side), dk, rng, n, body)
     attempted, births, deaths = map(sum, zip(*counts))
     return (LatticeState(L=s.L, time=n,
                          occ=new.reshape(side, side).view(np.uint8)),
@@ -225,7 +230,7 @@ def label_step(B: np.ndarray, time: int, dk: DiscreteKernel, eta: float,
         out[f] = born
         np.copyto(out, np.inf, where=dead)
 
-    _pass(lab, dk, rng.seed, time + 1, body)
+    _pass(lab, dk, rng, time + 1, body)
     return lab
 
 

@@ -1,8 +1,24 @@
+import os
+
 import numpy as np
 import pytest
 
 from qcp import KernelSpec, Params, build_kernel, discretize, wavespeed
 from qcp.wavespeed import build_phi, default_directions
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each test this process has no child, running or unreaped:
+    every worker process and coin producer a test starts is reaped
+    before it ends."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process "
+                + ("running" if pid == 0 else f"{pid} unreaped"))
 
 
 @pytest.fixture(scope="session")

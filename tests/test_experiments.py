@@ -1,6 +1,7 @@
 import inspect
 import math
 import multiprocessing
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +287,18 @@ class TestCoupledRuns:
             assert side % box_side_sites(L, gamma) == 0
 
 
+def stop_resource_tracker():
+    """Stop and reap the resource tracker that a spawn context starts,
+    as ResourceTracker._stop does: it would live until the interpreter
+    exits."""
+    from multiprocessing import resource_tracker
+    tracker = resource_tracker._resource_tracker
+    if tracker._fd is not None:
+        os.close(tracker._fd)       # the tracker stops at end of file
+        os.waitpid(tracker._pid, 0)
+        tracker._fd = tracker._pid = None
+
+
 class TestSeedsOnProcesses:
     """The seeds of an experiment run cfg.threads at a time on
     chunks.map_processes, with the bits of seeds run in turn."""
@@ -308,7 +321,10 @@ class TestSeedsOnProcesses:
         want = self.runs(phi_main, 1)
         monkeypatch.setattr(chunks, "WORKERS", 2)
         monkeypatch.setattr(chunks, "START_METHOD", "spawn")
-        assert self.runs(phi_main, 2) == want
+        try:
+            assert self.runs(phi_main, 2) == want
+        finally:
+            stop_resource_tracker()
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_scan(self, monkeypatch):

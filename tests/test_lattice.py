@@ -396,7 +396,7 @@ class TestParents:
         dk = discretize(square_spec, L)
         rng = LatticeRng(seed)
         sites = np.arange(side * side).reshape(side, side)
-        got = _pass(sites, dk, seed, time + 1,
+        got = _pass(sites, dk, rng, time + 1,
                     lambda lo, hi, words, parents:
                     parents(np.arange(hi - lo)))
         y, z = (np.concatenate(a) for a in zip(*got))
